@@ -38,6 +38,7 @@ from .flatness import (
     gn_flat_interval_ratio,
 )
 from .mixture import (
+    ComponentCollapseError,
     MixtureModel,
     MixtureSettings,
     e_step,

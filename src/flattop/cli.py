@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import data_io, divergence, flatness, mixture, mle, multivariate, univariate as uv
+from .quadrature import QuadratureError
 
 _OUTPUT_DIR_VAR = "FLATTOP_OUTPUT_DIR"
 
@@ -462,7 +463,8 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.fn(args)
-    except (ValueError, OSError, uv.ConvergenceError) as exc:
+    except (ValueError, OSError, uv.ConvergenceError, QuadratureError,
+            flatness.FlatnessError, mixture.ComponentCollapseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,6 +34,7 @@ __all__ = [
     "eps_flat_measure",
     "delta_eps_flat",
     "family_flat_bound",
+    "bl_flat_bound",
     "gn_flat_interval_ratio",
     "flatness_report",
 ]
@@ -262,10 +263,7 @@ def family_flat_bound(spec: uv.UnivariateSpec) -> float | None:
         rho = spec.r / spec.s
         return float(4.0 * rho / np.sinh(min(rho, 700.0))) if rho < 700.0 else 0.0
     if f == "BL":
-        w = spec.b - spec.a
-        val = 6.0 * (w / spec.s * float(specfun.coth(w / (2.0 * spec.s)))
-                     + w / spec.t * float(specfun.coth(w / (2.0 * spec.t))))
-        return val * math.exp(-w / (spec.s + spec.t))
+        return bl_flat_bound(spec.a, spec.b, spec.s, spec.t)
     if f == "AN":
         k = (spec.b - spec.a) / (2.0 * spec.s)
         return 2.0 * k ** 2 / math.expm1(0.5 * k ** 2)
@@ -275,6 +273,15 @@ def family_flat_bound(spec: uv.UnivariateSpec) -> float | None:
     if f == "CF" and spec.beta == 1.0:
         return math.exp(-spec.r / (2.0 * spec.s))
     return None
+
+
+def bl_flat_bound(a: float, b: float, s: float, t: float) -> float:
+    """The BL curvature bound of ``family_flat_bound`` from the parameters
+    alone; needs no normalizer."""
+    w = b - a
+    val = 6.0 * (w / s * float(specfun.coth(w / (2.0 * s)))
+                 + w / t * float(specfun.coth(w / (2.0 * t))))
+    return val * math.exp(-w / (s + t))
 
 
 def gn_flat_interval_ratio(beta: float, eps: float) -> float:

@@ -10,6 +10,16 @@ optimization continues the same way.
 
 Supported component layouts: univariate Gaussian / AL / BL, and for 2-d
 data full- or diagonal-covariance Gaussians and axis-aligned AL products.
+
+Every step works on all components at once.  The E-step builds the N x K
+log-density matrix in one broadcast: Gaussians through one stacked
+Cholesky factorization, flat components from their parameters gathered
+into arrays, one row per (component, axis) factor.  The Gaussian M-step
+computes the weighted means, covariances and eigenvalue floors as stacked
+arrays.  The GEM M-step hands every AL factor, and then every BL factor,
+to the single coordinate pass of ``mle`` with the N x J matrix of their
+responsibilities, which backtracks per factor by mask; ``mle.fit`` runs
+the same pass on one problem with unit weights.
 """
 
 from __future__ import annotations
@@ -18,13 +28,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as sp
-
-from . import mle, univariate as uv
+from . import mle, specfun, univariate as uv
 from .data_io import Dataset
 from .mle import FitReport, FitSettings
+from .quadrature import QuadratureError
 
 __all__ = [
+    "ComponentCollapseError",
     "MixtureSettings",
     "MixtureModel",
     "EStepResult",
@@ -38,6 +48,11 @@ __all__ = [
     "sweep",
     "mixture_to_json_dict",
 ]
+
+
+class ComponentCollapseError(RuntimeError):
+    """Raised when a Gaussian EM component loses all responsibility again
+    after it was reseeded."""
 
 
 @dataclass(frozen=True)
@@ -136,37 +151,48 @@ def _rows_of(data) -> np.ndarray:
 # Component log densities
 # ---------------------------------------------------------------------------
 
-def _gauss_logpdf_1d(x: np.ndarray, mean: float, var: float) -> np.ndarray:
-    return -0.5 * (math.log(2.0 * math.pi * var) + (x - mean) ** 2 / var)
+def _factors(model: MixtureModel) -> list[tuple[int, int, uv.UnivariateSpec]]:
+    """(component, axis, spec) of every univariate factor of a flat model,
+    component by component."""
+    return [(k, axis, spec) for k, comp in enumerate(model.components)
+            for axis, spec in enumerate(comp if isinstance(comp, tuple) else (comp,))]
 
 
-def _gauss_logpdf_nd(rows: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    d = rows - mean
-    chol = np.linalg.cholesky(cov)
-    z = np.linalg.solve(chol, d.T)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    n = rows.shape[1]
-    return -0.5 * (n * math.log(2.0 * math.pi) + log_det + np.sum(z * z, axis=0))
+def _factor_logpdf(family: str, x: np.ndarray, specs) -> np.ndarray:
+    """Row j of ``x`` under ``specs[j]``; AL and BL in one broadcast."""
+    def col(name):
+        return np.array([getattr(spec, name) for spec in specs])[:, None]
 
-
-def _component_logpdf(model: MixtureModel, comp, rows: np.ndarray) -> np.ndarray:
-    if model.kind == "gaussian":
-        if model.dim == 1:
-            return _gauss_logpdf_1d(rows[:, 0], comp[0], comp[1])
-        return _gauss_logpdf_nd(rows, comp[0], comp[1])
-    if model.dim == 1:
-        return uv.log_pdf(comp, rows[:, 0])
-    total = np.zeros(rows.shape[0])
-    for axis, spec in enumerate(comp):
-        total = total + uv.log_pdf(spec, rows[:, axis])
-    return total
+    if family == "AL":
+        rho = col("r") / col("s")
+        return (np.log(col("c")) + specfun.log_sinh(rho)
+                - specfun.log_cosh_sum((x - col("m")) / col("s"), rho))
+    if family == "BL":
+        return (np.log(col("c")) - specfun.softplus((col("a") - x) / col("s"))
+                - specfun.softplus((x - col("b")) / col("t")))
+    return np.array([uv.log_pdf(spec, row) for spec, row in zip(specs, x)])
 
 
 def _log_matrix(model: MixtureModel, rows: np.ndarray) -> np.ndarray:
-    out = np.empty((rows.shape[0], model.k))
-    for k, comp in enumerate(model.components):
-        out[:, k] = _component_logpdf(model, comp, rows)
-    return out
+    """K x N component log densities."""
+    cols = np.ascontiguousarray(rows.T)  # dim x N
+    if model.kind == "gaussian":
+        means = np.array([c[0] for c in model.components], dtype=float).reshape(model.k, -1)
+        if model.dim == 1:
+            var = np.array([c[1] for c in model.components], dtype=float)[:, None]
+            return -0.5 * (np.log(2.0 * math.pi * var) + (cols - means) ** 2 / var)
+        chol = np.linalg.cholesky(np.array([c[1] for c in model.components], dtype=float))
+        z = np.linalg.inv(chol) @ (cols - means[:, :, None])  # K x dim x N
+        log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+        return -0.5 * (model.dim * math.log(2.0 * math.pi) + log_det[:, None]
+                       + np.einsum("kdn,kdn->kn", z, z))
+    factors = _factors(model)
+    x = cols[[axis for _, axis, _ in factors]]
+    out = np.empty_like(x)
+    for family in {spec.family for _, _, spec in factors}:
+        idx = [j for j, (_, _, spec) in enumerate(factors) if spec.family == family]
+        out[idx] = _factor_logpdf(family, x[idx], [factors[j][2] for j in idx])
+    return out.reshape(model.k, model.dim, -1).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +209,15 @@ def e_step(model: MixtureModel, data) -> EStepResult:
     rows = _rows_of(data)
     with np.errstate(divide="ignore"):
         log_w = np.log(model.weights)
-    log_joint = _log_matrix(model, rows) + log_w
-    row_tot = sp.logsumexp(log_joint, axis=1)
-    flagged = np.where(~np.isfinite(row_tot))[0]
-    resp = np.exp(log_joint - row_tot[:, None])
+    log_joint = _log_matrix(model, rows) + log_w[:, None]  # K x N
+    row_tot = specfun.logsumexp(log_joint, axis=0)
+    finite_rows = np.isfinite(row_tot)
+    flagged = np.flatnonzero(~finite_rows)
+    resp = np.exp(log_joint - np.where(finite_rows, row_tot, 0.0)).T
     if flagged.size:
         resp[flagged] = 1.0 / model.k
-    loglik = float(np.sum(row_tot[np.isfinite(row_tot)]))
-    finite = np.isfinite(log_joint)
-    q = float(np.sum(resp[finite] * log_joint[finite]))
+    loglik = float(np.sum(row_tot[finite_rows]))
+    q = float(np.sum(resp.T * np.where(np.isfinite(log_joint), log_joint, 0.0)))
     return EStepResult(resp=resp, q=q, loglik=loglik, flagged=flagged)
 
 
@@ -214,37 +240,35 @@ def _kmeanspp_centers(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 
 def _floor_cov(cov: np.ndarray, floor: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
+    """Symmetrize and raise every eigenvalue to ``floor``; works on stacks."""
+    vals, vecs = np.linalg.eigh(0.5 * (cov + np.swapaxes(cov, -1, -2)))
     vals = np.maximum(vals, floor)
-    return (vecs * vals) @ vecs.T
+    return (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 def _gmm_m_step(rows, resp, cov_type, floor):
     n, dim = rows.shape
     nk = resp.sum(axis=0)
+    empty = np.flatnonzero(nk <= 0)
+    if empty.size:
+        raise _EmptyComponent(empty)
     weights = nk / n
-    comps = []
-    for k in range(resp.shape[1]):
-        if nk[k] <= 0:
-            raise _EmptyComponent(k)
-        mean = resp[:, k] @ rows / nk[k]
-        d = rows - mean
-        if dim == 1:
-            var = float(resp[:, k] @ (d[:, 0] ** 2) / nk[k])
-            comps.append((float(mean[0]), max(var, floor)))
-        else:
-            cov = (resp[:, k][:, None] * d).T @ d / nk[k]
-            if cov_type == "diag":
-                cov = np.diag(np.maximum(np.diag(cov), floor))
-            else:
-                cov = _floor_cov(cov, floor)
-            comps.append((mean, cov))
-    return weights, comps
+    means = resp.T @ rows / nk[:, None]
+    d = np.ascontiguousarray(rows.T) - means[:, :, None]  # K x dim x N
+    cov = (d * resp.T[:, None, :]) @ d.transpose(0, 2, 1) / nk[:, None, None]
+    if dim == 1:
+        var = np.maximum(cov[:, 0, 0], floor)
+        return weights, [(float(m), float(v)) for m, v in zip(means[:, 0], var)]
+    if cov_type == "diag":
+        cov = np.maximum(np.diagonal(cov, axis1=1, axis2=2), floor)[:, :, None] * np.eye(dim)
+    else:
+        cov = _floor_cov(cov, floor)
+    return weights, list(zip(means, cov))
 
 
 class _EmptyComponent(Exception):
-    def __init__(self, index: int) -> None:
-        self.index = index
+    def __init__(self, indices: np.ndarray) -> None:
+        self.indices = indices
 
 
 def gmm_fit(
@@ -312,10 +336,10 @@ def _gmm_single(rows, k, rng, settings, covariance_type, floor):
             weights, comps = _gmm_m_step(rows, es.resp, covariance_type, floor)
         except _EmptyComponent as empty:
             if reseeded:
-                raise RuntimeError(
-                    f"component {empty.index} collapsed twice; aborting") from None
+                raise ComponentCollapseError(
+                    f"component {int(empty.indices[0])} collapsed twice; aborting") from None
             reseeded = True
-            es.resp[:, empty.index] = 1.0 / n
+            es.resp[:, empty.indices] = 1.0 / n
             es.resp /= es.resp.sum(axis=1, keepdims=True)
             weights, comps = _gmm_m_step(rows, es.resp, covariance_type, floor)
         model = MixtureModel(kind="gaussian", dim=dim, weights=weights,
@@ -369,76 +393,6 @@ def ftm_from_gmm(gmm: MixtureModel) -> MixtureModel:
 # Generalized EM for the flat-topped mixture
 # ---------------------------------------------------------------------------
 
-def _weighted_pass_al(x, w, spec, settings: FitSettings) -> uv.UnivariateSpec:
-    """One monotone coordinate pass (a, b, s) on the weighted AL objective."""
-    bounds = mle._bounds_from_data(x)
-    eps = 1e-9 * (bounds.hi - bounds.lo)
-    a, b, s = spec.a, spec.b, spec.s
-    ll = mle.loglik_al(x, a, b, s, w)
-    for name in ("a", "b", "s"):
-        da, db, ds = mle.grad_al(x, a, b, s, w)
-        h = mle.hess_al(x, a, b, s, w)
-        g, curv, scale = {
-            "a": (da, h.daa, b - a),
-            "b": (db, h.dbb, b - a),
-            "s": (ds, h.dss, s),
-        }[name]
-        step = mle._step_size(g, curv, scale, settings.eta0) * g
-        for _ in range(settings.max_backtracks):
-            if name == "a":
-                cand = (mle._clip(a + step, bounds.lo + eps, b - eps), b, s)
-            elif name == "b":
-                cand = (a, mle._clip(b + step, a + eps, bounds.hi - eps), s)
-            else:
-                cand = (a, b, mle._clip(s + step, bounds.s_min, bounds.s_max))
-            if cand == (a, b, s):
-                break
-            ll_new = mle.loglik_al(x, *cand, w)
-            if ll_new >= ll:
-                a, b, s = cand
-                ll = ll_new
-                break
-            step *= settings.backtrack_factor
-    return uv.make("AL", {"a": a, "b": b, "s": s})
-
-
-def _weighted_pass_bl(x, w, spec, settings: FitSettings) -> uv.UnivariateSpec:
-    """One monotone coordinate pass (a, b, s, t) on the weighted BL objective
-    with the exact normalizer."""
-    bounds = mle._bounds_from_data(x)
-    eps = 1e-9 * (bounds.hi - bounds.lo)
-    a, b, s, t = spec.a, spec.b, spec.s, spec.t
-    ll = mle.loglik_bl(x, a, b, s, t, w)
-    for name in ("a", "b", "s", "t"):
-        g4 = mle.grad_bl_flat(x, a, b, s, t, w)
-        daa, dbb, dss, dtt = mle._bl_curvatures(x, w, a, b, s, t)
-        g, curv, scale = {
-            "a": (g4.da, daa, b - a),
-            "b": (g4.db, dbb, b - a),
-            "s": (g4.ds, dss, s),
-            "t": (g4.dt, dtt, t),
-        }[name]
-        step = mle._step_size(g, curv, scale, settings.eta0) * g
-        for _ in range(settings.max_backtracks):
-            if name == "a":
-                cand = (mle._clip(a + step, bounds.lo + eps, b - eps), b, s, t)
-            elif name == "b":
-                cand = (a, mle._clip(b + step, a + eps, bounds.hi - eps), s, t)
-            elif name == "s":
-                cand = (a, b, mle._clip(s + step, bounds.s_min, bounds.s_max), t)
-            else:
-                cand = (a, b, s, mle._clip(t + step, bounds.s_min, bounds.s_max))
-            if cand == (a, b, s, t):
-                break
-            ll_new = mle.loglik_bl(x, *cand, w)
-            if ll_new >= ll:
-                a, b, s, t = cand
-                ll = ll_new
-                break
-            step *= settings.backtrack_factor
-    return uv.make("BL", {"a": a, "b": b, "s": s, "t": t})
-
-
 def m_step(model: MixtureModel, data, resp: np.ndarray,
            settings: MixtureSettings | None = None) -> MixtureModel:
     """Generalized M-step: closed-form weight update plus one weighted
@@ -449,21 +403,31 @@ def m_step(model: MixtureModel, data, resp: np.ndarray,
         raise ValueError("responsibilities must be N x K")
     if model.kind != "flat":
         raise ValueError("m_step drives flat mixtures; use gmm_fit for Gaussians")
+    factors = _factors(model)
+    unsupported = {spec.family for _, _, spec in factors} - set(mle._KERNELS)
+    if unsupported:
+        raise ValueError(f"m_step supports AL and BL components, got {sorted(unsupported)}")
     weights = resp.mean(axis=0)
     weights = weights / weights.sum()
-    comps = []
-    for k, comp in enumerate(model.components):
-        w = resp[:, k]
-        if w.sum() < 1e-12:
-            comps.append(comp)  # zero responsibility: gradients vanish
+    live = resp.sum(axis=0) >= 1e-12  # zero responsibility: gradients vanish
+    bounds = np.stack([mle._bounds_from_data(rows[:, axis]) for axis in range(model.dim)],
+                      axis=1)
+    cols = np.ascontiguousarray(rows.T)
+    comps = [list(c) if isinstance(c, tuple) else [c] for c in model.components]
+    for family, (names, loglik, _) in mle._KERNELS.items():
+        group = [f for f in factors if f[2].family == family and live[f[0]]]
+        if not group:
             continue
-        if model.dim == 1:
-            pass_fn = _weighted_pass_bl if comp.family == "BL" else _weighted_pass_al
-            comps.append(pass_fn(rows[:, 0], w, comp, settings.component_pass))
-        else:
-            comps.append(tuple(
-                _weighted_pass_al(rows[:, axis], w, spec, settings.component_pass)
-                for axis, spec in enumerate(comp)))
+        ks, axes, specs = (list(v) for v in zip(*group))
+        x = cols[axes]
+        w = np.ascontiguousarray(resp.T[ks])
+        n = w.sum(axis=1)
+        p = np.array([[getattr(spec, name) for spec in specs] for name in names])
+        p, _, _ = mle._coordinate_pass(family, x, w, n, p, loglik(x, w, n, p),
+                                       bounds[:, axes], settings.component_pass)
+        for j, (k, axis) in enumerate(zip(ks, axes)):
+            comps[k][axis] = uv.make(family, dict(zip(names, p[:, j])))
+    comps = [tuple(c) if model.dim > 1 else c[0] for c in comps]
     return MixtureModel(kind="flat", dim=model.dim, weights=weights,
                         components=comps, factorized=model.factorized)
 
@@ -584,7 +548,8 @@ def sweep(
             out.append(SweepRow(k=k, iterations=report.iterations,
                                 loglik_per_point=ll / rows.shape[0],
                                 aic=report.aic, bic=report.bic))
-        except Exception as exc:  # record and continue
+        except (ComponentCollapseError, QuadratureError, uv.ConvergenceError,
+                ValueError) as exc:  # record and continue
             out.append(SweepRow(k=k, iterations=0, loglik_per_point=math.nan,
                                 aic=math.nan, bic=math.nan, error=str(exc)))
     return out

@@ -8,8 +8,10 @@ uses its matrix gradient blocks.  The fitter updates one parameter at a
 time with step 1/|second partial| and backtracks until the log-likelihood
 does not decrease, so every accepted step is an ascent step.
 
-Weighted variants (per-point weights ``w``) serve as the M-step of the
-mixture machinery.
+The AL and BL coordinate pass runs on J independent weighted problems at
+once, backtracking each by mask: ``fit`` is its J = 1 case with unit (or
+dataset) weights, and the mixture M-step runs it on every (component,
+axis) factor with the responsibilities as weights.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import univariate as uv
 from .data_io import Dataset
 from .multivariate import MultivariateSpec, make_mv
 from .quadrature import QuadratureSettings, integrate
-from .specfun import coth, csch2, log_sinh, sech2, softplus
+from .specfun import coth, csch2, log_cosh, log_sinh, sech2, softplus
 
 __all__ = [
     "FitSettings",
@@ -119,39 +121,118 @@ def _weights(x: np.ndarray, w) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# AL and BL kernels, batched over J independent (data, weights, parameters)
+# problems: ``x`` and ``w`` are (J, N), ``n`` the (J,) weight sums and ``p``
+# the (P, J) parameters in coordinate order.  Each partial comes with the
+# curvature that sizes its coordinate step.
+# ---------------------------------------------------------------------------
+
+def _wsum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (J, N) arrays."""
+    return (w[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _al_loglik(x, w, n, p) -> np.ndarray:
+    a, b, s = p
+    const = log_sinh((b - a) / (2.0 * s)) - np.log(2.0 * (b - a))
+    two_s = 2.0 * s[:, None]
+    return n * const - _wsum(w, log_cosh((x - a[:, None]) / two_s)
+                             + log_cosh((x - b[:, None]) / two_s))
+
+
+def _al_partial(name, x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
+    a, b, s = p
+    g = (b - a) / (2.0 * s)
+    cg = coth(g)
+    c2g = csch2(g)
+    if name == "s":
+        za = (x - a[:, None]) / (2.0 * s[:, None])
+        zb = (x - b[:, None]) / (2.0 * s[:, None])
+        ta, tb = np.tanh(za), np.tanh(zb)
+        grad = (-n * g * cg + _wsum(w, za * ta + zb * tb)) / s
+        # d/ds of the first partial doubles the odd tanh/coth terms.
+        curv = (n * (2.0 * g * cg - g * g * c2g)
+                - _wsum(w, 2.0 * za * ta + za * za * sech2(za))
+                - _wsum(w, 2.0 * zb * tb + zb * zb * sech2(zb))) / s ** 2
+        return grad, curv
+    edge, sign = (a, 1.0) if name == "a" else (b, -1.0)
+    z = (x - edge[:, None]) / (2.0 * s[:, None])
+    grad = sign * (n / (b - a) - n * cg / (2.0 * s)) + _wsum(w, np.tanh(z)) / (2.0 * s)
+    quarter = 1.0 / (4.0 * s ** 2)
+    curv = n * (1.0 / (b - a) ** 2) - n * quarter * c2g - quarter * _wsum(w, sech2(z))
+    return grad, curv
+
+
+def _bl_log_norm(a: float, b: float, s: float, t: float) -> float:
+    def integrand(x: np.ndarray) -> np.ndarray:
+        return sp.expit((x - a) / s) * sp.expit((b - x) / t)
+
+    val = integrate(integrand, -math.inf, math.inf, _BL_NORM_SETTINGS,
+                    points=(a, 0.5 * (a + b), b)).value
+    return -math.log(val)
+
+
+def _bl_loglik(x, w, n, p, log_c=None) -> np.ndarray:
+    """Exact normalizer (one quadrature per problem) unless ``log_c`` is given."""
+    a, b, s, t = p
+    if log_c is None:
+        log_c = np.array([_bl_log_norm(*q) for q in p.T])
+    terms = -softplus((a[:, None] - x) / s[:, None]) - softplus((x - b[:, None]) / t[:, None])
+    return n * log_c + _wsum(w, terms)
+
+
+def _bl_partial(name, x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
+    """Flat-regime partials; the curvatures only size the steps."""
+    a, b, s, t = p
+    if name in ("a", "s"):
+        f = sp.expit((x - a[:, None]) / s[:, None])       # F_L(x; a, s)
+        v = f * (1.0 - f)
+        if name == "a":
+            return (n / (b - a) - _wsum(w, 1.0 - f) / s,
+                    n / (b - a) ** 2 - _wsum(w, v) / s ** 2)
+        grad = _wsum(w, (a[:, None] - x) * (1.0 - f)) / s ** 2
+        return grad, -2.0 * grad / s - _wsum(w, (x - a[:, None]) ** 2 * v) / s ** 4
+    f = sp.expit((x - b[:, None]) / t[:, None])           # F_L(x; b, t)
+    v = f * (1.0 - f)
+    if name == "b":
+        return (-n / (b - a) + _wsum(w, f) / t,
+                n / (b - a) ** 2 - _wsum(w, v) / t ** 2)
+    grad = _wsum(w, (x - b[:, None]) * f) / t ** 2
+    return grad, -2.0 * grad / t - _wsum(w, (x - b[:, None]) ** 2 * v) / t ** 4
+
+
+# Coordinate order, log-likelihood kernel and partial kernel per family.
+_KERNELS = {
+    "AL": (("a", "b", "s"), _al_loglik, _al_partial),
+    "BL": (("a", "b", "s", "t"), _bl_loglik, _bl_partial),
+}
+
+
+def _one(data, weights):
+    """A single problem in kernel layout: (x, w, n) with J = 1."""
+    x = _data_1d(data)
+    w = _weights(x, weights)[None, :]
+    return x[None, :], w, w.sum(axis=1)
+
+
+def _params(*values) -> np.ndarray:
+    return np.array(values, dtype=float)[:, None]
+
+
+# ---------------------------------------------------------------------------
 # AL: log-likelihood and analytic derivatives
 # ---------------------------------------------------------------------------
 
 def loglik_al(data, a: float, b: float, s: float, weights=None) -> float:
     """Weighted log-likelihood of the logistic-difference density."""
-    x = _data_1d(data)
-    w = _weights(x, weights)
-    n = float(w.sum())
-    g = (b - a) / (2.0 * s)
-    za = (x - a) / (2.0 * s)
-    zb = (x - b) / (2.0 * s)
-    const = float(log_sinh(g)) - math.log(2.0 * (b - a))
-    # ln cosh, exp-shifted
-    lca = np.abs(za) + np.log1p(np.exp(-2.0 * np.abs(za))) - math.log(2.0)
-    lcb = np.abs(zb) + np.log1p(np.exp(-2.0 * np.abs(zb))) - math.log(2.0)
-    return n * const - float(np.dot(w, lca + lcb))
+    return float(_al_loglik(*_one(data, weights), _params(a, b, s))[0])
 
 
 def grad_al(data, a: float, b: float, s: float, weights=None) -> tuple[float, float, float]:
     """First partials of the AL log-likelihood with respect to (a, b, s)."""
-    x = _data_1d(data)
-    w = _weights(x, weights)
-    n = float(w.sum())
-    g = (b - a) / (2.0 * s)
-    cg = float(coth(g))
-    za = (x - a) / (2.0 * s)
-    zb = (x - b) / (2.0 * s)
-    ta = np.tanh(za)
-    tb = np.tanh(zb)
-    da = n / (b - a) - n * cg / (2.0 * s) + float(np.dot(w, ta)) / (2.0 * s)
-    db = -n / (b - a) + n * cg / (2.0 * s) + float(np.dot(w, tb)) / (2.0 * s)
-    ds = (-n * g * cg + float(np.dot(w, za * ta + zb * tb))) / s
-    return da, db, ds
+    x, w, n = _one(data, weights)
+    p = _params(a, b, s)
+    return tuple(float(_al_partial(name, x, w, n, p)[0][0]) for name in "abs")
 
 
 def hess_al(data, a: float, b: float, s: float, weights=None) -> AlHessian:
@@ -172,7 +253,6 @@ def hess_al(data, a: float, b: float, s: float, weights=None) -> AlHessian:
     quarter = 1.0 / (4.0 * s ** 2)
     daa = n * inv_ba2 - n * quarter * c2g - quarter * float(np.dot(w, s2a))
     dbb = n * inv_ba2 - n * quarter * c2g - quarter * float(np.dot(w, s2b))
-    # d/ds of the first partial doubles the odd tanh/coth terms.
     dss = (n * (2.0 * g * cg - g * g * c2g)
            - float(np.dot(w, 2.0 * za * ta + za * za * s2a))
            - float(np.dot(w, 2.0 * zb * tb + zb * zb * s2b))) / s ** 2
@@ -187,29 +267,16 @@ def hess_al(data, a: float, b: float, s: float, weights=None) -> AlHessian:
 # BL: exact log-likelihood (quadrature normalizer) and flat-regime gradients
 # ---------------------------------------------------------------------------
 
-def _bl_log_norm(a: float, b: float, s: float, t: float) -> float:
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return sp.expit((x - a) / s) * sp.expit((b - x) / t)
-
-    val = integrate(integrand, -math.inf, math.inf, _BL_NORM_SETTINGS,
-                    points=(a, 0.5 * (a + b), b)).value
-    return -math.log(val)
-
-
 def loglik_bl(data, a: float, b: float, s: float, t: float, weights=None,
               normalizer: str = "exact") -> float:
     """BL log-likelihood; ``normalizer='flat'`` uses the 1/(b-a) shortcut."""
-    x = _data_1d(data)
-    w = _weights(x, weights)
-    n = float(w.sum())
     if normalizer == "exact":
-        log_c = _bl_log_norm(a, b, s, t)
+        log_c = None
     elif normalizer == "flat":
-        log_c = -math.log(b - a)
+        log_c = np.array([-math.log(b - a)])
     else:
         raise ValueError(f"normalizer must be 'exact' or 'flat', got {normalizer!r}")
-    terms = -softplus((a - x) / s) - softplus((x - b) / t)
-    return n * log_c + float(np.dot(w, terms))
+    return float(_bl_loglik(*_one(data, weights), _params(a, b, s, t), log_c)[0])
 
 
 def grad_bl_flat(data, a: float, b: float, s: float, t: float,
@@ -219,36 +286,12 @@ def grad_bl_flat(data, a: float, b: float, s: float, t: float,
     ``flat_regime`` is False when the closed-form flatness bound exceeds
     0.05, i.e. when these approximations are unreliable.
     """
-    from .flatness import family_flat_bound
+    from .flatness import bl_flat_bound
 
-    x = _data_1d(data)
-    w = _weights(x, weights)
-    n = float(w.sum())
-    fa = sp.expit((x - a) / s)        # F_L(x; a, s)
-    fb = sp.expit((x - b) / t)        # F_L(x; b, t)
-    da = n / (b - a) - float(np.dot(w, 1.0 - fa)) / s
-    db = -n / (b - a) + float(np.dot(w, fb)) / t
-    ds = float(np.dot(w, (a - x) * (1.0 - fa))) / s ** 2
-    dt = float(np.dot(w, (x - b) * fb)) / t ** 2
-    bound = family_flat_bound(uv.make("BL", {"a": a, "b": b, "s": s, "t": t}))
-    return BlGradient(da, db, ds, dt, bool(bound < 0.05))
-
-
-def _bl_curvatures(x, w, a, b, s, t) -> tuple[float, float, float, float]:
-    """Second-derivative magnitudes of the flat-regime BL objective, used
-    only for step sizing."""
-    n = float(w.sum())
-    fa = sp.expit((x - a) / s)
-    fb = sp.expit((x - b) / t)
-    va = fa * (1.0 - fa)
-    vb = fb * (1.0 - fb)
-    daa = n / (b - a) ** 2 - float(np.dot(w, va)) / s ** 2
-    dbb = n / (b - a) ** 2 - float(np.dot(w, vb)) / t ** 2
-    g_s = float(np.dot(w, (a - x) * (1.0 - fa))) / s ** 2
-    g_t = float(np.dot(w, (x - b) * fb)) / t ** 2
-    dss = -2.0 * g_s / s - float(np.dot(w, (x - a) ** 2 * va)) / s ** 4
-    dtt = -2.0 * g_t / t - float(np.dot(w, (x - b) ** 2 * vb)) / t ** 4
-    return daa, dbb, dss, dtt
+    x, w, n = _one(data, weights)
+    p = _params(a, b, s, t)
+    grads = (float(_bl_partial(name, x, w, n, p)[0][0]) for name in "abst")
+    return BlGradient(*grads, bool(bl_flat_bound(a, b, s, t) < 0.05))
 
 
 # ---------------------------------------------------------------------------
@@ -379,159 +422,106 @@ def init_cl_from_data(data) -> MultivariateSpec:
 # The coordinate-ascent fitter
 # ---------------------------------------------------------------------------
 
-def _step_size(grad: float, curvature: float, scale: float, eta0: float) -> float:
-    if abs(curvature) < 1e-12:
-        return 0.1 * scale / max(abs(grad), 1e-300)
-    return eta0 / abs(curvature)
+def _step_size(grad, curvature, scale, eta0):
+    """Step per unit gradient: eta0/|curvature|, or a tenth of the
+    parameter's scale where the curvature vanishes."""
+    flat = np.abs(curvature) < 1e-12
+    return np.where(flat, 0.1 * scale / np.maximum(np.abs(grad), 1e-300),
+                    eta0 / np.where(flat, 1.0, np.abs(curvature)))
 
 
-@dataclass
-class _Bounds1D:
-    lo: float
-    hi: float
-    s_min: float
-    s_max: float
-
-
-def _bounds_from_data(x: np.ndarray) -> _Bounds1D:
+def _bounds_from_data(x: np.ndarray) -> np.ndarray:
+    """(lo, hi, s_min, s_max) of the box every iterate stays in."""
     lo, hi = float(x.min()), float(x.max())
     span = hi - lo
     if span == 0.0:
         raise ValueError("degenerate data: all points equal")
     sd = float(np.std(x))
-    return _Bounds1D(lo=lo, hi=hi, s_min=span / (4.0 * x.size), s_max=max(sd, 2.0 * span / (4.0 * x.size)))
+    return np.array([lo, hi, span / (4.0 * x.size), max(sd, 2.0 * span / (4.0 * x.size))])
 
 
-def _clip(value: float, lo: float, hi: float) -> float:
-    return min(max(value, lo), hi)
+def _coordinate_pass(family, x, w, n, p, ll, bounds, settings: FitSettings):
+    """One monotone coordinate pass over J independent problems at once.
+
+    ``x``, ``w``, ``n`` and ``p`` are in the kernel layout above, ``ll`` is
+    the (J,) log-likelihood at ``p`` and ``bounds`` the (4, J) rows of
+    ``_bounds_from_data``.  Each coordinate steps by gradient/|curvature|
+    and backtracks per problem, by mask, until that problem's
+    log-likelihood does not decrease.  Returns the new parameters and
+    log-likelihoods and the mask of problems that accepted a step.
+    """
+    names, loglik, partial = _KERNELS[family]
+    lo, hi, s_min, s_max = bounds
+    eps = 1e-9 * (hi - lo)
+    p, ll = p.copy(), ll.copy()
+    moved = np.zeros(p.shape[1], dtype=bool)
+    for i, name in enumerate(names):
+        grad, curv = partial(name, x, w, n, p)
+        if name == "a":
+            scale, low, high = p[1] - p[0], lo + eps, p[1] - eps
+        elif name == "b":
+            scale, low, high = p[1] - p[0], p[0] + eps, hi - eps
+        else:
+            scale, low, high = p[i], s_min, s_max
+        step = _step_size(grad, curv, scale, settings.eta0) * grad
+        live = np.ones(p.shape[1], dtype=bool)
+        for _ in range(settings.max_backtracks):
+            cand = np.minimum(np.maximum(p[i] + step, low), high)
+            live &= cand != p[i]  # clip or underflow: no movement possible
+            idx = np.flatnonzero(live)
+            if idx.size == 0:
+                break
+            trial = p[:, idx]
+            trial[i] = cand[idx]
+            ll_new = loglik(x[idx], w[idx], n[idx], trial)
+            up = ll_new >= ll[idx]
+            done = idx[up]
+            p[i, done] = cand[done]
+            ll[done] = ll_new[up]
+            moved[done] = True
+            live[done] = False
+            step = step * settings.backtrack_factor
+    return p, ll, moved
 
 
-def _fit_al(x: np.ndarray, init: uv.UnivariateSpec, settings: FitSettings,
-            weights=None) -> tuple[uv.UnivariateSpec, FitReport]:
-    w = _weights(x, weights)
+def _fit_univariate(x: np.ndarray, init: uv.UnivariateSpec, settings: FitSettings,
+                    weights=None) -> tuple[uv.UnivariateSpec, FitReport]:
+    """AL or BL fit: coordinate passes on the single problem (J = 1) until
+    the gradient is below ``grad_tol`` or a pass accepts no step."""
+    names, loglik, partial = _KERNELS[init.family]
     bounds = _bounds_from_data(x)
-    eps = 1e-9 * (bounds.hi - bounds.lo)
-    a, b, s = init.a, init.b, init.s
-    if not (bounds.lo < a < b < bounds.hi):
+    lo, hi, s_min = bounds[:3]
+    if not (lo < init.a < init.b < hi):
         raise ValueError(
-            f"init violates min(x) < a < b < max(x): a={a}, b={b}, "
-            f"range=({bounds.lo}, {bounds.hi})")
-    if not s >= bounds.s_min:
-        raise ValueError(f"init violates s >= {bounds.s_min}: s={s}")
+            f"init violates min(x) < a < b < max(x): a={init.a}, b={init.b}, "
+            f"range=({lo}, {hi})")
+    if init.family == "AL" and not init.s >= s_min:
+        raise ValueError(f"init violates s >= {s_min}: s={init.s}")
 
-    ll = loglik_al(x, a, b, s, w)
-    trace = [ll]
+    x1, w1, n = _one(x, weights)
+    p = _params(*(getattr(init, name) for name in names))
+    ll = loglik(x1, w1, n, p)
+    trace = [float(ll[0])]
     converged = False
-    n_eff = float(w.sum())
     grad_norm = math.inf
     iters = 0
     for iters in range(1, settings.max_iters + 1):
-        any_accept = False
-        for name in ("a", "b", "s"):
-            da, db, ds = grad_al(x, a, b, s, w)
-            h = hess_al(x, a, b, s, w)
-            if name == "a":
-                g, curv, scale = da, h.daa, b - a
-            elif name == "b":
-                g, curv, scale = db, h.dbb, b - a
-            else:
-                g, curv, scale = ds, h.dss, s
-            step = _step_size(g, curv, scale, settings.eta0) * g
-            for _ in range(settings.max_backtracks):
-                if name == "a":
-                    cand = (_clip(a + step, bounds.lo + eps, b - eps), b, s)
-                elif name == "b":
-                    cand = (a, _clip(b + step, a + eps, bounds.hi - eps), s)
-                else:
-                    cand = (a, b, _clip(s + step, bounds.s_min, bounds.s_max))
-                if cand == (a, b, s):
-                    break  # clip or underflow: no movement possible
-                ll_new = loglik_al(x, *cand, w)
-                if ll_new >= ll:
-                    a, b, s = cand
-                    ll = ll_new
-                    any_accept = True
-                    break
-                step *= settings.backtrack_factor
-        trace.append(ll)
-        da, db, ds = grad_al(x, a, b, s, w)
-        grad_norm = max(abs(da), abs(db), abs(ds)) / n_eff
+        p, ll, moved = _coordinate_pass(init.family, x1, w1, n, p, ll, bounds[:, None],
+                                        settings)
+        trace.append(float(ll[0]))
+        grad_norm = max(abs(float(partial(name, x1, w1, n, p)[0][0]))
+                        for name in names) / float(n[0])
         if grad_norm < settings.grad_tol:
             converged = True
             break
-        if not any_accept:
+        if not moved[0]:
             break
-    spec = uv.make("AL", {"a": a, "b": b, "s": s})
-    k = 3
-    n = x.size
+    spec = uv.make(init.family, dict(zip(names, p[:, 0])))
+    k = len(names)
+    ll = trace[-1]
     report = FitReport(converged=converged, iterations=iters, loglik_trace=trace,
                        final_params=spec.params(), grad_norm=grad_norm,
-                       aic=2.0 * k - 2.0 * ll, bic=k * math.log(n) - 2.0 * ll,
-                       free_params=k)
-    return spec, report
-
-
-def _fit_bl(x: np.ndarray, init: uv.UnivariateSpec, settings: FitSettings,
-            weights=None) -> tuple[uv.UnivariateSpec, FitReport]:
-    w = _weights(x, weights)
-    bounds = _bounds_from_data(x)
-    eps = 1e-9 * (bounds.hi - bounds.lo)
-    a, b, s, t = init.a, init.b, init.s, init.t
-    if not (bounds.lo < a < b < bounds.hi):
-        raise ValueError(
-            f"init violates min(x) < a < b < max(x): a={a}, b={b}, "
-            f"range=({bounds.lo}, {bounds.hi})")
-
-    ll = loglik_bl(x, a, b, s, t, w)
-    trace = [ll]
-    converged = False
-    n_eff = float(w.sum())
-    grad_norm = math.inf
-    iters = 0
-    for iters in range(1, settings.max_iters + 1):
-        any_accept = False
-        for name in ("a", "b", "s", "t"):
-            g4 = grad_bl_flat(x, a, b, s, t, w)
-            daa, dbb, dss, dtt = _bl_curvatures(x, w, a, b, s, t)
-            g, curv, scale = {
-                "a": (g4.da, daa, b - a),
-                "b": (g4.db, dbb, b - a),
-                "s": (g4.ds, dss, s),
-                "t": (g4.dt, dtt, t),
-            }[name]
-            step = _step_size(g, curv, scale, settings.eta0) * g
-            for _ in range(settings.max_backtracks):
-                if name == "a":
-                    cand = (_clip(a + step, bounds.lo + eps, b - eps), b, s, t)
-                elif name == "b":
-                    cand = (a, _clip(b + step, a + eps, bounds.hi - eps), s, t)
-                elif name == "s":
-                    cand = (a, b, _clip(s + step, bounds.s_min, bounds.s_max), t)
-                else:
-                    cand = (a, b, s, _clip(t + step, bounds.s_min, bounds.s_max))
-                if cand == (a, b, s, t):
-                    break  # clip or underflow: no movement possible
-                ll_new = loglik_bl(x, *cand, w)
-                if ll_new >= ll:
-                    a, b, s, t = cand
-                    ll = ll_new
-                    any_accept = True
-                    break
-                step *= settings.backtrack_factor
-        trace.append(ll)
-        g4 = grad_bl_flat(x, a, b, s, t, w)
-        grad_norm = max(abs(g4.da), abs(g4.db), abs(g4.ds), abs(g4.dt)) / n_eff
-        if grad_norm < settings.grad_tol:
-            converged = True
-            break
-        if not any_accept:
-            break
-    spec = uv.make("BL", {"a": a, "b": b, "s": s, "t": t})
-    k = 4
-    n = x.size
-    report = FitReport(converged=converged, iterations=iters, loglik_trace=trace,
-                       final_params=spec.params(), grad_norm=grad_norm,
-                       aic=2.0 * k - 2.0 * ll, bic=k * math.log(n) - 2.0 * ll,
+                       aic=2.0 * k - 2.0 * ll, bic=k * math.log(x.size) - 2.0 * ll,
                        free_params=k)
     return spec, report
 
@@ -619,7 +609,7 @@ def _fit_cl(rows: np.ndarray, init: MultivariateSpec,
 
             h = 1e-6 * max(1.0, abs(cur))
             curv = (g_of(cur + h) - g) / h
-            step = _step_size(g, curv, cur, settings.eta0) * g
+            step = float(_step_size(g, curv, cur, settings.eta0)) * g
             for _ in range(settings.max_backtracks):
                 cand = max(cur + step, 1e-12 * max(1.0, cur))
                 ll_new = ll_of(m, lam, cand, t) if name == "R" else ll_of(m, lam, big_r, cand)
@@ -671,10 +661,8 @@ def fit(data, init, settings: FitSettings | None = None):
     if isinstance(init, uv.UnivariateSpec):
         x = _data_1d(data)
         w = data.weights if isinstance(data, Dataset) else None
-        if init.family == "AL":
-            return _fit_al(x, init, settings, w)
-        if init.family == "BL":
-            return _fit_bl(x, init, settings, w)
+        if init.family in _KERNELS:
+            return _fit_univariate(x, init, settings, w)
         raise ValueError(f"fit supports AL and BL univariate families, got {init.family}")
     if isinstance(init, MultivariateSpec):
         if init.family != "CL":

@@ -29,6 +29,7 @@ __all__ = [
     "log_cosh",
     "log_sinh",
     "log_cosh_sum",
+    "logsumexp",
     "sech2",
     "csch2",
     "coth",
@@ -76,12 +77,29 @@ def log_sinh(z):
     return z + np.log1p(-np.exp(-2.0 * z)) - _LN2
 
 
+def logsumexp(a, axis: int = -1):
+    """ln(sum(exp(a))) along ``axis``.
+
+    The maximum of each slice is split off, as in scipy's logsumexp: with
+    ``top`` the maximum, ``count`` its multiplicity and ``rest`` the sum of
+    the other exp(a - top), the result is top + ln(count) + log1p(rest /
+    count).  Slices whose entries are all -inf give -inf, without a warning.
+    """
+    a = np.asarray(a, dtype=float)
+    top = np.max(a, axis=axis, keepdims=True)
+    at_top = a == top
+    count = np.sum(at_top, axis=axis, keepdims=True)
+    shift = np.where(top == -np.inf, 0.0, top)
+    rest = np.sum(np.exp(np.where(at_top, -np.inf, a) - shift), axis=axis, keepdims=True)
+    return np.squeeze(np.log1p(rest / count) + np.log(count) + top, axis=axis)
+
+
 def log_cosh_sum(u, v):
     """ln(cosh(u) + cosh(v)) via a 4-term logsumexp; overflow-safe."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     stacked = np.stack(np.broadcast_arrays(u, -u, v, -v))
-    return sp.logsumexp(stacked, axis=0) - _LN2
+    return logsumexp(stacked, axis=0) - _LN2
 
 
 def sech2(z):

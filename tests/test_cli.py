@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from flattop import cli
+from flattop import cli, mixture
 from flattop.data_io import gen_mixed_1d, write_csv
 
 
@@ -72,6 +72,38 @@ def test_runtime_errors_exit_one(capsys):
     assert "a < b" in err
     code, _, err = _run(capsys, "fit", "--family", "AL", "--data", "/no/such/file.csv")
     assert code == 1
+
+
+def test_typed_library_errors_exit_one_without_traceback(capsys, tmp_path, monkeypatch):
+    # QuadratureError: the BL normalizer integrand does not decay.
+    code, out, err = _run(capsys, "eval", "--family", "BL",
+                          "--params", "a=0,b=1,s=1e300,t=1e300", "--grid", "0:1:0.5")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: tail truncation failed")
+    # FlatnessError: the density underflows at its mode.
+    with np.errstate(all="ignore"):
+        code, out, err = _run(capsys, "flatness", "--family", "AL",
+                              "--params", "a=0,b=1e300,s=1e-300")
+    assert (code, out, err) == (1, "", "error: density vanishes at its mode\n")
+    # ComponentCollapseError: every other M-step reports an empty component,
+    # so the reseeded component collapses again.
+    rows = np.concatenate([np.linspace(0, 3, 40), np.linspace(6, 9, 40)])
+    path = tmp_path / "d.csv"
+    np.savetxt(path, rows, fmt="%.17g")
+    real_m_step = mixture._gmm_m_step
+    calls = []
+
+    def empty_every_other_call(rows, resp, cov_type, floor):
+        calls.append(1)
+        if len(calls) % 2:
+            raise mixture._EmptyComponent(np.array([0]))
+        return real_m_step(rows, resp, cov_type, floor)
+
+    monkeypatch.setattr(mixture, "_gmm_m_step", empty_every_other_call)
+    code, out, err = _run(capsys, "mixfit", "--family", "GMM", "--k", "2",
+                          "--data", str(path), "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: component 0 collapsed twice; aborting\n"
 
 
 def test_unknown_param_key_rejected(capsys):

@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from flattop import mixture as mx, mle, univariate as uv
 from flattop.data_io import gen_segments_2d, default_segments_scenario
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +268,257 @@ def test_sweep_shape_and_k1_consistency():
     assert rows[0].aic == pytest.approx(rep.aic, rel=1e-6)
 
 
-def test_sweep_records_failures_and_continues():
+def test_sweep_records_failures_and_continues(monkeypatch):
     x = np.linspace(0.0, 1.0, 8)
     rows = mx.sweep(x, "GMM", [1, 50], seed=19)
     assert rows[0].error is None
     assert rows[1].error is not None
     assert math.isnan(rows[1].aic)
 
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a fit failure")
+
+    monkeypatch.setattr(mx, "gmm_fit", broken)
+    with pytest.raises(TypeError):
+        mx.sweep(x, "GMM", [1], seed=19)
+
+
+def test_gmm_collapse_is_typed(monkeypatch):
+    real_m_step = mx._gmm_m_step
+    calls = []
+
+    def empty_every_other_call(rows, resp, cov_type, floor):
+        calls.append(1)
+        if len(calls) % 2:
+            raise mx._EmptyComponent(np.array([1]))
+        return real_m_step(rows, resp, cov_type, floor)
+
+    monkeypatch.setattr(mx, "_gmm_m_step", empty_every_other_call)
+    with pytest.raises(mx.ComponentCollapseError, match="collapsed twice"):
+        mx.gmm_fit(np.linspace(0.0, 1.0, 20), 2, seed=0)
+    rows = mx.sweep(np.linspace(0.0, 1.0, 20), "GMM", [2], seed=0)
+    assert "collapsed twice" in rows[0].error
+
+
+def test_gmm_reseeds_every_empty_component_at_once():
+    rows = np.linspace(0.0, 1.0, 20).reshape(-1, 1)
+    resp = np.zeros((20, 3))
+    resp[:, 0] = 1.0
+    with pytest.raises(mx._EmptyComponent) as info:
+        mx._gmm_m_step(rows, resp, "full", 1e-10)
+    assert info.value.indices.tolist() == [1, 2]
+
 
 def test_sweep_rejects_unknown_family():
     with pytest.raises(ValueError):
         mx.sweep(np.arange(10.0), "XXX", [1], seed=0)
+
+
+# ---------------------------------------------------------------------------
+# The batched engine against a per-component reference loop
+# ---------------------------------------------------------------------------
+
+def _ref_component_logpdf(model, comp, rows):
+    if model.kind == "gaussian":
+        mean, cov = comp
+        if model.dim == 1:
+            return -0.5 * (math.log(2.0 * math.pi * cov) + (rows[:, 0] - mean) ** 2 / cov)
+        chol = np.linalg.cholesky(cov)
+        z = np.linalg.solve(chol, (rows - mean).T)
+        log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        return -0.5 * (model.dim * math.log(2.0 * math.pi) + log_det + np.sum(z * z, axis=0))
+    specs = comp if isinstance(comp, tuple) else (comp,)
+    return sum(uv.log_pdf(spec, rows[:, axis]) for axis, spec in enumerate(specs))
+
+
+def _ref_e_step(model, rows):
+    log_joint = np.column_stack([_ref_component_logpdf(model, c, rows)
+                                 for c in model.components]) + np.log(model.weights)
+    row_tot = sp.logsumexp(log_joint, axis=1)
+    return np.exp(log_joint - row_tot[:, None]), float(np.sum(row_tot))
+
+
+def _ref_partial(name, x, w, spec):
+    """(partial, curvature) of one coordinate, from the scalar derivatives."""
+    if spec.family == "AL":
+        grad = dict(zip("abs", mle.grad_al(x, spec.a, spec.b, spec.s, w)))
+        hess = mle.hess_al(x, spec.a, spec.b, spec.s, w)
+        return grad[name], {"a": hess.daa, "b": hess.dbb, "s": hess.dss}[name]
+    a, b, s, t = spec.a, spec.b, spec.s, spec.t
+    g = mle.grad_bl_flat(x, a, b, s, t, w)
+    n = float(w.sum())
+    if name in "as":
+        f = sp.expit((x - a) / s)
+        v = f * (1.0 - f)
+        if name == "a":
+            return g.da, n / (b - a) ** 2 - float(np.dot(w, v)) / s ** 2
+        return g.ds, -2.0 * g.ds / s - float(np.dot(w, (x - a) ** 2 * v)) / s ** 4
+    f = sp.expit((x - b) / t)
+    v = f * (1.0 - f)
+    if name == "b":
+        return g.db, n / (b - a) ** 2 - float(np.dot(w, v)) / t ** 2
+    return g.dt, -2.0 * g.dt / t - float(np.dot(w, (x - b) ** 2 * v)) / t ** 4
+
+
+def _ref_pass(x, w, spec, settings):
+    """One monotone coordinate pass on one component and axis."""
+    names = tuple(spec.params())
+    lo, hi = float(x.min()), float(x.max())
+    eps = 1e-9 * (hi - lo)
+    s_min = (hi - lo) / (4.0 * x.size)
+    s_max = max(float(np.std(x)), 2.0 * s_min)
+
+    def loglik(sp_):
+        if sp_.family == "AL":
+            return mle.loglik_al(x, sp_.a, sp_.b, sp_.s, w)
+        return mle.loglik_bl(x, sp_.a, sp_.b, sp_.s, sp_.t, w)
+
+    ll = loglik(spec)
+    for name in names:
+        g, curv = _ref_partial(name, x, w, spec)
+        scale = spec.b - spec.a if name in "ab" else getattr(spec, name)
+        step = (0.1 * scale / max(abs(g), 1e-300) if abs(curv) < 1e-12
+                else settings.eta0 / abs(curv)) * g
+        low, high = {"a": (lo + eps, spec.b - eps), "b": (spec.a + eps, hi - eps)}.get(
+            name, (s_min, s_max))
+        for _ in range(settings.max_backtracks):
+            value = min(max(getattr(spec, name) + step, low), high)
+            if value == getattr(spec, name):
+                break
+            cand = uv.make(spec.family, {**spec.params(), name: value})
+            ll_new = loglik(cand)
+            if ll_new >= ll:
+                spec, ll = cand, ll_new
+                break
+            step *= settings.backtrack_factor
+    return spec
+
+
+def _ref_m_step(model, rows, resp, settings):
+    comps = []
+    for k, comp in enumerate(model.components):
+        w = resp[:, k]
+        if w.sum() < 1e-12:
+            comps.append(comp)
+        elif model.dim == 1:
+            comps.append(_ref_pass(rows[:, 0], w, comp, settings.component_pass))
+        else:
+            comps.append(tuple(_ref_pass(rows[:, axis], w, spec, settings.component_pass)
+                               for axis, spec in enumerate(comp)))
+    return comps
+
+
+def _params_of(model):
+    out = []
+    for comp in model.components:
+        for spec in comp if isinstance(comp, tuple) else (comp,):
+            out.append(list(spec.params().values()))
+    return out
+
+
+def _assert_e_step_matches(model, rows):
+    es = mx.e_step(model, rows)
+    resp, loglik = _ref_e_step(model, rows)
+    assert np.allclose(es.resp, resp, rtol=1e-12, atol=1e-300)
+    assert es.loglik == pytest.approx(loglik, rel=1e-12)
+    return es
+
+
+def _assert_m_step_matches(model, rows, resp):
+    settings = mx.MixtureSettings()
+    new = mx.m_step(model, rows, resp, settings)
+    ref = _ref_m_step(model, rows, resp, settings)
+    got = _params_of(new)
+    want = _params_of(mx.MixtureModel(kind="flat", dim=model.dim, weights=new.weights,
+                                      components=ref, factorized=model.factorized))
+    for g, r in zip(got, want):
+        assert g == pytest.approx(r, rel=1e-12)
+    assert np.allclose(new.weights, resp.mean(axis=0), rtol=1e-12)
+    return new
+
+
+@pytest.fixture(scope="module")
+def segments_rows():
+    return gen_segments_2d(default_segments_scenario()).rows
+
+
+@pytest.mark.parametrize("cov_type", ["full", "diag"])
+def test_gaussian_e_and_m_step_match_per_component_loop(segments_rows, cov_type):
+    rows = segments_rows
+    settings = mx.MixtureSettings(n_init=1, max_cycles=5)
+    model, _ = mx.gmm_fit(rows, 4, seed=11, settings=settings, covariance_type=cov_type)
+    es = _assert_e_step_matches(model, rows)
+    floor = settings.cov_floor * float(np.max(np.var(rows, axis=0)))
+    weights, comps = mx._gmm_m_step(rows, es.resp, cov_type, floor)
+    nk = es.resp.sum(axis=0)
+    assert np.allclose(weights, nk / rows.shape[0], rtol=1e-12)
+    for k, (mean, cov) in enumerate(comps):
+        w = es.resp[:, k]
+        ref_mean = w @ rows / nk[k]
+        d = rows - ref_mean
+        ref_cov = (w[:, None] * d).T @ d / nk[k]
+        if cov_type == "diag":
+            ref_cov = np.diag(np.maximum(np.diag(ref_cov), floor))
+        else:
+            vals, vecs = np.linalg.eigh(0.5 * (ref_cov + ref_cov.T))
+            ref_cov = (vecs * np.maximum(vals, floor)) @ vecs.T
+        assert np.allclose(mean, ref_mean, rtol=1e-12, atol=0.0)
+        assert np.allclose(cov, ref_cov, rtol=1e-12, atol=1e-12 * np.abs(ref_cov).max())
+
+
+def test_ftm_e_and_m_step_match_per_component_loop(segments_rows):
+    rows = segments_rows
+    settings = mx.MixtureSettings(n_init=1, max_cycles=5)
+    base, _ = mx.gmm_fit(rows, 4, seed=11, settings=settings, covariance_type="diag")
+    model = mx.ftm_from_gmm(base)
+    for _ in range(2):
+        es = _assert_e_step_matches(model, rows)
+        model = _assert_m_step_matches(model, rows, es.resp)
+
+
+def test_mixed_al_bl_components_match_per_component_loop():
+    rng = np.random.default_rng(21)
+    x = np.concatenate([rng.uniform(0, 4, 150), rng.uniform(6, 9, 100),
+                        rng.normal(12, 0.5, 60)]).reshape(-1, 1)
+    model = mx.MixtureModel(kind="flat", dim=1, weights=np.array([0.45, 0.35, 0.2]), components=[
+        uv.make("AL", {"a": 0.3, "b": 3.6, "s": 0.2}),
+        uv.make("BL", {"a": 6.2, "b": 8.7, "s": 0.15, "t": 0.3}),
+        uv.make("AL", {"a": 11.5, "b": 12.5, "s": 0.4})])
+    es = _assert_e_step_matches(model, x)
+    _assert_m_step_matches(model, x, es.resp)
+
+
+def test_zero_responsibility_component_is_bit_identical():
+    rng = np.random.default_rng(22)
+    rows = np.column_stack([rng.uniform(0, 4, 200), rng.uniform(0, 2, 200)])
+    far = (uv.make("AL", {"a": 90.0, "b": 91.0, "s": 0.1}),
+           uv.make("AL", {"a": 50.0, "b": 52.0, "s": 0.2}))
+    near = (uv.make("AL", {"a": 0.2, "b": 3.8, "s": 0.1}),
+            uv.make("AL", {"a": 0.1, "b": 1.9, "s": 0.1}))
+    model = mx.MixtureModel(kind="flat", dim=2, weights=np.array([0.5, 0.5]),
+                            components=[far, near], factorized=True)
+    resp = np.zeros((200, 2))
+    resp[:, 1] = 1.0
+    new = _assert_m_step_matches(model, rows, resp)
+    assert new.components[0] == far
+    assert [s.params() for s in new.components[0]] == [s.params() for s in far]
+
+
+@pytest.mark.parametrize("components, point", [
+    ([uv.make("U", {"a": 0.0, "b": 1.0}), uv.make("U", {"a": 2.0, "b": 3.0})], 10.0),
+    ([uv.make("AL", {"a": 0.0, "b": 1.0, "s": 0.1}),
+      uv.make("BL", {"a": 2.0, "b": 3.0, "s": 0.1, "t": 0.2})], math.inf),
+])
+def test_point_outside_every_component_is_flagged_without_warning(components, point):
+    x = np.array([0.5, 2.5, point, 0.7])
+    model = mx.MixtureModel(kind="flat", dim=1, weights=np.array([0.4, 0.6]),
+                            components=components)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        es = mx.e_step(model, x)
+    assert es.flagged.tolist() == [2]
+    assert es.resp[2].tolist() == [0.5, 0.5]
+    keep = [0, 1, 3]
+    resp, loglik = _ref_e_step(model, x[keep].reshape(-1, 1))
+    assert np.allclose(es.resp[keep], resp, rtol=1e-12)
+    assert es.loglik == pytest.approx(loglik, rel=1e-12)

@@ -7,6 +7,8 @@ from flattop import mle, univariate as uv
 from flattop.data_io import Dataset, gen_mixed_1d
 from flattop.multivariate import make_mv, mv_sample
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _fd(f, args, i, h):
     up = list(args)
@@ -113,6 +115,23 @@ def test_bl_gradient_pushes_boundary_toward_outlying_mass():
     x = np.full(40, 25.0)
     g = mle.grad_bl_flat(x, 0.0, 10.0, 0.5, 0.5)
     assert g.db > 0.0
+
+
+def test_bl_fit_builds_no_spec_per_coordinate_step(monkeypatch):
+    ds = gen_mixed_1d(seed=20260808)
+    al, _ = mle.fit(ds, mle.init_al_from_normal_fit(ds))
+    init = uv.make("BL", {"a": al.a, "b": al.b, "s": al.s, "t": al.s})
+    real_make = uv.make
+    families = []
+
+    def counting_make(family, params):
+        families.append(family)
+        return real_make(family, params)
+
+    monkeypatch.setattr(uv, "make", counting_make)
+    _, report = mle.fit(ds, init, mle.FitSettings(max_iters=10))
+    assert report.iterations == 10
+    assert families == ["BL"]  # the returned spec only
 
 
 def test_bl_symmetric_instance_balances_scales():

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special as sp
 from scipy.integrate import quad
 from scipy.special import expit
 
@@ -163,3 +165,20 @@ def test_incomplete_gamma_domain_errors():
 def test_log_beta_domain():
     with pytest.raises(ValueError):
         sf.log_beta(0.0, 1.0)
+
+
+def test_logsumexp_matches_scipy_and_handles_empty_slices():
+    rng = np.random.default_rng(5)
+    a = rng.normal(scale=300.0, size=(50, 7))
+    a[3] = -np.inf
+    a[4, 2:] = -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sf.logsumexp(a, axis=1)
+        cols = sf.logsumexp(a.T, axis=0)
+    want = sp.logsumexp(a, axis=1)
+    assert got[3] == -np.inf
+    finite = np.isfinite(want)
+    assert np.allclose(got[finite], want[finite], rtol=1e-14, atol=1e-13)
+    assert np.array_equal(got, cols)
+    assert sf.logsumexp(np.array([np.inf, 0.0])) == np.inf
