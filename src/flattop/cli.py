@@ -135,11 +135,6 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _report_payload(report: mle.FitReport) -> dict:
-    payload = dataclasses.asdict(report)
-    return payload
-
-
 def _cmd_fit(args) -> int:
     ds = data_io.read_csv(args.data, has_header=args.header)
     if args.family in ("AL", "BL"):
@@ -153,12 +148,12 @@ def _cmd_fit(args) -> int:
             init = uv.make("BL", {"a": al.a, "b": al.b, "s": al.s, "t": al.s})
         spec, report = mle.fit(ds, init)
         payload = {"family": args.family, "params": spec.params(),
-                   "report": _report_payload(report)}
+                   "report": dataclasses.asdict(report)}
     elif args.family == "CL":
         init = mle.init_cl_from_data(ds)
         spec, report = mle.fit(ds, init)
         payload = {"family": "CL", "model": multivariate.mv_to_json_dict(spec),
-                   "report": _report_payload(report)}
+                   "report": dataclasses.asdict(report)}
     else:
         raise ValueError(f"fit supports AL, BL, CL; got {args.family}")
     if args.trace:
@@ -180,7 +175,7 @@ def _cmd_mixfit(args) -> int:
         base, _ = mixture.gmm_fit(ds, args.k, args.seed, settings, covariance_type=cov)
         model, report = mixture.ftm_fit(ds, mixture.ftm_from_gmm(base), settings)
     payload = {"model": mixture.mixture_to_json_dict(model),
-               "report": _report_payload(report)}
+               "report": dataclasses.asdict(report)}
     if args.resp:
         es = mixture.e_step(model, ds)
         with open(args.resp, "w", encoding="utf-8") as fh:
@@ -352,7 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--out", default=None, help="write output to FILE instead of stdout")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--quiet", action="store_true")
         p.add_argument("--verbose", action="store_true")
 
@@ -360,6 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=uv.FAMILIES)
     p.add_argument("--params", required=True, type=_parse_params)
     p.add_argument("--grid", required=True, type=_parse_grid)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     add_common(p)
     p.set_defaults(fn=_cmd_eval)
 
@@ -379,7 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-normal", action="store_true",
                    help="start from the best-fit-normal surrogate")
     p.add_argument("--trace", default=None, help="write iteration,loglik CSV")
-    p.add_argument("--seed", type=int, default=0)
     add_common(p)
     p.set_defaults(fn=_cmd_fit)
 
@@ -424,6 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=("AL", "BL", "CL"))
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     add_common(p)
     p.set_defaults(fn=_cmd_gradcheck)
 

@@ -106,13 +106,22 @@ def fwhm_boundaries(spec: uv.UnivariateSpec) -> tuple[float, float]:
 # central differences with step h = cbrt(eps) * scale.
 # ---------------------------------------------------------------------------
 
+def _gn_scale_power(spec, k: int) -> float:
+    """s^k, which divides the GN derivatives; it underflows to 0 only where
+    they overflow."""
+    sk = spec.s ** k
+    if sk == 0.0:
+        raise FlatnessError(f"GN: density derivatives overflow at s={spec.s}")
+    return sk
+
+
 def _d1_gn(spec, x):
     z = (x - spec.mu) / spec.s
     az = abs(z)
     if az == 0.0:
         return 0.0
     b = spec.beta
-    return (-math.copysign(1.0, z) * b ** 2 / (2.0 * spec.s ** 2 * math.gamma(1.0 / b))
+    return (-math.copysign(1.0, z) * b ** 2 / (2.0 * _gn_scale_power(spec, 2) * math.gamma(1.0 / b))
             * az ** (b - 1.0) * math.exp(-(az ** b)))
 
 
@@ -122,13 +131,13 @@ def _d2_gn(spec, x):
     b = spec.beta
     if az == 0.0:
         if b == 2.0:
-            return -2.0 / (math.sqrt(math.pi) * spec.s ** 3)
+            return -2.0 / (math.sqrt(math.pi) * _gn_scale_power(spec, 3))
         if b > 2.0:
             return 0.0
         return -math.inf
     return (-(b ** 2) * ((b - 1.0) / spec.s - (b / spec.s) * az ** b)
             * az ** (b - 2.0) * math.exp(-(az ** b))
-            / (2.0 * spec.s ** 2 * math.gamma(1.0 / b)))
+            / (2.0 * _gn_scale_power(spec, 2) * math.gamma(1.0 / b)))
 
 
 def _d1_al(spec, x):
@@ -266,7 +275,7 @@ def family_flat_bound(spec: uv.UnivariateSpec) -> float | None:
         return bl_flat_bound(spec.a, spec.b, spec.s, spec.t)
     if f == "AN":
         k = (spec.b - spec.a) / (2.0 * spec.s)
-        return 2.0 * k ** 2 / math.expm1(0.5 * k ** 2)
+        return 2.0 * k ** 2 / math.expm1(0.5 * k ** 2) if 0.5 * k * k < 700.0 else 0.0
     if f == "CE":
         k = ((spec.b - spec.a) / (2.0 * spec.s)) ** 2
         return float(specfun.sech2(k))

@@ -241,8 +241,11 @@ def fermi_dirac_complete(j: float, x: float) -> float:
         um = u ** mf
         return mf * u ** (mf * (j + 1.0) - 1.0) * sp.expit(x - um)
 
-    peak_u = (x + 5.0) ** (1.0 / mf)
-    res = integrate(integrand, 0.0, math.inf, _FD_SETTINGS, points=(peak_u,))
+    # The Fermi step sits at t = x; over t in [x - 40, x + 40] the factor
+    # e^(x - t) moves by e^40, so panels bracket the whole step in u = t^(1/m).
+    step = (max(x - 40.0, 0.0), x, x + 40.0)
+    res = integrate(integrand, 0.0, math.inf, _FD_SETTINGS,
+                    points=tuple(t ** (1.0 / mf) for t in step))
     return res.value / math.gamma(j + 1.0)
 
 

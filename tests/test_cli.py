@@ -1,10 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from flattop import cli, mixture
+from flattop import cli, mixture, univariate as uv
 from flattop.data_io import gen_mixed_1d, write_csv
 
 
@@ -80,10 +81,11 @@ def test_typed_library_errors_exit_one_without_traceback(capsys, tmp_path, monke
                           "--params", "a=0,b=1,s=1e300,t=1e300", "--grid", "0:1:0.5")
     assert (code, out) == (1, "")
     assert err.startswith("error: tail truncation failed")
-    # FlatnessError: the density underflows at its mode.
-    with np.errstate(all="ignore"):
+    # FlatnessError: the density is 0 at its mode.
+    with monkeypatch.context() as patch:
+        patch.setattr(uv, "pdf", lambda spec, x: np.zeros_like(np.asarray(x, float)))
         code, out, err = _run(capsys, "flatness", "--family", "AL",
-                              "--params", "a=0,b=1e300,s=1e-300")
+                              "--params", "a=0,b=1,s=0.1")
     assert (code, out, err) == (1, "", "error: density vanishes at its mode\n")
     # ComponentCollapseError: every other M-step reports an empty component,
     # so the reseeded component collapses again.
@@ -104,6 +106,31 @@ def test_typed_library_errors_exit_one_without_traceback(capsys, tmp_path, monke
                           "--data", str(path), "--seed", "1")
     assert (code, out) == (1, "")
     assert err == "error: component 0 collapsed twice; aborting\n"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    # The AN curvature bound decays to its limit 0.
+    (("--family", "AN", "--params", "a=0,b=1,s=1e-200"), 0, ""),
+    (("--family", "GN", "--params", "mu=0,s=1e-300,beta=2"), 1,
+     "error: GN: density derivatives overflow at s=1e-300\n"),
+    (("--family", "AL", "--params", "a=0,b=1e300,s=1e-300"), 1,
+     "error: AL: requires a finite ratio r/s, got r=5e+299, s=1e-300\n"),
+])
+def test_flatness_extreme_scales_without_traceback_or_warning(capsys, argv, code, err):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _run(capsys, "flatness", *argv)
+    assert (got[0], got[2]) == (code, err)
+    if code == 0:
+        assert json.loads(got[1])["family_bound"] == 0.0
+
+
+def test_format_only_on_eval_and_gradcheck(capsys):
+    code, _, _ = _run(capsys, "sample", "--family", "U", "--params", "a=0,b=1",
+                      "-n", "4", "--format", "json")
+    assert code == 2
+    code, _, _ = _run(capsys, "fit", "--family", "AL", "--data", "x.csv", "--seed", "1")
+    assert code == 2
 
 
 def test_unknown_param_key_rejected(capsys):

@@ -9,6 +9,8 @@ from scipy.special import expit
 
 from flattop import specfun as sf
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 # ---------------------------------------------------------------------------
 # Polylogarithm at negative exponential argument
@@ -79,6 +81,19 @@ def test_fd_against_scipy_oracle(j, x):
     oracle = quad(lambda t: t ** j * expit(x - t), 0, np.inf,
                   limit=200)[0] / math.gamma(j + 1.0)
     assert sf.fermi_dirac_complete(j, x) == pytest.approx(oracle, rel=1e-9)
+
+
+@pytest.mark.parametrize("beta", [1.05, 1.7, 2.5, 3.4, 3.5])
+def test_fd_fractional_order_large_argument_vs_polylog(beta):
+    # The CF/CH normalizer orders j = 1/beta - 1 over the criterion-3 box;
+    # at large x the integrand's Fermi step sits far from the origin, and
+    # near x = 0 it sits at the singular edge.
+    mpmath = pytest.importorskip("mpmath")
+    j = 1.0 / beta - 1.0
+    for x in (1e-8, 1e-4, 1e-2, 0.5, 3.0, 30.0, 300.0, 2500.0, 1e4):
+        with mpmath.workdps(30):
+            oracle = float(-mpmath.re(mpmath.polylog(j + 1.0, -mpmath.exp(x))))
+        assert sf.fermi_dirac_complete(j, x) == pytest.approx(oracle, rel=1e-12), x
 
 
 def test_fd_rejects_order_at_or_below_minus_one():

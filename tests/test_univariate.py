@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,6 +7,8 @@ import pytest
 
 from flattop import univariate as uv
 from flattop.quadrature import QuadratureSettings, integrate
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # One comfortable grid of configurations per family, used by the
 # normalization and oracle-equivalence checks.
@@ -134,7 +137,7 @@ def test_al_uniform_limit_compact_interior():
     assert np.max(np.abs(uv.pdf(al, interior) - 0.25)) < 1e-10
 
 
-@pytest.mark.parametrize("family", sorted(uv._SYMMETRIC))
+@pytest.mark.parametrize("family", [f for f in uv.FAMILIES if uv._FAMILY[f].symmetric])
 def test_symmetric_families_mirror_exactly(family):
     params = CONFIG_GRID[family][0]
     spec = uv.make(family, params)
@@ -166,6 +169,19 @@ def test_normalization_across_grid(family):
     for params in configs:     # suite runs the full 20+ sweep
         spec = uv.make(family, params)
         assert _pdf_integral(spec) == pytest.approx(1.0, abs=1e-8), params
+
+
+@pytest.mark.parametrize("family, params", [
+    ("CE", {"a": 0.0, "b": 0.02, "s": 1.0}),
+    ("CE", {"a": 0.0, "b": 1e-6, "s": 1.0}),
+    ("CF", {"m": 0.0, "r": 0.2, "s": 1.0, "beta": 3.5}),
+    ("CH", {"m": 0.0, "r": 0.2, "s": 1.0, "beta": 3.5}),
+])
+def test_normalization_half_width_far_below_scale(family, params):
+    # h = r/s (CE: (b - a)/(2s)) near 0 puts the normalizer's Fermi-Dirac
+    # argument near the origin, where a fractional order is hardest.
+    spec = uv.make(family, params)
+    assert _pdf_integral(spec) == pytest.approx(1.0, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +236,52 @@ def test_cdf_derivative_matches_pdf():
             p = uv.pdf(spec, x)
             if p > 1e-12:
                 assert deriv == pytest.approx(p, rel=2e-6), (family, x)
+
+
+# The criterion-3 parameter box, as drawn by _acceptance_configs in
+# tests/test_acceptance.py: (low, high) per parameter, with the width
+# w = b - a drawn in place of b.
+PARAM_BOX = {
+    "U": {"a": (-3.0, 1.0), "w": (0.8, 8.0)},
+    "GN": {"mu": (-1.0, 1.0), "s": (0.3, 2.0), "beta": (0.7, 6.0)},
+    "AN": {"a": (-3.0, 1.0), "w": (0.8, 8.0), "s": (0.1, 1.2)},
+    "AL": {"a": (-3.0, 1.0), "w": (0.8, 8.0), "s": (0.05, 1.2)},
+    "ALS": {"a": (-3.0, 1.0), "w": (0.8, 8.0), "s": (0.1, 0.8), "lam": (-0.8, 0.8)},
+    "BL": {"a": (-3.0, 1.0), "w": (0.8, 8.0), "s": (0.08, 0.6), "t": (0.08, 0.6)},
+    "BD": {"a": (-3.0, 1.0), "w": (0.8, 8.0), "s": (0.2, 1.0), "t": (0.2, 1.0)},
+    "CC": {"m": (-1.0, 1.0), "s": (0.4, 2.0), "beta": (1.4, 7.0)},
+    "CF": {"m": (-1.0, 1.0), "r": (0.4, 2.5), "s": (0.2, 1.2), "beta": (1.0, 3.5)},
+    "CE": {"a": (-3.0, 1.0), "w": (0.8, 8.0), "s": (0.4, 2.0)},
+    "CH": {"m": (-1.0, 1.0), "r": (0.4, 2.5), "s": (0.2, 1.2), "beta": (1.0, 3.5)},
+    "DE": {"m": (-1.0, 1.0), "s": (0.2, 2.0)},
+}
+
+
+def _box_vertices_and_center(family):
+    names = list(PARAM_BOX[family])
+    bounds = [PARAM_BOX[family][n] for n in names]
+    center = tuple(0.5 * (lo + hi) for lo, hi in bounds)
+    for point in [*itertools.product(*bounds), center]:
+        params = dict(zip(names, point))
+        if "w" in params:
+            params["b"] = params["a"] + params.pop("w")
+        yield params
+
+
+@pytest.mark.parametrize("family", sorted(PARAM_BOX))
+def test_box_vertices_pdf_cdf_quantile(family):
+    us = np.array([0.001, 0.02, 0.3, 0.5, 0.7, 0.98, 0.999])
+    tol = 1e-10 if family in ("U", "AL") else 1e-8  # criterion 9
+    for params in _box_vertices_and_center(family):
+        spec = uv.make(family, params)
+        xs = uv.mode(spec) + max(uv._scale(spec), 0.5) * np.linspace(-10, 10, 50)
+        p = uv.pdf(spec, xs)
+        assert np.all(np.isfinite(p) & (p >= 0.0)), params
+        c = uv.cdf(spec, xs)
+        assert np.all((c >= 0.0) & (c <= 1.0)), params
+        assert np.all(np.diff(c) >= -1e-12), params  # closed forms round
+        err = np.max(np.abs(uv.cdf(spec, uv.quantile(spec, us)) - us))
+        assert err < tol, (params, err)
 
 
 # ---------------------------------------------------------------------------
