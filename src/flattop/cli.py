@@ -102,8 +102,21 @@ def _emit(args, text: str) -> None:
             stream.close()
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float replaced by None, which JSON
+    writes as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
+    """Strict RFC 8259 JSON: NaN and infinities are written as null."""
+    return json.dumps(_finite_or_null(obj), sort_keys=True, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from . import univariate as uv
 from .multivariate import MultivariateSpec, mv_log_pdf, mv_sample
@@ -228,6 +227,8 @@ def chi_n(n: int) -> float:
 def ball_vs_bestfit_normal(n: int) -> tuple[float, float, float]:
     """(KL, L1, chi_n) for the uniform n-ball against its best-fit normal;
     both divergences increase monotonically with n."""
+    from scipy import special as sp
+
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     half = n / 2.0

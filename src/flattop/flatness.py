@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy import optimize
 
 from . import specfun, univariate as uv
 
@@ -82,6 +81,8 @@ def fwhm_boundaries(spec: uv.UnivariateSpec) -> tuple[float, float]:
         return spec.mu - half, spec.mu + half
     if spec.family == "U":
         return spec.a, spec.b
+    from scipy import optimize
+
     xm = uv.mode(spec)
     pm = uv.pdf(spec, xm)
     out = []

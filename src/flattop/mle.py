@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special as sp
 
 from . import univariate as uv
 from .data_io import Dataset
@@ -164,6 +163,8 @@ def _al_partial(name, x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bl_log_norm(a: float, b: float, s: float, t: float) -> float:
+    from scipy import special as sp
+
     def integrand(x: np.ndarray) -> np.ndarray:
         return sp.expit((x - a) / s) * sp.expit((b - x) / t)
 
@@ -183,6 +184,8 @@ def _bl_loglik(x, w, n, p, log_c=None) -> np.ndarray:
 
 def _bl_partial(name, x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
     """Flat-regime partials; the curvatures only size the steps."""
+    from scipy import special as sp
+
     a, b, s, t = p
     if name in ("a", "s"):
         f = sp.expit((x - a[:, None]) / s[:, None])       # F_L(x; a, s)
@@ -328,6 +331,8 @@ def loglik_cl(data, spec: MultivariateSpec) -> float:
 
 def _grad_cl_raw(rows, m, lam, big_r, t):
     """Gradient blocks for (m, Lambda = Sigma^-1, R = r^n, t)."""
+    from scipy import special as sp
+
     n_dim = rows.shape[1]
     count = rows.shape[0]
     d, rho = _cl_parts(rows, m, lam)

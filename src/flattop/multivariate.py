@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
-from scipy import special as sp
 
 from . import specfun
 from .data_io import Dataset
@@ -146,6 +144,8 @@ def _rows(x, n: int) -> tuple[np.ndarray, bool]:
 def mahalanobis(x, spec: MultivariateSpec):
     """Elliptical radius of ``x`` (one point or rows of points): one
     triangular solve and one norm."""
+    from scipy import linalg
+
     rows, single = _rows(x, spec.n)
     z = linalg.solve_triangular(spec.chol, (rows - spec.m).T, lower=True)
     rho = np.sqrt(np.sum(z * z, axis=0))

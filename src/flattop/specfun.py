@@ -19,7 +19,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as sp
 
 from .quadrature import QuadratureSettings, integrate
 
@@ -60,6 +59,8 @@ def softplus(z):
 
 def logistic(z):
     """1 / (1 + e^-z)."""
+    from scipy import special as sp
+
     return sp.expit(z)
 
 
@@ -234,6 +235,8 @@ def fermi_dirac_complete(j: float, x: float) -> float:
         return -polylog_neg(int(j) + 1, x)
     # Fractional order, x > 0: substitute t = u^m to clear the t^j
     # singularity at the origin (m(j+1) >= 1 makes the integrand bounded).
+    from scipy import special as sp
+
     m = max(1, math.ceil(1.0 / (j + 1.0)))
     mf = float(m)
 
@@ -265,6 +268,8 @@ def fermi_dirac_incomplete(j: float, x: float, u: float) -> float:
         return float(softplus(x - u))
     if u == 0.0:
         return fermi_dirac_complete(j, x)
+    from scipy import special as sp
+
     if j < 0.0 and u <= 1.0:
         m = max(1, math.ceil(1.0 / (j + 1.0)))
         mf = float(m)
@@ -284,10 +289,13 @@ def fermi_dirac_incomplete(j: float, x: float, u: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Classical special functions (scipy-backed, validated domains)
+# Classical special functions (scipy.special, imported where called;
+# validated domains)
 # ---------------------------------------------------------------------------
 
 def erf(x):
+    from scipy import special as sp
+
     return sp.erf(x)
 
 
@@ -297,6 +305,8 @@ def incomplete_gamma(s: float, x: float, tail: str = "lower") -> float:
         raise ValueError(f"shape must be positive, got {s}")
     if x < 0:
         raise ValueError(f"x must be non-negative, got {x}")
+    from scipy import special as sp
+
     if tail == "lower":
         return float(sp.gammainc(s, x)) * math.gamma(s)
     if tail == "upper":
@@ -307,4 +317,6 @@ def incomplete_gamma(s: float, x: float, tail: str = "lower") -> float:
 def log_beta(a: float, b: float) -> float:
     if not (a > 0 and b > 0):
         raise ValueError(f"log_beta requires a, b > 0, got a={a}, b={b}")
+    from scipy import special as sp
+
     return float(sp.betaln(a, b))

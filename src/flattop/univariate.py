@@ -46,7 +46,6 @@ from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import optimize, special as sp
 
 from . import specfun
 from .quadrature import QuadratureSettings, integrate
@@ -135,7 +134,8 @@ class _Family:
     A symmetric family has its mode at the spec attribute named by
     ``center``; a bounded one is supported on [a, b].  A hook returns None
     where its closed form does not cover the spec's parameters; a moment
-    hook returns inf for a divergent moment.
+    hook returns inf for a divergent moment.  ``check`` sees the parameters
+    after ``make`` has derived m and r.
     """
 
     fields: tuple[str, ...]
@@ -185,13 +185,13 @@ def make(family: str, params: Mapping[str, float]) -> UnivariateSpec:
             _require(vals[scale_name] > 0, f"{family}: requires {scale_name} > 0, got {vals[scale_name]}")
     if "beta" in vals:
         _require(vals["beta"] > 0, f"{family}: requires beta > 0, got {vals['beta']}")
-    if rec.check is not None:
-        rec.check(vals)
 
     if "a" in vals:
         vals.update(m=0.5 * (vals["a"] + vals["b"]), r=0.5 * (vals["b"] - vals["a"]))
     if "s" in vals and "r" in vals and not math.isfinite(vals["r"] / vals["s"]):
         raise ValueError(f"{family}: requires a finite ratio r/s, got r={vals['r']}, s={vals['s']}")
+    if rec.check is not None:
+        rec.check(vals)
     spec = UnivariateSpec(family=family, **vals)
     spec = replace(spec, c=rec.normalizer(spec))
     _require(spec.c > 0, f"{family}: computed normalizing constant is not positive")
@@ -254,12 +254,16 @@ def _log_pdf_gn(spec, x):
 
 
 def _cdf_gn(spec, x):
+    from scipy import special as sp
+
     z = np.abs(x - spec.mu) / spec.s
     with np.errstate(over="ignore"):
         return 0.5 + 0.5 * np.sign(x - spec.mu) * sp.gammainc(1.0 / spec.beta, z ** spec.beta)
 
 
 def _quantile_gn(spec, v):
+    from scipy import special as sp
+
     w = sp.gammaincinv(1.0 / spec.beta, np.abs(2.0 * v - 1.0))
     return spec.mu + np.sign(v - 0.5) * spec.s * w ** (1.0 / spec.beta)
 
@@ -271,12 +275,16 @@ def _kurtosis_gn(spec) -> float:
 
 
 def _pdf_an(spec, x):
+    from scipy import special as sp
+
     z1 = (x - spec.a) / (math.sqrt(2.0) * spec.s)
     z2 = (x - spec.b) / (math.sqrt(2.0) * spec.s)
     return spec.c * (sp.erf(z1) - sp.erf(z2))
 
 
 def _cdf_an(spec, x):
+    from scipy import special as sp
+
     s = spec.s
     za = (x - spec.a) / s
     zb = (x - spec.b) / s
@@ -337,6 +345,8 @@ def _pdf_als(spec, x):
 
 
 def _normalizer_bl(spec) -> float:
+    from scipy import special as sp
+
     a, b, s, t = spec.a, spec.b, spec.s, spec.t
 
     def integrand(x: np.ndarray) -> np.ndarray:
@@ -403,6 +413,8 @@ def _log_pdf_cc(spec, x):
 
 
 def _cdf_cc(spec, x):
+    from scipy import special as sp
+
     y = np.abs(x - spec.m) / spec.s
     with np.errstate(over="ignore"):
         yb = y ** spec.beta
@@ -411,6 +423,8 @@ def _cdf_cc(spec, x):
 
 
 def _quantile_cc(spec, v):
+    from scipy import special as sp
+
     w = sp.betaincinv(1.0 / spec.beta, 1.0 - 1.0 / spec.beta, np.abs(2.0 * v - 1.0))
     y = (w / (1.0 - w)) ** (1.0 / spec.beta)
     return spec.m + np.sign(v - 0.5) * spec.s * y
@@ -420,6 +434,16 @@ def _moment_cc(spec, k: int) -> float:
     if k >= spec.beta - 1.0:
         return math.inf
     return spec.s ** k * math.sin(math.pi / spec.beta) / math.sin(math.pi * (k + 1) / spec.beta)
+
+
+def _check_fd_height(family: str, r: float, s: float, beta: float) -> None:
+    """Reject a spec whose h = (r/s)^beta, the argument of ``_fd_mass``,
+    overflows a double."""
+    try:
+        (r / s) ** beta
+    except OverflowError:
+        raise ValueError(f"{family}: requires a finite (r/s)^beta, got r={r}, s={s}, "
+                         f"beta={beta}") from None
 
 
 def _fd_mass(spec, beta: float, two_sided: bool, k: int = 0) -> float:
@@ -490,6 +514,8 @@ def _log_pdf_de(spec, x):
 
 
 def _cdf_de(spec, x):
+    from scipy import special as sp
+
     u = np.atleast_1d(np.asarray(x, dtype=float)) - spec.m
     out = np.full(u.shape, 0.5)
     nz = u != 0.0
@@ -541,14 +567,17 @@ _FAMILY: dict[str, _Family] = {
         cdf=_cdf_cc, quantile=_quantile_cc, central_moment=_moment_cc),
     "CF": _Family(
         ("m", "r", "s", "beta"), lambda spec: _fd_normalizer(spec, spec.beta, False), _log_pdf_cf,
+        check=lambda v: _check_fd_height("CF", v["r"], v["s"], v["beta"]),
         cdf=lambda spec, x: _cdf_cf1(spec, x) if spec.beta == 1.0 else None,
         quantile=lambda spec, v: _quantile_cf1(spec, v) if spec.beta == 1.0 else None,
         central_moment=lambda spec, k: _fd_moment(spec, k, spec.beta, False)),
     "CE": _Family(
         ("a", "b", "s"), lambda spec: _fd_normalizer(spec, 2.0, False), _log_pdf_ce,
+        check=lambda v: _check_fd_height("CE", v["r"], v["s"], 2.0),
         central_moment=lambda spec, k: _fd_moment(spec, k, 2.0, False)),
     "CH": _Family(
         ("m", "r", "s", "beta"), lambda spec: _fd_normalizer(spec, spec.beta, True), _log_pdf_ch,
+        check=lambda v: _check_fd_height("CH", v["r"], v["s"], v["beta"]),
         # AL is CH at beta = 1.
         cdf=lambda spec, x: _cdf_al(spec, x) if spec.beta == 1.0 else None,
         quantile=lambda spec, v: (_quantile_al_like(v, spec.m, spec.r, spec.s)
@@ -588,6 +617,8 @@ def _mode_cached(spec: UnivariateSpec) -> float:
     if closed is not None:
         return closed
     # Asymmetric families: bracketed maximization of log_pdf.
+    from scipy import optimize
+
     lo = spec.a - 20.0 * (spec.s + (spec.t or spec.s))
     hi = spec.b + 20.0 * (spec.s + (spec.t or spec.s))
     res = optimize.minimize_scalar(
@@ -696,6 +727,8 @@ def _bracket(g, x: float, step: float, sign: float) -> float:
 
 
 def _quantile_numeric(spec, v):
+    from scipy import optimize
+
     flat = np.atleast_1d(v).ravel()
     order = np.argsort(flat)
     out = np.empty_like(flat)

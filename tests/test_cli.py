@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import flattop
 from flattop import cli, mixture, univariate as uv
 from flattop.data_io import gen_mixed_1d, write_csv
 
@@ -115,6 +119,9 @@ def test_typed_library_errors_exit_one_without_traceback(capsys, tmp_path, monke
      "error: GN: density derivatives overflow at s=1e-300\n"),
     (("--family", "AL", "--params", "a=0,b=1e300,s=1e-300"), 1,
      "error: AL: requires a finite ratio r/s, got r=5e+299, s=1e-300\n"),
+    # h = (r/s)^2 overflows although r/s is finite.
+    (("--family", "CE", "--params", "a=0,b=1,s=1e-200"), 1,
+     "error: CE: requires a finite (r/s)^beta, got r=0.5, s=1e-200, beta=2.0\n"),
 ])
 def test_flatness_extreme_scales_without_traceback_or_warning(capsys, argv, code, err):
     with warnings.catch_warnings():
@@ -123,6 +130,70 @@ def test_flatness_extreme_scales_without_traceback_or_warning(capsys, argv, code
     assert (got[0], got[2]) == (code, err)
     if code == 0:
         assert json.loads(got[1])["family_bound"] == 0.0
+
+
+def test_eval_fermi_dirac_height_overflow_is_a_typed_error(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _run(capsys, "eval", "--family", "CF", "--params", "m=0,r=1e200,s=1,beta=2",
+                   "--grid", "0:1:0.5")
+    assert got == (1, "", "error: CF: requires a finite (r/s)^beta, got r=1e+200, s=1.0, "
+                          "beta=2.0\n")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("family", ["GMM", "FTM"])
+def test_mixfit_stdout_is_strict_json(capsys, tmp_path, family):
+    path = tmp_path / "mixed55.csv"
+    write_csv(gen_mixed_1d(seed=3), str(path))
+    code, out, _ = _run(capsys, "mixfit", "--family", family, "--k", "2",
+                        "--data", str(path))
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["report"]["grad_norm"] is None  # NaN in the report
+
+
+# Run in a fresh interpreter: the test process has scipy loaded already.
+_SCIPY_FREE_SCRIPT = """
+import contextlib, io, json, sys
+import flattop, flattop.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+report = [("import", 0, scipy_modules())]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = flattop.cli.main(argv)
+    report.append((argv[0], code, scipy_modules()))
+print(json.dumps(report))
+"""
+
+
+def test_scipy_free_commands_do_not_import_scipy(tmp_path):
+    al = uv.make("AL", {"a": -1.0, "b": 1.0, "s": 0.1})
+    data = tmp_path / "al.csv"
+    write_csv(uv.sample(al, 500, 1), str(data))
+    al_params = ("--family", "AL", "--params", "a=-1,b=1,s=0.1")
+    argvs = [
+        ["gen", "--what", "segments", "--seed", "3"],
+        ["eval", *al_params, "--grid", "-2:2:0.01"],
+        ["sample", *al_params, "-n", "1000", "--seed", "3"],
+        ["fit", "--family", "AL", "--data", str(data)],
+        ["flatness", *al_params],
+        ["divergence", "--case", "pair", "--p", "U:a=-0.5,b=0.5",
+         "--q", "GN:mu=0.1,s=0.8,beta=3"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(flattop.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert [step for step, _, _ in report] == ["import", *(a[0] for a in argvs)]
+    assert [(step, code, mods) for step, code, mods in report if code or mods] == []
 
 
 def test_format_only_on_eval_and_gradcheck(capsys):

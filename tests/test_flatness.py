@@ -5,8 +5,6 @@ import pytest
 
 from flattop import flatness as fl, univariate as uv
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def test_canonical_boundaries_rectangle_exact():
     u = uv.make("U", {"a": 0, "b": 1})

