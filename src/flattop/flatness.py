@@ -81,8 +81,6 @@ def fwhm_boundaries(spec: uv.UnivariateSpec) -> tuple[float, float]:
         return spec.mu - half, spec.mu + half
     if spec.family == "U":
         return spec.a, spec.b
-    from scipy import optimize
-
     xm = uv.mode(spec)
     pm = uv.pdf(spec, xm)
     out = []
@@ -97,8 +95,11 @@ def fwhm_boundaries(spec: uv.UnivariateSpec) -> tuple[float, float]:
         else:
             raise FlatnessError("half maximum not reached")
         lo, hi = (far, xm) if direction < 0 else (xm, far)
-        out.append(optimize.brentq(lambda x: uv.pdf(spec, x) - 0.5 * pm, lo, hi,
-                                   xtol=1e-12 * max(1.0, abs(far))))
+        try:
+            out.append(specfun.brentq(lambda x: uv.pdf(spec, x) - 0.5 * pm, lo, hi,
+                                      xtol=1e-12 * max(1.0, abs(far))))
+        except (ValueError, RuntimeError) as exc:
+            raise FlatnessError(f"half maximum root solve failed: {exc}") from exc
     return out[0], out[1]
 
 

@@ -26,7 +26,7 @@ from . import univariate as uv
 from .data_io import Dataset
 from .multivariate import MultivariateSpec, make_mv
 from .quadrature import QuadratureSettings, integrate
-from .specfun import coth, csch2, log_cosh, log_sinh, sech2, softplus
+from .specfun import coth, csch2, log_cosh, log_sinh, logistic, sech2, softplus
 
 __all__ = [
     "FitSettings",
@@ -163,10 +163,8 @@ def _al_partial(name, x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bl_log_norm(a: float, b: float, s: float, t: float) -> float:
-    from scipy import special as sp
-
     def integrand(x: np.ndarray) -> np.ndarray:
-        return sp.expit((x - a) / s) * sp.expit((b - x) / t)
+        return logistic((x - a) / s) * logistic((b - x) / t)
 
     val = integrate(integrand, -math.inf, math.inf, _BL_NORM_SETTINGS,
                     points=(a, 0.5 * (a + b), b)).value
@@ -184,18 +182,16 @@ def _bl_loglik(x, w, n, p, log_c=None) -> np.ndarray:
 
 def _bl_partial(name, x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
     """Flat-regime partials; the curvatures only size the steps."""
-    from scipy import special as sp
-
     a, b, s, t = p
     if name in ("a", "s"):
-        f = sp.expit((x - a[:, None]) / s[:, None])       # F_L(x; a, s)
+        f = logistic((x - a[:, None]) / s[:, None])       # F_L(x; a, s)
         v = f * (1.0 - f)
         if name == "a":
             return (n / (b - a) - _wsum(w, 1.0 - f) / s,
                     n / (b - a) ** 2 - _wsum(w, v) / s ** 2)
         grad = _wsum(w, (a[:, None] - x) * (1.0 - f)) / s ** 2
         return grad, -2.0 * grad / s - _wsum(w, (x - a[:, None]) ** 2 * v) / s ** 4
-    f = sp.expit((x - b[:, None]) / t[:, None])           # F_L(x; b, t)
+    f = logistic((x - b[:, None]) / t[:, None])           # F_L(x; b, t)
     v = f * (1.0 - f)
     if name == "b":
         return (-n / (b - a) + _wsum(w, f) / t,
@@ -331,8 +327,6 @@ def loglik_cl(data, spec: MultivariateSpec) -> float:
 
 def _grad_cl_raw(rows, m, lam, big_r, t):
     """Gradient blocks for (m, Lambda = Sigma^-1, R = r^n, t)."""
-    from scipy import special as sp
-
     n_dim = rows.shape[1]
     count = rows.shape[0]
     d, rho = _cl_parts(rows, m, lam)
@@ -340,8 +334,8 @@ def _grad_cl_raw(rows, m, lam, big_r, t):
     u = rho ** n_dim * t
     # sinh(u) / (cosh(u) + cosh(a)), exp-shifted through the identity
     # sinh u / (cosh u + cosh a) = sigma(u - a) - sigma(-u - a) for a = R t.
-    ratio_u = sp.expit(u - a) - sp.expit(-u - a)
-    ratio_a = sp.expit(a - u) - sp.expit(-a - u)       # sinh(a)/(cosh+cosh)
+    ratio_u = logistic(u - a) - logistic(-u - a)
+    ratio_a = logistic(a - u) - logistic(-a - u)       # sinh(a)/(cosh+cosh)
     with np.errstate(divide="ignore", invalid="ignore"):
         rho_pow = np.where(rho > 0.0, rho ** (n_dim - 2.0), 0.0)
     coeff = ratio_u * n_dim * rho_pow * t

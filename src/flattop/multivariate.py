@@ -143,11 +143,13 @@ def _rows(x, n: int) -> tuple[np.ndarray, bool]:
 
 def mahalanobis(x, spec: MultivariateSpec):
     """Elliptical radius of ``x`` (one point or rows of points): one
-    triangular solve and one norm."""
-    from scipy import linalg
-
+    triangular solve, by forward substitution over the n rows of the
+    Cholesky factor, and one norm."""
     rows, single = _rows(x, spec.n)
-    z = linalg.solve_triangular(spec.chol, (rows - spec.m).T, lower=True)
+    d = (rows - spec.m).T
+    z = np.empty_like(d)
+    for i in range(spec.n):
+        z[i] = (d[i] - spec.chol[i, :i] @ z[:i]) / spec.chol[i, i]
     rho = np.sqrt(np.sum(z * z, axis=0))
     return float(rho[0]) if single else rho
 

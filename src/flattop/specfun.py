@@ -1,6 +1,7 @@
 """Special functions: Fermi-Dirac integrals, polylogarithms at negative
-exponential argument, classical gamma/beta/erf wrappers, and the stable
-hyperbolic helpers shared by the distribution code.
+exponential argument, classical gamma/beta/erf wrappers, the stable
+hyperbolic helpers shared by the distribution code, and Brent's root and
+bounded minimum searches.
 
 Conventions
 -----------
@@ -36,6 +37,8 @@ __all__ = [
     "polylog_neg",
     "fermi_dirac_complete",
     "fermi_dirac_incomplete",
+    "brentq",
+    "fminbound",
     "erf",
     "incomplete_gamma",
     "log_beta",
@@ -58,10 +61,10 @@ def softplus(z):
 
 
 def logistic(z):
-    """1 / (1 + e^-z)."""
-    from scipy import special as sp
-
-    return sp.expit(z)
+    """1 / (1 + e^-z), scipy's expit formula; exactly 0 and 1 at -inf and
+    +inf, and e^-z overflowing to inf for z < -709 gives 0 without a warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
 
 
 def log_cosh(z):
@@ -235,14 +238,12 @@ def fermi_dirac_complete(j: float, x: float) -> float:
         return -polylog_neg(int(j) + 1, x)
     # Fractional order, x > 0: substitute t = u^m to clear the t^j
     # singularity at the origin (m(j+1) >= 1 makes the integrand bounded).
-    from scipy import special as sp
-
     m = max(1, math.ceil(1.0 / (j + 1.0)))
     mf = float(m)
 
     def integrand(u: np.ndarray) -> np.ndarray:
         um = u ** mf
-        return mf * u ** (mf * (j + 1.0) - 1.0) * sp.expit(x - um)
+        return mf * u ** (mf * (j + 1.0) - 1.0) * logistic(x - um)
 
     # The Fermi step sits at t = x; over t in [x - 40, x + 40] the factor
     # e^(x - t) moves by e^40, so panels bracket the whole step in u = t^(1/m).
@@ -268,20 +269,18 @@ def fermi_dirac_incomplete(j: float, x: float, u: float) -> float:
         return float(softplus(x - u))
     if u == 0.0:
         return fermi_dirac_complete(j, x)
-    from scipy import special as sp
-
     if j < 0.0 and u <= 1.0:
         m = max(1, math.ceil(1.0 / (j + 1.0)))
         mf = float(m)
 
         def head(w: np.ndarray) -> np.ndarray:
-            return mf * w ** (mf * (j + 1.0) - 1.0) * sp.expit(x - w ** mf)
+            return mf * w ** (mf * (j + 1.0) - 1.0) * logistic(x - w ** mf)
 
         head_val = integrate(head, 0.0, u ** (1.0 / mf), _FD_SETTINGS).value
         return fermi_dirac_complete(j, x) - head_val / math.gamma(j + 1.0)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return t ** j * sp.expit(x - t)
+        return t ** j * logistic(x - t)
 
     hints = (x,) if x > u else ()
     res = integrate(integrand, u, math.inf, _FD_SETTINGS, points=hints)
@@ -289,8 +288,166 @@ def fermi_dirac_incomplete(j: float, x: float, u: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Classical special functions (scipy.special, imported where called;
-# validated domains)
+# Brent's root and minimum search (Brent, "Algorithms for Minimization
+# without Derivatives", 1973, ch. 4 and 5), ported step for step from
+# scipy's brentq and bounded minimize_scalar so that every iterate matches
+# ---------------------------------------------------------------------------
+
+_RTOL = 4.0 * float(np.finfo(float).eps)
+
+
+def _value(f, x: float) -> float:
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x:.6g} is NaN; solver cannot continue.")
+    return fx
+
+
+def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
+           maxiter: int = 100) -> float:
+    """A root of ``f`` in [a, b], where f(a) and f(b) differ in sign.
+
+    Inverse quadratic interpolation, secant and bisection steps keep a
+    bracket that shrinks to 2 (xtol + rtol |x|).  Raises ValueError for a
+    bracket without a sign change or a NaN value of ``f``, and RuntimeError
+    after ``maxiter`` iterations.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
+    xtol, rtol = float(xtol), float(rtol)  # so that a zero divisor raises, below
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = _value(f, xpre)
+    fcur = _value(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # IEEE division gives inf or nan; both bisect
+                stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _value(f, xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def _unit_sign(v: float) -> float:
+    """np.sign(v) + (v == 0): 1 at zero, nan for nan."""
+    return v if v != v else (1.0 if v >= 0.0 else -1.0)
+
+
+def fminbound(f, lo: float, hi: float, xatol: float = 1e-5, maxiter: int = 500) -> float:
+    """The minimizer of ``f`` on [lo, hi] by golden-section and parabolic
+    steps, stopping when the bracket around it is within ~xatol.  Raises
+    RuntimeError when ``maxiter`` evaluations are used up or a value is NaN.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if lo > hi:
+        raise ValueError("The lower bound exceeds the upper bound.")
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = float(lo), float(hi)
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = float(f(x))
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _unit_sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + _unit_sign(rat) * max(abs(rat), tol1)
+        fu = float(f(x))
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            raise RuntimeError("Maximum number of function calls reached.")
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        raise RuntimeError("NaN result encountered.")
+    return xf
+
+
+# ---------------------------------------------------------------------------
+# Classical special functions: the package's only scipy calls, to
+# scipy.special, imported where called; validated domains
 # ---------------------------------------------------------------------------
 
 def erf(x):

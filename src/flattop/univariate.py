@@ -333,24 +333,33 @@ def _moment_al(spec, k: int) -> float:
     )
 
 
-def _f_ls(z: np.ndarray, lam: float) -> np.ndarray:
-    """Skewed logistic CDF in the reduced variable z = (x - u) / (2 s)."""
-    return 0.5 * (1.0 + np.tanh(z + lam * (np.sqrt(z * z + 1.0) - 1.0)))
+def _log_pdf_als(spec, x):
+    """ln c [F(z1) - F(z2)] for the skewed logistic CDF F(z) = logistic(u),
+    u = 2 (z + lam (hypot(z, 1) - 1)), at z1, z2 = (x - a, x - b) / (2 s).
 
-
-def _pdf_als(spec, x):
+    With d = u1 - u2 > 0 the difference is logistic(u1) logistic(-u2)
+    (1 - e^-d), exp-shifted through softplus.  d is formed from z1 - z2 =
+    (b - a) / (2 s) and hypot(z1, 1) - hypot(z2, 1) = (z1 - z2)(z1 + z2) /
+    (h1 + h2), so it keeps full precision when b - a is far below s.
+    """
+    lam = spec.lam
     z1 = (x - spec.a) / (2.0 * spec.s)
     z2 = (x - spec.b) / (2.0 * spec.s)
-    return np.maximum(spec.c * (_f_ls(z1, spec.lam) - _f_ls(z2, spec.lam)), 0.0)
+    h1 = np.hypot(z1, 1.0)
+    h2 = np.hypot(z2, 1.0)
+    u1 = 2.0 * (z1 + lam * (h1 - 1.0))
+    u2 = 2.0 * (z2 + lam * (h2 - 1.0))
+    d = (spec.b - spec.a) / spec.s * (1.0 + lam * (z1 + z2) / (h1 + h2))
+    with np.errstate(divide="ignore"):  # d underflowing to 0 gives -inf
+        return (math.log(spec.c) - specfun.softplus(-u1) - specfun.softplus(u2)
+                + np.log(-np.expm1(-d)))
 
 
 def _normalizer_bl(spec) -> float:
-    from scipy import special as sp
-
     a, b, s, t = spec.a, spec.b, spec.s, spec.t
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        return sp.expit((x - a) / s) * sp.expit((b - x) / t)
+        return specfun.logistic((x - a) / s) * specfun.logistic((b - x) / t)
 
     res = integrate(integrand, -math.inf, math.inf, _NORM_SETTINGS,
                     points=(a, 0.5 * (a + b), b))
@@ -551,8 +560,8 @@ _FAMILY: dict[str, _Family] = {
         central_moment=_moment_al,
         kurtosis=lambda spec: 1.8 + 12.0 / (5.0 * (1.0 + (spec.r / (math.pi * spec.s)) ** 2))),
     "ALS": _Family(
-        ("a", "b", "s", "lam"), lambda spec: 1.0 / (spec.b - spec.a), _log_of_pdf,
-        symmetric=False, pdf=_pdf_als,
+        ("a", "b", "s", "lam"), lambda spec: 1.0 / (spec.b - spec.a), _log_pdf_als,
+        symmetric=False,
         check=lambda v: _require(-1.0 < v["lam"] < 1.0,
                                  f"ALS: requires lam in (-1, 1), got {v['lam']}"),
         mode=lambda spec: spec.m if spec.lam == 0.0 else None),
@@ -617,17 +626,12 @@ def _mode_cached(spec: UnivariateSpec) -> float:
     if closed is not None:
         return closed
     # Asymmetric families: bracketed maximization of log_pdf.
-    from scipy import optimize
-
     lo = spec.a - 20.0 * (spec.s + (spec.t or spec.s))
     hi = spec.b + 20.0 * (spec.s + (spec.t or spec.s))
-    res = optimize.minimize_scalar(
-        lambda x: -log_pdf(spec, x), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-10},
-    )
-    if not res.success:
-        raise ConvergenceError(f"mode search failed for {spec.family}")
-    return float(res.x)
+    try:
+        return specfun.fminbound(lambda x: -log_pdf(spec, x), lo, hi, xatol=1e-10)
+    except RuntimeError as exc:
+        raise ConvergenceError(f"mode search failed for {spec.family}: {exc}") from exc
 
 
 def mode(spec: UnivariateSpec) -> float:
@@ -727,8 +731,6 @@ def _bracket(g, x: float, step: float, sign: float) -> float:
 
 
 def _quantile_numeric(spec, v):
-    from scipy import optimize
-
     flat = np.atleast_1d(v).ravel()
     order = np.argsort(flat)
     out = np.empty_like(flat)
@@ -744,8 +746,7 @@ def _quantile_numeric(spec, v):
         lo = _bracket(g, mode(spec) - scale if prev_x is None else prev_x, scale, -1.0)
         hi = _bracket(g, mode(spec) + scale, scale, 1.0)
         try:
-            root = optimize.brentq(g, lo, hi, xtol=1e-13 * scale + 1e-300,
-                                   rtol=4.0 * np.finfo(float).eps, maxiter=200)
+            root = specfun.brentq(g, lo, hi, xtol=1e-13 * scale + 1e-300, maxiter=200)
         except (ValueError, RuntimeError) as exc:
             raise ConvergenceError(f"quantile root solve failed: {exc}") from exc
         out[i] = root

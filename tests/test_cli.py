@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import flattop
-from flattop import cli, mixture, univariate as uv
+from flattop import cli, mixture, multivariate as mv, univariate as uv
 from flattop.data_io import gen_mixed_1d, write_csv
 
 
@@ -177,12 +178,21 @@ def test_scipy_free_commands_do_not_import_scipy(tmp_path):
     al = uv.make("AL", {"a": -1.0, "b": 1.0, "s": 0.1})
     data = tmp_path / "al.csv"
     write_csv(uv.sample(al, 500, 1), str(data))
+    mixed = tmp_path / "mixed55.csv"
+    write_csv(gen_mixed_1d(seed=20260808), str(mixed))
+    cl = tmp_path / "cl.csv"
+    write_csv(mv.mv_sample(mv.make_mv("CL", [0.0, 0.0], 1.0, 20.0), 1000, 20260808), str(cl))
     al_params = ("--family", "AL", "--params", "a=-1,b=1,s=0.1")
+    bl_params = ("--family", "BL", "--params", "a=-1,b=1,s=0.2,t=0.5")
     argvs = [
         ["gen", "--what", "segments", "--seed", "3"],
         ["eval", *al_params, "--grid", "-2:2:0.01"],
+        ["eval", "--family", "CH", "--params", "m=0,r=1,s=0.4,beta=2.5", "--grid", "-3:3:0.05"],
         ["sample", *al_params, "-n", "1000", "--seed", "3"],
+        ["sample", *bl_params, "-n", "200", "--seed", "3"],
         ["fit", "--family", "AL", "--data", str(data)],
+        ["fit", "--family", "BL", "--data", str(mixed), "--init", "a=-0.9,b=1.1,s=0.3,t=0.3"],
+        ["fit", "--family", "CL", "--data", str(cl)],
         ["flatness", *al_params],
         ["divergence", "--case", "pair", "--p", "U:a=-0.5,b=0.5",
          "--q", "GN:mu=0.1,s=0.8,beta=3"],
@@ -194,6 +204,41 @@ def test_scipy_free_commands_do_not_import_scipy(tmp_path):
     report = json.loads(proc.stdout)
     assert [step for step, _, _ in report] == ["import", *(a[0] for a in argvs)]
     assert [(step, code, mods) for step, code, mods in report if code or mods] == []
+
+
+def _scipy_imports(path):
+    """(line, module, deferred) for every import of scipy in a source file;
+    an import is deferred when it sits inside a function body."""
+    found = []
+
+    def visit(node, deferred):
+        for child in ast.iter_child_nodes(node):
+            inner = deferred or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                   ast.Lambda))
+            if isinstance(child, ast.Import):
+                mods = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                mods = [f"{child.module}.{alias.name}" for alias in child.names]
+            else:
+                mods = []
+            found.extend((child.lineno, m, deferred) for m in mods
+                         if m.split(".")[0] == "scipy")
+            visit(child, inner)
+
+    with open(path) as fh:
+        visit(ast.parse(fh.read()), False)
+    return found
+
+
+def test_package_imports_only_scipy_special_and_only_inside_functions():
+    pkg = os.path.dirname(flattop.__file__)
+    sources = sorted(f for f in os.listdir(pkg) if f.endswith(".py"))
+    assert "univariate.py" in sources
+    found = {f: _scipy_imports(os.path.join(pkg, f)) for f in sources}
+    assert found["specfun.py"]  # the scan sees the remaining scipy.special calls
+    offending = [(f, line, mod) for f, hits in found.items() for line, mod, deferred in hits
+                 if not deferred or not mod.startswith("scipy.special")]
+    assert offending == []
 
 
 def test_format_only_on_eval_and_gradcheck(capsys):

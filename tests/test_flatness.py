@@ -45,6 +45,17 @@ def test_fwhm_numeric_matches_half_height():
     assert uv.pdf(al, b) == pytest.approx(0.5 * pm, rel=1e-8)
 
 
+def test_fwhm_root_failures_raise_flatness_error(monkeypatch):
+    al = uv.make("AL", {"a": -1, "b": 1, "s": 0.2})
+    solver = fl.specfun.brentq
+    monkeypatch.setattr(fl.specfun, "brentq", lambda f, lo, hi, **kw: solver(f, lo, hi, maxiter=2))
+    with pytest.raises(fl.FlatnessError, match="Failed to converge"):
+        fl.fwhm_boundaries(al)
+    monkeypatch.setattr(fl.specfun, "brentq", lambda f, lo, hi, **kw: solver(f, hi, hi + 1.0))
+    with pytest.raises(fl.FlatnessError, match="different signs"):
+        fl.fwhm_boundaries(al)
+
+
 # ---------------------------------------------------------------------------
 # Curvature measure
 # ---------------------------------------------------------------------------

@@ -195,3 +195,78 @@ def test_logsumexp_matches_scipy_and_handles_empty_slices():
     assert np.allclose(got[finite], want[finite], rtol=1e-14, atol=1e-13)
     assert np.array_equal(got, cols)
     assert sf.logsumexp(np.array([np.inf, 0.0])) == np.inf
+
+
+# ---------------------------------------------------------------------------
+# In-house replacements of scipy routines, with scipy as the reference
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dist, scale", [("normal", 1.0), ("normal", 30.0), ("uniform", 800.0)])
+def test_logistic_matches_expit(dist, scale):
+    rng = np.random.default_rng(11)
+    z = rng.normal(0.0, scale, 100_000) if dist == "normal" else rng.uniform(-scale, scale, 100_000)
+    got = sf.logistic(z)
+    want = expit(z)
+    pos = want > 0.0
+    assert np.all(got[~pos] == 0.0)
+    assert np.max(np.abs(got[pos] - want[pos]) / want[pos]) <= 5e-16
+
+
+def test_logistic_limits_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sf.logistic(np.array([-np.inf, np.inf, -1e300, 1e300, 0.0]))
+    assert out.tolist() == [0.0, 1.0, 0.0, 1.0, 0.5]
+
+
+_ROOT_CASES = [
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.exp(x) - 2.0, -5.0, 5.0),
+    (lambda x: math.atan(x - 0.7), -1e3, 1e3),
+    (lambda x: math.tanh(50.0 * (x - 0.123)), -1.0, 1.0),
+    (lambda x: 1e-170 * (x - 0.3) ** 3, 0.0, 1.0),  # products of values underflow
+]
+
+
+@pytest.mark.parametrize("case", range(len(_ROOT_CASES)))
+@pytest.mark.parametrize("xtol", [2e-12, 1e-300, 1e-3])
+def test_brentq_matches_scipy_bit_for_bit(case, xtol):
+    from scipy import optimize
+
+    f, a, b = _ROOT_CASES[case]
+    assert sf.brentq(f, a, b, xtol=xtol) == optimize.brentq(f, a, b, xtol=xtol)
+
+
+_MIN_CASES = [
+    (lambda x: (x - 0.3) ** 2, -1.0, 2.0),
+    (lambda x: math.cos(x), 0.0, 6.0),
+    (lambda x: abs(x - 0.5) ** 0.5, 0.0, 1.0),
+    (lambda x: -math.exp(-x * x) * x, -3.0, 0.0),
+    (lambda x: x ** 4 - x, -2.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_MIN_CASES)))
+@pytest.mark.parametrize("xatol", [1e-5, 1e-10])
+def test_fminbound_matches_scipy_bit_for_bit(case, xatol):
+    from scipy import optimize
+
+    f, lo, hi = _MIN_CASES[case]
+    res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    assert sf.fminbound(f, lo, hi, xatol=xatol) == float(res.x)
+
+
+def test_brent_failures_raise():
+    with pytest.raises(ValueError, match="different signs"):
+        sf.brentq(lambda x: math.cos(x) - x, 1.0, 2.0)
+    with pytest.raises(ValueError, match="NaN"):
+        sf.brentq(lambda x: math.nan, 0.0, 1.0)
+    with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
+        sf.brentq(lambda x: math.cos(x) - x, 0.0, 1.0, maxiter=3)
+    with pytest.raises(RuntimeError, match="function calls"):
+        sf.fminbound(math.cos, 0.0, 6.0, maxiter=5)
+    with pytest.raises(RuntimeError, match="NaN"):
+        sf.fminbound(lambda x: math.nan, 0.0, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        sf.fminbound(math.cos, 0.0, math.inf)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +287,57 @@ def test_box_vertices_pdf_cdf_quantile(family):
 # Quantiles
 # ---------------------------------------------------------------------------
 
+def _als_pdf_mp(params, x):
+    """ALS density in 50-digit arithmetic; the difference of CDFs is taken
+    between lower tails left of the center and upper tails right of it, so
+    it never cancels."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        a, b, s, lam = (mp.mpf(params[k]) for k in ("a", "b", "s", "lam"))
+        x = mp.mpf(x)
+
+        def u(edge):
+            z = (x - edge) / (2 * s)
+            return 2 * (z + lam * (mp.sqrt(z * z + 1) - 1))
+
+        u1, u2 = u(a), u(b)
+        if u1 + u2 > 0:
+            return (1 / (1 + mp.exp(u2)) - 1 / (1 + mp.exp(u1))) / (b - a)
+        return (1 / (1 + mp.exp(-u1)) - 1 / (1 + mp.exp(-u2))) / (b - a)
+
+
+@pytest.mark.parametrize("params", CONFIG_GRID["ALS"])
+def test_als_pdf_matches_mpmath_into_the_tails(params):
+    spec = uv.make("ALS", params)
+    xs = np.concatenate([np.linspace(-400.0, 400.0, 201),
+                         np.linspace(params["a"] - 3.0, params["b"] + 3.0, 61)])
+    ref = np.array([float(_als_pdf_mp(params, x)) for x in xs])
+    live = ref > 1e-300
+    assert np.sum(live & (ref < 1e-100)) >= 10  # the comparison reaches deep tails
+    got = uv.pdf(spec, xs)
+    assert np.max(np.abs(got[live] - ref[live]) / ref[live]) < 1e-12
+    assert np.all(got[~live] < 1e-290)
+
+
+def test_als_tiny_width_keeps_its_height_at_the_mode():
+    spec = uv.make("ALS", {"a": 0.0, "b": 1e-20, "s": 1.0, "lam": 0.0})
+    assert uv.pdf(spec, uv.mode(spec)) == pytest.approx(0.25, rel=1e-12)
+    skew = uv.make("ALS", {"a": 0.0, "b": 1e-20, "s": 1.0, "lam": 0.5})
+    assert uv.pdf(skew, 0.0) == pytest.approx(float(_als_pdf_mp(skew.params(), 0.0)), rel=1e-12)
+
+
+def test_als_far_tails_without_warnings():
+    spec = uv.make("ALS", {"a": -1.0, "b": 0.0, "s": 0.2, "lam": -0.7})
+    xs = np.array([-1e300, -1e200, 1e200, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dens = uv.pdf(spec, xs)
+        logs = uv.log_pdf(spec, xs)
+    assert np.array_equal(dens, np.zeros(4))
+    assert np.all(logs < -1e199)
+
+
 def test_quantile_median_is_center():
     al = uv.make("AL", {"a": -1, "b": 1, "s": 0.5})
     assert uv.quantile(al, 0.5) == pytest.approx(0.0, abs=1e-14)
@@ -314,6 +366,46 @@ def test_quantile_roundtrip_all_families():
         assert np.all(np.diff(q) > 0.0), family
         err = np.max(np.abs(uv.cdf(spec, q) - vs))
         assert err < tol, (family, err)
+
+
+def test_mode_and_numeric_quantiles_match_scipy_bit_for_bit(monkeypatch):
+    """specfun's Brent ports reproduce scipy's iterates: the same modes and
+    numeric quantiles on every BL, BD, ALS, CF, CH and CE config."""
+    from scipy import optimize
+
+    vs = np.linspace(0.01, 0.99, 40)
+    specs = [uv.make(f, p) for f in ("BL", "BD", "ALS", "CF", "CH", "CE") for p in CONFIG_GRID[f]]
+    ours = [(uv._mode_cached.__wrapped__(spec), uv.quantile(spec, vs)) for spec in specs]
+    monkeypatch.setattr(uv.specfun, "brentq", optimize.brentq)
+    monkeypatch.setattr(uv.specfun, "fminbound", lambda f, lo, hi, xatol: optimize.minimize_scalar(
+        f, bounds=(lo, hi), method="bounded", options={"xatol": xatol}).x)
+    numeric_modes = 0
+    for spec, (mode, q) in zip(specs, ours):
+        rec = uv._FAMILY[spec.family]
+        numeric_modes += not rec.symmetric and (rec.mode is None or rec.mode(spec) is None)
+        assert mode == uv._mode_cached.__wrapped__(spec), spec
+        assert np.array_equal(q, uv.quantile(spec, vs)), spec
+    assert numeric_modes == 40  # BL, BD and ALS at lam != 0
+
+
+def _limit_maxiter(monkeypatch, name, maxiter):
+    solver = getattr(uv.specfun, name)
+    monkeypatch.setattr(uv.specfun, name,
+                        lambda *args, **kw: solver(*args, **{**kw, "maxiter": maxiter}))
+
+
+def test_solver_failures_raise_convergence_error(monkeypatch):
+    spec = uv.make("BL", {"a": 0.0, "b": 2.0, "s": 0.1, "t": 0.8})
+    _limit_maxiter(monkeypatch, "fminbound", 3)
+    with pytest.raises(uv.ConvergenceError, match="mode search failed"):
+        uv._mode_cached.__wrapped__(spec)
+    _limit_maxiter(monkeypatch, "brentq", 2)
+    with pytest.raises(uv.ConvergenceError, match="Failed to converge"):
+        uv.quantile(spec, 0.3)
+    solver = uv.specfun.brentq
+    monkeypatch.setattr(uv.specfun, "brentq", lambda f, lo, hi, **kw: solver(f, hi, hi + 1.0))
+    with pytest.raises(uv.ConvergenceError, match="different signs"):
+        uv.quantile(spec, 0.3)
 
 
 def test_quantile_domain_check():
@@ -372,6 +464,14 @@ def test_al_second_moment_closed_value():
 def test_gn_second_moment_beta_two():
     gn = uv.make("GN", {"mu": 3.0, "s": 1.0, "beta": 2.0})
     assert uv.central_moment(gn, 2).value == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("params", CONFIG_GRID["ALS"])
+def test_als_moments_integrate_on_the_grid(params):
+    spec = uv.make("ALS", params)
+    m2 = uv.central_moment(spec, 2).value
+    m4 = uv.central_moment(spec, 4).value
+    assert 0.0 < m2 ** 2 < m4 < math.inf
 
 
 def test_de_moments_flagged_infinite():
