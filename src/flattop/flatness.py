@@ -97,7 +97,7 @@ def fwhm_boundaries(spec: uv.UnivariateSpec) -> tuple[float, float]:
         lo, hi = (far, xm) if direction < 0 else (xm, far)
         try:
             out.append(specfun.brentq(lambda x: uv.pdf(spec, x) - 0.5 * pm, lo, hi,
-                                      xtol=1e-12 * max(1.0, abs(far))))
+                                      xtol=1e-12 * max(1.0, abs(far)), maxiter=100))
         except (ValueError, RuntimeError) as exc:
             raise FlatnessError(f"half maximum root solve failed: {exc}") from exc
     return out[0], out[1]

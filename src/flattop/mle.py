@@ -26,7 +26,7 @@ from . import univariate as uv
 from .data_io import Dataset
 from .multivariate import MultivariateSpec, make_mv
 from .quadrature import QuadratureSettings, integrate
-from .specfun import coth, csch2, log_cosh, log_sinh, logistic, sech2, softplus
+from .specfun import _expit, coth, csch2, log_cosh, log_sinh, logistic, sech2, softplus
 
 __all__ = [
     "FitSettings",
@@ -164,10 +164,11 @@ def _al_partial(name, x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
 
 def _bl_log_norm(a: float, b: float, s: float, t: float) -> float:
     def integrand(x: np.ndarray) -> np.ndarray:
-        return logistic((x - a) / s) * logistic((b - x) / t)
+        return _expit((x - a) / s) * _expit((b - x) / t)
 
-    val = integrate(integrand, -math.inf, math.inf, _BL_NORM_SETTINGS,
-                    points=(a, 0.5 * (a + b), b)).value
+    with np.errstate(over="ignore"):  # for _expit
+        val = integrate(integrand, -math.inf, math.inf, _BL_NORM_SETTINGS,
+                        points=(a, 0.5 * (a + b), b)).value
     return -math.log(val)
 
 

@@ -144,8 +144,11 @@ def _rows(x, n: int) -> tuple[np.ndarray, bool]:
 def mahalanobis(x, spec: MultivariateSpec):
     """Elliptical radius of ``x`` (one point or rows of points): one
     triangular solve, by forward substitution over the n rows of the
-    Cholesky factor, and one norm."""
+    Cholesky factor, and one norm.  Raises ValueError for a NaN or an
+    infinite coordinate."""
     rows, single = _rows(x, spec.n)
+    if not np.isfinite(rows).all():
+        raise ValueError("array must not contain infs or NaNs")
     d = (rows - spec.m).T
     z = np.empty_like(d)
     for i in range(spec.n):

@@ -333,36 +333,48 @@ def _moment_al(spec, k: int) -> float:
     )
 
 
-def _log_pdf_als(spec, x):
-    """ln c [F(z1) - F(z2)] for the skewed logistic CDF F(z) = logistic(u),
-    u = 2 (z + lam (hypot(z, 1) - 1)), at z1, z2 = (x - a, x - b) / (2 s).
+def _als_terms(spec, x):
+    """ln[logistic(u1) logistic(-u2)] and -d = u2 - u1 for the skewed
+    logistic CDF F(z) = logistic(u), u = 2 (z + lam (hypot(z, 1) - 1)), at
+    z1, z2 = (x - a, x - b) / (2 s).
 
-    With d = u1 - u2 > 0 the difference is logistic(u1) logistic(-u2)
-    (1 - e^-d), exp-shifted through softplus.  d is formed from z1 - z2 =
-    (b - a) / (2 s) and hypot(z1, 1) - hypot(z2, 1) = (z1 - z2)(z1 + z2) /
-    (h1 + h2), so it keeps full precision when b - a is far below s.
+    The density is c [F(z1) - F(z2)] = c logistic(u1) logistic(-u2)
+    (1 - e^-d), exp-shifted through softplus.  In w = 2 z, u = w + lam
+    (hypot(w, 2) - 2), and d is formed from w1 - w2 = (b - a) / s and
+    hypot(w1, 2) - hypot(w2, 2) = (w1 - w2)(w1 + w2) / (g1 + g2), so it
+    keeps full precision when b - a is far below s.
     """
     lam = spec.lam
-    z1 = (x - spec.a) / (2.0 * spec.s)
-    z2 = (x - spec.b) / (2.0 * spec.s)
-    h1 = np.hypot(z1, 1.0)
-    h2 = np.hypot(z2, 1.0)
-    u1 = 2.0 * (z1 + lam * (h1 - 1.0))
-    u2 = 2.0 * (z2 + lam * (h2 - 1.0))
-    d = (spec.b - spec.a) / spec.s * (1.0 + lam * (z1 + z2) / (h1 + h2))
+    neg_w1 = (spec.a - x) / spec.s
+    w2 = (x - spec.b) / spec.s
+    g1 = np.hypot(neg_w1, 2.0)
+    g2 = np.hypot(w2, 2.0)
+    log_ends = (-specfun.softplus(neg_w1 - lam * (g1 - 2.0))
+                - specfun.softplus(w2 + lam * (g2 - 2.0)))
+    k = (spec.b - spec.a) / spec.s
+    return log_ends, -k - (k * lam) * (w2 - neg_w1) / (g1 + g2)
+
+
+def _log_pdf_als(spec, x):
+    log_ends, neg_d = _als_terms(spec, x)
     with np.errstate(divide="ignore"):  # d underflowing to 0 gives -inf
-        return (math.log(spec.c) - specfun.softplus(-u1) - specfun.softplus(u2)
-                + np.log(-np.expm1(-d)))
+        return math.log(spec.c) + log_ends + np.log(-np.expm1(neg_d))
+
+
+def _pdf_als(spec, x):
+    log_ends, neg_d = _als_terms(spec, x)
+    return np.exp(log_ends) * (-spec.c * np.expm1(neg_d))
 
 
 def _normalizer_bl(spec) -> float:
     a, b, s, t = spec.a, spec.b, spec.s, spec.t
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        return specfun.logistic((x - a) / s) * specfun.logistic((b - x) / t)
+        return specfun._expit((x - a) / s) * specfun._expit((b - x) / t)
 
-    res = integrate(integrand, -math.inf, math.inf, _NORM_SETTINGS,
-                    points=(a, 0.5 * (a + b), b))
+    with np.errstate(over="ignore"):  # for _expit
+        res = integrate(integrand, -math.inf, math.inf, _NORM_SETTINGS,
+                        points=(a, 0.5 * (a + b), b))
     return 1.0 / res.value
 
 
@@ -561,7 +573,7 @@ _FAMILY: dict[str, _Family] = {
         kurtosis=lambda spec: 1.8 + 12.0 / (5.0 * (1.0 + (spec.r / (math.pi * spec.s)) ** 2))),
     "ALS": _Family(
         ("a", "b", "s", "lam"), lambda spec: 1.0 / (spec.b - spec.a), _log_pdf_als,
-        symmetric=False,
+        symmetric=False, pdf=_pdf_als,
         check=lambda v: _require(-1.0 < v["lam"] < 1.0,
                                  f"ALS: requires lam in (-1, 1), got {v['lam']}"),
         mode=lambda spec: spec.m if spec.lam == 0.0 else None),
@@ -629,7 +641,7 @@ def _mode_cached(spec: UnivariateSpec) -> float:
     lo = spec.a - 20.0 * (spec.s + (spec.t or spec.s))
     hi = spec.b + 20.0 * (spec.s + (spec.t or spec.s))
     try:
-        return specfun.fminbound(lambda x: -log_pdf(spec, x), lo, hi, xatol=1e-10)
+        return specfun.fminbound(lambda x: -log_pdf(spec, x), lo, hi)
     except RuntimeError as exc:
         raise ConvergenceError(f"mode search failed for {spec.family}: {exc}") from exc
 

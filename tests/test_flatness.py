@@ -48,10 +48,10 @@ def test_fwhm_numeric_matches_half_height():
 def test_fwhm_root_failures_raise_flatness_error(monkeypatch):
     al = uv.make("AL", {"a": -1, "b": 1, "s": 0.2})
     solver = fl.specfun.brentq
-    monkeypatch.setattr(fl.specfun, "brentq", lambda f, lo, hi, **kw: solver(f, lo, hi, maxiter=2))
+    monkeypatch.setattr(fl.specfun, "brentq", lambda f, lo, hi, xtol, maxiter: solver(f, lo, hi, xtol, 2))
     with pytest.raises(fl.FlatnessError, match="Failed to converge"):
         fl.fwhm_boundaries(al)
-    monkeypatch.setattr(fl.specfun, "brentq", lambda f, lo, hi, **kw: solver(f, hi, hi + 1.0))
+    monkeypatch.setattr(fl.specfun, "brentq", lambda f, lo, hi, xtol, maxiter: solver(f, hi, hi + 1.0, xtol, maxiter))
     with pytest.raises(fl.FlatnessError, match="different signs"):
         fl.fwhm_boundaries(al)
 

@@ -34,6 +34,17 @@ def test_mahalanobis_dimension_mismatch():
         mv.mahalanobis([1.0, 2.0, 3.0], spec)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_raise(bad):
+    spec = mv.make_mv("CL", [0, 0], r=1, t=1, sigma=[[2, 0.5], [0.5, 1]])
+    for fn in (lambda x: mv.mahalanobis(x, spec), lambda x: mv.mv_log_pdf(spec, x),
+               lambda x: mv.mv_pdf(spec, x)):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fn([bad, 0.0])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fn([[0.0, 1.0], [1.0, bad]])
+
+
 # ---------------------------------------------------------------------------
 # Normalizers and pointwise values
 # ---------------------------------------------------------------------------

@@ -318,6 +318,8 @@ def test_als_pdf_matches_mpmath_into_the_tails(params):
     got = uv.pdf(spec, xs)
     assert np.max(np.abs(got[live] - ref[live]) / ref[live]) < 1e-12
     assert np.all(got[~live] < 1e-290)
+    from_log = np.exp(uv.log_pdf(spec, xs[live]))
+    assert np.max(np.abs(from_log - ref[live]) / ref[live]) < 1e-12
 
 
 def test_als_tiny_width_keeps_its_height_at_the_mode():
@@ -377,8 +379,8 @@ def test_mode_and_numeric_quantiles_match_scipy_bit_for_bit(monkeypatch):
     specs = [uv.make(f, p) for f in ("BL", "BD", "ALS", "CF", "CH", "CE") for p in CONFIG_GRID[f]]
     ours = [(uv._mode_cached.__wrapped__(spec), uv.quantile(spec, vs)) for spec in specs]
     monkeypatch.setattr(uv.specfun, "brentq", optimize.brentq)
-    monkeypatch.setattr(uv.specfun, "fminbound", lambda f, lo, hi, xatol: optimize.minimize_scalar(
-        f, bounds=(lo, hi), method="bounded", options={"xatol": xatol}).x)
+    monkeypatch.setattr(uv.specfun, "fminbound", lambda f, lo, hi: optimize.minimize_scalar(
+        f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10}).x)
     numeric_modes = 0
     for spec, (mode, q) in zip(specs, ours):
         rec = uv._FAMILY[spec.family]
@@ -388,22 +390,16 @@ def test_mode_and_numeric_quantiles_match_scipy_bit_for_bit(monkeypatch):
     assert numeric_modes == 40  # BL, BD and ALS at lam != 0
 
 
-def _limit_maxiter(monkeypatch, name, maxiter):
-    solver = getattr(uv.specfun, name)
-    monkeypatch.setattr(uv.specfun, name,
-                        lambda *args, **kw: solver(*args, **{**kw, "maxiter": maxiter}))
-
-
 def test_solver_failures_raise_convergence_error(monkeypatch):
     spec = uv.make("BL", {"a": 0.0, "b": 2.0, "s": 0.1, "t": 0.8})
-    _limit_maxiter(monkeypatch, "fminbound", 3)
+    monkeypatch.setattr(uv.specfun, "_FMIN_MAXFUN", 3)
     with pytest.raises(uv.ConvergenceError, match="mode search failed"):
         uv._mode_cached.__wrapped__(spec)
-    _limit_maxiter(monkeypatch, "brentq", 2)
+    solver = uv.specfun.brentq
+    monkeypatch.setattr(uv.specfun, "brentq", lambda f, lo, hi, xtol, maxiter: solver(f, lo, hi, xtol, 2))
     with pytest.raises(uv.ConvergenceError, match="Failed to converge"):
         uv.quantile(spec, 0.3)
-    solver = uv.specfun.brentq
-    monkeypatch.setattr(uv.specfun, "brentq", lambda f, lo, hi, **kw: solver(f, hi, hi + 1.0))
+    monkeypatch.setattr(uv.specfun, "brentq", lambda f, lo, hi, xtol, maxiter: solver(f, hi, hi + 1.0, xtol, maxiter))
     with pytest.raises(uv.ConvergenceError, match="different signs"):
         uv.quantile(spec, 0.3)
 
