@@ -360,7 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--out", default=None, help="write output to FILE instead of stdout")
-        p.add_argument("--quiet", action="store_true")
         p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("eval", help="tabulate pdf and cdf on a grid")

@@ -164,9 +164,8 @@ def _factor_logpdf(family: str, x: np.ndarray, specs) -> np.ndarray:
         return np.array([getattr(spec, name) for spec in specs])[:, None]
 
     if family == "AL":
-        rho = col("r") / col("s")
-        return (np.log(col("c")) + specfun.log_sinh(rho)
-                - specfun.log_cosh_sum((x - col("m")) / col("s"), rho))
+        return np.log(col("c")) + specfun.log_sinh_ratio((x - col("m")) / col("s"),
+                                                         col("r") / col("s"))
     if family == "BL":
         return (np.log(col("c")) - specfun.softplus((col("a") - x) / col("s"))
                 - specfun.softplus((x - col("b")) / col("t")))

@@ -3,8 +3,7 @@
 The logistic-difference family (AL) carries the full analytic derivative
 set: three first partials and all six second partials in tanh/coth/sech/csch
 form, evaluated exp-shifted.  The sigmoid-product family (BL) uses the
-flat-regime approximate gradients; the elliptical cosh-ratio family (CL)
-uses its matrix gradient blocks.  The fitter updates one parameter at a
+flat-regime approximate gradients.  The fitter updates one parameter at a
 time with step 1/|second partial| and backtracks until the log-likelihood
 does not decrease, so every accepted step is an ascent step.
 
@@ -12,6 +11,14 @@ The AL and BL coordinate pass runs on J independent weighted problems at
 once, backtracking each by mask: ``fit`` is its J = 1 case with unit (or
 dataset) weights, and the mixture M-step runs it on every (component,
 axis) factor with the responsibilities as weights.
+
+The elliptical cosh-ratio family (CL) runs one such pass over the blocks m,
+Lambda = Sigma^-1, log R (R = r^n) and log t, each stepped by its analytic
+gradient/|curvature| and backtracked.  R and t move on a log scale, at most
+one e-fold per step, so no step throws R near 0, where the likelihood is
+flat in R.  A CL fit stops when a pass does not strictly raise the
+log-likelihood.  Every fit is ``converged`` when its largest gradient entry
+per point, in natural coordinates (R and t for CL), is below ``grad_tol``.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ from . import univariate as uv
 from .data_io import Dataset
 from .multivariate import MultivariateSpec, make_mv
 from .quadrature import QuadratureSettings, integrate
-from .specfun import _expit, coth, csch2, log_cosh, log_sinh, logistic, sech2, softplus
+from .specfun import (_expit, coth, csch2, log_cosh, log_sinh, log_sinh_ratio, logistic, sech2,
+                      softplus)
 
 __all__ = [
     "FitSettings",
@@ -295,28 +303,23 @@ def grad_bl_flat(data, a: float, b: float, s: float, t: float,
 
 
 # ---------------------------------------------------------------------------
-# CL: log-likelihood and gradient blocks
+# CL: log-likelihood and the block kernel.  The fit works in the blocks
+# theta = (m, Lambda = Sigma^-1, log R, log t) with R = r^n.
 # ---------------------------------------------------------------------------
 
-def _cl_parts(rows: np.ndarray, m: np.ndarray, lam: np.ndarray):
+def _cl_points(rows: np.ndarray, m: np.ndarray, lam: np.ndarray, t: float):
+    """d = x - m, q = d^T Lambda d and u = t q^(n/2) for every row."""
     d = rows - m
-    rho2 = np.einsum("ij,jk,ik->i", d, lam, d)
-    rho2 = np.maximum(rho2, 0.0)
-    return d, np.sqrt(rho2)
+    q = np.maximum(np.einsum("ij,jk,ik->i", d, lam, d), 0.0)
+    return d, q, t * q ** (rows.shape[1] / 2.0)
 
 
 def _loglik_cl_raw(rows, m, lam, big_r, t) -> float:
-    n_dim = rows.shape[1]
-    count = rows.shape[0]
-    d, rho = _cl_parts(rows, m, lam)
-    a = big_r * t
-    rho_n_t = rho ** n_dim * t
-    from .specfun import log_cosh_sum
-
+    count, n_dim = rows.shape
+    _, _, u = _cl_points(rows, m, lam, t)
     const = (math.lgamma(n_dim / 2.0 + 1.0) - (n_dim / 2.0) * math.log(math.pi)
-             + float(log_sinh(a)) - math.log(big_r)
-             + 0.5 * float(np.linalg.slogdet(lam)[1]))
-    return count * const - float(np.sum(log_cosh_sum(rho_n_t, np.full_like(rho, a))))
+             - math.log(big_r) + 0.5 * float(np.linalg.slogdet(lam)[1]))
+    return count * const + float(np.sum(log_sinh_ratio(u, big_r * t)))
 
 
 def loglik_cl(data, spec: MultivariateSpec) -> float:
@@ -326,27 +329,62 @@ def loglik_cl(data, spec: MultivariateSpec) -> float:
     return _loglik_cl_raw(rows, spec.m, lam, spec.r ** spec.n, spec.t)
 
 
+def _cl_block(rows, theta, block: int):
+    """Gradient of the CL log-likelihood in block ``block`` of ``theta`` and
+    the second derivative along the unit vector of that gradient.
+
+    Per point, phi(u, a) = ln sinh a - ln(cosh u + cosh a), a = R t, has
+    phi_u = -A, phi_a = coth a - B, phi_uu = -S, phi_ua = -D and phi_aa =
+    -csch^2 a - S, where A = sigma(u - a) - sigma(-u - a), B = sigma(a - u)
+    - sigma(-u - a), S = sigma'(u - a) + sigma'(-u - a) and D = sigma'(-u - a)
+    - sigma'(u - a) for the logistic sigma.  A step along g moves u and a at
+    rates (u', u'', a', a''); the curvature sums phi'' over the points, plus
+    -N tr(Sigma V Sigma V) / 2 from ln |Lambda| for the Lambda block.
+    """
+    m, lam, log_r, log_t = theta
+    count, n_dim = rows.shape
+    t = math.exp(log_t)
+    a = math.exp(log_r + log_t)
+    d, q, u = _cl_points(rows, m, lam, t)
+    safe_q = np.where(q > 0.0, q, math.inf)  # a point at m adds no u'(q), u''(q)
+    du_dq = 0.5 * n_dim * u / safe_q
+    d2u_dq2 = (0.5 * n_dim - 1.0) * du_dq / safe_q
+    hi, hi_c = logistic(u - a), logistic(a - u)
+    lo, lo_c = logistic(-u - a), logistic(u + a)
+    ratio_u = hi - lo                  # A = sinh u / (cosh u + cosh a)
+    ratio_a = hi_c - lo                # B = sinh a / (cosh u + cosh a)
+    s_sum = hi * hi_c + lo * lo_c
+    s_diff = lo * lo_c - hi * hi_c
+    coth_a = float(coth(a))
+    extra = 0.0
+    if block < 2:  # m and Lambda move u through q, at rates q' and q''
+        if block == 0:
+            grad = 2.0 * lam @ ((ratio_u * du_dq) @ d)
+            dq, d2q = -2.0 * (d @ (lam @ grad)), 2.0 * grad @ lam @ grad
+        else:
+            sigma = np.linalg.inv(lam)
+            grad = 0.5 * count * sigma - (d.T * (ratio_u * du_dq)) @ d
+            dq, d2q = np.einsum("ij,jk,ik->i", d, grad, d), 0.0
+            sv = sigma @ grad
+            extra = -0.5 * count * float(np.sum(sv * sv.T))
+        du, d2u = du_dq * dq, d2u_dq2 * dq * dq + du_dq * d2q
+        da = d2a = 0.0
+    else:  # log R moves a; log t moves a and u; each at unit rate in its log
+        rate_u = u if block == 3 else 0.0
+        grad = (float(np.sum((coth_a - ratio_a) * a - ratio_u * rate_u))
+                - (count if block == 2 else 0.0))
+        du, d2u, da, d2a = grad * rate_u, grad * grad * rate_u, grad * a, grad * grad * a
+    curv = extra + float(np.sum(-ratio_u * d2u + (coth_a - ratio_a) * d2a - s_sum * du * du
+                                - 2.0 * s_diff * du * da - (float(csch2(a)) + s_sum) * da * da))
+    norm2 = float(np.sum(np.square(grad)))
+    return grad, (curv / norm2 if norm2 > 0.0 else 0.0)
+
+
 def _grad_cl_raw(rows, m, lam, big_r, t):
     """Gradient blocks for (m, Lambda = Sigma^-1, R = r^n, t)."""
-    n_dim = rows.shape[1]
-    count = rows.shape[0]
-    d, rho = _cl_parts(rows, m, lam)
-    a = big_r * t
-    u = rho ** n_dim * t
-    # sinh(u) / (cosh(u) + cosh(a)), exp-shifted through the identity
-    # sinh u / (cosh u + cosh a) = sigma(u - a) - sigma(-u - a) for a = R t.
-    ratio_u = logistic(u - a) - logistic(-u - a)
-    ratio_a = logistic(a - u) - logistic(-a - u)       # sinh(a)/(cosh+cosh)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho_pow = np.where(rho > 0.0, rho ** (n_dim - 2.0), 0.0)
-    coeff = ratio_u * n_dim * rho_pow * t
-    sigma = np.linalg.inv(lam)
-    grad_m = (lam @ (d * coeff[:, None]).sum(axis=0))
-    grad_lam = 0.5 * count * sigma - 0.5 * np.einsum("i,ij,ik->jk", coeff, d, d)
-    grad_big_r = count * t * float(coth(a)) - count / big_r - t * float(np.sum(ratio_a))
-    grad_t = (count * big_r * float(coth(a))
-              - float(np.sum(rho ** n_dim * ratio_u + big_r * ratio_a)))
-    return grad_m, grad_lam, grad_big_r, grad_t
+    theta = (m, lam, math.log(big_r), math.log(t))
+    gm, glam, g_log_r, g_log_t = (_cl_block(rows, theta, block)[0] for block in range(4))
+    return gm, glam, g_log_r / big_r, g_log_t / t
 
 
 def grad_cl(data, spec: MultivariateSpec):
@@ -409,10 +447,7 @@ def init_cl_from_data(data) -> MultivariateSpec:
     sigma = np.atleast_2d(sigma)
     n_dim = rows.shape[1]
     sigma += 1e-8 * float(np.trace(sigma)) / n_dim * np.eye(n_dim)
-    spec = make_mv("CL", m, r=1.0, t=1.0, sigma=sigma)
-    from .multivariate import mahalanobis
-
-    rho = mahalanobis(rows, spec)
+    rho = np.sqrt(_cl_points(rows, m, np.linalg.inv(sigma), 1.0)[1])
     r = float(np.median(rho)) or 1.0
     t = 4.0 / r ** n_dim
     return make_mv("CL", m, r=r, t=t, sigma=sigma)
@@ -484,10 +519,34 @@ def _coordinate_pass(family, x, w, n, p, ll, bounds, settings: FitSettings):
     return p, ll, moved
 
 
+def _ascend(one_pass, state, ll: float, settings: FitSettings, k: int, count: int):
+    """The outer loop of every fit.  ``one_pass(state)`` returns the new
+    state, its log-likelihood, the gradient norm per point and whether the
+    pass made progress.  Stops when the gradient norm is below ``grad_tol``
+    (converged), after a pass without progress, or after ``max_iters``
+    passes.  Returns the last state and its FitReport for ``k`` free
+    parameters and ``count`` points; the caller fills in ``final_params``."""
+    trace = [ll]
+    converged = False
+    grad_norm = math.inf
+    iters = 0
+    for iters in range(1, settings.max_iters + 1):
+        state, ll, grad_norm, progressed = one_pass(state)
+        trace.append(ll)
+        if grad_norm < settings.grad_tol:
+            converged = True
+            break
+        if not progressed:
+            break
+    return state, FitReport(converged=converged, iterations=iters, loglik_trace=trace,
+                            final_params={}, grad_norm=grad_norm, aic=2.0 * k - 2.0 * ll,
+                            bic=k * math.log(count) - 2.0 * ll, free_params=k)
+
+
 def _fit_univariate(x: np.ndarray, init: uv.UnivariateSpec, settings: FitSettings,
                     weights=None) -> tuple[uv.UnivariateSpec, FitReport]:
-    """AL or BL fit: coordinate passes on the single problem (J = 1) until
-    the gradient is below ``grad_tol`` or a pass accepts no step."""
+    """AL or BL fit: coordinate passes on the single problem (J = 1); a pass
+    makes progress when it accepts a step."""
     names, loglik, partial = _KERNELS[init.family]
     bounds = _bounds_from_data(x)
     lo, hi, s_min = bounds[:3]
@@ -499,30 +558,19 @@ def _fit_univariate(x: np.ndarray, init: uv.UnivariateSpec, settings: FitSetting
         raise ValueError(f"init violates s >= {s_min}: s={init.s}")
 
     x1, w1, n = _one(x, weights)
-    p = _params(*(getattr(init, name) for name in names))
-    ll = loglik(x1, w1, n, p)
-    trace = [float(ll[0])]
-    converged = False
-    grad_norm = math.inf
-    iters = 0
-    for iters in range(1, settings.max_iters + 1):
-        p, ll, moved = _coordinate_pass(init.family, x1, w1, n, p, ll, bounds[:, None],
+
+    def one_pass(state):
+        p, ll, moved = _coordinate_pass(init.family, x1, w1, n, *state, bounds[:, None],
                                         settings)
-        trace.append(float(ll[0]))
         grad_norm = max(abs(float(partial(name, x1, w1, n, p)[0][0]))
                         for name in names) / float(n[0])
-        if grad_norm < settings.grad_tol:
-            converged = True
-            break
-        if not moved[0]:
-            break
+        return (p, ll), float(ll[0]), grad_norm, bool(moved[0])
+
+    p = _params(*(getattr(init, name) for name in names))
+    ll = loglik(x1, w1, n, p)
+    (p, _), report = _ascend(one_pass, (p, ll), float(ll[0]), settings, len(names), x.size)
     spec = uv.make(init.family, dict(zip(names, p[:, 0])))
-    k = len(names)
-    ll = trace[-1]
-    report = FitReport(converged=converged, iterations=iters, loglik_trace=trace,
-                       final_params=spec.params(), grad_norm=grad_norm,
-                       aic=2.0 * k - 2.0 * ll, bic=k * math.log(x.size) - 2.0 * ll,
-                       free_params=k)
+    report.final_params = spec.params()
     return spec, report
 
 
@@ -533,120 +581,50 @@ def _project_pd(mat: np.ndarray, floor: float = 1e-10) -> np.ndarray:
     return (vecs * vals) @ vecs.T
 
 
-def _directional_curvature(fun_grad, theta: np.ndarray, grad: np.ndarray) -> float:
-    norm = float(np.linalg.norm(grad))
-    if norm == 0.0:
-        return 0.0
-    unit = grad / norm
-    h = 1e-6 * max(1.0, float(np.linalg.norm(theta)))
-    g2 = fun_grad(theta + h * unit)
-    return float(np.dot(g2 - grad, unit) / h)
-
-
 def _fit_cl(rows: np.ndarray, init: MultivariateSpec,
             settings: FitSettings) -> tuple[MultivariateSpec, FitReport]:
+    """CL fit by block passes (see the module docstring); a pass makes
+    progress when it strictly raises the log-likelihood."""
     count, n_dim = rows.shape
-    m = init.m.copy()
-    lam = np.linalg.inv(init.sigma)
-    big_r = init.r ** n_dim
-    t = init.t
 
-    def ll_of(mv, lamv, rv, tv):
-        return _loglik_cl_raw(rows, mv, lamv, rv, tv)
+    def loglik(theta):
+        m, lam, log_r, log_t = theta
+        # The log blocks stay where exp(log R), exp(log t) and u are safe
+        # doubles, with a = R t >= 1e-8: below that the density equals its
+        # a -> 0 limit to double precision, and ln sinh a loses its digits.
+        if not (abs(log_r) <= 200.0 and abs(log_t) <= 200.0 and log_r + log_t >= -18.0):
+            return -math.inf
+        return _loglik_cl_raw(rows, m, lam, math.exp(log_r), math.exp(log_t))
 
-    ll = ll_of(m, lam, big_r, t)
-    trace = [ll]
-    converged = False
-    grad_norm = math.inf
-    iters = 0
-    for iters in range(1, settings.max_iters + 1):
-        any_accept = False
-
-        # 1. location
-        gm = _grad_cl_raw(rows, m, lam, big_r, t)[0]
-        curv = _directional_curvature(
-            lambda th: _grad_cl_raw(rows, th, lam, big_r, t)[0], m, gm)
-        eta = settings.eta0 / max(abs(curv), 1e-12)
-        step = eta * gm
-        for _ in range(settings.max_backtracks):
-            ll_new = ll_of(m + step, lam, big_r, t)
-            if ll_new >= ll:
-                m = m + step
-                ll = ll_new
-                any_accept = True
-                break
-            step *= settings.backtrack_factor
-
-        # 2. inverse scale matrix, symmetric step with PD projection
-        glam = _grad_cl_raw(rows, m, lam, big_r, t)[1]
-        gnorm = float(np.linalg.norm(glam))
-        if gnorm > 0:
-            unit = glam / gnorm
-            h = 1e-6 * max(1.0, float(np.linalg.norm(lam)))
-            g2 = _grad_cl_raw(rows, m, lam + h * unit, big_r, t)[1]
-            curv = float(np.tensordot(g2 - glam, unit) / h)
-            eta = settings.eta0 / max(abs(curv), 1e-12)
-            step_mat = eta * glam
+    def one_pass(state):
+        theta, ll = state
+        start = ll
+        for block in range(4):
+            grad, curv = _cl_block(rows, theta, block)
+            step = settings.eta0 / max(abs(curv), 1e-12) * grad
+            if block >= 2:  # one e-fold at most: the curvature can vanish there
+                step = min(max(step, -1.0), 1.0)
             for _ in range(settings.max_backtracks):
-                lam_new = _project_pd(lam + step_mat)
-                ll_new = ll_of(m, lam_new, big_r, t)
+                cand = list(theta)
+                cand[block] = _project_pd(theta[1] + step) if block == 1 else theta[block] + step
+                ll_new = loglik(cand)
                 if ll_new >= ll:
-                    lam = lam_new
-                    ll = ll_new
-                    any_accept = True
+                    theta, ll = cand, ll_new
                     break
-                step_mat *= settings.backtrack_factor
+                step = step * settings.backtrack_factor
+        grads = _grad_cl_raw(rows, theta[0], theta[1], math.exp(theta[2]), math.exp(theta[3]))
+        grad_norm = max(float(np.max(np.abs(g))) for g in grads) / count
+        return (theta, ll), ll, grad_norm, ll > start
 
-        # 3. dispersion R = r^n and 4. slope t, both positive scalars
-        for idx, name in ((2, "R"), (3, "t")):
-            g = _grad_cl_raw(rows, m, lam, big_r, t)[idx]
-            cur = big_r if name == "R" else t
-
-            def g_of(v, idx=idx, name=name):
-                if name == "R":
-                    return _grad_cl_raw(rows, m, lam, float(v), t)[idx]
-                return _grad_cl_raw(rows, m, lam, big_r, float(v))[idx]
-
-            h = 1e-6 * max(1.0, abs(cur))
-            curv = (g_of(cur + h) - g) / h
-            step = float(_step_size(g, curv, cur, settings.eta0)) * g
-            for _ in range(settings.max_backtracks):
-                cand = max(cur + step, 1e-12 * max(1.0, cur))
-                ll_new = ll_of(m, lam, cand, t) if name == "R" else ll_of(m, lam, big_r, cand)
-                if ll_new >= ll:
-                    if name == "R":
-                        big_r = cand
-                    else:
-                        t = cand
-                    ll = ll_new
-                    any_accept = True
-                    break
-                step *= settings.backtrack_factor
-
-        trace.append(ll)
-        gm, glam, gr, gt = _grad_cl_raw(rows, m, lam, big_r, t)
-        grad_norm = max(float(np.max(np.abs(gm))), float(np.max(np.abs(glam))),
-                        abs(gr), abs(gt)) / count
-        if grad_norm < settings.grad_tol:
-            converged = True
-            break
-        if not any_accept:
-            break
-
+    theta = [init.m.copy(), np.linalg.inv(init.sigma), n_dim * math.log(init.r),
+             math.log(init.t)]
+    k = (n_dim + 1) * (n_dim + 2) // 2  # t is redundant with the scale of Sigma
+    ll = loglik(theta)
+    ((m, lam, log_r, log_t), _), report = _ascend(one_pass, (theta, ll), ll, settings, k, count)
     sigma = np.linalg.inv(lam)
-    spec = make_mv("CL", m, r=big_r ** (1.0 / n_dim), t=t, sigma=sigma)
-    k_constrained = (n_dim + 1) * (n_dim + 2) // 2
-    k_full = k_constrained + 1
-    report = FitReport(
-        converged=converged, iterations=iters, loglik_trace=trace,
-        final_params={"m": m.tolist(), "Sigma": sigma.tolist(),
-                      "r": spec.r, "t": t},
-        grad_norm=grad_norm,
-        aic=2.0 * k_constrained - 2.0 * ll,
-        bic=k_constrained * math.log(count) - 2.0 * ll,
-        free_params=k_constrained,
-        free_params_unconstrained=k_full,
-    )
+    spec = make_mv("CL", m, r=math.exp(log_r / n_dim), t=math.exp(log_t), sigma=sigma)
+    report.final_params = {"m": m.tolist(), "Sigma": sigma.tolist(), "r": spec.r, "t": spec.t}
+    report.free_params_unconstrained = k + 1
     return spec, report
 
 

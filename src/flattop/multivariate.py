@@ -168,9 +168,7 @@ def mv_log_pdf(spec: MultivariateSpec, x):
     elif spec.family == "CM":
         out = math.log(spec.c) - specfun.softplus((rho ** n - r ** n) * spec.t)
     else:  # CL
-        a = r ** n * spec.t
-        out = (math.log(spec.c) + float(specfun.log_sinh(a))
-               - specfun.log_cosh_sum(rho ** n * spec.t, np.full_like(rho, a)))
+        out = math.log(spec.c) + specfun.log_sinh_ratio(rho ** n * spec.t, r ** n * spec.t)
     return float(out[0]) if single else out
 
 

@@ -121,15 +121,16 @@ def _find_cutoff(
 
     Returns the cutoff abscissa and the updated peak.  Two consecutive
     probes below ``tail_cutoff * peak`` are required, which guards against
-    cutting inside a local dip.
+    cutting inside a local dip.  Raises QuadratureError once the walk passes
+    |x| = 1e300.
     """
     step = 1.0 + 0.01 * abs(anchor)
     below = 0
     t = anchor
-    for _ in range(200):
+    while True:
         t = t + direction * step
         if abs(t) > 1e300:
-            raise QuadratureError("tail truncation ran past 1e300 without decay")
+            raise QuadratureError("tail truncation failed: integrand does not decay")
         val = float(np.abs(f(np.array([t])))[0])
         peak = max(peak, val)
         if val < settings.tail_cutoff * max(peak, np.finfo(float).tiny):
@@ -139,7 +140,6 @@ def _find_cutoff(
         else:
             below = 0
         step *= 2.0
-    raise QuadratureError("tail truncation failed: integrand does not decay")
 
 
 def _mapped_tail(

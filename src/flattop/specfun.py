@@ -29,6 +29,7 @@ __all__ = [
     "log_cosh",
     "log_sinh",
     "log_cosh_sum",
+    "log_sinh_ratio",
     "logsumexp",
     "sech2",
     "csch2",
@@ -112,6 +113,13 @@ def log_cosh_sum(u, v):
     v = np.asarray(v, dtype=float)
     stacked = np.stack(np.broadcast_arrays(u, -u, v, -v))
     return logsumexp(stacked, axis=0) - _LN2
+
+
+def log_sinh_ratio(w, h):
+    """ln[sinh(h) / (cosh(w) + cosh(h))] for h > 0, the shape factor of the
+    AL, CH and CL densities.  The two logs are subtracted before a caller
+    adds its log-normalizer, which would be lost beside h ~ 1e15 or more."""
+    return log_sinh(h) - log_cosh_sum(w, h)
 
 
 def sech2(z):

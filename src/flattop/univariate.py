@@ -305,10 +305,9 @@ def _moment_an(spec, k: int) -> float:
 
 
 def _log_pdf_al(spec, x):
-    rho = spec.r / spec.s
-    w = (x - spec.m) / spec.s
-    return (math.log(spec.c) + specfun.log_sinh(rho)
-            - specfun.log_cosh_sum(w, np.full_like(np.asarray(w, dtype=float), rho)))
+    with np.errstate(over="ignore"):  # |x - m| far beyond s: w = inf, density 0
+        w = (x - spec.m) / spec.s
+    return math.log(spec.c) + specfun.log_sinh_ratio(w, spec.r / spec.s)
 
 
 def _cdf_al(spec, x):
@@ -345,14 +344,17 @@ def _als_terms(spec, x):
     keeps full precision when b - a is far below s.
     """
     lam = spec.lam
-    neg_w1 = (spec.a - x) / spec.s
-    w2 = (x - spec.b) / spec.s
+    # |x| far beyond s overflows to inf, and inf - inf in u and d would give
+    # nan: a finite 1e300 keeps every term finite and the density at 0.
+    with np.errstate(over="ignore"):
+        neg_w1 = np.clip((spec.a - x) / spec.s, -1e300, 1e300)
+        w2 = np.clip((x - spec.b) / spec.s, -1e300, 1e300)
     g1 = np.hypot(neg_w1, 2.0)
     g2 = np.hypot(w2, 2.0)
     log_ends = (-specfun.softplus(neg_w1 - lam * (g1 - 2.0))
                 - specfun.softplus(w2 + lam * (g2 - 2.0)))
     k = (spec.b - spec.a) / spec.s
-    return log_ends, -k - (k * lam) * (w2 - neg_w1) / (g1 + g2)
+    return log_ends, -k - (k * lam) * ((w2 - neg_w1) / (g1 + g2))
 
 
 def _log_pdf_als(spec, x):
@@ -379,9 +381,10 @@ def _normalizer_bl(spec) -> float:
 
 
 def _log_pdf_bl(spec, x):
-    return (math.log(spec.c)
-            - specfun.softplus((spec.a - x) / spec.s)
-            - specfun.softplus((x - spec.b) / spec.t))
+    with np.errstate(over="ignore"):  # |x| far beyond s or t: softplus(inf) = inf
+        return (math.log(spec.c)
+                - specfun.softplus((spec.a - x) / spec.s)
+                - specfun.softplus((x - spec.b) / spec.t))
 
 
 def _bd_exp_term(a: float, b: float, s: float, t: float) -> float:
@@ -520,8 +523,7 @@ def _log_pdf_ch(spec, x):
     h = (spec.r / spec.s) ** spec.beta
     with np.errstate(over="ignore"):
         w = (np.abs(x - spec.m) / spec.s) ** spec.beta
-    return (math.log(spec.c) + specfun.log_sinh(h)
-            - specfun.log_cosh_sum(w, np.full_like(np.asarray(w, dtype=float), h)))
+    return math.log(spec.c) + specfun.log_sinh_ratio(w, h)
 
 
 def _log_pdf_de(spec, x):

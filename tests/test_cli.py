@@ -142,6 +142,15 @@ def test_eval_fermi_dirac_height_overflow_is_a_typed_error(capsys):
                           "beta=2.0\n")
 
 
+def test_eval_cf_across_a_very_wide_flat_top(capsys):
+    # The tail search from the mode has to cross the 2e80-wide top.
+    code, out, _ = _run(capsys, "eval", "--family", "CF", "--params", "m=0,r=1e80,s=1,beta=2",
+                        "--grid", "0:1:0.5")
+    assert code == 0
+    cdfs = [float(line.split(",")[2]) for line in out.strip().split("\n")[1:]]
+    assert cdfs == pytest.approx([0.5, 0.5, 0.5], abs=1e-12)
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

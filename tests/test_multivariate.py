@@ -65,6 +65,8 @@ def test_cm_normalizer_matches_univariate_constant():
 def test_cl_height_at_center():
     cl = mv.make_mv("CL", [0, 0], r=1, t=5)
     assert mv.mv_pdf(cl, [0.0, 0.0]) == pytest.approx(math.tanh(2.5) / math.pi, rel=1e-13)
+    steep = mv.make_mv("CL", [0, 0], r=1, t=1e17)
+    assert mv.mv_pdf(steep, [0.0, 0.0]) == pytest.approx(1.0 / math.pi, rel=1e-13)
 
 
 def test_mu_is_uniform_on_the_disk():

@@ -116,6 +116,16 @@ def test_al_pdf_at_mode_tanh_form():
     assert uv.pdf(al, 0.0) == pytest.approx(0.5 * math.tanh(1.0), rel=1e-14)
 
 
+def test_huge_flat_tops_keep_their_height():
+    # ln c joins ln[sinh h / (cosh w + cosh h)] after the two logs of h cancel;
+    # added to ln sinh h first, it was lost beside h = 1e16 and 1e18.
+    al = uv.make("AL", {"a": -1e16, "b": 1e16, "s": 1.0})
+    assert uv.pdf(al, 0.0) == pytest.approx(al.c, rel=1e-14)
+    ch = uv.make("CH", {"m": 0.0, "r": 1.0, "s": 1e-9, "beta": 2.0})
+    assert uv.pdf(ch, 0.0) == pytest.approx(ch.c, rel=1e-14)
+    assert uv.cdf(ch, 0.0) == pytest.approx(0.5, abs=1e-12)
+
+
 def test_uniform_pdf_inside_outside():
     u = uv.make("U", {"a": 0, "b": 2})
     assert uv.pdf(u, 1.0) == 0.5
@@ -338,6 +348,19 @@ def test_als_far_tails_without_warnings():
         logs = uv.log_pdf(spec, xs)
     assert np.array_equal(dens, np.zeros(4))
     assert np.all(logs < -1e199)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("ALS", {"a": 0.0, "b": 1.0, "s": 1e-10, "lam": 0.3}),
+    ("ALS", {"a": 0.0, "b": 1.0, "s": 1e-10, "lam": -0.3}),
+    ("AL", {"a": 0.0, "b": 1.0, "s": 1e-10}),
+    ("BL", {"a": 0.0, "b": 1.0, "s": 1e-10, "t": 1e-10}),
+])
+def test_offsets_overflowing_the_scale_give_zero_density(family, params):
+    # x / s overflows a double; the error::RuntimeWarning filter of the
+    # pytest configuration turns an overflow warning into a failure.
+    spec = uv.make(family, params)
+    assert np.array_equal(uv.pdf(spec, np.array([-1e300, 1e300])), np.zeros(2))
 
 
 def test_quantile_median_is_center():
