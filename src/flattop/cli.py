@@ -247,49 +247,46 @@ def _cmd_divergence(args) -> int:
     return 0
 
 
+def _central_differences(theta, step, value) -> list:
+    """d value / d theta_i for every i, by central differences with theta_i
+    moved by +-step(theta_i)."""
+    fds = []
+    for i, v in enumerate(theta):
+        h = step(v)
+        tp, tm = list(theta), list(theta)
+        tp[i] += h
+        tm[i] -= h
+        fds.append((value(tp) - value(tm)) / (2.0 * h))
+    return fds
+
+
 def _cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
-    rows = []
     if args.family == "AL":
         a, b = sorted(rng.uniform(-5.0, 5.0, 2))
         b = max(b, a + 0.5)
         s = rng.uniform(0.1, 1.5)
         x = rng.uniform(a - 1.0, b + 1.0, args.n)
-        analytic = mle.grad_al(x, a, b, s)
-        names = ("a", "b", "s")
         theta = [a, b, s]
-        for i, name in enumerate(names):
-            h = 1e-6 * max(abs(theta[i]), 1.0)
-            tp, tm = list(theta), list(theta)
-            tp[i] += h
-            tm[i] -= h
-            fd = (mle.loglik_al(x, *tp) - mle.loglik_al(x, *tm)) / (2.0 * h)
-            rel = abs(analytic[i] - fd) / max(abs(fd), 1e-12)
-            rows.append((f"d{name}", analytic[i], fd, rel))
+        step = lambda v: 1e-6 * max(abs(v), 1.0)
+        names = ["da", "db", "ds"]
+        analytic = list(mle.grad_al(x, a, b, s))
+        fds = _central_differences(theta, step, lambda th: mle.loglik_al(x, *th))
+        # Column j holds the differences of the gradient along theta_j.
+        jac = _central_differences(theta, step, lambda th: np.array(mle.grad_al(x, *th)))
         hess = mle.hess_al(x, a, b, s)
-        second = [("daa", 0, 0), ("dbb", 1, 1), ("dss", 2, 2),
-                  ("dab", 0, 1), ("das", 0, 2), ("dbs", 1, 2)]
-        for name, i, j in second:
-            h = 1e-6 * max(abs(theta[j]), 1.0)
-            tp, tm = list(theta), list(theta)
-            tp[j] += h
-            tm[j] -= h
-            fd = (mle.grad_al(x, *tp)[i] - mle.grad_al(x, *tm)[i]) / (2.0 * h)
-            val = getattr(hess, name)
-            rows.append((name, val, fd, abs(val - fd) / max(abs(fd), 1e-12)))
+        for name, i, j in (("daa", 0, 0), ("dbb", 1, 1), ("dss", 2, 2),
+                           ("dab", 0, 1), ("das", 0, 2), ("dbs", 1, 2)):
+            names.append(name)
+            analytic.append(getattr(hess, name))
+            fds.append(float(jac[j][i]))
     elif args.family == "BL":
         a, b, s, t = 0.0, 10.0, rng.uniform(0.05, 0.2), rng.uniform(0.05, 0.2)
         x = rng.uniform(a, b, args.n)
-        g = mle.grad_bl_flat(x, a, b, s, t)
-        theta = [a, b, s, t]
-        for i, name in enumerate(("a", "b", "s", "t")):
-            h = 1e-5 * max(abs(theta[i]), 0.05)
-            tp, tm = list(theta), list(theta)
-            tp[i] += h
-            tm[i] -= h
-            fd = (mle.loglik_bl(x, *tp) - mle.loglik_bl(x, *tm)) / (2.0 * h)
-            val = g[i]
-            rows.append((f"d{name}", val, fd, abs(val - fd) / max(abs(fd), 1e-12)))
+        names = ["da", "db", "ds", "dt"]
+        analytic = list(mle.grad_bl_flat(x, a, b, s, t)[:4])
+        fds = _central_differences([a, b, s, t], lambda v: 1e-5 * max(abs(v), 0.05),
+                                   lambda th: mle.loglik_bl(x, *th))
     elif args.family == "CL":
         dim = 2
         pts = rng.normal(size=(args.n, dim))
@@ -298,27 +295,27 @@ def _cmd_gradcheck(args) -> int:
         big_r, t = 1.5, 2.0
         gm, glam, gr, gt = mle._grad_cl_raw(pts, m, lam, big_r, t)
         f = lambda mm, ll, rr, tt: mle._loglik_cl_raw(pts, mm, ll, rr, tt)
-        for i in range(dim):
-            h = 1e-6
-            e = np.zeros(dim)
-            e[i] = h
-            fd = (f(m + e, lam, big_r, t) - f(m - e, lam, big_r, t)) / (2.0 * h)
-            rows.append((f"dm{i}", gm[i], fd, abs(gm[i] - fd) / max(abs(fd), 1e-12)))
-        for i in range(dim):
-            for j in range(i, dim):
-                h = 1e-7
-                pert = np.zeros((dim, dim))
-                pert[i, j] = pert[j, i] = h
-                fd = (f(m, lam + pert, big_r, t) - f(m, lam - pert, big_r, t)) / (2.0 * h)
-                an = float(np.tensordot(glam, pert / h))
-                rows.append((f"dLam{i}{j}", an, fd, abs(an - fd) / max(abs(fd), 1e-12)))
-        h = 1e-6
-        fd = (f(m, lam, big_r + h, t) - f(m, lam, big_r - h, t)) / (2.0 * h)
-        rows.append(("dR", gr, fd, abs(gr - fd) / max(abs(fd), 1e-12)))
-        fd = (f(m, lam, big_r, t + h) - f(m, lam, big_r, t - h)) / (2.0 * h)
-        rows.append(("dt", gt, fd, abs(gt - fd) / max(abs(fd), 1e-12)))
+        upper = np.triu_indices(dim)  # Lambda moves symmetrically in its upper triangle
+
+        def symmetric(th):
+            out = np.empty((dim, dim))
+            out[upper] = out.T[upper] = th
+            return out
+
+        names = ([f"dm{i}" for i in range(dim)] + [f"dLam{i}{j}" for i, j in zip(*upper)]
+                 + ["dR", "dt"])
+        analytic = (list(gm) + [glam[i, j] + glam[j, i] if i != j else glam[i, i]
+                                for i, j in zip(*upper)] + [gr, gt])
+        fds = (_central_differences(list(m), lambda v: 1e-6,
+                                    lambda th: f(np.array(th), lam, big_r, t))
+               + _central_differences(list(lam[upper]), lambda v: 1e-7,
+                                      lambda th: f(m, symmetric(th), big_r, t))
+               + _central_differences([big_r, t], lambda v: 1e-6,
+                                      lambda th: f(m, lam, *th)))
     else:
         raise ValueError(f"gradcheck supports AL, BL, CL; got {args.family}")
+    rows = [(name, an, fd, abs(an - fd) / max(abs(fd), 1e-12))
+            for name, an, fd in zip(names, analytic, fds)]
 
     if args.format == "json":
         payload = [{"param": n, "analytic": a_, "fd": f_, "rel_err": r_}

@@ -34,6 +34,7 @@ __all__ = [
     "delta_eps_flat",
     "family_flat_bound",
     "bl_flat_bound",
+    "FLAT_REGIME_BOUND",
     "gn_flat_interval_ratio",
     "flatness_report",
 ]
@@ -284,6 +285,12 @@ def family_flat_bound(spec: uv.UnivariateSpec) -> float | None:
     if f == "CF" and spec.beta == 1.0:
         return math.exp(-spec.r / (2.0 * spec.s))
     return None
+
+
+# Below this closed-form curvature bound a component is flat-topped enough
+# for the BL flat-regime gradients, and GEM may upgrade an AL component to
+# BL (``mixture.MixtureSettings.bl_upgrade``).
+FLAT_REGIME_BOUND = 0.05
 
 
 def bl_flat_bound(a: float, b: float, s: float, t: float) -> float:

@@ -11,21 +11,30 @@ optimization continues the same way.
 Supported component layouts: univariate Gaussian / AL / BL, and for 2-d
 data full- or diagonal-covariance Gaussians and axis-aligned AL products.
 
+Both fits run one cycle loop, ``_em``: E-step, an M-step callback, and the
+stall rule of ``MixtureSettings``.  The Gaussian callback reseeds empty
+components once; the GEM callback is ``m_step``, and the BL upgrade is the
+loop's one-time hook for the first stall.
+
 Every step works on all components at once.  The E-step builds the N x K
 log-density matrix in one broadcast: Gaussians through one stacked
 Cholesky factorization, flat components from their parameters gathered
-into arrays, one row per (component, axis) factor.  The Gaussian M-step
-computes the weighted means, covariances and eigenvalue floors as stacked
-arrays.  The GEM M-step hands every AL factor, and then every BL factor,
-to the single coordinate pass of ``mle`` with the N x J matrix of their
-responsibilities, which backtracks per factor by mask; ``mle.fit`` runs
-the same pass on one problem with unit weights.
+into arrays, one row per (component, axis) factor.  AL and BL factors are
+scored by the log-density kernel of ``mle`` (a per-factor constant plus
+per-point terms in a, b, s[, t]), the same function the M-step climbs,
+which is what makes each GEM cycle monotone; other families go through
+``univariate.log_pdf``.  The Gaussian M-step computes the weighted means,
+covariances and eigenvalue floors as stacked arrays.  The GEM M-step hands
+every AL factor, and then every BL factor, to the single coordinate pass
+of ``mle`` with the N x J matrix of their responsibilities, which
+backtracks per factor by mask; ``mle.fit`` runs the same pass on one
+problem with unit weights.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from . import mle, specfun, univariate as uv
@@ -57,10 +66,15 @@ class ComponentCollapseError(RuntimeError):
 
 @dataclass(frozen=True)
 class MixtureSettings:
-    """Budgets shared by the EM and GEM loops.
+    """Budgets of the one EM loop that runs both the GMM and the GEM fits.
 
     Convergence is declared after ``stall_cycles`` consecutive cycles with
-    relative log-likelihood change below ``rel_tol``.
+    relative log-likelihood change below ``rel_tol``, or else the fit stops
+    after ``max_cycles``.  ``n_init`` and ``cov_floor`` (relative to the
+    largest data variance) apply to the GMM, ``component_pass`` to each GEM
+    M-step.  With ``bl_upgrade``, the first stall of a GEM fit swaps BL in
+    for the AL components that are flat-topped by the closed-form bound
+    (below ``flatness.FLAT_REGIME_BOUND``) and the cycles go on.
     """
 
     max_cycles: int = 300
@@ -69,7 +83,6 @@ class MixtureSettings:
     n_init: int = 4
     cov_floor: float = 1e-8
     bl_upgrade: bool = False
-    bl_flat_threshold: float = 0.05
     component_pass: FitSettings = field(default_factory=FitSettings)
 
 
@@ -159,17 +172,14 @@ def _factors(model: MixtureModel) -> list[tuple[int, int, uv.UnivariateSpec]]:
 
 
 def _factor_logpdf(family: str, x: np.ndarray, specs) -> np.ndarray:
-    """Row j of ``x`` under ``specs[j]``; AL and BL in one broadcast."""
-    def col(name):
-        return np.array([getattr(spec, name) for spec in specs])[:, None]
-
-    if family == "AL":
-        return np.log(col("c")) + specfun.log_sinh_ratio((x - col("m")) / col("s"),
-                                                         col("r") / col("s"))
-    if family == "BL":
-        return (np.log(col("c")) - specfun.softplus((col("a") - x) / col("s"))
-                - specfun.softplus((x - col("b")) / col("t")))
-    return np.array([uv.log_pdf(spec, row) for spec, row in zip(specs, x)])
+    """Row j of ``x`` under ``specs[j]``.  AL and BL rows are scored in one
+    broadcast by the constant and per-point terms of the M-step's kernel,
+    so GEM evaluates the same function of (a, b, s[, t]) that it climbs."""
+    kernel = mle._KERNELS.get(family)
+    if kernel is None:
+        return np.array([uv.log_pdf(spec, row) for spec, row in zip(specs, x)])
+    p = np.array([[getattr(spec, name) for spec in specs] for name in kernel.names])
+    return kernel.const(p)[:, None] + kernel.terms(x, p)
 
 
 def _log_matrix(model: MixtureModel, rows: np.ndarray) -> np.ndarray:
@@ -284,7 +294,7 @@ def gmm_fit(
     """
     settings = settings or MixtureSettings()
     rows = _rows_of(data)
-    n, dim = rows.shape
+    n = rows.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
     if n <= k:
@@ -294,23 +304,15 @@ def gmm_fit(
     floor = settings.cov_floor * float(np.max(np.var(rows, axis=0)))
     floor = max(floor, 1e-300)
     rng = np.random.default_rng(seed)
-
-    best: tuple[MixtureModel, FitReport] | None = None
-    for _ in range(max(1, settings.n_init)):
-        model, report = _gmm_single(rows, k, rng, settings, covariance_type, floor)
-        if best is None or report.loglik_trace[-1] > best[1].loglik_trace[-1]:
-            best = (model, report)
-    model, report = best
-    k_free = model.free_param_count
-    ll = report.loglik_trace[-1]
-    report.aic = 2.0 * k_free - 2.0 * ll
-    report.bic = k_free * math.log(n) - 2.0 * ll
-    report.free_params = k_free
-    return model, report
+    fits = [_em(_gmm_start(rows, k, rng, covariance_type, floor), rows, settings,
+                _gmm_step(rows, covariance_type, floor))
+            for _ in range(max(1, settings.n_init))]
+    return max(fits, key=lambda fit: fit[1].loglik_trace[-1])
 
 
-def _gmm_single(rows, k, rng, settings, covariance_type, floor):
-    n, dim = rows.shape
+def _gmm_start(rows, k, rng, covariance_type, floor) -> MixtureModel:
+    """Equal weights, k-means++ centres and the pooled (co)variance."""
+    dim = rows.shape[1]
     centers = _kmeanspp_centers(rows, k, rng)
     if dim == 1:
         base_var = max(float(np.var(rows)), floor)
@@ -320,44 +322,69 @@ def _gmm_single(rows, k, rng, settings, covariance_type, floor):
         if covariance_type == "diag":
             base_cov = np.diag(np.diag(base_cov))
         comps = [(c.copy(), base_cov.copy()) for c in centers]
-    model = MixtureModel(kind="gaussian", dim=dim,
-                         weights=np.full(k, 1.0 / k), components=comps,
-                         cov_type=covariance_type if dim > 1 else None)
+    return MixtureModel(kind="gaussian", dim=dim, weights=np.full(k, 1.0 / k),
+                        components=comps, cov_type=covariance_type if dim > 1 else None)
 
-    trace: list[float] = []
+
+def _gmm_step(rows, covariance_type, floor):
+    """The Gaussian M-step of one EM run.  The first time components lose
+    all responsibility, they get an even share of every point; the second
+    time, the run raises ComponentCollapseError."""
     reseeded = False
-    stall = 0
-    cycles = 0
-    for cycles in range(1, settings.max_cycles + 1):
-        es = e_step(model, rows)
-        trace.append(es.loglik)
+
+    def step(model: MixtureModel, resp: np.ndarray) -> MixtureModel:
+        nonlocal reseeded
         try:
-            weights, comps = _gmm_m_step(rows, es.resp, covariance_type, floor)
+            weights, comps = _gmm_m_step(rows, resp, covariance_type, floor)
         except _EmptyComponent as empty:
             if reseeded:
                 raise ComponentCollapseError(
                     f"component {int(empty.indices[0])} collapsed twice; aborting") from None
             reseeded = True
-            es.resp[:, empty.indices] = 1.0 / n
-            es.resp /= es.resp.sum(axis=1, keepdims=True)
-            weights, comps = _gmm_m_step(rows, es.resp, covariance_type, floor)
-        model = MixtureModel(kind="gaussian", dim=dim, weights=weights,
-                             components=comps,
-                             cov_type=covariance_type if dim > 1 else None)
-        if len(trace) >= 2:
-            denom = max(abs(trace[-2]), 1.0)
-            if (trace[-1] - trace[-2]) / denom < settings.rel_tol:
-                stall += 1
-                if stall >= settings.stall_cycles:
-                    break
-            else:
-                stall = 0
-    final = e_step(model, rows)
-    trace.append(final.loglik)
-    report = FitReport(converged=stall >= settings.stall_cycles, iterations=cycles,
-                       loglik_trace=trace, final_params={}, grad_norm=math.nan,
-                       aic=math.nan, bic=math.nan, free_params=0)
-    return model, report
+            resp[:, empty.indices] = 1.0 / rows.shape[0]
+            resp /= resp.sum(axis=1, keepdims=True)
+            weights, comps = _gmm_m_step(rows, resp, covariance_type, floor)
+        return replace(model, weights=weights, components=comps)
+
+    return step
+
+
+# ---------------------------------------------------------------------------
+# The EM cycle loop shared by the GMM and GEM fits
+# ---------------------------------------------------------------------------
+
+def _em(model: MixtureModel, rows: np.ndarray, settings: MixtureSettings, m_step,
+        on_stall=None) -> tuple[MixtureModel, FitReport]:
+    """Cycles of E-step and ``m_step(model, resp)`` from ``model``.
+
+    A cycle stalls when the log-likelihood rises by less than ``rel_tol``
+    relative to the previous cycle's (at least 1 in absolute terms).  After
+    ``stall_cycles`` stalled cycles in a row the fit has converged, unless
+    ``on_stall(model)`` returns a new model: the cycles then go on from it,
+    and the next such stall ends the fit.  A last E-step scores the final
+    model; the report carries every cycle's log-likelihood and that one.
+    """
+    trace: list[float] = []
+    stall = cycles = 0
+    converged = False
+    for cycles in range(1, settings.max_cycles + 1):
+        es = e_step(model, rows)
+        trace.append(es.loglik)
+        model = m_step(model, es.resp)
+        gain = (trace[-1] - trace[-2]) / max(abs(trace[-2]), 1.0) if cycles > 1 else math.inf
+        stall = stall + 1 if gain < settings.rel_tol else 0
+        if stall >= settings.stall_cycles:
+            restart = on_stall(model) if on_stall is not None else None
+            if restart is None:
+                converged = True
+                break
+            model, on_stall, stall = restart, None, 0
+    trace.append(e_step(model, rows).loglik)
+    k_free = model.free_param_count
+    aic, bic = mle._aic_bic(k_free, trace[-1], rows.shape[0])
+    return model, FitReport(converged=converged, iterations=cycles, loglik_trace=trace,
+                            final_params={}, grad_norm=math.nan, aic=aic, bic=bic,
+                            free_params=k_free)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +400,7 @@ def ftm_from_gmm(gmm: MixtureModel) -> MixtureModel:
     for comp in gmm.components:
         if gmm.dim == 1:
             mean, var = comp
-            comps.append(uv.approx_al_from_normal(mean, math.sqrt(var)))
+            comps.append(_surrogate(mean, var))
         else:
             mean, cov = comp
             off = cov - np.diag(np.diag(cov))
@@ -381,11 +408,18 @@ def ftm_from_gmm(gmm: MixtureModel) -> MixtureModel:
                 raise ValueError(
                     "2-d conversion needs axis-aligned (diagonal) covariances; "
                     "fit the GMM with covariance_type='diag'")
-            comps.append(tuple(
-                uv.approx_al_from_normal(float(mean[i]), math.sqrt(float(cov[i, i])))
-                for i in range(gmm.dim)))
+            comps.append(tuple(_surrogate(float(mean[i]), float(cov[i, i]))
+                               for i in range(gmm.dim)))
     return MixtureModel(kind="flat", dim=gmm.dim, weights=gmm.weights.copy(),
                         components=comps, factorized=gmm.dim > 1)
+
+
+def _surrogate(mean: float, var: float) -> uv.UnivariateSpec:
+    """The AL surrogate of N(mean, var).  A Gaussian narrower than a few
+    ulps of its mean (a GMM component on one value of near-constant data)
+    is widened to b - a = 8 ulps, as a == b would not be a density."""
+    sd = max(math.sqrt(var), 4.0 * math.ulp(mean) / uv.AL_OF_NORMAL_R)
+    return uv.approx_al_from_normal(mean, sd)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +447,7 @@ def m_step(model: MixtureModel, data, resp: np.ndarray,
                       axis=1)
     cols = np.ascontiguousarray(rows.T)
     comps = [list(c) if isinstance(c, tuple) else [c] for c in model.components]
-    for family, (names, loglik, _) in mle._KERNELS.items():
+    for family, (names, *_) in mle._KERNELS.items():
         group = [f for f in factors if f[2].family == family and live[f[0]]]
         if not group:
             continue
@@ -422,35 +456,29 @@ def m_step(model: MixtureModel, data, resp: np.ndarray,
         w = np.ascontiguousarray(resp.T[ks])
         n = w.sum(axis=1)
         p = np.array([[getattr(spec, name) for spec in specs] for name in names])
-        p, _, _ = mle._coordinate_pass(family, x, w, n, p, loglik(x, w, n, p),
+        p, _, _ = mle._coordinate_pass(family, x, w, n, p, mle._loglik(family, x, w, n, p),
                                        bounds[:, axes], settings.component_pass)
         for j, (k, axis) in enumerate(zip(ks, axes)):
             comps[k][axis] = uv.make(family, dict(zip(names, p[:, j])))
     comps = [tuple(c) if model.dim > 1 else c[0] for c in comps]
-    return MixtureModel(kind="flat", dim=model.dim, weights=weights,
-                        components=comps, factorized=model.factorized)
+    return replace(model, weights=weights, components=comps)
 
 
-def _upgrade_flat_components(model: MixtureModel, threshold: float) -> MixtureModel:
-    """Swap in the asymmetric family for 1-d components whose surrogate is
-    flat-topped by the closed-form bound."""
-    from .flatness import family_flat_bound
+def _upgrade_flat_components(model: MixtureModel) -> MixtureModel | None:
+    """The model with the asymmetric family swapped in for every 1-d AL
+    component that is flat-topped by the closed-form bound; None if there
+    is none."""
+    from .flatness import FLAT_REGIME_BOUND, family_flat_bound
 
     if model.dim != 1:
-        return model
-    comps = []
-    changed = False
-    for comp in model.components:
-        if comp.family == "AL" and family_flat_bound(comp) < threshold:
-            comps.append(uv.make("BL", {"a": comp.a, "b": comp.b,
-                                        "s": comp.s, "t": comp.s}))
-            changed = True
-        else:
-            comps.append(comp)
-    if not changed:
-        return model
-    return MixtureModel(kind="flat", dim=model.dim, weights=model.weights.copy(),
-                        components=comps, factorized=model.factorized)
+        return None
+    flat = [comp.family == "AL" and family_flat_bound(comp) < FLAT_REGIME_BOUND
+            for comp in model.components]
+    if not any(flat):
+        return None
+    comps = [uv.make("BL", {"a": comp.a, "b": comp.b, "s": comp.s, "t": comp.s}) if up else comp
+             for comp, up in zip(model.components, flat)]
+    return replace(model, weights=model.weights.copy(), components=comps)
 
 
 def ftm_fit(
@@ -468,55 +496,15 @@ def ftm_fit(
     rows = _rows_of(data)
     if init.kind != "flat":
         raise ValueError("ftm_fit expects a flat mixture (see ftm_from_gmm)")
-    model = init
-    trace: list[float] = []
-    upgraded = not settings.bl_upgrade
-    stall = 0
-    cycles = 0
-    converged = False
-    for cycles in range(1, settings.max_cycles + 1):
-        es = e_step(model, rows)
-        trace.append(es.loglik)
-        model = m_step(model, rows, es.resp, settings)
-        if len(trace) >= 2:
-            denom = max(abs(trace[-2]), 1.0)
-            if (trace[-1] - trace[-2]) / denom < settings.rel_tol:
-                stall += 1
-            else:
-                stall = 0
-        if stall >= settings.stall_cycles:
-            if not upgraded:
-                upgraded = True
-                stall = 0
-                new_model = _upgrade_flat_components(model, settings.bl_flat_threshold)
-                if new_model is model:
-                    converged = True
-                    break
-                model = new_model
-                continue
-            converged = True
-            break
-    final = e_step(model, rows)
-    trace.append(final.loglik)
-    ll = trace[-1]
-    n = rows.shape[0]
-    k_free = model.free_param_count
-    report = FitReport(converged=converged, iterations=cycles, loglik_trace=trace,
-                       final_params={}, grad_norm=math.nan,
-                       aic=2.0 * k_free - 2.0 * ll,
-                       bic=k_free * math.log(n) - 2.0 * ll,
-                       free_params=k_free)
-    return model, report
+    return _em(init, rows, settings, lambda model, resp: m_step(model, rows, resp, settings),
+               _upgrade_flat_components if settings.bl_upgrade else None)
 
 
 def score(model: MixtureModel, data) -> tuple[float, float]:
     """(AIC, BIC) = (2k - 2l, k ln N - 2l) at the model's free parameter
     count."""
     rows = _rows_of(data)
-    ll = e_step(model, rows).loglik
-    k_free = model.free_param_count
-    n = rows.shape[0]
-    return 2.0 * k_free - 2.0 * ll, k_free * math.log(n) - 2.0 * ll
+    return mle._aic_bic(model.free_param_count, e_step(model, rows).loglik, rows.shape[0])
 
 
 def sweep(

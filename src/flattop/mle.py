@@ -10,7 +10,11 @@ does not decrease, so every accepted step is an ascent step.
 The AL and BL coordinate pass runs on J independent weighted problems at
 once, backtracking each by mask: ``fit`` is its J = 1 case with unit (or
 dataset) weights, and the mixture M-step runs it on every (component,
-axis) factor with the responsibilities as weights.
+axis) factor with the responsibilities as weights.  Each family's
+log-density is one kernel, a per-problem constant plus per-point terms in
+(a, b, s[, t]); the log-likelihood sums them, and the mixture E-step
+scores points with the same terms.  The pass keeps b - a at least a few
+ulps of the data, so the density stays defined on near-constant samples.
 
 The elliptical cosh-ratio family (CL) runs one such pass over the blocks m,
 Lambda = Sigma^-1, log R (R = r^n) and log t, each stepped by its analytic
@@ -25,16 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import univariate as uv
 from .data_io import Dataset
 from .multivariate import MultivariateSpec, make_mv
-from .quadrature import QuadratureSettings, integrate
-from .specfun import (_expit, coth, csch2, log_cosh, log_sinh, log_sinh_ratio, logistic, sech2,
-                      softplus)
+from .specfun import coth, csch2, log_cosh, log_sinh, log_sinh_ratio, logistic, sech2, softplus
 
 __all__ = [
     "FitSettings",
@@ -55,9 +57,6 @@ __all__ = [
     "normal_mle_loglik",
 ]
 
-_BL_NORM_SETTINGS = QuadratureSettings(abs_tol=1e-14, rel_tol=1e-12, max_subdivisions=4000)
-
-
 @dataclass(frozen=True)
 class FitSettings:
     """Iteration budget and step-control constants."""
@@ -77,7 +76,14 @@ class FitSettings:
 
 @dataclass
 class FitReport:
-    """Optimization trace; the trace never decreases beyond 1e-9 slack."""
+    """Optimization trace of every fit (``fit``, ``mixture.gmm_fit`` and
+    ``mixture.ftm_fit``); the trace never decreases beyond 1e-9 slack.
+
+    ``iterations`` counts coordinate passes or EM cycles, and AIC and BIC
+    come from the last log-likelihood of the trace and ``free_params``.
+    ``grad_norm`` (largest gradient entry per point) is NaN for mixtures,
+    and ``final_params`` is empty for them.
+    """
 
     converged: bool
     iterations: int
@@ -139,12 +145,17 @@ def _wsum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (w[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _al_loglik(x, w, n, p) -> np.ndarray:
+# AL: f = sinh g / ((b - a)(cosh u + cosh g)) with u = (x - m)/s and g = (b - a)/2s,
+# and cosh u + cosh g = 2 cosh z_a cosh z_b for z_a, z_b = (x - a, x - b)/2s.
+def _al_const(p) -> np.ndarray:
     a, b, s = p
-    const = log_sinh((b - a) / (2.0 * s)) - np.log(2.0 * (b - a))
+    return log_sinh((b - a) / (2.0 * s)) - np.log(2.0 * (b - a))
+
+
+def _al_terms(x, p) -> np.ndarray:
+    a, b, s = p
     two_s = 2.0 * s[:, None]
-    return n * const - _wsum(w, log_cosh((x - a[:, None]) / two_s)
-                             + log_cosh((x - b[:, None]) / two_s))
+    return -log_cosh((x - a[:, None]) / two_s) - log_cosh((x - b[:, None]) / two_s)
 
 
 def _al_partial(name, x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
@@ -170,23 +181,14 @@ def _al_partial(name, x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
     return grad, curv
 
 
-def _bl_log_norm(a: float, b: float, s: float, t: float) -> float:
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return _expit((x - a) / s) * _expit((b - x) / t)
-
-    with np.errstate(over="ignore"):  # for _expit
-        val = integrate(integrand, -math.inf, math.inf, _BL_NORM_SETTINGS,
-                        points=(a, 0.5 * (a + b), b)).value
-    return -math.log(val)
+def _bl_const(p) -> np.ndarray:
+    """The exact log-normalizer: one quadrature per problem."""
+    return np.array([-math.log(uv._bl_mass(*q)) for q in p.T])
 
 
-def _bl_loglik(x, w, n, p, log_c=None) -> np.ndarray:
-    """Exact normalizer (one quadrature per problem) unless ``log_c`` is given."""
+def _bl_terms(x, p) -> np.ndarray:
     a, b, s, t = p
-    if log_c is None:
-        log_c = np.array([_bl_log_norm(*q) for q in p.T])
-    terms = -softplus((a[:, None] - x) / s[:, None]) - softplus((x - b[:, None]) / t[:, None])
-    return n * log_c + _wsum(w, terms)
+    return -softplus((a[:, None] - x) / s[:, None]) - softplus((x - b[:, None]) / t[:, None])
 
 
 def _bl_partial(name, x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
@@ -209,11 +211,30 @@ def _bl_partial(name, x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
     return grad, -2.0 * grad / t - _wsum(w, (x - b[:, None]) ** 2 * v) / t ** 4
 
 
-# Coordinate order, log-likelihood kernel and partial kernel per family.
+class _Kernel(NamedTuple):
+    """A family's coordinate order and its log-density ln f(x_i) = const +
+    terms_i, split into the per-problem constant ``const(p)`` (J,) and the
+    per-point ``terms(x, p)`` (J, N), plus the partial kernel."""
+
+    names: tuple[str, ...]
+    const: Callable[[np.ndarray], np.ndarray]
+    terms: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    partial: Callable
+
+
 _KERNELS = {
-    "AL": (("a", "b", "s"), _al_loglik, _al_partial),
-    "BL": (("a", "b", "s", "t"), _bl_loglik, _bl_partial),
+    "AL": _Kernel(("a", "b", "s"), _al_const, _al_terms, _al_partial),
+    "BL": _Kernel(("a", "b", "s", "t"), _bl_const, _bl_terms, _bl_partial),
 }
+
+
+def _loglik(family: str, x, w, n, p, const=None) -> np.ndarray:
+    """The (J,) weighted log-likelihoods n const + sum_i w_i terms_i;
+    ``const`` replaces the family's constant when given."""
+    kernel = _KERNELS[family]
+    if const is None:
+        const = kernel.const(p)
+    return n * const + _wsum(w, kernel.terms(x, p))
 
 
 def _one(data, weights):
@@ -233,7 +254,7 @@ def _params(*values) -> np.ndarray:
 
 def loglik_al(data, a: float, b: float, s: float, weights=None) -> float:
     """Weighted log-likelihood of the logistic-difference density."""
-    return float(_al_loglik(*_one(data, weights), _params(a, b, s))[0])
+    return float(_loglik("AL", *_one(data, weights), _params(a, b, s))[0])
 
 
 def grad_al(data, a: float, b: float, s: float, weights=None) -> tuple[float, float, float]:
@@ -284,22 +305,23 @@ def loglik_bl(data, a: float, b: float, s: float, t: float, weights=None,
         log_c = np.array([-math.log(b - a)])
     else:
         raise ValueError(f"normalizer must be 'exact' or 'flat', got {normalizer!r}")
-    return float(_bl_loglik(*_one(data, weights), _params(a, b, s, t), log_c)[0])
+    return float(_loglik("BL", *_one(data, weights), _params(a, b, s, t), log_c)[0])
 
 
 def grad_bl_flat(data, a: float, b: float, s: float, t: float,
                  weights=None) -> BlGradient:
     """Flat-regime approximate partials of the BL log-likelihood.
 
-    ``flat_regime`` is False when the closed-form flatness bound exceeds
-    0.05, i.e. when these approximations are unreliable.
+    ``flat_regime`` is False when the closed-form flatness bound is not
+    below ``flatness.FLAT_REGIME_BOUND``, i.e. when these approximations are
+    unreliable.
     """
-    from .flatness import bl_flat_bound
+    from .flatness import FLAT_REGIME_BOUND, bl_flat_bound
 
     x, w, n = _one(data, weights)
     p = _params(a, b, s, t)
     grads = (float(_bl_partial(name, x, w, n, p)[0][0]) for name in "abst")
-    return BlGradient(*grads, bool(bl_flat_bound(a, b, s, t) < 0.05))
+    return BlGradient(*grads, bool(bl_flat_bound(a, b, s, t) < FLAT_REGIME_BOUND))
 
 
 # ---------------------------------------------------------------------------
@@ -485,17 +507,19 @@ def _coordinate_pass(family, x, w, n, p, ll, bounds, settings: FitSettings):
     log-likelihood does not decrease.  Returns the new parameters and
     log-likelihoods and the mask of problems that accepted a step.
     """
-    names, loglik, partial = _KERNELS[family]
+    names, _, _, partial = _KERNELS[family]
     lo, hi, s_min, s_max = bounds
     eps = 1e-9 * (hi - lo)
+    # a <= b - gap keeps b - a > 0 only if gap is at least an ulp of the data.
+    gap = np.maximum(eps, 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
     p, ll = p.copy(), ll.copy()
     moved = np.zeros(p.shape[1], dtype=bool)
     for i, name in enumerate(names):
         grad, curv = partial(name, x, w, n, p)
         if name == "a":
-            scale, low, high = p[1] - p[0], lo + eps, p[1] - eps
+            scale, low, high = p[1] - p[0], lo + eps, p[1] - gap
         elif name == "b":
-            scale, low, high = p[1] - p[0], p[0] + eps, hi - eps
+            scale, low, high = p[1] - p[0], p[0] + gap, hi - eps
         else:
             scale, low, high = p[i], s_min, s_max
         step = _step_size(grad, curv, scale, settings.eta0) * grad
@@ -508,7 +532,7 @@ def _coordinate_pass(family, x, w, n, p, ll, bounds, settings: FitSettings):
                 break
             trial = p[:, idx]
             trial[i] = cand[idx]
-            ll_new = loglik(x[idx], w[idx], n[idx], trial)
+            ll_new = _loglik(family, x[idx], w[idx], n[idx], trial)
             up = ll_new >= ll[idx]
             done = idx[up]
             p[i, done] = cand[done]
@@ -538,16 +562,23 @@ def _ascend(one_pass, state, ll: float, settings: FitSettings, k: int, count: in
             break
         if not progressed:
             break
+    aic, bic = _aic_bic(k, ll, count)
     return state, FitReport(converged=converged, iterations=iters, loglik_trace=trace,
-                            final_params={}, grad_norm=grad_norm, aic=2.0 * k - 2.0 * ll,
-                            bic=k * math.log(count) - 2.0 * ll, free_params=k)
+                            final_params={}, grad_norm=grad_norm, aic=aic, bic=bic,
+                            free_params=k)
+
+
+def _aic_bic(k: int, ll: float, count: int) -> tuple[float, float]:
+    """(AIC, BIC) = (2k - 2l, k ln N - 2l) of every fit: k free parameters,
+    final log-likelihood l, N points."""
+    return 2.0 * k - 2.0 * ll, k * math.log(count) - 2.0 * ll
 
 
 def _fit_univariate(x: np.ndarray, init: uv.UnivariateSpec, settings: FitSettings,
                     weights=None) -> tuple[uv.UnivariateSpec, FitReport]:
     """AL or BL fit: coordinate passes on the single problem (J = 1); a pass
     makes progress when it accepts a step."""
-    names, loglik, partial = _KERNELS[init.family]
+    names, _, _, partial = _KERNELS[init.family]
     bounds = _bounds_from_data(x)
     lo, hi, s_min = bounds[:3]
     if not (lo < init.a < init.b < hi):
@@ -567,7 +598,7 @@ def _fit_univariate(x: np.ndarray, init: uv.UnivariateSpec, settings: FitSetting
         return (p, ll), float(ll[0]), grad_norm, bool(moved[0])
 
     p = _params(*(getattr(init, name) for name in names))
-    ll = loglik(x1, w1, n, p)
+    ll = _loglik(init.family, x1, w1, n, p)
     (p, _), report = _ascend(one_pass, (p, ll), float(ll[0]), settings, len(names), x.size)
     spec = uv.make(init.family, dict(zip(names, p[:, 0])))
     report.final_params = spec.params()

@@ -368,16 +368,19 @@ def _pdf_als(spec, x):
     return np.exp(log_ends) * (-spec.c * np.expm1(neg_d))
 
 
-def _normalizer_bl(spec) -> float:
-    a, b, s, t = spec.a, spec.b, spec.s, spec.t
-
+def _bl_mass(a: float, b: float, s: float, t: float) -> float:
+    """Integral of the unnormalized BL density, 1/c; the MLE kernel takes
+    its logarithm."""
     def integrand(x: np.ndarray) -> np.ndarray:
         return specfun._expit((x - a) / s) * specfun._expit((b - x) / t)
 
     with np.errstate(over="ignore"):  # for _expit
-        res = integrate(integrand, -math.inf, math.inf, _NORM_SETTINGS,
-                        points=(a, 0.5 * (a + b), b))
-    return 1.0 / res.value
+        return integrate(integrand, -math.inf, math.inf, _NORM_SETTINGS,
+                         points=(a, 0.5 * (a + b), b)).value
+
+
+def _normalizer_bl(spec) -> float:
+    return 1.0 / _bl_mass(spec.a, spec.b, spec.s, spec.t)
 
 
 def _log_pdf_bl(spec, x):

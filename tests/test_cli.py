@@ -11,7 +11,7 @@ import pytest
 
 import flattop
 from flattop import cli, mixture, multivariate as mv, univariate as uv
-from flattop.data_io import gen_mixed_1d, write_csv
+from flattop.data_io import Dataset, gen_mixed_1d, write_csv
 
 
 def _run(capsys, *argv):
@@ -164,6 +164,21 @@ def test_mixfit_stdout_is_strict_json(capsys, tmp_path, family):
     assert code == 0
     payload = json.loads(out, parse_constant=_reject_constant)
     assert payload["report"]["grad_norm"] is None  # NaN in the report
+
+
+@pytest.mark.parametrize("loc, span, seed, k", [
+    (1.0, 1e-9, 0, 2),  # the GEM trace fell by 3.6e-6 and reported converged
+    (1e8, 1.0, 4, 3),   # b - a rounded to 0: "log_sinh requires z > 0", exit 1
+])
+def test_mixfit_ftm_on_near_constant_data(capsys, tmp_path, loc, span, seed, k):
+    path = tmp_path / "near.csv"
+    x = loc + span * np.random.default_rng(seed).random(60)
+    write_csv(Dataset(x.reshape(-1, 1)), str(path))
+    code, out, err = _run(capsys, "mixfit", "--family", "FTM", "--k", str(k),
+                          "--data", str(path))
+    assert code == 0, err
+    trace = json.loads(out)["report"]["loglik_trace"]
+    assert np.all(np.diff(trace) >= -1e-9)
 
 
 # Run in a fresh interpreter: the test process has scipy loaded already.

@@ -180,6 +180,22 @@ def test_log_beta_domain():
         sf.log_beta(0.0, 1.0)
 
 
+def test_log_sinh_matches_mpmath_from_subnormal_to_large_z():
+    mpmath = pytest.importorskip("mpmath")
+    z = np.concatenate([np.geomspace(1e-310, 1e3, 700), np.linspace(0.05, 2.0, 300)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sf.log_sinh(z)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.log(mpmath.sinh(mpmath.mpf(float(v))))) for v in z])
+    # ln sinh z crosses 0 at asinh(1): there only the absolute error means anything.
+    near_zero = np.abs(z - math.asinh(1.0)) < 0.3
+    ulps = np.abs(got - want) / np.spacing(np.abs(want))
+    assert ulps[~near_zero].max() <= 4
+    assert np.abs(got - want)[near_zero].max() <= np.finfo(float).eps
+    assert sf.log_sinh(1e-12) == pytest.approx(math.log(1e-12), rel=1e-15)
+
+
 def test_logsumexp_matches_scipy_and_handles_empty_slices():
     rng = np.random.default_rng(5)
     a = rng.normal(scale=300.0, size=(50, 7))
