@@ -136,11 +136,8 @@ def gen_segments_2d(scenario: SegmentsScenario) -> Dataset:
     probs = lengths / lengths.sum()
     choice = rng.choice(len(scenario.segments), size=scenario.total, p=probs)
     frac = rng.random(scenario.total)
-    pts = np.empty((scenario.total, 2))
-    for i, (seg_idx, f) in enumerate(zip(choice, frac)):
-        (x1, y1), (x2, y2) = scenario.segments[seg_idx]
-        pts[i, 0] = x1 + f * (x2 - x1)
-        pts[i, 1] = y1 + f * (y2 - y1)
+    seg = np.asarray(scenario.segments, dtype=float)[choice]  # (N, endpoint, coordinate)
+    pts = seg[:, 0] + frac[:, None] * (seg[:, 1] - seg[:, 0])
     pts += rng.normal(0.0, scenario.noise_sigma, size=pts.shape)
     prov = (f"gen_segments_2d:{len(scenario.segments)}segs,N={scenario.total},"
             f"noise={scenario.noise_sigma};seed={scenario.seed}")

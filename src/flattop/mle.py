@@ -265,30 +265,20 @@ def grad_al(data, a: float, b: float, s: float, weights=None) -> tuple[float, fl
 
 
 def hess_al(data, a: float, b: float, s: float, weights=None) -> AlHessian:
-    """All six second partials of the AL log-likelihood."""
-    x = _data_1d(data)
-    w = _weights(x, weights)
-    n = float(w.sum())
+    """All six second partials of the AL log-likelihood; the three
+    curvatures are the batched kernel's."""
+    x, w, n = _one(data, weights)
+    daa, dbb, dss = (float(_al_partial(name, x, w, n, _params(a, b, s))[1][0]) for name in "abs")
+    x, w, n = x[0], w[0], float(n[0])
     g = (b - a) / (2.0 * s)
     cg = float(coth(g))
     c2g = float(csch2(g))
     za = (x - a) / (2.0 * s)
     zb = (x - b) / (2.0 * s)
-    ta = np.tanh(za)
-    tb = np.tanh(zb)
-    s2a = sech2(za)
-    s2b = sech2(zb)
-    inv_ba2 = 1.0 / (b - a) ** 2
-    quarter = 1.0 / (4.0 * s ** 2)
-    daa = n * inv_ba2 - n * quarter * c2g - quarter * float(np.dot(w, s2a))
-    dbb = n * inv_ba2 - n * quarter * c2g - quarter * float(np.dot(w, s2b))
-    dss = (n * (2.0 * g * cg - g * g * c2g)
-           - float(np.dot(w, 2.0 * za * ta + za * za * s2a))
-           - float(np.dot(w, 2.0 * zb * tb + zb * zb * s2b))) / s ** 2
-    dab = -n * inv_ba2 + n * quarter * c2g
+    dab = -n * (1.0 / (b - a) ** 2) + n * (1.0 / (4.0 * s ** 2)) * c2g
     half = 1.0 / (2.0 * s ** 2)
-    das = n * half * (cg - g * c2g) - half * float(np.dot(w, ta + za * s2a))
-    dbs = -n * half * (cg - g * c2g) - half * float(np.dot(w, tb + zb * s2b))
+    das = n * half * (cg - g * c2g) - half * float(np.dot(w, np.tanh(za) + za * sech2(za)))
+    dbs = -n * half * (cg - g * c2g) - half * float(np.dot(w, np.tanh(zb) + zb * sech2(zb)))
     return AlHessian(daa, dbb, dss, dab, das, dbs)
 
 
@@ -438,7 +428,9 @@ def init_al_from_data(data) -> uv.UnivariateSpec:
         raise ValueError("degenerate data: all points equal")
     s = span / x.size
     s = max(s, span / (4.0 * x.size))
-    return uv.make("AL", {"a": float(x.min()) + s, "b": float(x.max()) - s, "s": s})
+    # Two ulps at least, so that min(x) < a < b < max(x) on near-constant data.
+    inset = max(s, float(_ulps(x.min(), x.max(), 2.0)))
+    return uv.make("AL", {"a": float(x.min()) + inset, "b": float(x.max()) - inset, "s": s})
 
 
 def init_al_from_normal_fit(data) -> uv.UnivariateSpec:
@@ -453,7 +445,7 @@ def init_al_from_normal_fit(data) -> uv.UnivariateSpec:
     lo, hi = float(x.min()), float(x.max())
     span = hi - lo
     s_min = span / (4.0 * x.size)
-    eps = 1e-9 * span
+    eps = max(1e-9 * span, float(_ulps(lo, hi, 2.0)))
     a = min(max(raw.a, lo + eps), hi - 2.0 * eps)
     b = max(min(raw.b, hi - eps), a + eps)
     s = min(max(raw.s, s_min), max(sd, s_min * 1.0000001))
@@ -497,6 +489,12 @@ def _bounds_from_data(x: np.ndarray) -> np.ndarray:
     return np.array([lo, hi, span / (4.0 * x.size), max(sd, 2.0 * span / (4.0 * x.size))])
 
 
+def _ulps(lo, hi, k: float):
+    """k ulps of the larger of |lo| and |hi|: the least offset from data in
+    [lo, hi] that survives rounding."""
+    return k * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+
+
 def _coordinate_pass(family, x, w, n, p, ll, bounds, settings: FitSettings):
     """One monotone coordinate pass over J independent problems at once.
 
@@ -511,7 +509,7 @@ def _coordinate_pass(family, x, w, n, p, ll, bounds, settings: FitSettings):
     lo, hi, s_min, s_max = bounds
     eps = 1e-9 * (hi - lo)
     # a <= b - gap keeps b - a > 0 only if gap is at least an ulp of the data.
-    gap = np.maximum(eps, 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+    gap = np.maximum(eps, _ulps(lo, hi, 4.0))
     p, ll = p.copy(), ll.copy()
     moved = np.zeros(p.shape[1], dtype=bool)
     for i, name in enumerate(names):

@@ -110,6 +110,12 @@ def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[f
     return vk, abs(vk - vg), float(np.max(np.abs(y)))
 
 
+def _kronrod(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 15-point Kronrod rule over every [a_i, b_i], in one integrand call."""
+    y = np.asarray(f((0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _XK), dtype=float)
+    return 0.5 * (b - a) * (y * _WK).sum(axis=1)
+
+
 def _find_cutoff(
     f: Callable[[np.ndarray], np.ndarray],
     anchor: float,
@@ -198,13 +204,20 @@ def integrate(
     if a > b:
         res = integrate(f, b, a, settings, points=points, _map_tails=_map_tails)
         return QuadratureResult(-res.value, res.error, res.subdivisions)
+    return _integrate(f, a, b, settings, points, _map_tails)[0]
 
+
+def _integrate(f, a: float, b: float, settings: QuadratureSettings, points, map_tails: bool):
+    """The adaptive engine of ``integrate`` for a < b.
+
+    Also returns the masses below the first panel and above the last (the
+    folded-in tails) and the final panels as ascending (left, right, value)
+    triples, so a caller can cumulate them into a table of the integral.
+    """
     hints = sorted(p for p in points if a < p < b and math.isfinite(p))
 
     lo, hi = a, b
-    tail_value = 0.0
-    tail_error = 0.0
-    tail_count = 0
+    left = right = QuadratureResult(0.0, 0.0, 0)
     if lo == -math.inf or hi == math.inf:
         # Coarse peak estimate from interior structure, for the tail cutoff.
         probe_centers = hints or [0.0 if lo == -math.inf and hi == math.inf
@@ -219,21 +232,17 @@ def integrate(
         if lo == -math.inf:
             anchor = min(probe_centers)
             lo, peak = _find_cutoff(f, anchor, -1.0, peak, settings)
-            if _map_tails:
+            if map_tails:
                 left = _mapped_tail(f, lo, -1.0, settings)
-                tail_value += left.value
-                tail_error += left.error
-                tail_count += left.subdivisions
         if hi == math.inf:
             anchor = max(probe_centers)
             hi, peak = _find_cutoff(f, anchor, 1.0, peak, settings)
-            if _map_tails:
+            if map_tails:
                 right = _mapped_tail(f, hi, 1.0, settings)
-                tail_value += right.value
-                tail_error += right.error
-                tail_count += right.subdivisions
+    tail_value, tail_error = left.value + right.value, left.error + right.error
+    tail_count = left.subdivisions + right.subdivisions
     if lo >= hi:
-        return QuadratureResult(tail_value, tail_error, tail_count)
+        return QuadratureResult(tail_value, tail_error, tail_count), left.value, right.value, []
 
     edges = [lo] + [h for h in hints if lo < h < hi] + [hi]
     heap: list[tuple[float, int, float, float, float]] = []
@@ -272,4 +281,5 @@ def integrate(
         heapq.heappush(heap, (-e2, count, mid, pb, v2))
         count += 1
 
-    return QuadratureResult(total, err, count)
+    panels = sorted((pa, pb, v) for _, _, pa, pb, v in heap)
+    return QuadratureResult(total, err, count), left.value, right.value, panels

@@ -245,6 +245,20 @@ def _check_order(j: float) -> float:
     return j
 
 
+def _fd_substituted(j: float, x: float):
+    """The F_j integrand t^j / (1 + e^(t - x)) under t = u^m, and m.
+
+    m = max(1, ceil(1/(j+1))) makes m(j+1) >= 1, so the substituted
+    integrand m u^(m(j+1)-1) / (1 + e^(u^m - x)) is bounded at u = 0.
+    """
+    mf = float(max(1, math.ceil(1.0 / (j + 1.0))))
+
+    def integrand(u: np.ndarray) -> np.ndarray:
+        return mf * u ** (mf * (j + 1.0) - 1.0) * _expit(x - u ** mf)
+
+    return integrand, mf
+
+
 def fermi_dirac_complete(j: float, x: float) -> float:
     """Complete Fermi-Dirac integral F_j(x), strictly increasing in x.
 
@@ -262,15 +276,7 @@ def fermi_dirac_complete(j: float, x: float) -> float:
         return -_li_neg_series(j + 1.0, x)
     if float(j).is_integer():
         return -polylog_neg(int(j) + 1, x)
-    # Fractional order, x > 0: substitute t = u^m to clear the t^j
-    # singularity at the origin (m(j+1) >= 1 makes the integrand bounded).
-    m = max(1, math.ceil(1.0 / (j + 1.0)))
-    mf = float(m)
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        um = u ** mf
-        return mf * u ** (mf * (j + 1.0) - 1.0) * _expit(x - um)
-
+    integrand, mf = _fd_substituted(j, x)
     # The Fermi step sits at t = x; over t in [x - 40, x + 40] the factor
     # e^(x - t) moves by e^40, so panels bracket the whole step in u = t^(1/m).
     step = (max(x - 40.0, 0.0), x, x + 40.0)
@@ -297,12 +303,7 @@ def fermi_dirac_incomplete(j: float, x: float, u: float) -> float:
     if u == 0.0:
         return fermi_dirac_complete(j, x)
     if j < 0.0 and u <= 1.0:
-        m = max(1, math.ceil(1.0 / (j + 1.0)))
-        mf = float(m)
-
-        def head(w: np.ndarray) -> np.ndarray:
-            return mf * w ** (mf * (j + 1.0) - 1.0) * _expit(x - w ** mf)
-
+        head, mf = _fd_substituted(j, x)
         with np.errstate(over="ignore"):  # for _expit
             head_val = integrate(head, 0.0, u ** (1.0 / mf), _FD_SETTINGS).value
         return fermi_dirac_complete(j, x) - head_val / math.gamma(j + 1.0)

@@ -26,11 +26,19 @@ closed-form hooks for the pdf, cdf, quantile, central moments and kurtosis.
 Each public function looks the record up once.  Where a hook is missing, or
 declines the spec's parameters (CF and CH have a closed cdf and quantile
 only at beta = 1), the one numeric default runs: the pdf is exp(log_pdf);
-the mode of an asymmetric family is a bounded maximization; the cdf is the
-density integrated from the nearest point already evaluated, starting from
-the mass below the mode (``_anchored_cdf``), and the quantile a Brent solve
-on that same integral; central moments are integrated and the kurtosis is
-their ratio.  CF, CH and CE share one Fermi-Dirac mass (``_fd_mass``).
+the mode of an asymmetric family is a bounded maximization; central moments
+are integrated and the kurtosis is their ratio.  The numeric cdf and
+quantile share one table per spec (``_table``, cached): the panels that
+adaptive quadrature settles on for the density over the real line, started
+at the mode, at a and b and at the family's ``breaks`` (the steep CF and CH
+edges), with the cdf at every panel edge.  A point's cdf is the value at its
+panel's left edge plus one 15-point Kronrod rule up to the point, so it
+depends on that point alone; a point beyond the table integrates its own
+tail.  A quantile starts in the panel whose cdf values bracket v and takes
+safeguarded Newton steps on the family's own cdf, which for AN and DE is
+their closed form (the PINV table of Derflinger, Hoermann and Leydold, ACM
+TOMACS 20(4), 2010, with Newton steps in place of its interpolating
+polynomial).  CF, CH and CE share one Fermi-Dirac mass (``_fd_mass``).
 
 Construction validates parameters and caches the normalizing constant; all
 evaluation functions are pure, vectorized over ``x``, and exp-shifted where
@@ -39,16 +47,15 @@ tails would overflow.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Mapping
 
 import numpy as np
 
 from . import specfun
-from .quadrature import QuadratureSettings, integrate
+from .quadrature import QuadratureError, QuadratureSettings, _integrate, _kronrod, integrate
 
 __all__ = [
     "FAMILIES",
@@ -89,6 +96,10 @@ AL_OF_NORMAL_S = AL_OF_NORMAL_R / math.pi + 0.166
 AN_TO_AL_SCALE = 0.5877
 
 _NORM_SETTINGS = QuadratureSettings(abs_tol=1e-14, rel_tol=1e-12, max_subdivisions=4000)
+# Tail masses far below 1 keep their relative accuracy, so the cdf beyond a
+# table's cut stays monotone.
+_CDF_SETTINGS = replace(_NORM_SETTINGS, abs_tol=1e-300)
+_NEWTON_STEPS = 50  # per numeric quantile
 
 
 @dataclass(frozen=True)
@@ -135,7 +146,8 @@ class _Family:
     ``center``; a bounded one is supported on [a, b].  A hook returns None
     where its closed form does not cover the spec's parameters; a moment
     hook returns inf for a divergent moment.  ``check`` sees the parameters
-    after ``make`` has derived m and r.
+    after ``make`` has derived m and r.  ``breaks`` gives the numeric cdf
+    table break points beyond the mode, a and b.
     """
 
     fields: tuple[str, ...]
@@ -151,6 +163,7 @@ class _Family:
     kurtosis: Callable | None = None
     mode: Callable | None = None
     bounded: bool = False
+    breaks: Callable | None = None
 
 
 def _require(cond: bool, message: str) -> None:
@@ -495,6 +508,15 @@ def _fd_moment(spec, k: int, beta: float, two_sided: bool) -> float:
     return spec.s ** k * num / den
 
 
+def _fd_edges(spec) -> list[float]:
+    """Break points 0, 1, 3, 10 and 30 edge widths w = s min(1, (s/r)^(beta-1))
+    / beta to both sides of each edge m -+ r of CF and CH: a panel much
+    wider than w can miss the whole step with all fifteen of its nodes."""
+    w = spec.s * math.exp(min(0.0, (spec.beta - 1.0) * math.log(spec.s / spec.r))) / spec.beta
+    return [spec.m + side * spec.r + j * w
+            for side in (-1.0, 1.0) for j in (0, -1, 1, -3, 3, -10, 10, -30, 30)]
+
+
 def _log_pdf_cf(spec, x):
     with np.errstate(over="ignore"):
         w = (np.abs(x - spec.m) ** spec.beta - spec.r ** spec.beta) / spec.s ** spec.beta
@@ -596,7 +618,7 @@ _FAMILY: dict[str, _Family] = {
         check=lambda v: _check_fd_height("CF", v["r"], v["s"], v["beta"]),
         cdf=lambda spec, x: _cdf_cf1(spec, x) if spec.beta == 1.0 else None,
         quantile=lambda spec, v: _quantile_cf1(spec, v) if spec.beta == 1.0 else None,
-        central_moment=lambda spec, k: _fd_moment(spec, k, spec.beta, False)),
+        central_moment=lambda spec, k: _fd_moment(spec, k, spec.beta, False), breaks=_fd_edges),
     "CE": _Family(
         ("a", "b", "s"), lambda spec: _fd_normalizer(spec, 2.0, False), _log_pdf_ce,
         check=lambda v: _check_fd_height("CE", v["r"], v["s"], 2.0),
@@ -608,7 +630,7 @@ _FAMILY: dict[str, _Family] = {
         cdf=lambda spec, x: _cdf_al(spec, x) if spec.beta == 1.0 else None,
         quantile=lambda spec, v: (_quantile_al_like(v, spec.m, spec.r, spec.s)
                                   if spec.beta == 1.0 else None),
-        central_moment=lambda spec, k: _fd_moment(spec, k, spec.beta, True)),
+        central_moment=lambda spec, k: _fd_moment(spec, k, spec.beta, True), breaks=_fd_edges),
     "DE": _Family(
         ("m", "s"), lambda spec: 1.0 / (2.0 * math.sqrt(math.pi) * spec.s), _log_pdf_de,
         cdf=_cdf_de, central_moment=lambda spec, k: math.inf),
@@ -668,107 +690,111 @@ def support(spec: UnivariateSpec) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def cdf(spec: UnivariateSpec, x):
-    """Distribution function; closed form where available, otherwise the
-    density integrated outward from the mode."""
+    """Distribution function; closed form where available, otherwise from
+    the spec's panel table (``_table``)."""
     arr, scalar = _as_float_array(x)
+    return _restore(np.clip(_own_cdf(spec, arr), 0.0, 1.0), scalar)
+
+
+def _own_cdf(spec, x):
+    """The family's cdf, unclipped: its closed form, else the table's."""
     rec = _FAMILY[spec.family]
-    out = None if rec.cdf is None else rec.cdf(spec, arr)
-    if out is None:
-        out = _cdf_numeric(spec, arr)
-    return _restore(np.clip(out, 0.0, 1.0), scalar)
+    out = None if rec.cdf is None else rec.cdf(spec, x)
+    return _cdf_numeric(spec, x) if out is None else out
 
 
 @lru_cache(maxsize=512)
-def _cdf_at_mode(spec: UnivariateSpec) -> tuple[float, float]:
-    xm = mode(spec)
-    res = integrate(lambda x: pdf(spec, x), -math.inf, xm, _NORM_SETTINGS,
-                    points=(spec.a, xm - _scale(spec)) if spec.a is not None else (xm - _scale(spec),))
-    return xm, res.value
+def _table(spec: UnivariateSpec) -> tuple[np.ndarray, np.ndarray, float]:
+    """The adaptive panels of the density's integral over the real line:
+    their edges, the cdf at every edge, and the cdf's limit at +inf, which
+    adds the mass beyond the last edge.
 
-
-def _anchored_cdf(spec):
-    """CDF evaluator that integrates the density from the nearest point
-    already evaluated, starting from the mass below the mode.  Each value
-    is clamped to [0, 1] and kept as an anchor for later points."""
-    xm, p_m = _cdf_at_mode(spec)
-    xs = [xm]
-    ps = [p_m]
-
-    def evaluate(x: float) -> float:
-        i = bisect.bisect_left(xs, x)
-        if i < len(xs) and xs[i] == x:
-            return ps[i]
-        neighbors = [j for j in (i - 1, i) if 0 <= j < len(xs)]
-        j = min(neighbors, key=lambda k: abs(xs[k] - x))
-        val = ps[j] + integrate(lambda y: pdf(spec, y), xs[j], x, _NORM_SETTINGS).value
-        val = min(max(val, 0.0), 1.0)
-        xs.insert(i, x)
-        ps.insert(i, val)
-        return val
-
-    return evaluate
+    The panels start from the mode, from a and b, and from the family's own
+    break points.  The build raises QuadratureError when the mass misses 1
+    by more than 1e-10, as it does when every node of a panel misses a step
+    of the density.
+    """
+    breaks = _FAMILY[spec.family].breaks
+    points = {mode(spec), spec.a, spec.b, *(() if breaks is None else breaks(spec))} - {None}
+    res, below, above, panels = _integrate(partial(pdf, spec), -math.inf, math.inf,
+                                           _CDF_SETTINGS, sorted(points), True)
+    if not abs(res.value - 1.0) <= 1e-10:
+        raise QuadratureError(f"{spec.family}: density integrates to {res.value!r}, not 1")
+    lefts, rights, values = (np.array(col) for col in zip(*panels))
+    cum = below + np.append(0.0, np.cumsum(values))
+    return np.append(lefts, rights[-1]), cum, cum[-1] + above
 
 
 def _cdf_numeric(spec, x):
-    """The anchored integral at every point: those above the mode in
-    ascending order, then those below it in descending order, so each
-    integrates from its neighbour."""
-    evaluate = _anchored_cdf(spec)
-    xm = mode(spec)
+    """The table's cdf at the left edge of each point's panel plus one
+    Kronrod rule from that edge to the point; a point beyond the table
+    integrates its own tail, unless its density has underflowed to 0: the
+    tails of every family with a numeric cdf fall monotonically, so no mass
+    lies beyond it.  Each value depends on its point alone."""
+    edges, cum, top = _table(spec)
+    f = partial(pdf, spec)
     flat = np.atleast_1d(x).ravel()
-    order = np.argsort(flat)
-    out = np.full(flat.shape, math.nan)
-    for i in [*order[flat[order] >= xm], *order[flat[order] < xm][::-1]]:
-        out[i] = evaluate(float(flat[i]))
+    out = np.where(flat < edges[0], 0.0, np.where(flat > edges[-1], top, flat))  # nan stays nan
+    inner = (flat >= edges[0]) & (flat <= edges[-1])
+    i = np.clip(np.searchsorted(edges, flat[inner], side="right") - 1, 0, edges.size - 2)
+    out[inner] = cum[i] + _kronrod(f, edges[i], flat[inner])
+    beyond = np.flatnonzero((flat < edges[0]) | (flat > edges[-1]))
+    tails = beyond[f(flat[beyond]) != 0.0]
+    for j, xj in zip(tails, flat[tails].tolist()):
+        out[j] = (integrate(f, -math.inf, xj, _CDF_SETTINGS).value if xj < edges[0]
+                  else top - integrate(f, xj, math.inf, _CDF_SETTINGS).value)
     return out.reshape(np.shape(x))
 
 
 def quantile(spec: UnivariateSpec, v):
     """Inverse CDF for v in (0, 1); closed form where the family has one,
-    otherwise a bracketed root solve on the anchored cdf integral."""
+    otherwise Newton steps on its cdf from the spec's panel table."""
     arr, scalar = _as_float_array(v)
     if np.any((arr <= 0.0) | (arr >= 1.0)):
         raise ValueError("quantile requires 0 < v < 1")
     rec = _FAMILY[spec.family]
     out = None if rec.quantile is None else rec.quantile(spec, arr)
-    if out is None:
-        out = _quantile_numeric(spec, arr)
-    return _restore(out, scalar)
-
-
-def _bracket(g, x: float, step: float, sign: float) -> float:
-    """Move ``x`` by ``sign * step``, doubling the step, until sign * g(x) >= 0.
-    Every family without a closed quantile has unbounded support."""
-    for _ in range(200):
-        if sign * g(x) >= 0.0:
-            return x
-        x += sign * step
-        step *= 2.0
-    raise ConvergenceError("quantile bracketing failed")
+    return _restore(_quantile_numeric(spec, arr) if out is None else out, scalar)
 
 
 def _quantile_numeric(spec, v):
+    """Safeguarded Newton steps on the family's own cdf F, each v started
+    inside the panel whose edges bracket it; a step that leaves the bracket
+    is replaced by bisection.  Below the median the steps are on ln F, above
+    it on ln(F(inf) - F), so that exponential tails take few steps; a v
+    within an ulp of the table's mass F(inf) or above it (F(inf) misses 1 by
+    up to 1e-10) goes where F(inf) - F is half an ulp of 1.  The steps stop
+    once |F - v| <= 1e-12 min(v, 1 - v) + 8.9e-16, four ulps of 1: above the
+    rounding of the table sums and of a closed-form cdf (AN, DE).
+    """
+    edges, cum, top = _table(spec)
+    closed = _FAMILY[spec.family].cdf
+    if closed is not None and closed(spec, edges) is not None:  # AN, DE: its limit is 1
+        cum, top = closed(spec, edges), 1.0
     flat = np.atleast_1d(v).ravel()
-    order = np.argsort(flat)
-    out = np.empty_like(flat)
-    scale = max(_scale(spec), 1e-12)
-    cdf_local = _anchored_cdf(spec)
-    prev_x = None
-    for i in order:
-        target = flat[i]
-
-        def g(x: float) -> float:
-            return cdf_local(float(x)) - target
-
-        lo = _bracket(g, mode(spec) - scale if prev_x is None else prev_x, scale, -1.0)
-        hi = _bracket(g, mode(spec) + scale, scale, 1.0)
-        try:
-            root = specfun.brentq(g, lo, hi, xtol=1e-13 * scale + 1e-300, maxiter=200)
-        except (ValueError, RuntimeError) as exc:
-            raise ConvergenceError(f"quantile root solve failed: {exc}") from exc
-        out[i] = root
-        prev_x = root
-    return out.reshape(np.shape(v))
+    tau = np.where(flat >= 0.5, np.maximum(top - flat, 2.0 ** -53), flat)
+    k = np.searchsorted(cum, flat, side="right")  # v lies between edges k-1 and k
+    ext = np.concatenate(([-math.inf], edges, [math.inf]))
+    lo, hi, x = ext[k], ext[k + 1], np.interp(flat, cum, edges)
+    todo = np.arange(flat.size)
+    for _ in range(_NEWTON_STEPS):
+        xt, ut, tt = x[todo], flat[todo] >= 0.5, tau[todo]
+        p = _own_cdf(spec, xt)
+        t = np.where(ut, top - p, p)
+        below = (t < tt) != ut  # x lies below the root
+        lo[todo], hi[todo] = np.where(below, xt, lo[todo]), np.where(below, hi[todo], xt)
+        with np.errstate(all="ignore"):  # t = 0 or a pdf that underflows: bisect instead
+            newton = xt - np.where(ut, -1.0, 1.0) * np.log(t / tt) * t / pdf(spec, xt)
+        err = np.abs(t - tt)
+        done = err <= 1e-12 * tt + 8.9e-16
+        # Newton inside the bracket, else bisection; no last step from within
+        # the rounding floor short of 1e-12 tau, where it would only add noise.
+        step = (newton > lo[todo]) & (newton < hi[todo]) & ((err > 8.9e-16) | (err <= 1e-12 * tt))
+        x[todo] = np.where(step, newton, np.where(done, xt, 0.5 * (lo[todo] + hi[todo])))
+        todo = todo[~done]
+        if todo.size == 0:
+            return x.reshape(np.shape(v))
+    raise ConvergenceError(f"quantile: Newton steps did not converge at {todo.size} of {flat.size}")
 
 
 # ---------------------------------------------------------------------------

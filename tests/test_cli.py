@@ -181,6 +181,19 @@ def test_mixfit_ftm_on_near_constant_data(capsys, tmp_path, loc, span, seed, k):
     assert np.all(np.diff(trace) >= -1e-9)
 
 
+@pytest.mark.parametrize("family", ["AL", "BL"])
+def test_fit_from_data_init_on_near_constant_data(capsys, tmp_path, family):
+    """Data 8 ulps wide: the data-based start put a = min(x) + span/N,
+    which rounded back to min(x), and the fit refused it."""
+    path = tmp_path / "near.csv"
+    x = 1e6 + 1e-9 * np.random.default_rng(4).random(60)
+    write_csv(Dataset(x.reshape(-1, 1)), str(path))
+    code, out, err = _run(capsys, "fit", "--family", family, "--data", str(path))
+    assert code == 0, err
+    params = json.loads(out)["params"]
+    assert x.min() <= params["a"] < params["b"] <= x.max()
+
+
 # Run in a fresh interpreter: the test process has scipy loaded already.
 _SCIPY_FREE_SCRIPT = """
 import contextlib, io, json, sys

@@ -47,6 +47,22 @@ def test_default_scenario_shape():
     assert ds.dim == 2
 
 
+@pytest.mark.parametrize("seed", [0, 20260808])
+def test_segment_points_match_a_per_point_loop(seed):
+    """The broadcast interpolation gives the rows of the per-point loop."""
+    scen = data_io.default_segments_scenario(seed)
+    rng = np.random.default_rng(scen.seed)
+    lengths = scen.lengths()
+    choice = rng.choice(len(scen.segments), size=scen.total, p=lengths / lengths.sum())
+    frac = rng.random(scen.total)
+    pts = np.empty((scen.total, 2))
+    for i, (seg_idx, f) in enumerate(zip(choice, frac)):
+        (x1, y1), (x2, y2) = scen.segments[seg_idx]
+        pts[i] = x1 + f * (x2 - x1), y1 + f * (y2 - y1)
+    pts += rng.normal(0.0, scen.noise_sigma, size=pts.shape)
+    assert np.array_equal(data_io.gen_segments_2d(scen).rows, pts)
+
+
 def test_zero_noise_limit_points_on_segments():
     scen = data_io.SegmentsScenario(
         segments=(((0.0, 0.0), (4.0, 0.0)), ((0.0, 0.0), (0.0, 2.0))),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -382,6 +383,82 @@ def test_al_quantile_closed_form_cross_check():
     assert uv.cdf(al, got) == pytest.approx(v, abs=1e-12)
 
 
+NUMERIC_CDF_FAMILIES = ("ALS", "BL", "BD", "CE", "CF", "CH")
+
+
+@pytest.mark.parametrize("family", NUMERIC_CDF_FAMILIES)
+def test_numeric_cdf_is_path_independent(family):
+    """A point's cdf does not depend on the other points of the call."""
+    specs = [uv.make(family, p) for p in CONFIG_GRID[family]]
+    for spec in specs:
+        if spec.beta == 1.0:
+            continue  # CF and CH have a closed cdf there
+        center, scale = uv.mode(spec), uv._scale(spec)
+        xs = center + scale * np.array([-40.0, -3.0, -0.7, 0.0, 0.4, 1.1, 5.0, 40.0])
+        for x in xs:
+            alone = uv.cdf(spec, [x])[0]
+            for y in (center - 2.0 * scale, center + 2.0 * scale):
+                assert uv.cdf(spec, [x, y])[0] == alone, (spec, x, y)
+
+
+def test_numeric_cdf_is_monotone_beyond_the_table():
+    """Points past the table's cut integrate their own tail; those tails
+    keep their relative accuracy, so the cdf does not step down there (it
+    did by 1e-206 at x = -5.66 while the tail kept only 1e-14 absolute)."""
+    m, r, s = 0.7124151581137994, 2.3848871018073625, 0.7404595465634969
+    spec = uv.make("CF", {"m": m, "r": r, "s": s, "beta": 2.877051412951296})
+    c = uv.cdf(spec, np.linspace(m - r - 6.0 * s, m + r + 6.0 * s, 1000))
+    assert c[0] > 0.0
+    assert np.all(np.diff(c) >= 0.0)
+
+
+def test_bd_round_trip_on_300_seeded_sets():
+    # The kinks of the BD density at a and b are table break points.
+    spec = uv.make("BD", {"a": 0.0, "b": 5.0, "s": 0.6, "t": 0.9})
+    worst = 0.0
+    for seed in range(300):
+        u = np.random.default_rng(seed).random(10)
+        worst = max(worst, float(np.max(np.abs(uv.cdf(spec, uv.quantile(spec, u)) - u))))
+    assert worst < 1e-12
+
+
+def test_ch_cdf_across_a_steep_edge_matches_mpmath():
+    """CH at r/s = 9.6, beta = 3.4: the density falls from its top to 0
+    within a few 1e-4 of x = -2.4, which the table must not step over."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    r, s, beta = mp.mpf("2.4"), mp.mpf("0.25"), mp.mpf("3.4")
+    h = (r / s) ** beta
+    w = s * (s / r) ** (beta - 1) / beta
+    edge = [-r + j * w for j in (-30, -10, -3, -1, 0, 1, 3, 10, 30)]
+
+    def density(x):
+        return mp.sinh(h) / (mp.cosh((abs(x) / s) ** beta) + mp.cosh(h))
+
+    mass = 2 * mp.quad(density, [-mp.inf, *edge, 0])
+    spec = uv.make("CH", {"m": 0.0, "r": 2.4, "s": 0.25, "beta": 3.4})
+    for x in ("-2.4005", "-2.4", "-2.3", "-1.0"):
+        x = mp.mpf(x)
+        ref = mp.quad(density, [-mp.inf, *[p for p in edge if p < x], x]) / mass
+        assert abs(uv.cdf(spec, float(x)) - float(ref)) < 1e-12, x
+
+
+def test_a_table_that_misses_a_step_raises(monkeypatch):
+    """Break points on the steep CH edges m -+ r alone, without the ones
+    a few edge widths to each side: the panels next to the edges see none
+    of the step, the table misses 7e-8 of mass, and the build says so
+    instead of returning a wrong cdf."""
+    spec = uv.make("CH", {"m": 0.0, "r": 2.4, "s": 0.25, "beta": 3.4})
+    edges_only = dataclasses.replace(uv._FAMILY["CH"], breaks=lambda sp: [sp.m - sp.r, sp.m + sp.r])
+    monkeypatch.setitem(uv._FAMILY, "CH", edges_only)
+    uv._table.cache_clear()
+    try:
+        with pytest.raises(uv.QuadratureError, match="CH: density integrates to"):
+            uv.cdf(spec, 0.5)
+    finally:
+        uv._table.cache_clear()
+
+
 def test_quantile_roundtrip_all_families():
     vs = np.linspace(0.01, 0.99, 99)
     for family in sorted(CONFIG_GRID):
@@ -393,23 +470,20 @@ def test_quantile_roundtrip_all_families():
         assert err < tol, (family, err)
 
 
-def test_mode_and_numeric_quantiles_match_scipy_bit_for_bit(monkeypatch):
-    """specfun's Brent ports reproduce scipy's iterates: the same modes and
-    numeric quantiles on every BL, BD, ALS, CF, CH and CE config."""
+def test_modes_match_scipy_bit_for_bit(monkeypatch):
+    """specfun's bounded Brent minimiser reproduces scipy's iterates: the
+    same modes on every BL, BD, ALS, CF, CH and CE config."""
     from scipy import optimize
 
-    vs = np.linspace(0.01, 0.99, 40)
     specs = [uv.make(f, p) for f in ("BL", "BD", "ALS", "CF", "CH", "CE") for p in CONFIG_GRID[f]]
-    ours = [(uv._mode_cached.__wrapped__(spec), uv.quantile(spec, vs)) for spec in specs]
-    monkeypatch.setattr(uv.specfun, "brentq", optimize.brentq)
+    ours = [uv._mode_cached.__wrapped__(spec) for spec in specs]
     monkeypatch.setattr(uv.specfun, "fminbound", lambda f, lo, hi: optimize.minimize_scalar(
         f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10}).x)
     numeric_modes = 0
-    for spec, (mode, q) in zip(specs, ours):
+    for spec, mode in zip(specs, ours):
         rec = uv._FAMILY[spec.family]
         numeric_modes += not rec.symmetric and (rec.mode is None or rec.mode(spec) is None)
         assert mode == uv._mode_cached.__wrapped__(spec), spec
-        assert np.array_equal(q, uv.quantile(spec, vs)), spec
     assert numeric_modes == 40  # BL, BD and ALS at lam != 0
 
 
@@ -418,13 +492,10 @@ def test_solver_failures_raise_convergence_error(monkeypatch):
     monkeypatch.setattr(uv.specfun, "_FMIN_MAXFUN", 3)
     with pytest.raises(uv.ConvergenceError, match="mode search failed"):
         uv._mode_cached.__wrapped__(spec)
-    solver = uv.specfun.brentq
-    monkeypatch.setattr(uv.specfun, "brentq", lambda f, lo, hi, xtol, maxiter: solver(f, lo, hi, xtol, 2))
-    with pytest.raises(uv.ConvergenceError, match="Failed to converge"):
-        uv.quantile(spec, 0.3)
-    monkeypatch.setattr(uv.specfun, "brentq", lambda f, lo, hi, xtol, maxiter: solver(f, hi, hi + 1.0, xtol, maxiter))
-    with pytest.raises(uv.ConvergenceError, match="different signs"):
-        uv.quantile(spec, 0.3)
+    monkeypatch.undo()
+    monkeypatch.setattr(uv, "_NEWTON_STEPS", 1)
+    with pytest.raises(uv.ConvergenceError, match="Newton steps did not converge at 2 of 2"):
+        uv.quantile(spec, [0.3, 0.6])
 
 
 def test_quantile_domain_check():
