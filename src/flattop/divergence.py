@@ -2,8 +2,13 @@
 
 Closed forms cover the two benchmark pairs: a uniform interval against its
 best-fit normal, and the uniform n-ball against its best-fit spherical
-normal.  Generic numeric routes use adaptive quadrature in one dimension
-and Monte Carlo with a reported standard error beyond.
+normal.  The numeric routes take one path per dimension.  Two univariate
+specs are integrated by adaptive quadrature started from the union of the
+edges of both specs' panel tables (``univariate._table``), so every mode,
+a, b and steep CF/CH edge of either density, and the cut of each one's
+tails, is a panel edge.  Two n-d densities of one dimension are compared by
+Monte Carlo: antithetic pairs, each draw reflected through the centre of
+the density it was drawn from, reduced to a mean and its standard error.
 """
 
 from __future__ import annotations
@@ -63,115 +68,101 @@ class GaussianND:
         return self.mean.size
 
 
-def _mv_dim(obj) -> int:
-    return obj.n
-
-
 def _mv_center(obj) -> np.ndarray:
     return obj.mean if isinstance(obj, GaussianND) else obj.m
 
 
 def _mv_logpdf(obj, pts: np.ndarray) -> np.ndarray:
     if isinstance(obj, GaussianND):
-        d = pts - obj.mean
-        z = np.linalg.solve(obj._chol, d.T)
-        n = obj.n
-        return -0.5 * (n * math.log(2.0 * math.pi) + obj._log_det
-                       + np.sum(z * z, axis=0))
+        z = np.linalg.solve(obj._chol, (pts - obj.mean).T)
+        return -0.5 * (obj.n * math.log(2.0 * math.pi) + obj._log_det + np.sum(z * z, axis=0))
     return np.atleast_1d(mv_log_pdf(obj, pts))
-
-
-def _mv_pdf_vals(obj, pts: np.ndarray) -> np.ndarray:
-    with np.errstate(under="ignore"):
-        return np.exp(_mv_logpdf(obj, pts))
 
 
 def _mv_draw(obj, count: int, seed: int) -> np.ndarray:
     if isinstance(obj, GaussianND):
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((count, obj.n))
+        z = np.random.default_rng(seed).standard_normal((count, obj.n))
         return obj.mean + z @ obj._chol.T
     return mv_sample(obj, count, seed).rows
 
 
-def _is_mv(obj) -> bool:
-    return isinstance(obj, (MultivariateSpec, GaussianND))
+def _univariate_pair(p, q) -> bool:
+    """True for two univariate specs (quadrature), False for two n-d
+    densities of one dimension (Monte Carlo); any other pair is rejected."""
+    if isinstance(p, uv.UnivariateSpec) and isinstance(q, uv.UnivariateSpec):
+        return True
+    n_d = (MultivariateSpec, GaussianND)
+    if not (isinstance(p, n_d) and isinstance(q, n_d)):
+        raise TypeError("p and q must both be univariate or both multivariate specs")
+    if p.n != q.n:
+        raise ValueError(f"dimension mismatch: {p.n} vs {q.n}")
+    return False
 
 
-def _hints(p: uv.UnivariateSpec, q: uv.UnivariateSpec) -> tuple[float, ...]:
-    pts = [uv.mode(p), uv.mode(q)]
-    for d in (p, q):
-        if d.a is not None:
-            pts += [d.a, d.b]
-    return tuple(pts)
+def _edges(p: uv.UnivariateSpec, q: uv.UnivariateSpec) -> list[float]:
+    """The edges of both specs' panel tables, as break points."""
+    return sorted({*uv._table(p)[0].tolist(), *uv._table(q)[0].tolist()})
+
+
+def _antithetic(draws_from) -> np.ndarray:
+    """The draws of each (density, count, seed), then every draw reflected
+    through the centre of the density it was drawn from: row i and row
+    i + half form an antithetic pair."""
+    draws = [_mv_draw(obj, count, seed) for obj, count, seed in draws_from]
+    return np.vstack(draws + [2.0 * _mv_center(obj) - d
+                              for (obj, _, _), d in zip(draws_from, draws)])
+
+
+def _pair_mean(vals: np.ndarray) -> tuple[float, float]:
+    """Mean of the antithetic pair means of ``vals`` and its standard error."""
+    half = vals.size // 2
+    pair_means = 0.5 * (vals[:half] + vals[half:])
+    return (float(np.mean(pair_means)),
+            float(np.std(pair_means, ddof=1) / math.sqrt(half)))
 
 
 def kl_numeric(p, q, mc_draws: int = 1_000_000, seed: int = 0) -> DivergenceResult:
-    """KL(p || q); quadrature in 1-d, Monte Carlo with antithetic pairing in
+    """KL(p || q); quadrature in 1-d, Monte Carlo on p's antithetic draws in
     n-d.  Returns +inf when q vanishes on p's support."""
-    if isinstance(p, uv.UnivariateSpec) and isinstance(q, uv.UnivariateSpec):
+    if _univariate_pair(p, q):
         lo, hi = uv.support(p)
         blown = [False]
 
         def integrand(x: np.ndarray) -> np.ndarray:
-            px = uv.pdf(p, x)
-            lq = uv.log_pdf(q, x)
-            lp = uv.log_pdf(p, x)
-            out = np.where(px > 0.0, px * (lp - lq), 0.0)
-            if np.any((px > 1e-300) & ~np.isfinite(lq)):
-                blown[0] = True
-                return np.where(np.isfinite(out), out, 0.0)
-            return out
+            with np.errstate(over="ignore", invalid="ignore"):  # 0 * -inf is dropped
+                px, lq = uv.pdf(p, x), uv.log_pdf(q, x)
+                out = np.where(px > 0.0, px * (uv.log_pdf(p, x) - lq), 0.0)
+            blown[0] |= bool(np.any((px > 1e-300) & ~np.isfinite(lq)))
+            return np.where(np.isfinite(out), out, 0.0)
 
-        val = integrate(integrand, lo, hi, _DIV_SETTINGS, points=_hints(p, q)).value
-        if blown[0]:
-            return DivergenceResult(kl=math.inf, l1=math.nan, method="quadrature")
-        return DivergenceResult(kl=val, l1=math.nan, method="quadrature")
-    if _is_mv(p) and _is_mv(q):
-        if _mv_dim(p) != _mv_dim(q):
-            raise ValueError(f"dimension mismatch: {_mv_dim(p)} vs {_mv_dim(q)}")
-        half = mc_draws // 2
-        draws = _mv_draw(p, half, seed)
-        mirrored = 2.0 * _mv_center(p) - draws  # antithetic reflection
-        pts = np.vstack([draws, mirrored])
-        vals = _mv_logpdf(p, pts) - _mv_logpdf(q, pts)
-        if not np.all(np.isfinite(vals)):
-            return DivergenceResult(kl=math.inf, l1=math.nan, method="monte_carlo")
-        pair_means = 0.5 * (vals[:half] + vals[half:])
-        est = float(np.mean(pair_means))
-        se = float(np.std(pair_means, ddof=1) / math.sqrt(half))
-        return DivergenceResult(kl=est, l1=math.nan, method="monte_carlo", mc_stderr=se)
-    raise TypeError("p and q must both be univariate or both multivariate specs")
+        val = integrate(integrand, lo, hi, _DIV_SETTINGS, points=_edges(p, q)).value
+        return DivergenceResult(kl=math.inf if blown[0] else val, l1=math.nan,
+                                method="quadrature")
+    pts = _antithetic([(p, mc_draws // 2, seed)])
+    vals = _mv_logpdf(p, pts) - _mv_logpdf(q, pts)
+    if not np.all(np.isfinite(vals)):
+        return DivergenceResult(kl=math.inf, l1=math.nan, method="monte_carlo")
+    est, se = _pair_mean(vals)
+    return DivergenceResult(kl=est, l1=math.nan, method="monte_carlo", mc_stderr=se)
 
 
 def l1_numeric(p, q, mc_draws: int = 1_000_000, seed: int = 0) -> DivergenceResult:
-    """Integrated absolute density difference (total variation times two)."""
-    if isinstance(p, uv.UnivariateSpec) and isinstance(q, uv.UnivariateSpec):
+    """Integrated absolute density difference (total variation times two);
+    in n-d the mean of 2|p - q|/(p + q) over the even mixture (p + q)/2."""
+    if _univariate_pair(p, q):
         def integrand(x: np.ndarray) -> np.ndarray:
             return np.abs(uv.pdf(p, x) - uv.pdf(q, x))
 
         val = integrate(integrand, -math.inf, math.inf, _DIV_SETTINGS,
-                        points=_hints(p, q)).value
+                        points=_edges(p, q)).value
         return DivergenceResult(kl=math.nan, l1=val, method="quadrature")
-    if _is_mv(p) and _is_mv(q):
-        if _mv_dim(p) != _mv_dim(q):
-            raise ValueError(f"dimension mismatch: {_mv_dim(p)} vs {_mv_dim(q)}")
-        # Sample the even mixture (p + q)/2 and average 2|p - q|/(p + q).
-        half = mc_draws // 2
-        quarter = half // 2
-        pts = np.vstack([
-            _mv_draw(p, quarter, seed),
-            _mv_draw(q, half - quarter, seed + 1),
-        ])
-        pts = np.vstack([pts, 2.0 * _mv_center(p) - pts])
-        pv = _mv_pdf_vals(p, pts)
-        qv = _mv_pdf_vals(q, pts)
-        ratio = np.where(pv + qv > 0.0, 2.0 * np.abs(pv - qv) / (pv + qv), 0.0)
-        pair_means = 0.5 * (ratio[:half] + ratio[half:])
-        est = float(np.mean(pair_means))
-        se = float(np.std(pair_means, ddof=1) / math.sqrt(half))
-        return DivergenceResult(kl=math.nan, l1=est, method="monte_carlo", mc_stderr=se)
-    raise TypeError("p and q must both be univariate or both multivariate specs")
+    quarter = mc_draws // 4
+    pts = _antithetic([(p, quarter, seed), (q, quarter, seed + 1)])
+    with np.errstate(invalid="ignore"):  # both densities 0: -inf - -inf
+        gap = np.abs(_mv_logpdf(p, pts) - _mv_logpdf(q, pts))
+    # 2|p - q|/(p + q) = 2 tanh(|ln p - ln q|/2), with no 0/0.
+    est, se = _pair_mean(np.where(np.isnan(gap), 0.0, 2.0 * np.tanh(0.5 * gap)))
+    return DivergenceResult(kl=math.nan, l1=est, method="monte_carlo", mc_stderr=se)
 
 
 # ---------------------------------------------------------------------------

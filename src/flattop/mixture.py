@@ -64,24 +64,28 @@ class ComponentCollapseError(RuntimeError):
     after it was reseeded."""
 
 
+_COV_FLOOR = 1e-8  # GMM covariance floor, relative to the largest data variance
+
+
 @dataclass(frozen=True)
 class MixtureSettings:
     """Budgets of the one EM loop that runs both the GMM and the GEM fits.
 
     Convergence is declared after ``stall_cycles`` consecutive cycles with
     relative log-likelihood change below ``rel_tol``, or else the fit stops
-    after ``max_cycles``.  ``n_init`` and ``cov_floor`` (relative to the
-    largest data variance) apply to the GMM, ``component_pass`` to each GEM
-    M-step.  With ``bl_upgrade``, the first stall of a GEM fit swaps BL in
-    for the AL components that are flat-topped by the closed-form bound
-    (below ``flatness.FLAT_REGIME_BOUND``) and the cycles go on.
+    after ``max_cycles``.  ``n_init`` applies to the GMM, whose covariances
+    are floored at ``_COV_FLOOR`` times the largest data variance.  Each GEM
+    M-step is one coordinate pass with the fixed step control of ``mle``, so
+    it reads no field of ``component_pass``.  With ``bl_upgrade``, the first
+    stall of a GEM fit swaps BL in for the AL components that are
+    flat-topped by the closed-form bound (below
+    ``flatness.FLAT_REGIME_BOUND``) and the cycles go on.
     """
 
     max_cycles: int = 300
     rel_tol: float = 1e-8
     stall_cycles: int = 3
     n_init: int = 4
-    cov_floor: float = 1e-8
     bl_upgrade: bool = False
     component_pass: FitSettings = field(default_factory=FitSettings)
 
@@ -301,7 +305,7 @@ def gmm_fit(
         raise ValueError(f"need more points than components: N={n}, K={k}")
     if covariance_type not in ("full", "diag"):
         raise ValueError("covariance_type must be 'full' or 'diag'")
-    floor = settings.cov_floor * float(np.max(np.var(rows, axis=0)))
+    floor = _COV_FLOOR * float(np.max(np.var(rows, axis=0)))
     floor = max(floor, 1e-300)
     rng = np.random.default_rng(seed)
     fits = [_em(_gmm_start(rows, k, rng, covariance_type, floor), rows, settings,
@@ -429,8 +433,8 @@ def _surrogate(mean: float, var: float) -> uv.UnivariateSpec:
 def m_step(model: MixtureModel, data, resp: np.ndarray,
            settings: MixtureSettings | None = None) -> MixtureModel:
     """Generalized M-step: closed-form weight update plus one weighted
-    coordinate pass per component, so Q never decreases."""
-    settings = settings or MixtureSettings()
+    coordinate pass per component, so Q never decreases.  The pass reads
+    no field of ``settings``."""
     rows = _rows_of(data)
     if resp.shape != (rows.shape[0], model.k):
         raise ValueError("responsibilities must be N x K")
@@ -457,7 +461,7 @@ def m_step(model: MixtureModel, data, resp: np.ndarray,
         n = w.sum(axis=1)
         p = np.array([[getattr(spec, name) for spec in specs] for name in names])
         p, _, _ = mle._coordinate_pass(family, x, w, n, p, mle._loglik(family, x, w, n, p),
-                                       bounds[:, axes], settings.component_pass)
+                                       bounds[:, axes])
         for j, (k, axis) in enumerate(zip(ks, axes)):
             comps[k][axis] = uv.make(family, dict(zip(names, p[:, j])))
     comps = [tuple(c) if model.dim > 1 else c[0] for c in comps]

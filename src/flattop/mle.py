@@ -57,21 +57,24 @@ __all__ = [
     "normal_mle_loglik",
 ]
 
+# Step control of every coordinate step: a Newton-like step of _ETA0 per
+# unit gradient over |curvature|, shrunk by _BACKTRACK_FACTOR up to
+# _MAX_BACKTRACKS times until the log-likelihood does not fall.
+_ETA0 = 1.0
+_BACKTRACK_FACTOR = 0.5
+_MAX_BACKTRACKS = 30
+
+
 @dataclass(frozen=True)
 class FitSettings:
-    """Iteration budget and step-control constants."""
+    """Iteration budget and convergence tolerance."""
 
     max_iters: int = 500
     grad_tol: float = 1e-8
-    eta0: float = 1.0
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 30
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1 or self.grad_tol <= 0 or self.eta0 <= 0:
-            raise ValueError("max_iters, grad_tol, eta0 must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
+        if self.max_iters < 1 or self.grad_tol <= 0:
+            raise ValueError("max_iters, grad_tol must be positive")
 
 
 @dataclass
@@ -228,13 +231,10 @@ _KERNELS = {
 }
 
 
-def _loglik(family: str, x, w, n, p, const=None) -> np.ndarray:
-    """The (J,) weighted log-likelihoods n const + sum_i w_i terms_i;
-    ``const`` replaces the family's constant when given."""
+def _loglik(family: str, x, w, n, p) -> np.ndarray:
+    """The (J,) weighted log-likelihoods n const + sum_i w_i terms_i."""
     kernel = _KERNELS[family]
-    if const is None:
-        const = kernel.const(p)
-    return n * const + _wsum(w, kernel.terms(x, p))
+    return n * kernel.const(p) + _wsum(w, kernel.terms(x, p))
 
 
 def _one(data, weights):
@@ -286,16 +286,9 @@ def hess_al(data, a: float, b: float, s: float, weights=None) -> AlHessian:
 # BL: exact log-likelihood (quadrature normalizer) and flat-regime gradients
 # ---------------------------------------------------------------------------
 
-def loglik_bl(data, a: float, b: float, s: float, t: float, weights=None,
-              normalizer: str = "exact") -> float:
-    """BL log-likelihood; ``normalizer='flat'`` uses the 1/(b-a) shortcut."""
-    if normalizer == "exact":
-        log_c = None
-    elif normalizer == "flat":
-        log_c = np.array([-math.log(b - a)])
-    else:
-        raise ValueError(f"normalizer must be 'exact' or 'flat', got {normalizer!r}")
-    return float(_loglik("BL", *_one(data, weights), _params(a, b, s, t), log_c)[0])
+def loglik_bl(data, a: float, b: float, s: float, t: float, weights=None) -> float:
+    """BL log-likelihood with the exact (quadrature) normalizer."""
+    return float(_loglik("BL", *_one(data, weights), _params(a, b, s, t))[0])
 
 
 def grad_bl_flat(data, a: float, b: float, s: float, t: float,
@@ -471,12 +464,12 @@ def init_cl_from_data(data) -> MultivariateSpec:
 # The coordinate-ascent fitter
 # ---------------------------------------------------------------------------
 
-def _step_size(grad, curvature, scale, eta0):
-    """Step per unit gradient: eta0/|curvature|, or a tenth of the
+def _step_size(grad, curvature, scale):
+    """Step per unit gradient: _ETA0/|curvature|, or a tenth of the
     parameter's scale where the curvature vanishes."""
     flat = np.abs(curvature) < 1e-12
     return np.where(flat, 0.1 * scale / np.maximum(np.abs(grad), 1e-300),
-                    eta0 / np.where(flat, 1.0, np.abs(curvature)))
+                    _ETA0 / np.where(flat, 1.0, np.abs(curvature)))
 
 
 def _bounds_from_data(x: np.ndarray) -> np.ndarray:
@@ -495,7 +488,7 @@ def _ulps(lo, hi, k: float):
     return k * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
 
 
-def _coordinate_pass(family, x, w, n, p, ll, bounds, settings: FitSettings):
+def _coordinate_pass(family, x, w, n, p, ll, bounds):
     """One monotone coordinate pass over J independent problems at once.
 
     ``x``, ``w``, ``n`` and ``p`` are in the kernel layout above, ``ll`` is
@@ -520,9 +513,9 @@ def _coordinate_pass(family, x, w, n, p, ll, bounds, settings: FitSettings):
             scale, low, high = p[1] - p[0], p[0] + gap, hi - eps
         else:
             scale, low, high = p[i], s_min, s_max
-        step = _step_size(grad, curv, scale, settings.eta0) * grad
+        step = _step_size(grad, curv, scale) * grad
         live = np.ones(p.shape[1], dtype=bool)
-        for _ in range(settings.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             cand = np.minimum(np.maximum(p[i] + step, low), high)
             live &= cand != p[i]  # clip or underflow: no movement possible
             idx = np.flatnonzero(live)
@@ -537,7 +530,7 @@ def _coordinate_pass(family, x, w, n, p, ll, bounds, settings: FitSettings):
             ll[done] = ll_new[up]
             moved[done] = True
             live[done] = False
-            step = step * settings.backtrack_factor
+            step = step * _BACKTRACK_FACTOR
     return p, ll, moved
 
 
@@ -589,8 +582,7 @@ def _fit_univariate(x: np.ndarray, init: uv.UnivariateSpec, settings: FitSetting
     x1, w1, n = _one(x, weights)
 
     def one_pass(state):
-        p, ll, moved = _coordinate_pass(init.family, x1, w1, n, *state, bounds[:, None],
-                                        settings)
+        p, ll, moved = _coordinate_pass(init.family, x1, w1, n, *state, bounds[:, None])
         grad_norm = max(abs(float(partial(name, x1, w1, n, p)[0][0]))
                         for name in names) / float(n[0])
         return (p, ll), float(ll[0]), grad_norm, bool(moved[0])
@@ -630,17 +622,17 @@ def _fit_cl(rows: np.ndarray, init: MultivariateSpec,
         start = ll
         for block in range(4):
             grad, curv = _cl_block(rows, theta, block)
-            step = settings.eta0 / max(abs(curv), 1e-12) * grad
+            step = _ETA0 / max(abs(curv), 1e-12) * grad
             if block >= 2:  # one e-fold at most: the curvature can vanish there
                 step = min(max(step, -1.0), 1.0)
-            for _ in range(settings.max_backtracks):
+            for _ in range(_MAX_BACKTRACKS):
                 cand = list(theta)
                 cand[block] = _project_pd(theta[1] + step) if block == 1 else theta[block] + step
                 ll_new = loglik(cand)
                 if ll_new >= ll:
                     theta, ll = cand, ll_new
                     break
-                step = step * settings.backtrack_factor
+                step = step * _BACKTRACK_FACTOR
         grads = _grad_cl_raw(rows, theta[0], theta[1], math.exp(theta[2]), math.exp(theta[3]))
         grad_norm = max(float(np.max(np.abs(g))) for g in grads) / count
         return (theta, ll), ll, grad_norm, ll > start

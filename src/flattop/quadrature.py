@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,18 +33,18 @@ class QuadratureError(RuntimeError):
     """Raised when subdivision or tail truncation cannot reach the tolerance."""
 
 
+# The fraction of the integrand's sampled peak below which a semi-infinite
+# tail is cut off.
+_TAIL_CUTOFF = 1e-12
+
+
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Tolerances and budgets for the adaptive engine.
-
-    ``tail_cutoff`` is the fraction of the integrand's sampled peak below
-    which a semi-infinite tail is cut off.
-    """
+    """Tolerances and budgets for the adaptive engine."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    tail_cutoff: float = 1e-12
 
     def __post_init__(self) -> None:
         if not self.abs_tol > 0:
@@ -55,8 +55,6 @@ class QuadratureSettings:
             raise ValueError(
                 f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
             )
-        if not self.tail_cutoff > 0:
-            raise ValueError(f"tail_cutoff must be > 0, got {self.tail_cutoff}")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
@@ -121,12 +119,11 @@ def _find_cutoff(
     anchor: float,
     direction: float,
     peak: float,
-    settings: QuadratureSettings,
 ) -> tuple[float, float]:
     """Walk geometrically from ``anchor`` until the integrand is negligible.
 
     Returns the cutoff abscissa and the updated peak.  Two consecutive
-    probes below ``tail_cutoff * peak`` are required, which guards against
+    probes below ``_TAIL_CUTOFF * peak`` are required, which guards against
     cutting inside a local dip.  Raises QuadratureError once the walk passes
     |x| = 1e300.
     """
@@ -139,7 +136,7 @@ def _find_cutoff(
             raise QuadratureError("tail truncation failed: integrand does not decay")
         val = float(np.abs(f(np.array([t])))[0])
         peak = max(peak, val)
-        if val < settings.tail_cutoff * max(peak, np.finfo(float).tiny):
+        if val < _TAIL_CUTOFF * max(peak, np.finfo(float).tiny):
             below += 1
             if below >= 2:
                 return t, peak
@@ -169,13 +166,8 @@ def _mapped_tail(
         x = cut + direction * w * (ey - 1.0)
         return np.asarray(f(x), dtype=float) * (w * ey)
 
-    tail_settings = QuadratureSettings(
-        abs_tol=settings.abs_tol,
-        rel_tol=settings.rel_tol,
-        max_subdivisions=max(50, settings.max_subdivisions // 10),
-        tail_cutoff=settings.tail_cutoff,
-    )
-    return integrate(g, 0.0, math.inf, tail_settings, _map_tails=False)
+    tail_settings = replace(settings, max_subdivisions=max(50, settings.max_subdivisions // 10))
+    return _integrate(g, 0.0, math.inf, tail_settings, (), False)[0]
 
 
 def integrate(
@@ -185,14 +177,13 @@ def integrate(
     settings: QuadratureSettings | None = None,
     *,
     points: Sequence[float] = (),
-    _map_tails: bool = True,
 ) -> QuadratureResult:
     """Integrate ``f`` over ``[a, b]``; either limit may be infinite.
 
     ``points`` are optional interior break points (modes, kinks) used as
     initial panel boundaries, mirroring the hint mechanism of classic
     adaptive integrators.  Infinite limits are truncated where the integrand
-    falls below ``tail_cutoff`` times its sampled peak and the remainder is
+    falls below ``_TAIL_CUTOFF`` times its sampled peak and the remainder is
     folded in through a log-stretched change of variables, so polynomially
     decaying tails keep their mass.
     """
@@ -202,9 +193,9 @@ def integrate(
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
     if a > b:
-        res = integrate(f, b, a, settings, points=points, _map_tails=_map_tails)
+        res = integrate(f, b, a, settings, points=points)
         return QuadratureResult(-res.value, res.error, res.subdivisions)
-    return _integrate(f, a, b, settings, points, _map_tails)[0]
+    return _integrate(f, a, b, settings, points, True)[0]
 
 
 def _integrate(f, a: float, b: float, settings: QuadratureSettings, points, map_tails: bool):
@@ -231,12 +222,12 @@ def _integrate(f, a: float, b: float, settings: QuadratureSettings, points, map_
 
         if lo == -math.inf:
             anchor = min(probe_centers)
-            lo, peak = _find_cutoff(f, anchor, -1.0, peak, settings)
+            lo, peak = _find_cutoff(f, anchor, -1.0, peak)
             if map_tails:
                 left = _mapped_tail(f, lo, -1.0, settings)
         if hi == math.inf:
             anchor = max(probe_centers)
-            hi, peak = _find_cutoff(f, anchor, 1.0, peak, settings)
+            hi, peak = _find_cutoff(f, anchor, 1.0, peak)
             if map_tails:
                 right = _mapped_tail(f, hi, 1.0, settings)
     tail_value, tail_error = left.value + right.value, left.error + right.error

@@ -38,7 +38,10 @@ tail.  A quantile starts in the panel whose cdf values bracket v and takes
 safeguarded Newton steps on the family's own cdf, which for AN and DE is
 their closed form (the PINV table of Derflinger, Hoermann and Leydold, ACM
 TOMACS 20(4), 2010, with Newton steps in place of its interpolating
-polynomial).  CF, CH and CE share one Fermi-Dirac mass (``_fd_mass``).
+polynomial).  The table's edges are also the break points of every other
+integral over a density: the integrated central moments here, and the KL
+and L1 quadratures of ``divergence``, which start from the edges of both
+specs' tables.  CF, CH and CE share one Fermi-Dirac mass (``_fd_mass``).
 
 Construction validates parameters and caches the normalizing constant; all
 evaluation functions are pure, vectorized over ``x``, and exp-shifted where
@@ -250,11 +253,6 @@ def _restore(values: np.ndarray, scalar: bool):
 # Closed forms, by family; the registry at the end of this section binds them
 # ---------------------------------------------------------------------------
 
-def _log_of_pdf(spec, x):
-    with np.errstate(divide="ignore"):
-        return np.log(pdf(spec, x))
-
-
 def _log_pdf_u(spec, x):
     return np.where((x >= spec.a) & (x <= spec.b), math.log(spec.c), -math.inf)
 
@@ -295,17 +293,54 @@ def _pdf_an(spec, x):
     return spec.c * (sp.erf(z1) - sp.erf(z2))
 
 
+def _log_pdf_an(spec, x):
+    """ln c + ln[erf(zf) - erf(zn)] at zf, zn = (|x - m| +- r)/(sqrt(2) s).
+
+    Inside [a, b] (zn < 0) the two erf values have opposite signs.  Past an
+    edge the difference is erfc(zn) - erfc(zf) = e^(-zn^2) [erfcx(zn) -
+    erfcx(zf) e^(-(zf^2 - zn^2))], formed in log space, so it neither
+    cancels nor underflows.
+    """
+    from scipy import special as sp
+
+    k = math.sqrt(2.0) * spec.s
+    with np.errstate(over="ignore"):  # |x - m| far beyond s: clipped, the log is -inf
+        u = np.minimum(np.abs(x - spec.m) / k, 1e300)
+    rho = spec.r / k
+    zn, zf = u - rho, u + rho
+    with np.errstate(all="ignore"):  # each branch is only kept where it is finite
+        inside = np.log(sp.erf(zf) - sp.erf(zn))
+        ratio = sp.erfcx(zf) / sp.erfcx(zn) * np.exp(-4.0 * rho * u)
+        past = np.log(sp.erfcx(zn)) - zn * zn + np.log1p(-ratio)
+    return math.log(spec.c) + np.where(zn < 0.0, inside, past)
+
+
+def _an_tail(u):
+    """g(u) = e^(-u^2/2) (sqrt(2/pi) - u erfcx(u/sqrt(2))) for u >= 0: G(u) - u,
+    where G(z) = z erf(z/sqrt(2)) + sqrt(2/pi) e^(-z^2/2) and G(-u) = G(u)."""
+    from scipy import special as sp
+
+    u = np.minimum(u, 1e300)
+    with np.errstate(all="ignore"):  # u < 0 is never kept; u^2 = inf gives 0
+        return np.exp(-0.5 * u * u) * (math.sqrt(2.0 / math.pi) - u * sp.erfcx(u / math.sqrt(2.0)))
+
+
 def _cdf_an(spec, x):
+    """0.5 + s/(2 (b - a)) [G(za) - G(zb)]; below a it is the tail mass
+    s/(2 (b - a)) [g(-za) - g(-zb)], which keeps its relative accuracy, and
+    above b one minus the mirrored tail."""
     from scipy import special as sp
 
     s = spec.s
     za = (x - spec.a) / s
     zb = (x - spec.b) / s
+    k = s / (2.0 * (spec.b - spec.a))
     sq = math.sqrt(2.0 / math.pi)
     with np.errstate(over="ignore"):  # za * za = inf far out: exp gives 0
         term = (za * sp.erf(za / math.sqrt(2.0)) + sq * np.exp(-0.5 * za * za)
                 - zb * sp.erf(zb / math.sqrt(2.0)) - sq * np.exp(-0.5 * zb * zb))
-    return 0.5 + (s / (2.0 * (spec.b - spec.a))) * term
+    return np.where(za <= 0.0, k * (_an_tail(-za) - _an_tail(-zb)),
+                    np.where(zb >= 0.0, 1.0 - k * (_an_tail(zb) - _an_tail(za)), 0.5 + k * term))
 
 
 def _moment_an(spec, k: int) -> float:
@@ -524,19 +559,20 @@ def _log_pdf_cf(spec, x):
 
 
 def _cdf_cf1(spec, x):
-    """CF cdf at beta = 1."""
-    num = specfun.softplus((spec.r - np.abs(x - spec.m)) / spec.s)
-    den = specfun.softplus(spec.r / spec.s)
-    return 0.5 * (1.0 + np.sign(x - spec.m) * (1.0 - num / den))
+    """CF cdf at beta = 1, from the mass beyond |x - m| on one side,
+    0.5 softplus((r - |x - m|)/s) / softplus(r/s)."""
+    tail = (0.5 * specfun.softplus((spec.r - np.abs(x - spec.m)) / spec.s)
+            / specfun.softplus(spec.r / spec.s))
+    return np.where(x < spec.m, tail, 1.0 - tail)
 
 
 def _quantile_cf1(spec, v):
-    """CF quantile at beta = 1."""
+    """CF quantile at beta = 1: the |x - m| whose one-sided tail mass is
+    min(v, 1 - v)."""
     ell = float(specfun.softplus(spec.r / spec.s))
-    p = np.abs(v - 0.5) * 2.0  # tail mass parameter in (0, 1)
-    w = ell * (1.0 - p)
+    w = ell * (2.0 * np.minimum(v, 1.0 - v))
     u = spec.r - spec.s * specfun.log_expm1(w)
-    return spec.m + np.sign(v - 0.5) * np.where(p == 0.0, 0.0, u)
+    return spec.m + np.sign(v - 0.5) * np.where(v == 0.5, 0.0, u)
 
 
 def _log_pdf_ce(spec, x):
@@ -562,15 +598,18 @@ def _log_pdf_de(spec, x):
 
 
 def _cdf_de(spec, x):
+    """From the mass beyond |x - m| on one side, 0.5 [erf(z) - (1 - e^(-z^2))
+    / (sqrt(pi) z)] at z = s/|x - m|, which keeps its relative accuracy."""
     from scipy import special as sp
 
     u = np.atleast_1d(np.asarray(x, dtype=float)) - spec.m
     out = np.full(u.shape, 0.5)
     nz = u != 0.0
-    un = u[nz]
-    w = (spec.s / un) ** 2
-    out[nz] = 0.5 * (1.0 + (un / (math.sqrt(math.pi) * spec.s)) * (-np.expm1(-w))
-                     + np.sign(un) - sp.erf(spec.s / un))
+    with np.errstate(over="ignore"):  # |x - m| far below s: z = inf, the tail is 0.5
+        z = spec.s / np.abs(u[nz])
+    zc = np.maximum(z, 1e-8)  # below 1e-8, (1 - e^(-z^2))/z is z to double precision
+    tail = 0.5 * (sp.erf(z) - np.where(z < 1e-8, z, -np.expm1(-zc * zc) / zc) / math.sqrt(math.pi))
+    out[nz] = np.where(u[nz] < 0.0, tail, 1.0 - tail)
     return out.reshape(np.shape(x))
 
 
@@ -591,7 +630,7 @@ _FAMILY: dict[str, _Family] = {
                                         / math.gamma(1.0 / spec.beta)),
         kurtosis=_kurtosis_gn),
     "AN": _Family(
-        ("a", "b", "s"), lambda spec: 1.0 / (2.0 * (spec.b - spec.a)), _log_of_pdf,
+        ("a", "b", "s"), lambda spec: 1.0 / (2.0 * (spec.b - spec.a)), _log_pdf_an,
         pdf=_pdf_an, cdf=_cdf_an, central_moment=_moment_an),
     "AL": _Family(
         ("a", "b", "s"), lambda spec: 1.0 / (2.0 * spec.r), _log_pdf_al,
@@ -764,8 +803,10 @@ def _quantile_numeric(spec, v):
     it on ln(F(inf) - F), so that exponential tails take few steps; a v
     within an ulp of the table's mass F(inf) or above it (F(inf) misses 1 by
     up to 1e-10) goes where F(inf) - F is half an ulp of 1.  The steps stop
-    once |F - v| <= 1e-12 min(v, 1 - v) + 8.9e-16, four ulps of 1: above the
-    rounding of the table sums and of a closed-form cdf (AN, DE).
+    once |F - v| <= 1e-12 min(v, 1 - v), plus 8.9e-16, four ulps of 1, above
+    the median: F(inf) - F cancels there, but below it every F (the table's
+    sums of positive panel masses, the closed AN and DE tails) keeps its
+    relative accuracy.
     """
     edges, cum, top = _table(spec)
     closed = _FAMILY[spec.family].cdf
@@ -784,12 +825,13 @@ def _quantile_numeric(spec, v):
         below = (t < tt) != ut  # x lies below the root
         lo[todo], hi[todo] = np.where(below, xt, lo[todo]), np.where(below, hi[todo], xt)
         with np.errstate(all="ignore"):  # t = 0 or a pdf that underflows: bisect instead
-            newton = xt - np.where(ut, -1.0, 1.0) * np.log(t / tt) * t / pdf(spec, xt)
-        err = np.abs(t - tt)
-        done = err <= 1e-12 * tt + 8.9e-16
+            newton = (xt - np.where(ut, -1.0, 1.0) * np.log(t / tt) * t
+                      / np.exp(log_pdf(spec, xt)))
+        err, floor = np.abs(t - tt), np.where(ut, 8.9e-16, 0.0)
+        done = err <= 1e-12 * tt + floor
         # Newton inside the bracket, else bisection; no last step from within
         # the rounding floor short of 1e-12 tau, where it would only add noise.
-        step = (newton > lo[todo]) & (newton < hi[todo]) & ((err > 8.9e-16) | (err <= 1e-12 * tt))
+        step = (newton > lo[todo]) & (newton < hi[todo]) & ((err > floor) | (err <= 1e-12 * tt))
         x[todo] = np.where(step, newton, np.where(done, xt, 0.5 * (lo[todo] + hi[todo])))
         todo = todo[~done]
         if todo.size == 0:
@@ -834,16 +876,10 @@ def moment_integrand(spec: UnivariateSpec, center: float, k: int):
 
 def _moment_quadrature(spec: UnivariateSpec, symmetric: bool, k: int) -> float:
     lo, hi = support(spec)
-    hints = [mode(spec)]
-    if spec.a is not None:
-        hints += [spec.a, spec.b]
-    if symmetric:
-        mean = mode(spec)
-    else:
-        mean = integrate(lambda x: x * pdf(spec, x), lo, hi, _NORM_SETTINGS,
-                         points=tuple(hints)).value
-    return integrate(moment_integrand(spec, mean, k), lo, hi,
-                     _NORM_SETTINGS, points=tuple(hints)).value
+    edges = _table(spec)[0].tolist()
+    mean = mode(spec) if symmetric else integrate(lambda x: x * pdf(spec, x), lo, hi,
+                                                  _NORM_SETTINGS, points=edges).value
+    return integrate(moment_integrand(spec, mean, k), lo, hi, _NORM_SETTINGS, points=edges).value
 
 
 def central_moment(spec: UnivariateSpec, k: int) -> MomentReport:

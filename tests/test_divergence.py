@@ -123,3 +123,78 @@ def test_type_mismatch_rejected():
     ball = mv.make_mv("MU", [0, 0], r=1.0)
     with pytest.raises(TypeError):
         dv.kl_numeric(p, ball)
+
+
+# ---------------------------------------------------------------------------
+# Quadrature from both panel tables; one Monte Carlo path
+# ---------------------------------------------------------------------------
+
+_STEEP_CH = {"m": 0.0, "r": 2.4, "s": 0.25, "beta": 3.4}
+
+
+def test_shifted_steep_ch_pair_matches_mpmath():
+    # r/s = 9.6: each density falls from its top to 0 within ~3e-4 of m -+ r,
+    # so only panels that end on those edges put nodes where p and q differ.
+    p = uv.make("CH", _STEEP_CH)
+    q = uv.make("CH", {**_STEEP_CH, "m": 1e-3})
+    assert dv.l1_numeric(p, q).l1 == pytest.approx(4.16666696434449e-4, rel=1e-10, abs=0.0)
+    assert dv.kl_numeric(p, q).kl == pytest.approx(3.22782337675539e-4, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("family, params", [("CH", _STEEP_CH),
+                                            ("AL", {"a": -1.0, "b": 1.0, "s": 0.1})])
+def test_l1_against_a_far_uniform_is_two(family, params):
+    far = uv.make("U", {"a": 1e6, "b": 1e6 + 1.0})
+    assert dv.l1_numeric(uv.make(family, params), far).l1 == pytest.approx(2.0, abs=1e-10)
+
+
+# (low, high) per parameter of families with a finite second moment, so that
+# KL against AN, whose log-density falls like -x^2, is finite; b = a + w.
+_LIGHT_BOX = {
+    "AL": {"a": (-3.0, 1.0), "w": (0.8, 8.0), "s": (0.05, 1.2)},
+    "ALS": {"a": (-3.0, 1.0), "w": (0.8, 8.0), "s": (0.1, 0.8), "lam": (-0.8, 0.8)},
+    "BL": {"a": (-3.0, 1.0), "w": (0.8, 8.0), "s": (0.08, 0.6), "t": (0.08, 0.6)},
+    "BD": {"a": (-3.0, 1.0), "w": (0.8, 8.0), "s": (0.2, 1.0), "t": (0.2, 1.0)},
+    "CE": {"a": (-3.0, 1.0), "w": (0.8, 8.0), "s": (0.4, 2.0)},
+    "CF": {"m": (-1.0, 1.0), "r": (0.4, 2.5), "s": (0.2, 1.2), "beta": (1.0, 3.5)},
+    "CH": {"m": (-1.0, 1.0), "r": (0.4, 2.5), "s": (0.2, 1.2), "beta": (1.0, 3.5)},
+    "GN": {"mu": (-1.0, 1.0), "s": (0.3, 2.0), "beta": (0.7, 6.0)},
+    "AN": {"a": (-3.0, 1.0), "w": (0.8, 8.0), "s": (0.1, 1.2)},
+}
+
+
+def _box_spec(family, rng):
+    params = {k: rng.uniform(lo, hi) for k, (lo, hi) in _LIGHT_BOX[family].items()}
+    if "w" in params:
+        params["b"] = params["a"] + params.pop("w")
+    return uv.make(family, params)
+
+
+@pytest.mark.parametrize("family", sorted(_LIGHT_BOX))
+def test_kl_against_an_is_finite(family):
+    # The AN log-density is formed in erfc/erfcx form, so it stays finite
+    # in the tails of p, where its erf difference would underflow.
+    rng = np.random.default_rng(20261018)
+    for _ in range(3):
+        p, q = _box_spec(family, rng), _box_spec("AN", rng)
+        kl = dv.kl_numeric(p, q).kl
+        assert math.isfinite(kl) and kl >= 0.0
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+def test_mc_l1_of_shifted_gaussians(delta):
+    p = dv.GaussianND([0.0, 0.0], np.eye(2))
+    q = dv.GaussianND([delta, 0.0], np.eye(2))
+    res = dv.l1_numeric(p, q, mc_draws=400_000, seed=3)
+    truth = 2.0 * math.erf(delta / (2.0 * math.sqrt(2.0)))  # 2 (2 Phi(delta/2) - 1)
+    assert res.method == "monte_carlo"
+    assert abs(res.l1 - truth) <= 4.0 * res.mc_stderr
+
+
+def test_mc_l1_of_two_disks_matches_the_lens():
+    d = 0.5
+    p = mv.make_mv("MU", [0.0, 0.0], r=1.0)
+    q = mv.make_mv("MU", [d, 0.0], r=1.0)
+    lens = 2.0 * math.acos(d / 2.0) - 0.5 * d * math.sqrt(4.0 - d * d)  # the overlap's area
+    res = dv.l1_numeric(p, q, mc_draws=400_000, seed=3)
+    assert abs(res.l1 - 2.0 * (1.0 - lens / math.pi)) <= 4.0 * res.mc_stderr

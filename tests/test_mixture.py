@@ -376,10 +376,10 @@ def _ref_pass(x, w, spec, settings):
         g, curv = _ref_partial(name, x, w, spec)
         scale = spec.b - spec.a if name in "ab" else getattr(spec, name)
         step = (0.1 * scale / max(abs(g), 1e-300) if abs(curv) < 1e-12
-                else settings.eta0 / abs(curv)) * g
+                else mle._ETA0 / abs(curv)) * g
         low, high = {"a": (lo + eps, spec.b - eps), "b": (spec.a + eps, hi - eps)}.get(
             name, (s_min, s_max))
-        for _ in range(settings.max_backtracks):
+        for _ in range(mle._MAX_BACKTRACKS):
             value = min(max(getattr(spec, name) + step, low), high)
             if value == getattr(spec, name):
                 break
@@ -388,7 +388,7 @@ def _ref_pass(x, w, spec, settings):
             if ll_new >= ll:
                 spec, ll = cand, ll_new
                 break
-            step *= settings.backtrack_factor
+            step *= mle._BACKTRACK_FACTOR
     return spec
 
 
@@ -446,7 +446,7 @@ def test_gaussian_e_and_m_step_match_per_component_loop(segments_rows, cov_type)
     settings = mx.MixtureSettings(n_init=1, max_cycles=5)
     model, _ = mx.gmm_fit(rows, 4, seed=11, settings=settings, covariance_type=cov_type)
     es = _assert_e_step_matches(model, rows)
-    floor = settings.cov_floor * float(np.max(np.var(rows, axis=0)))
+    floor = mx._COV_FLOOR * float(np.max(np.var(rows, axis=0)))
     weights, comps = mx._gmm_m_step(rows, es.resp, cov_type, floor)
     nk = es.resp.sum(axis=0)
     assert np.allclose(weights, nk / rows.shape[0], rtol=1e-12)

@@ -506,6 +506,75 @@ def test_quantile_domain_check():
         uv.quantile(u, 1.0)
 
 
+def _an_log_pdf_mp(params, x):
+    """ln AN density in 50-digit arithmetic, from the erfc tails on the far
+    side of the center, so the difference never cancels."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        a, b, s, x = (mp.mpf(v) for v in (params["a"], params["b"], params["s"], x))
+        k = mp.sqrt(2) * s
+        if 2 * x < a + b:
+            diff = mp.erfc((a - x) / k) - mp.erfc((b - x) / k)
+        else:
+            diff = mp.erfc((x - b) / k) - mp.erfc((x - a) / k)
+        return float(mp.log(diff / (2 * (b - a))))
+
+
+@pytest.mark.parametrize("params", CONFIG_GRID["AN"])
+def test_an_log_pdf_matches_mpmath_far_into_the_tails(params):
+    spec = uv.make("AN", params)
+    s = params["s"]
+    xs = np.linspace(params["a"] - 60.0 * s, params["b"] + 60.0 * s, 241)
+    ref = np.array([_an_log_pdf_mp(params, x) for x in xs])
+    got = uv.log_pdf(spec, xs)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+
+
+def test_an_cdf_and_quantile_deep_in_the_left_tail():
+    import mpmath as mp
+
+    params = {"a": -1.0, "b": 3.0, "s": 0.2}
+    spec = uv.make("AN", params)
+    with mp.workdps(50):
+        def h(y):  # an antiderivative of erf(y / (sqrt(2) s)) in y
+            s = mp.mpf(params["s"])
+            return y * mp.erf(y / (mp.sqrt(2) * s)) + s * mp.sqrt(2 / mp.pi) * mp.exp(-y * y / (2 * s * s))
+
+        x = mp.mpf(-3)
+        ref = float(0.5 + (h(x - params["a"]) - h(x - params["b"])) / (2 * (params["b"] - params["a"])))
+    assert uv.cdf(spec, -3.0) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    for v in (1e-30, 1e-15):
+        assert uv.cdf(spec, uv.quantile(spec, v)) == pytest.approx(v, rel=1e-10, abs=0.0)
+
+
+def test_de_cdf_keeps_its_far_left_tail():
+    # Once d >> s the mass below m - d is s / (2 sqrt(pi) d) to double precision.
+    spec = uv.make("DE", {"m": 0.0, "s": 1.0})
+    for d in (1e9, 1e100, 1e200):
+        want = 1.0 / (2.0 * math.sqrt(math.pi) * d)
+        assert uv.cdf(spec, -d) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("v", [1e-10, 1e-20, 1e-100])
+def test_cf_unit_beta_quantile_deep_in_the_tail(v):
+    spec = uv.make("CF", {"m": 0.0, "r": 1.0, "s": 0.5, "beta": 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = uv.quantile(spec, v)
+    assert math.isfinite(x)
+    assert uv.cdf(spec, x) == pytest.approx(v, rel=1e-12, abs=0.0)
+
+
+def test_cf_unit_beta_cdf_keeps_its_left_tail():
+    import mpmath as mp
+
+    spec = uv.make("CF", {"m": 0.0, "r": 1.0, "s": 0.5, "beta": 1.0})
+    ref = float(0.5 * mp.log1p(mp.exp(-38)) / mp.log1p(mp.exp(2)))  # ~7.4e-18
+    assert uv.cdf(spec, -20.0) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
