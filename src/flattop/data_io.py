@@ -72,6 +72,16 @@ class Dataset:
         return self.rows[:, 0]
 
 
+def _rows_of(data) -> np.ndarray:
+    """The rows of a Dataset, or of an array with a 1-d sample as one column."""
+    if isinstance(data, Dataset):
+        return data.rows
+    arr = np.asarray(data, dtype=float)
+    if arr.ndim == 1:
+        arr = arr.reshape(-1, 1)
+    return arr
+
+
 @dataclass(frozen=True)
 class SegmentsScenario:
     """Uniform-on-segments generator config: axis-aligned segments plus

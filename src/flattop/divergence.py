@@ -99,6 +99,20 @@ def _univariate_pair(p, q) -> bool:
     return False
 
 
+# k of each family's log-density, which falls like -|x|^k: beta for GN, CF
+# and CH; 0 for DE and CC, which fall like -ln|x|; U vanishes past b.
+_LOG_DECAY = {"U": math.inf, "AN": 2.0, "AL": 1.0, "ALS": 1.0, "BL": 1.0, "BD": 1.0,
+              "CC": 0.0, "CE": 2.0, "DE": 0.0}
+
+
+def _kl_diverges(p: uv.UnivariateSpec, q: uv.UnivariateSpec) -> bool:
+    """True when p has a power tail |x|^-alpha (alpha = 2 for DE, beta for
+    CC) and q's log-density falls like -|x|^k with k >= alpha - 1: then
+    -p ln q decays no faster than 1/|x|, and KL(p || q) is +inf."""
+    alpha = {"DE": 2.0, "CC": p.beta}.get(p.family)
+    return alpha is not None and _LOG_DECAY.get(q.family, q.beta) >= alpha - 1.0
+
+
 def _edges(p: uv.UnivariateSpec, q: uv.UnivariateSpec) -> list[float]:
     """The edges of both specs' panel tables, as break points."""
     return sorted({*uv._table(p)[0].tolist(), *uv._table(q)[0].tolist()})
@@ -123,8 +137,11 @@ def _pair_mean(vals: np.ndarray) -> tuple[float, float]:
 
 def kl_numeric(p, q, mc_draws: int = 1_000_000, seed: int = 0) -> DivergenceResult:
     """KL(p || q); quadrature in 1-d, Monte Carlo on p's antithetic draws in
-    n-d.  Returns +inf when q vanishes on p's support."""
+    n-d.  Returns +inf when q vanishes on p's support, and in 1-d, without
+    integrating, when q's tails are too light for p's power tails."""
     if _univariate_pair(p, q):
+        if _kl_diverges(p, q):
+            return DivergenceResult(kl=math.inf, l1=math.nan, method="quadrature")
         lo, hi = uv.support(p)
         blown = [False]
 

@@ -34,12 +34,12 @@ problem with unit weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from . import mle, specfun, univariate as uv
-from .data_io import Dataset
-from .mle import FitReport, FitSettings
+from .data_io import _rows_of
+from .mle import FitReport
 from .quadrature import QuadratureError
 
 __all__ = [
@@ -75,10 +75,9 @@ class MixtureSettings:
     relative log-likelihood change below ``rel_tol``, or else the fit stops
     after ``max_cycles``.  ``n_init`` applies to the GMM, whose covariances
     are floored at ``_COV_FLOOR`` times the largest data variance.  Each GEM
-    M-step is one coordinate pass with the fixed step control of ``mle``, so
-    it reads no field of ``component_pass``.  With ``bl_upgrade``, the first
-    stall of a GEM fit swaps BL in for the AL components that are
-    flat-topped by the closed-form bound (below
+    M-step is one coordinate pass with the fixed step control of ``mle``.
+    With ``bl_upgrade``, the first stall of a GEM fit swaps BL in for the AL
+    components that are flat-topped by the closed-form bound (below
     ``flatness.FLAT_REGIME_BOUND``) and the cycles go on.
     """
 
@@ -87,7 +86,6 @@ class MixtureSettings:
     stall_cycles: int = 3
     n_init: int = 4
     bl_upgrade: bool = False
-    component_pass: FitSettings = field(default_factory=FitSettings)
 
 
 @dataclass
@@ -153,15 +151,6 @@ class SweepRow:
     aic: float
     bic: float
     error: str | None = None
-
-
-def _rows_of(data) -> np.ndarray:
-    if isinstance(data, Dataset):
-        return data.rows
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +419,9 @@ def _surrogate(mean: float, var: float) -> uv.UnivariateSpec:
 # Generalized EM for the flat-topped mixture
 # ---------------------------------------------------------------------------
 
-def m_step(model: MixtureModel, data, resp: np.ndarray,
-           settings: MixtureSettings | None = None) -> MixtureModel:
+def m_step(model: MixtureModel, data, resp: np.ndarray) -> MixtureModel:
     """Generalized M-step: closed-form weight update plus one weighted
-    coordinate pass per component, so Q never decreases.  The pass reads
-    no field of ``settings``."""
+    coordinate pass per component, so Q never decreases."""
     rows = _rows_of(data)
     if resp.shape != (rows.shape[0], model.k):
         raise ValueError("responsibilities must be N x K")
@@ -500,7 +487,7 @@ def ftm_fit(
     rows = _rows_of(data)
     if init.kind != "flat":
         raise ValueError("ftm_fit expects a flat mixture (see ftm_from_gmm)")
-    return _em(init, rows, settings, lambda model, resp: m_step(model, rows, resp, settings),
+    return _em(init, rows, settings, lambda model, resp: m_step(model, rows, resp),
                _upgrade_flat_components if settings.bl_upgrade else None)
 
 

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import univariate as uv
-from .data_io import Dataset
+from .data_io import Dataset, _rows_of
 from .multivariate import MultivariateSpec, make_mv
 from .specfun import coth, csch2, log_cosh, log_sinh, log_sinh_ratio, logistic, sech2, softplus
 
@@ -329,7 +329,7 @@ def _loglik_cl_raw(rows, m, lam, big_r, t) -> float:
 
 def loglik_cl(data, spec: MultivariateSpec) -> float:
     """Log-likelihood of a CL spec on rows of points."""
-    rows = data.rows if isinstance(data, Dataset) else np.asarray(data, dtype=float)
+    rows = _rows_of(data)
     lam = np.linalg.inv(spec.sigma)
     return _loglik_cl_raw(rows, spec.m, lam, spec.r ** spec.n, spec.t)
 
@@ -394,7 +394,7 @@ def _grad_cl_raw(rows, m, lam, big_r, t):
 
 def grad_cl(data, spec: MultivariateSpec):
     """Gradient blocks of the CL log-likelihood for {m, Sigma^-1, r^n, t}."""
-    rows = data.rows if isinstance(data, Dataset) else np.asarray(data, dtype=float)
+    rows = _rows_of(data)
     lam = np.linalg.inv(spec.sigma)
     return _grad_cl_raw(rows, spec.m, lam, spec.r ** spec.n, spec.t)
 
@@ -448,7 +448,7 @@ def init_al_from_normal_fit(data) -> uv.UnivariateSpec:
 def init_cl_from_data(data) -> MultivariateSpec:
     """Moment-based CL start: sample mean and covariance, the median
     elliptical radius, and a mid-steep shoulder."""
-    rows = data.rows if isinstance(data, Dataset) else np.asarray(data, dtype=float)
+    rows = _rows_of(data)
     m = rows.mean(axis=0)
     sigma = np.cov(rows.T, bias=True)
     sigma = np.atleast_2d(sigma)
@@ -666,7 +666,7 @@ def fit(data, init, settings: FitSettings | None = None):
     if isinstance(init, MultivariateSpec):
         if init.family != "CL":
             raise ValueError(f"fit supports the CL multivariate family, got {init.family}")
-        rows = data.rows if isinstance(data, Dataset) else np.asarray(data, dtype=float)
+        rows = _rows_of(data)
         if rows.ndim != 2 or rows.shape[0] < 2:
             raise ValueError("CL fit needs at least two points")
         if float(np.max(np.var(rows, axis=0))) == 0.0:

@@ -1,11 +1,21 @@
 """Adaptive Gauss-Kronrod quadrature with peak-relative tail truncation.
 
-The engine evaluates a fixed 15-point Kronrod rule (7-point Gauss embedded)
-per panel and bisects the panel with the largest error estimate until the
-total estimate meets the requested tolerance.  Semi-infinite limits are
-truncated where the integrand has decayed below a small fraction of the
-largest sampled value, so exponentially and polynomially decaying tails are
-both handled without a change of variables.
+One rule, ``_kronrod``, evaluates the 15-point Kronrod rule (7-point Gauss
+embedded) over any number of panels in one integrand call, with
+|Kronrod - Gauss| as each panel's error estimate.  The engine evaluates
+every panel between the limits and the break points in one call, then
+refines in rounds: each round bisects the worst panels whose error
+estimates together hold the excess of the total estimate over
+max(abs_tol, rel_tol |total|), the global stopping rule of QUADPACK
+(Piessens et al., 1983), and evaluates all the new halves in one call.  A
+round splits no more panels than the ``max_subdivisions`` budget has left.
+A panel at the roundoff floor is never split; when only such panels hold
+the excess, refinement stops and the result reports ``converged`` False.
+
+Semi-infinite limits are truncated where the integrand has decayed below a
+small fraction of the largest sampled value, and the mass beyond the cut
+is folded in through a log-stretched change of variables, so both
+exponentially and polynomially decaying tails keep their mass.
 
 Integrands must accept a 1-d numpy array and return an array of the same
 shape.
@@ -13,7 +23,6 @@ shape.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -36,6 +45,9 @@ class QuadratureError(RuntimeError):
 # The fraction of the integrand's sampled peak below which a semi-infinite
 # tail is cut off.
 _TAIL_CUTOFF = 1e-12
+# A panel whose error estimate is at most this fraction of its value is at
+# the roundoff floor: 50 machine epsilons, the floor of QUADPACK's QK rules.
+_ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -62,9 +74,13 @@ DEFAULT_SETTINGS = QuadratureSettings()
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """``converged`` is False when refinement stopped at the roundoff floor
+    with the error estimate still above the tolerance."""
+
     value: float
     error: float
     subdivisions: int
+    converged: bool = True
 
 
 # 15-point Kronrod abscissae on [-1, 1] and the embedded 7-point Gauss rule.
@@ -93,25 +109,20 @@ _WG = np.array([
 _G_IDX = np.arange(1, 15, 2)
 
 
-def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float, float]:
-    """Evaluate one Kronrod panel; return (value, error_estimate, peak)."""
+def _kronrod(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
+             b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 15-point Kronrod rule over every [a_i, b_i], in one integrand
+    call: the values and their |Kronrod - Gauss| error estimates."""
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _XK
-    y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
+    x = (0.5 * (a + b))[:, None] + half[:, None] * _XK
+    y = np.asarray(f(x.ravel()), dtype=float)
+    if y.shape != (x.size,):
         raise QuadratureError("integrand must return an array matching its input")
     if not np.all(np.isfinite(y)):
-        raise QuadratureError(f"integrand returned non-finite values on [{a}, {b}]")
-    vk = half * float(np.dot(_WK, y))
-    vg = half * float(np.dot(_WG, y[_G_IDX]))
-    return vk, abs(vk - vg), float(np.max(np.abs(y)))
-
-
-def _kronrod(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The 15-point Kronrod rule over every [a_i, b_i], in one integrand call."""
-    y = np.asarray(f((0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _XK), dtype=float)
-    return 0.5 * (b - a) * (y * _WK).sum(axis=1)
+        raise QuadratureError(f"integrand returned non-finite values on [{a.min()}, {b.max()}]")
+    y = y.reshape(x.shape)
+    vk = half * (y * _WK).sum(axis=1)
+    return vk, np.abs(vk - half * (y[:, _G_IDX] * _WG).sum(axis=1))
 
 
 def _find_cutoff(
@@ -194,7 +205,7 @@ def integrate(
         return QuadratureResult(0.0, 0.0, 0)
     if a > b:
         res = integrate(f, b, a, settings, points=points)
-        return QuadratureResult(-res.value, res.error, res.subdivisions)
+        return replace(res, value=-res.value)
     return _integrate(f, a, b, settings, points, True)[0]
 
 
@@ -202,8 +213,9 @@ def _integrate(f, a: float, b: float, settings: QuadratureSettings, points, map_
     """The adaptive engine of ``integrate`` for a < b.
 
     Also returns the masses below the first panel and above the last (the
-    folded-in tails) and the final panels as ascending (left, right, value)
-    triples, so a caller can cumulate them into a table of the integral.
+    folded-in tails), the final panels' edges in ascending order and each
+    panel's value, so a caller can cumulate them into a table of the
+    integral.
     """
     hints = sorted(p for p in points if a < p < b and math.isfinite(p))
 
@@ -230,47 +242,37 @@ def _integrate(f, a: float, b: float, settings: QuadratureSettings, points, map_
             hi, peak = _find_cutoff(f, anchor, 1.0, peak)
             if map_tails:
                 right = _mapped_tail(f, hi, 1.0, settings)
-    tail_value, tail_error = left.value + right.value, left.error + right.error
-    tail_count = left.subdivisions + right.subdivisions
-    if lo >= hi:
-        return QuadratureResult(tail_value, tail_error, tail_count), left.value, right.value, []
-
-    edges = [lo] + [h for h in hints if lo < h < hi] + [hi]
-    heap: list[tuple[float, int, float, float, float]] = []
-    total = 0.0
-    err = 0.0
-    count = 0
-    for pa, pb in zip(edges[:-1], edges[1:]):
-        v, e, _ = _panel(f, pa, pb)
-        heapq.heappush(heap, (-e, count, pa, pb, v))
-        total += v
-        err += e
-        count += 1
-
-    total += tail_value
-    err += tail_error
-    count += tail_count
-    span = hi - lo
-    while err > max(settings.abs_tol, settings.rel_tol * abs(total)):
+    edges = np.array([lo, *(h for h in hints if lo < h < hi), hi])
+    pa, pb = edges[:-1], edges[1:]
+    v, e = _kronrod(f, pa, pb)
+    count = pa.size + left.subdivisions + right.subdivisions
+    while True:
+        total = left.value + right.value + float(v.sum())
+        err = left.error + right.error + float(e.sum())
+        excess = err - max(settings.abs_tol, settings.rel_tol * abs(total))
+        if excess <= 0.0:
+            break
         if count >= settings.max_subdivisions:
             raise QuadratureError(
                 f"max_subdivisions={settings.max_subdivisions} exhausted "
                 f"(error estimate {err:.3e})"
             )
-        neg_e, _, pa, pb, v = heapq.heappop(heap)
-        if -neg_e <= 0.0 or (pb - pa) < 1e-15 * span:
-            # Roundoff floor reached on the worst panel; nothing to gain.
-            heapq.heappush(heap, (neg_e, count, pa, pb, v))
+        worst = np.argsort(-e, kind="stable")
+        worst = worst[:np.searchsorted(np.cumsum(e[worst]), excess) + 1]
+        # Roundoff floor: halving a panel gains nothing once it is this
+        # narrow, or once its error is within the rule's own rounding of its
+        # value (the Kronrod and Gauss weights agree to ~7e-15 only).
+        worst = worst[(pb[worst] - pa[worst] >= 1e-15 * (hi - lo))
+                      & (e[worst] > _ROUNDOFF * np.abs(v[worst]))]
+        if worst.size == 0:
             break
-        mid = 0.5 * (pa + pb)
-        v1, e1, _ = _panel(f, pa, mid)
-        v2, e2, _ = _panel(f, mid, pb)
-        total += v1 + v2 - v
-        err += e1 + e2 - (-neg_e)
-        heapq.heappush(heap, (-e1, count, pa, mid, v1))
-        count += 1
-        heapq.heappush(heap, (-e2, count, mid, pb, v2))
-        count += 1
-
-    panels = sorted((pa, pb, v) for _, _, pa, pb, v in heap)
-    return QuadratureResult(total, err, count), left.value, right.value, panels
+        split = worst[:(settings.max_subdivisions - count + 1) // 2]
+        mid = 0.5 * (pa[split] + pb[split])
+        na, nb = np.concatenate((pa[split], mid)), np.concatenate((mid, pb[split]))
+        pa, pb, v, e = (np.concatenate((np.delete(old, split), new))
+                        for old, new in zip((pa, pb, v, e), (na, nb, *_kronrod(f, na, nb))))
+        count += na.size
+    converged = excess <= 0.0 and left.converged and right.converged
+    order = np.argsort(pa)
+    return (QuadratureResult(total, err, count, converged), left.value, right.value,
+            np.append(pa[order], pb[order[-1]]), v[order])

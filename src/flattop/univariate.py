@@ -491,9 +491,9 @@ def _cdf_cc(spec, x):
     from scipy import special as sp
 
     y = np.abs(x - spec.m) / spec.s
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # y^beta = inf: w = 1
         yb = y ** spec.beta
-    w = np.where(np.isinf(yb), 1.0, yb / (1.0 + yb))
+        w = np.where(np.isinf(yb), 1.0, yb / (1.0 + yb))
     return 0.5 + 0.5 * np.sign(x - spec.m) * sp.betainc(1.0 / spec.beta, 1.0 - 1.0 / spec.beta, w)
 
 
@@ -576,7 +576,8 @@ def _quantile_cf1(spec, v):
 
 
 def _log_pdf_ce(spec, x):
-    w = (x - spec.a) * (x - spec.b) / spec.s ** 2
+    with np.errstate(over="ignore"):  # |x| beyond ~1e154: w = inf, the density 0
+        w = (x - spec.a) * (x - spec.b) / spec.s ** 2
     return math.log(spec.c) - specfun.softplus(w)
 
 
@@ -755,13 +756,12 @@ def _table(spec: UnivariateSpec) -> tuple[np.ndarray, np.ndarray, float]:
     """
     breaks = _FAMILY[spec.family].breaks
     points = {mode(spec), spec.a, spec.b, *(() if breaks is None else breaks(spec))} - {None}
-    res, below, above, panels = _integrate(partial(pdf, spec), -math.inf, math.inf,
-                                           _CDF_SETTINGS, sorted(points), True)
+    res, below, above, edges, values = _integrate(partial(pdf, spec), -math.inf, math.inf,
+                                                  _CDF_SETTINGS, sorted(points), True)
     if not abs(res.value - 1.0) <= 1e-10:
         raise QuadratureError(f"{spec.family}: density integrates to {res.value!r}, not 1")
-    lefts, rights, values = (np.array(col) for col in zip(*panels))
     cum = below + np.append(0.0, np.cumsum(values))
-    return np.append(lefts, rights[-1]), cum, cum[-1] + above
+    return edges, cum, cum[-1] + above
 
 
 def _cdf_numeric(spec, x):
@@ -776,7 +776,7 @@ def _cdf_numeric(spec, x):
     out = np.where(flat < edges[0], 0.0, np.where(flat > edges[-1], top, flat))  # nan stays nan
     inner = (flat >= edges[0]) & (flat <= edges[-1])
     i = np.clip(np.searchsorted(edges, flat[inner], side="right") - 1, 0, edges.size - 2)
-    out[inner] = cum[i] + _kronrod(f, edges[i], flat[inner])
+    out[inner] = cum[i] + _kronrod(f, edges[i], flat[inner])[0]
     beyond = np.flatnonzero((flat < edges[0]) | (flat > edges[-1]))
     tails = beyond[f(flat[beyond]) != 0.0]
     for j, xj in zip(tails, flat[tails].tolist()):

@@ -368,6 +368,9 @@ def test_divergence_cases(capsys):
                         "--p", "U:a=0,b=1", "--q", "U:a=0.5,b=1.5")
     payload = json.loads(out)
     assert payload["l1"] == pytest.approx(1.0, abs=1e-8)
+    code, out, _ = _run(capsys, "divergence", "--case", "pair",
+                        "--p", "DE:m=0,s=1", "--q", "AL:a=-1,b=1,s=0.3")
+    assert code == 0 and json.loads(out)["kl"] is None  # +inf
     code, _, _ = _run(capsys, "divergence", "--case", "pair")
     assert code == 2
 

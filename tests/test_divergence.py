@@ -181,6 +181,25 @@ def test_kl_against_an_is_finite(family):
         assert math.isfinite(kl) and kl >= 0.0
 
 
+_AL = {"a": -1.0, "b": 1.0, "s": 0.3}
+
+
+@pytest.mark.parametrize("p, q", [(("DE", {"m": 0.0, "s": 1.0}), ("AL", _AL)),
+                                  (("CC", {"m": 0.0, "s": 1.0, "beta": 3.0}), ("AN", _AL))])
+def test_kl_of_a_power_tail_against_a_lighter_one_is_infinite(p, q):
+    # In both pairs -p ln q falls like 1/|x|, so KL(p || q) diverges.
+    assert dv.kl_numeric(uv.make(*p), uv.make(*q)).kl == math.inf
+
+
+@pytest.mark.parametrize("p, q, kl", [
+    (("CC", {"m": 0.0, "s": 1.0, "beta": 2.5}), ("AL", _AL), 2.1573055795527982),
+    (("CC", {"m": 0.0, "s": 1.0, "beta": 6.0}), ("AL", _AL), 0.023244489399085057),
+    (("DE", {"m": 0.0, "s": 1.0}), ("CC", {"m": 0.0, "s": 1.0, "beta": 3.0}), 0.21541959128931462),
+])
+def test_kl_of_a_power_tail_against_a_heavy_enough_one_is_finite(p, q, kl):
+    assert dv.kl_numeric(uv.make(*p), uv.make(*q)).kl == pytest.approx(kl, rel=1e-9)
+
+
 @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
 def test_mc_l1_of_shifted_gaussians(delta):
     p = dv.GaussianND([0.0, 0.0], np.eye(2))

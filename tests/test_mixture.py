@@ -358,7 +358,7 @@ def _ref_partial(name, x, w, spec):
     return g.dt, -2.0 * g.dt / t - float(np.dot(w, (x - b) ** 2 * v)) / t ** 4
 
 
-def _ref_pass(x, w, spec, settings):
+def _ref_pass(x, w, spec):
     """One monotone coordinate pass on one component and axis."""
     names = tuple(spec.params())
     lo, hi = float(x.min()), float(x.max())
@@ -392,16 +392,16 @@ def _ref_pass(x, w, spec, settings):
     return spec
 
 
-def _ref_m_step(model, rows, resp, settings):
+def _ref_m_step(model, rows, resp):
     comps = []
     for k, comp in enumerate(model.components):
         w = resp[:, k]
         if w.sum() < 1e-12:
             comps.append(comp)
         elif model.dim == 1:
-            comps.append(_ref_pass(rows[:, 0], w, comp, settings.component_pass))
+            comps.append(_ref_pass(rows[:, 0], w, comp))
         else:
-            comps.append(tuple(_ref_pass(rows[:, axis], w, spec, settings.component_pass)
+            comps.append(tuple(_ref_pass(rows[:, axis], w, spec)
                                for axis, spec in enumerate(comp)))
     return comps
 
@@ -423,9 +423,8 @@ def _assert_e_step_matches(model, rows):
 
 
 def _assert_m_step_matches(model, rows, resp):
-    settings = mx.MixtureSettings()
-    new = mx.m_step(model, rows, resp, settings)
-    ref = _ref_m_step(model, rows, resp, settings)
+    new = mx.m_step(model, rows, resp)
+    ref = _ref_m_step(model, rows, resp)
     got = _params_of(new)
     want = _params_of(mx.MixtureModel(kind="flat", dim=model.dim, weights=new.weights,
                                       components=ref, factorized=model.factorized))

@@ -75,3 +75,40 @@ def test_result_reports_error_estimate():
     assert isinstance(res, QuadratureResult)
     assert res.error >= 0.0
     assert res.subdivisions >= 1
+    assert res.converged
+
+
+def test_roundoff_floor_is_reported_as_not_converged():
+    # No tolerance is reachable: the panel holding the step halves until it
+    # is too narrow to halve again.
+    settings = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-300)
+    res = integrate(lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0, settings)
+    assert not res.converged
+    assert res.value == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+def _counting(f, sizes):
+    def g(x):
+        sizes.append(x.size)
+        return f(x)
+    return g
+
+
+def test_one_integrand_call_for_the_initial_panels_then_one_per_round():
+    sizes = []
+    res = integrate(_counting(lambda x: np.sqrt(np.abs(x - 0.3)), sizes), 0.0, 1.0,
+                    points=(0.25, 0.5, 0.75))
+    assert res.value == pytest.approx((0.7 ** 1.5 + 0.3 ** 1.5) / 1.5, rel=1e-9)
+    assert sizes[0] == 15 * 4  # the 4 panels between the 3 break points
+    assert all(n % 30 == 0 for n in sizes[1:])  # the two halves of each split panel
+    assert sum(sizes) == 15 * res.subdivisions
+    assert len(sizes) < res.subdivisions // 2
+
+
+def test_a_round_never_splits_past_the_budget():
+    # Every panel holds a share of the excess, so a round would split them all.
+    sizes = []
+    settings = QuadratureSettings(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=100)
+    with pytest.raises(QuadratureError, match="max_subdivisions=100"):
+        integrate(_counting(lambda x: np.abs(np.sin(40.0 * x)), sizes), 0.0, 10.0, settings)
+    assert 100 <= sum(sizes) // 15 <= 101
