@@ -12,23 +12,32 @@ Supported component layouts: univariate Gaussian / AL / BL, and for 2-d
 data full- or diagonal-covariance Gaussians and axis-aligned AL products.
 
 Both fits run one cycle loop, ``_em``: E-step, an M-step callback, and the
-stall rule of ``MixtureSettings``.  The Gaussian callback reseeds empty
-components once; the GEM callback is ``m_step``, and the BL upgrade is the
-loop's one-time hook for the first stall.
+stall rule of ``MixtureSettings``, kept per lane.  The GMM's ``n_init``
+restarts are the R lanes of one loop, run in lock-step: their parameters
+are stacked with a leading lane axis (``_Gaussians``), and each cycle is
+one R x K x N E-step and one stacked M-step over the lanes still running.
+A lane stops when it stalls, after ``max_cycles``, or when a component it
+already reseeded collapses again.  All k-means++ starts are drawn before
+the loop, lane by lane, so the random stream, and every lane's fit, is that
+of restarts run one after another.  GEM is the one-lane case: its callback
+is ``m_step``, and the BL upgrade is the loop's one-time hook for the first
+stall.
 
-Every step works on all components at once.  The E-step builds the N x K
-log-density matrix in one broadcast: Gaussians through one stacked
+Every step works on all components at once.  The E-step builds the R x K x
+N log-density array in one broadcast: Gaussians through one stacked
 Cholesky factorization, flat components from their parameters gathered
 into arrays, one row per (component, axis) factor.  AL and BL factors are
 scored by the log-density kernel of ``mle`` (a per-factor constant plus
 per-point terms in a, b, s[, t]), the same function the M-step climbs,
 which is what makes each GEM cycle monotone; other families go through
-``univariate.log_pdf``.  The Gaussian M-step computes the weighted means,
-covariances and eigenvalue floors as stacked arrays.  The GEM M-step hands
-every AL factor, and then every BL factor, to the single coordinate pass
-of ``mle`` with the N x J matrix of their responsibilities, which
-backtracks per factor by mask; ``mle.fit`` runs the same pass on one
-problem with unit weights.
+``univariate.log_pdf``.  One E-step core (``_e_core``) turns it into
+responsibilities and per-lane log-likelihoods for the loop and for the
+public ``e_step``, which alone also computes Q.  The Gaussian M-step
+computes the weighted means, covariances and eigenvalue floors of every
+lane as stacked arrays.  The GEM M-step hands every AL factor, and then
+every BL factor, to the single coordinate pass of ``mle`` with the N x J
+matrix of their responsibilities, which backtracks per factor by mask;
+``mle.fit`` runs the same pass on one problem with unit weights.
 """
 
 from __future__ import annotations
@@ -153,6 +162,39 @@ class SweepRow:
     error: str | None = None
 
 
+@dataclass
+class _Gaussians:
+    """R lanes of K Gaussians, one lane per GMM restart: weights R x K,
+    means R x K x d, and covariances R x K (1-d) or R x K x d x d."""
+
+    weights: np.ndarray
+    means: np.ndarray
+    cov: np.ndarray
+    cov_type: str | None
+
+    @classmethod
+    def of(cls, model: MixtureModel) -> _Gaussians:
+        """A Gaussian model as one lane."""
+        means = np.array([c[0] for c in model.components], dtype=float).reshape(1, model.k, -1)
+        cov = np.array([c[1] for c in model.components], dtype=float)[None]
+        return cls(model.weights[None], means, cov, model.cov_type)
+
+    def lanes(self, idx) -> _Gaussians:
+        return replace(self, weights=self.weights[idx], means=self.means[idx], cov=self.cov[idx])
+
+    def put(self, idx, new: _Gaussians) -> _Gaussians:
+        """Overwrite lanes ``idx`` with ``new``."""
+        self.weights[idx], self.means[idx], self.cov[idx] = new.weights, new.means, new.cov
+        return self
+
+    def model(self, lane: int) -> MixtureModel:
+        dim = self.means.shape[-1]
+        comps = (list(zip(self.means[lane, :, 0].tolist(), self.cov[lane].tolist())) if dim == 1
+                 else list(zip(self.means[lane], self.cov[lane])))
+        return MixtureModel(kind="gaussian", dim=dim, weights=self.weights[lane],
+                            components=comps, cov_type=self.cov_type)
+
+
 # ---------------------------------------------------------------------------
 # Component log densities
 # ---------------------------------------------------------------------------
@@ -175,31 +217,47 @@ def _factor_logpdf(family: str, x: np.ndarray, specs) -> np.ndarray:
     return kernel.const(p)[:, None] + kernel.terms(x, p)
 
 
-def _log_matrix(model: MixtureModel, rows: np.ndarray) -> np.ndarray:
-    """K x N component log densities."""
+def _log_matrix(model, rows: np.ndarray) -> np.ndarray:
+    """R x K x N component log densities of the lanes of ``_Gaussians``, or
+    1 x K x N of a flat model."""
     cols = np.ascontiguousarray(rows.T)  # dim x N
-    if model.kind == "gaussian":
-        means = np.array([c[0] for c in model.components], dtype=float).reshape(model.k, -1)
-        if model.dim == 1:
-            var = np.array([c[1] for c in model.components], dtype=float)[:, None]
-            return -0.5 * (np.log(2.0 * math.pi * var) + (cols - means) ** 2 / var)
-        chol = np.linalg.cholesky(np.array([c[1] for c in model.components], dtype=float))
-        z = np.linalg.inv(chol) @ (cols - means[:, :, None])  # K x dim x N
-        log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-        return -0.5 * (model.dim * math.log(2.0 * math.pi) + log_det[:, None]
-                       + np.einsum("kdn,kdn->kn", z, z))
+    if isinstance(model, _Gaussians):
+        dim = model.means.shape[-1]
+        if dim == 1:
+            var = model.cov[..., None]
+            return -0.5 * (np.log(2.0 * math.pi * var) + (cols - model.means) ** 2 / var)
+        chol = np.linalg.cholesky(model.cov)
+        z = np.linalg.inv(chol) @ (cols - model.means[..., None])  # R x K x dim x N
+        log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=2, axis2=3)), axis=2)
+        return -0.5 * (dim * math.log(2.0 * math.pi) + log_det[..., None]
+                       + np.einsum("rkdn,rkdn->rkn", z, z))
     factors = _factors(model)
     x = cols[[axis for _, axis, _ in factors]]
     out = np.empty_like(x)
     for family in {spec.family for _, _, spec in factors}:
         idx = [j for j, (_, _, spec) in enumerate(factors) if spec.family == family]
         out[idx] = _factor_logpdf(family, x[idx], [factors[j][2] for j in idx])
-    return out.reshape(model.k, model.dim, -1).sum(axis=1)
+    return out.reshape(model.k, model.dim, -1).sum(axis=1)[None]
 
 
 # ---------------------------------------------------------------------------
 # E-step
 # ---------------------------------------------------------------------------
+
+def _e_core(model, rows: np.ndarray):
+    """The E-step of every lane of ``model``: the log joint densities and
+    the responsibilities (R x K x N), the mask of points that some component
+    scores (R x N), and each lane's log-likelihood.  Points where every
+    component underflows get uniform responsibilities."""
+    with np.errstate(divide="ignore"):
+        log_w = np.log(model.weights)
+    log_joint = _log_matrix(model, rows) + log_w.reshape(-1, log_w.shape[-1], 1)
+    row_tot = specfun.logsumexp(log_joint, axis=1)
+    finite = np.isfinite(row_tot)
+    resp = np.exp(log_joint - np.where(finite, row_tot, 0.0)[:, None])
+    np.swapaxes(resp, 1, 2)[~finite] = 1.0 / log_joint.shape[1]
+    return log_joint, resp, finite, [float(np.sum(t[f])) for t, f in zip(row_tot, finite)]
+
 
 def e_step(model: MixtureModel, data) -> EStepResult:
     """Responsibilities, the expected complete-data objective Q, and the
@@ -209,18 +267,10 @@ def e_step(model: MixtureModel, data) -> EStepResult:
     and are reported in ``flagged``.
     """
     rows = _rows_of(data)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(model.weights)
-    log_joint = _log_matrix(model, rows) + log_w[:, None]  # K x N
-    row_tot = specfun.logsumexp(log_joint, axis=0)
-    finite_rows = np.isfinite(row_tot)
-    flagged = np.flatnonzero(~finite_rows)
-    resp = np.exp(log_joint - np.where(finite_rows, row_tot, 0.0)).T
-    if flagged.size:
-        resp[flagged] = 1.0 / model.k
-    loglik = float(np.sum(row_tot[finite_rows]))
-    q = float(np.sum(resp.T * np.where(np.isfinite(log_joint), log_joint, 0.0)))
-    return EStepResult(resp=resp, q=q, loglik=loglik, flagged=flagged)
+    log_joint, resp, finite, loglik = _e_core(
+        _Gaussians.of(model) if model.kind == "gaussian" else model, rows)
+    q = float(np.sum(resp[0] * np.where(np.isfinite(log_joint[0]), log_joint[0], 0.0)))
+    return EStepResult(resp=resp[0].T, q=q, loglik=loglik[0], flagged=np.flatnonzero(~finite[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +280,11 @@ def e_step(model: MixtureModel, data) -> EStepResult:
 def _kmeanspp_centers(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = rows.shape[0]
     centers = [rows[rng.integers(n)]]
+    d2 = np.sum((rows - centers[0]) ** 2, axis=1)  # to the nearest centre so far
     for _ in range(1, k):
-        d2 = np.min(
-            [np.sum((rows - c) ** 2, axis=1) for c in centers], axis=0)
         total = d2.sum()
-        if total == 0.0:
-            centers.append(rows[rng.integers(n)])
-            continue
-        centers.append(rows[rng.choice(n, p=d2 / total)])
+        centers.append(rows[rng.integers(n) if total == 0.0 else rng.choice(n, p=d2 / total)])
+        d2 = np.minimum(d2, np.sum((rows - centers[-1]) ** 2, axis=1))
     return np.array(centers)
 
 
@@ -248,29 +295,31 @@ def _floor_cov(cov: np.ndarray, floor: float) -> np.ndarray:
     return (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
-def _gmm_m_step(rows, resp, cov_type, floor):
+def _gmm_m_step(rows, resp, cov_type, floor) -> _Gaussians:
+    """The Gaussian M-step of every lane from its K x N responsibilities
+    (``resp`` is R x K x N); raises ``_EmptyComponent`` if a component of
+    some lane has none."""
     n, dim = rows.shape
-    nk = resp.sum(axis=0)
-    empty = np.flatnonzero(nk <= 0)
-    if empty.size:
-        raise _EmptyComponent(empty)
-    weights = nk / n
-    means = resp.T @ rows / nk[:, None]
-    d = np.ascontiguousarray(rows.T) - means[:, :, None]  # K x dim x N
-    cov = (d * resp.T[:, None, :]) @ d.transpose(0, 2, 1) / nk[:, None, None]
+    nk = resp.sum(axis=2)
+    if np.any(nk <= 0):
+        raise _EmptyComponent(nk <= 0)
+    means = resp @ rows / nk[..., None]
+    d = np.ascontiguousarray(rows.T) - means[..., None]  # R x K x dim x N
+    cov = (d * resp[:, :, None]) @ np.swapaxes(d, 2, 3) / nk[..., None, None]
     if dim == 1:
-        var = np.maximum(cov[:, 0, 0], floor)
-        return weights, [(float(m), float(v)) for m, v in zip(means[:, 0], var)]
-    if cov_type == "diag":
-        cov = np.maximum(np.diagonal(cov, axis1=1, axis2=2), floor)[:, :, None] * np.eye(dim)
+        cov = np.maximum(cov[..., 0, 0], floor)
+    elif cov_type == "diag":
+        cov = np.maximum(np.diagonal(cov, axis1=2, axis2=3), floor)[..., None] * np.eye(dim)
     else:
         cov = _floor_cov(cov, floor)
-    return weights, list(zip(means, cov))
+    return _Gaussians(nk / n, means, cov, cov_type)
 
 
 class _EmptyComponent(Exception):
-    def __init__(self, indices: np.ndarray) -> None:
-        self.indices = indices
+    """Components without responsibility: ``empty`` is an R x K mask."""
+
+    def __init__(self, empty: np.ndarray) -> None:
+        self.empty = empty
 
 
 def gmm_fit(
@@ -282,8 +331,14 @@ def gmm_fit(
 ) -> tuple[MixtureModel, FitReport]:
     """Standard EM for a Gaussian mixture with k-means++-style seeding.
 
-    Runs ``n_init`` seedings and keeps the best final log-likelihood.  An
-    empty component is reseeded once, then raises.
+    The ``n_init`` seedings run in lock-step as the lanes of one EM loop,
+    each cycle one stacked E-step and M-step over the lanes still running;
+    a lane stops on its own stall rule, as a restart run alone would.  The
+    k-means++ centres of every lane are drawn first, lane by lane, so the
+    random stream is that of restarts run one after another.  The first lane
+    with the best final log-likelihood is returned.  An empty component is
+    reseeded once; a lane whose component collapses again fails the fit with
+    ComponentCollapseError (the lowest such lane's).
     """
     settings = settings or MixtureSettings()
     rows = _rows_of(data)
@@ -294,90 +349,99 @@ def gmm_fit(
         raise ValueError(f"need more points than components: N={n}, K={k}")
     if covariance_type not in ("full", "diag"):
         raise ValueError("covariance_type must be 'full' or 'diag'")
-    floor = _COV_FLOOR * float(np.max(np.var(rows, axis=0)))
-    floor = max(floor, 1e-300)
-    rng = np.random.default_rng(seed)
-    fits = [_em(_gmm_start(rows, k, rng, covariance_type, floor), rows, settings,
-                _gmm_step(rows, covariance_type, floor))
-            for _ in range(max(1, settings.n_init))]
-    return max(fits, key=lambda fit: fit[1].loglik_trace[-1])
+    floor = max(_COV_FLOOR * float(np.max(np.var(rows, axis=0))), 1e-300)
+    cov_type = covariance_type if rows.shape[1] > 1 else None
+    start = _gmm_start(rows, k, max(1, settings.n_init), np.random.default_rng(seed), cov_type,
+                       floor)
+    return _em(start, rows, settings, lambda lanes, resp: _gmm_m_step(rows, resp, cov_type, floor))
 
 
-def _gmm_start(rows, k, rng, covariance_type, floor) -> MixtureModel:
-    """Equal weights, k-means++ centres and the pooled (co)variance."""
-    dim = rows.shape[1]
-    centers = _kmeanspp_centers(rows, k, rng)
-    if dim == 1:
-        base_var = max(float(np.var(rows)), floor)
-        comps = [(float(c[0]), base_var) for c in centers]
+def _gmm_start(rows, k, lanes, rng, cov_type, floor) -> _Gaussians:
+    """Equal weights, k-means++ centres drawn lane by lane, and the pooled
+    (co)variance."""
+    means = np.array([_kmeanspp_centers(rows, k, rng) for _ in range(lanes)])
+    if rows.shape[1] == 1:
+        cov = np.full((lanes, k), max(float(np.var(rows)), floor))
     else:
         base_cov = _floor_cov(np.cov(rows.T, bias=True), floor)
-        if covariance_type == "diag":
+        if cov_type == "diag":
             base_cov = np.diag(np.diag(base_cov))
-        comps = [(c.copy(), base_cov.copy()) for c in centers]
-    return MixtureModel(kind="gaussian", dim=dim, weights=np.full(k, 1.0 / k),
-                        components=comps, cov_type=covariance_type if dim > 1 else None)
-
-
-def _gmm_step(rows, covariance_type, floor):
-    """The Gaussian M-step of one EM run.  The first time components lose
-    all responsibility, they get an even share of every point; the second
-    time, the run raises ComponentCollapseError."""
-    reseeded = False
-
-    def step(model: MixtureModel, resp: np.ndarray) -> MixtureModel:
-        nonlocal reseeded
-        try:
-            weights, comps = _gmm_m_step(rows, resp, covariance_type, floor)
-        except _EmptyComponent as empty:
-            if reseeded:
-                raise ComponentCollapseError(
-                    f"component {int(empty.indices[0])} collapsed twice; aborting") from None
-            reseeded = True
-            resp[:, empty.indices] = 1.0 / rows.shape[0]
-            resp /= resp.sum(axis=1, keepdims=True)
-            weights, comps = _gmm_m_step(rows, resp, covariance_type, floor)
-        return replace(model, weights=weights, components=comps)
-
-    return step
+        cov = np.tile(base_cov, (lanes, k, 1, 1))
+    return _Gaussians(np.full((lanes, k), 1.0 / k), means, cov, cov_type)
 
 
 # ---------------------------------------------------------------------------
 # The EM cycle loop shared by the GMM and GEM fits
 # ---------------------------------------------------------------------------
 
-def _em(model: MixtureModel, rows: np.ndarray, settings: MixtureSettings, m_step,
+def _em(model, rows: np.ndarray, settings: MixtureSettings, m_step,
         on_stall=None) -> tuple[MixtureModel, FitReport]:
-    """Cycles of E-step and ``m_step(model, resp)`` from ``model``.
+    """Cycles of E-step and ``m_step(model, resp)`` from ``model``, either
+    the R lanes of a ``_Gaussians`` stack, run in lock-step, or one flat
+    model.  Each cycle computes only the lanes still running.
 
     A cycle stalls when the log-likelihood rises by less than ``rel_tol``
     relative to the previous cycle's (at least 1 in absolute terms).  After
-    ``stall_cycles`` stalled cycles in a row the fit has converged, unless
-    ``on_stall(model)`` returns a new model: the cycles then go on from it,
-    and the next such stall ends the fit.  A last E-step scores the final
-    model; the report carries every cycle's log-likelihood and that one.
+    ``stall_cycles`` stalled cycles in a row a lane has converged, unless
+    ``on_stall(model)`` (one-lane fits) returns a new model: the cycles then
+    go on from it, and the next such stall ends the fit.  A lane also stops
+    after ``max_cycles``.  The first time components of a lane lose all
+    responsibility (``_EmptyComponent``), they get an even share of every
+    point and the M-step runs again; the second time, the lane stops, and
+    the fit raises the ComponentCollapseError of the lowest such lane, whose
+    higher lanes stop with it.  A last E-step scores the final models; the
+    first lane with the highest final log-likelihood is returned, with a
+    report that carries every cycle's log-likelihood and that one.
     """
-    trace: list[float] = []
-    stall = cycles = 0
-    converged = False
-    for cycles in range(1, settings.max_cycles + 1):
-        es = e_step(model, rows)
-        trace.append(es.loglik)
-        model = m_step(model, es.resp)
-        gain = (trace[-1] - trace[-2]) / max(abs(trace[-2]), 1.0) if cycles > 1 else math.inf
-        stall = stall + 1 if gain < settings.rel_tol else 0
-        if stall >= settings.stall_cycles:
-            restart = on_stall(model) if on_stall is not None else None
-            if restart is None:
-                converged = True
-                break
-            model, on_stall, stall = restart, None, 0
-    trace.append(e_step(model, rows).loglik)
+    lanes = model.weights.size // model.weights.shape[-1]
+    traces: list[list[float]] = [[] for _ in range(lanes)]
+    stall, reseeded, converged = [0] * lanes, [False] * lanes, [False] * lanes
+    errors: list[ComponentCollapseError | None] = [None] * lanes
+    live, failed = np.arange(lanes), lanes
+    for _ in range(settings.max_cycles):
+        sub = model if live.size == lanes else model.lanes(live)
+        _, resp, _, loglik = _e_core(sub, rows)
+        try:
+            new = m_step(sub, resp)
+        except _EmptyComponent as exc:
+            for i in np.flatnonzero(exc.empty.any(axis=1)):
+                lane, empty = live[i], np.flatnonzero(exc.empty[i])
+                if reseeded[lane]:
+                    errors[lane] = ComponentCollapseError(
+                        f"component {int(empty[0])} collapsed twice; aborting")
+                reseeded[lane] = True
+                r = resp[i].T
+                r[:, empty] = 1.0 / rows.shape[0]
+                r /= r.sum(axis=1, keepdims=True)
+            new = m_step(sub, resp)
+        model = new if live.size == lanes else model.put(live, new)
+        for lane, ll in zip(live, loglik):
+            trace = traces[lane]
+            trace.append(ll)
+            gain = (ll - trace[-2]) / max(abs(trace[-2]), 1.0) if len(trace) > 1 else math.inf
+            stall[lane] = stall[lane] + 1 if gain < settings.rel_tol else 0
+            if stall[lane] >= settings.stall_cycles:
+                restart = on_stall(model) if on_stall is not None else None
+                if restart is None:
+                    converged[lane] = True
+                else:
+                    model, on_stall, stall[lane] = restart, None, 0
+        failed = next((lane for lane, err in enumerate(errors) if err), lanes)
+        live = live[[not converged[lane] and lane < failed for lane in live]]
+        if not live.size:
+            break
+    if failed < lanes:
+        raise errors[failed]
+    for trace, ll in zip(traces, _e_core(model, rows)[3]):
+        trace.append(ll)
+    best = max(range(lanes), key=lambda lane: traces[lane][-1])
+    model = model.model(best) if isinstance(model, _Gaussians) else model
+    trace = traces[best]
     k_free = model.free_param_count
     aic, bic = mle._aic_bic(k_free, trace[-1], rows.shape[0])
-    return model, FitReport(converged=converged, iterations=cycles, loglik_trace=trace,
-                            final_params={}, grad_norm=math.nan, aic=aic, bic=bic,
-                            free_params=k_free)
+    return model, FitReport(converged=converged[best], iterations=len(trace) - 1,
+                            loglik_trace=trace, final_params={}, grad_norm=math.nan, aic=aic,
+                            bic=bic, free_params=k_free)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +551,7 @@ def ftm_fit(
     rows = _rows_of(data)
     if init.kind != "flat":
         raise ValueError("ftm_fit expects a flat mixture (see ftm_from_gmm)")
-    return _em(init, rows, settings, lambda model, resp: m_step(model, rows, resp),
+    return _em(init, rows, settings, lambda model, resp: m_step(model, rows, resp[0].T),
                _upgrade_flat_components if settings.bl_upgrade else None)
 
 

@@ -488,20 +488,39 @@ def _log_pdf_cc(spec, x):
 
 
 def _cdf_cc(spec, x):
+    """0.5 + 0.5 sign(x - m) I_w(1/beta, 1 - 1/beta) with w = y^beta / (1 +
+    y^beta).  Beyond y = 1 on the left, the complement 0.5 I_u(1 - 1/beta,
+    1/beta) with u = 1 - w = 1 / (1 + y^beta) keeps the tail's relative
+    accuracy; where y^beta overflows, the leading term of I_u in u = y^-beta
+    takes over."""
     from scipy import special as sp
 
+    a, b = 1.0 / spec.beta, 1.0 - 1.0 / spec.beta
     y = np.abs(x - spec.m) / spec.s
-    with np.errstate(over="ignore", invalid="ignore"):  # y^beta = inf: w = 1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # y^beta = inf: w = 1
         yb = y ** spec.beta
         w = np.where(np.isinf(yb), 1.0, yb / (1.0 + yb))
-    return 0.5 + 0.5 * np.sign(x - spec.m) * sp.betainc(1.0 / spec.beta, 1.0 - 1.0 / spec.beta, w)
+        tail = np.where(np.isinf(yb), np.exp((1.0 - spec.beta) * np.log(y) - math.log(b)
+                                             - sp.betaln(a, b)),
+                        sp.betainc(b, a, 1.0 / (1.0 + yb)))
+    near = 0.5 + 0.5 * np.sign(x - spec.m) * sp.betainc(a, b, w)
+    return np.where((x < spec.m) & (yb > 1.0), 0.5 * tail, near)
 
 
 def _quantile_cc(spec, v):
+    """The inverse of ``_cdf_cc``: beyond y = 1, y^beta = 1/u - 1 with u =
+    I^-1(1 - 1/beta, 1/beta) of the mass 2 min(v, 1 - v) beyond y, or, where
+    u would underflow, the inverse of the leading term of I_u."""
     from scipy import special as sp
 
-    w = sp.betaincinv(1.0 / spec.beta, 1.0 - 1.0 / spec.beta, np.abs(2.0 * v - 1.0))
-    y = (w / (1.0 - w)) ** (1.0 / spec.beta)
+    a, b, root = 1.0 / spec.beta, 1.0 - 1.0 / spec.beta, 1.0 / spec.beta
+    p = 2.0 * np.minimum(v, 1.0 - v)
+    log_u = (np.log(p) + math.log(b) + sp.betaln(a, b)) / b  # of the leading term
+    u = sp.betaincinv(b, a, p)
+    w = sp.betaincinv(a, b, np.abs(2.0 * v - 1.0))
+    with np.errstate(divide="ignore", over="ignore"):
+        far = np.where(log_u < -700.0, np.exp(-root * log_u), (1.0 / u - 1.0) ** root)
+        y = np.where(u < 0.5, far, (w / (1.0 - w)) ** root)
     return spec.m + np.sign(v - 0.5) * spec.s * y
 
 

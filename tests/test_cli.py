@@ -103,7 +103,9 @@ def test_typed_library_errors_exit_one_without_traceback(capsys, tmp_path, monke
     def empty_every_other_call(rows, resp, cov_type, floor):
         calls.append(1)
         if len(calls) % 2:
-            raise mixture._EmptyComponent(np.array([0]))
+            empty = np.zeros(resp.shape[:2], dtype=bool)
+            empty[:, 0] = True
+            raise mixture._EmptyComponent(empty)
         return real_m_step(rows, resp, cov_type, floor)
 
     monkeypatch.setattr(mixture, "_gmm_m_step", empty_every_other_call)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from flattop import mixture as mx, mle, univariate as uv
-from flattop.data_io import gen_segments_2d, default_segments_scenario
+from flattop import mixture as mx, mle, specfun, univariate as uv
+from flattop.data_io import default_segments_scenario, gen_mixed_1d, gen_segments_2d
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +288,9 @@ def test_gmm_collapse_is_typed(monkeypatch):
     def empty_every_other_call(rows, resp, cov_type, floor):
         calls.append(1)
         if len(calls) % 2:
-            raise mx._EmptyComponent(np.array([1]))
+            empty = np.zeros(resp.shape[:2], dtype=bool)
+            empty[:, 1] = True
+            raise mx._EmptyComponent(empty)
         return real_m_step(rows, resp, cov_type, floor)
 
     monkeypatch.setattr(mx, "_gmm_m_step", empty_every_other_call)
@@ -298,13 +300,70 @@ def test_gmm_collapse_is_typed(monkeypatch):
     assert "collapsed twice" in rows[0].error
 
 
+def _inject_empty(monkeypatch, plan):
+    """Wrap the stacked Gaussian M-step.  Its call c (counted from 1)
+    reports component k of row i of the lanes empty for every (i, k) in
+    plan[c]; every call's responsibilities, and its result, are recorded."""
+    real, calls = mx._gmm_m_step, []
+
+    def step(rows, resp, cov_type, floor):
+        calls.append([resp.copy()])
+        if len(calls) in plan:
+            empty = np.zeros(resp.shape[:2], dtype=bool)
+            for i, k in plan[len(calls)]:
+                empty[i, k] = True
+            raise mx._EmptyComponent(empty)
+        calls[-1].append(real(rows, resp, cov_type, floor))
+        return calls[-1][1]
+
+    monkeypatch.setattr(mx, "_gmm_m_step", step)
+    return calls
+
+
+def _lane_arrays(fit, lanes):
+    return [a[lanes] for a in (fit.weights, fit.means, fit.cov)]
+
+
+def test_reseed_in_one_lane_leaves_the_other_lanes_bit_identical(monkeypatch, segments_rows):
+    settings = mx.MixtureSettings(max_cycles=6, rel_tol=-math.inf)
+    plain = _inject_empty(monkeypatch, {})
+    mx.gmm_fit(segments_rows, 4, seed=11, settings=settings)
+    monkeypatch.undo()
+    hit = _inject_empty(monkeypatch, {1: [(1, 2)]})
+    mx.gmm_fit(segments_rows, 4, seed=11, settings=settings)
+    # One extra M-step, the rerun after lane 1's component 2 got an even share.
+    assert len(hit) == len(plain) + 1
+    reseeded = hit[0][0][1].T.copy()
+    reseeded[:, 2] = 1.0 / segments_rows.shape[0]
+    reseeded /= reseeded.sum(axis=1, keepdims=True)
+    assert np.array_equal(hit[1][0][1].T, reseeded)
+    others = [0, 2, 3]
+    for (resp, fit), (hit_resp, hit_fit) in zip(plain, hit[1:]):
+        assert np.array_equal(resp[others], hit_resp[others])
+        for a, b in zip(_lane_arrays(fit, others), _lane_arrays(hit_fit, others)):
+            assert np.array_equal(a, b)
+    assert not np.array_equal(plain[-1][1].means[1], hit[-1][1].means[1])
+
+
+def test_second_collapse_raises_the_lowest_collapsed_lanes_error(monkeypatch, segments_rows):
+    # Lane 3 collapses twice (M-step calls 1 and 3), then lane 1 (calls 3 and
+    # 5): restarts run one after another would have failed in lane 1 first.
+    settings = mx.MixtureSettings(max_cycles=6, rel_tol=-math.inf)
+    calls = _inject_empty(monkeypatch, {1: [(3, 0)], 3: [(3, 0), (1, 1)], 5: [(1, 1)]})
+    with pytest.raises(mx.ComponentCollapseError,
+                       match=r"^component 1 collapsed twice; aborting$"):
+        mx.gmm_fit(segments_rows, 4, seed=11, settings=settings)
+    # A collapsed lane stops, and so do the lanes above it.
+    assert [call[0].shape[0] for call in calls] == [4, 4, 4, 4, 3, 3, 1, 1, 1]
+
+
 def test_gmm_reseeds_every_empty_component_at_once():
     rows = np.linspace(0.0, 1.0, 20).reshape(-1, 1)
     resp = np.zeros((20, 3))
     resp[:, 0] = 1.0
     with pytest.raises(mx._EmptyComponent) as info:
-        mx._gmm_m_step(rows, resp, "full", 1e-10)
-    assert info.value.indices.tolist() == [1, 2]
+        mx._gmm_m_step(rows, resp.T[None], "full", 1e-10)
+    assert np.flatnonzero(info.value.empty[0]).tolist() == [1, 2]
 
 
 def test_sweep_rejects_unknown_family():
@@ -434,6 +493,99 @@ def _assert_m_step_matches(model, rows, resp):
     return new
 
 
+def _ref_gauss_e_step(weights, means, cov, rows):
+    """One Gaussian restart's N x K responsibilities and log-likelihood."""
+    cols = np.ascontiguousarray(rows.T)
+    means = means.reshape(weights.size, -1)
+    if rows.shape[1] == 1:
+        var = cov[:, None]
+        log_mat = -0.5 * (np.log(2.0 * math.pi * var) + (cols - means) ** 2 / var)
+    else:
+        chol = np.linalg.cholesky(cov)
+        z = np.linalg.inv(chol) @ (cols - means[:, :, None])
+        log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+        log_mat = -0.5 * (rows.shape[1] * math.log(2.0 * math.pi) + log_det[:, None]
+                          + np.einsum("kdn,kdn->kn", z, z))
+    log_joint = log_mat + np.log(weights)[:, None]
+    row_tot = specfun.logsumexp(log_joint, axis=0)
+    finite = np.isfinite(row_tot)
+    resp = np.exp(log_joint - np.where(finite, row_tot, 0.0)).T
+    resp[~finite] = 1.0 / weights.size
+    return resp, float(np.sum(row_tot[finite]))
+
+
+def _ref_gauss_m_step(rows, resp, cov_type, floor):
+    """One Gaussian restart's weights, means and covariances; None if a
+    component has no responsibility."""
+    n, dim = rows.shape
+    nk = resp.sum(axis=0)
+    if np.any(nk <= 0):
+        return None
+    means = resp.T @ rows / nk[:, None]
+    d = np.ascontiguousarray(rows.T) - means[:, :, None]
+    cov = (d * resp.T[:, None, :]) @ d.transpose(0, 2, 1) / nk[:, None, None]
+    if dim == 1:
+        cov = np.maximum(cov[:, 0, 0], floor)
+    elif cov_type == "diag":
+        cov = np.maximum(np.diagonal(cov, axis1=1, axis2=2), floor)[:, :, None] * np.eye(dim)
+    else:
+        cov = mx._floor_cov(cov, floor)
+    return nk / n, means, cov
+
+
+def _ref_gmm_restarts(rows, k, seed, settings, cov_type):
+    """Every restart run alone, one after another, from the lanes' start
+    draws: (trace, iterations, converged, (weights, means, cov)) each."""
+    floor = max(mx._COV_FLOOR * float(np.max(np.var(rows, axis=0))), 1e-300)
+    cov_type = cov_type if rows.shape[1] > 1 else None
+    start = mx._gmm_start(rows, k, settings.n_init, np.random.default_rng(seed), cov_type, floor)
+    fits = []
+    for lane in range(settings.n_init):
+        params = (start.weights[lane], start.means[lane], start.cov[lane])
+        trace, stall, cycles, converged, reseeded = [], 0, 0, False, False
+        for cycles in range(1, settings.max_cycles + 1):
+            resp, loglik = _ref_gauss_e_step(*params, rows)
+            trace.append(loglik)
+            new = _ref_gauss_m_step(rows, resp, cov_type, floor)
+            if new is None:
+                assert not reseeded, "collapsed twice"
+                reseeded = True
+                resp[:, resp.sum(axis=0) <= 0] = 1.0 / rows.shape[0]
+                resp /= resp.sum(axis=1, keepdims=True)
+                new = _ref_gauss_m_step(rows, resp, cov_type, floor)
+            params = new
+            gain = (trace[-1] - trace[-2]) / max(abs(trace[-2]), 1.0) if cycles > 1 else math.inf
+            stall = stall + 1 if gain < settings.rel_tol else 0
+            if stall >= settings.stall_cycles:
+                converged = True
+                break
+        trace.append(_ref_gauss_e_step(*params, rows)[1])
+        fits.append((trace, cycles, converged, params))
+    return fits
+
+
+@pytest.mark.parametrize("rel_tol", [-math.inf, 1e-8])
+@pytest.mark.parametrize("data, cov_type, k", [
+    ("1d", "full", 1),  # every lane ends on the same log-likelihood: the first wins
+    ("1d", "full", 3), ("2d", "full", 4), ("2d", "diag", 4)])
+def test_gmm_restart_lanes_match_restarts_run_one_after_another(segments_rows, data, cov_type,
+                                                                k, rel_tol):
+    rows = segments_rows if data == "2d" else gen_mixed_1d(20260808).rows
+    settings = mx.MixtureSettings(n_init=4, rel_tol=rel_tol,
+                                  max_cycles=25 if rel_tol == -math.inf else 300)
+    model, report = mx.gmm_fit(rows, k, seed=11, settings=settings, covariance_type=cov_type)
+    fits = _ref_gmm_restarts(rows, k, 11, settings, cov_type)
+    if rel_tol > 0 and k > 1:  # the lanes stop at different cycles
+        assert len({fit[1] for fit in fits}) > 1
+    trace, iterations, converged, (weights, means, cov) = max(fits, key=lambda fit: fit[0][-1])
+    assert report.loglik_trace == trace
+    assert (report.iterations, report.converged) == (iterations, converged)
+    assert np.array_equal(model.weights, weights)
+    assert np.array_equal(np.array([c[0] for c in model.components]).reshape(means.shape), means)
+    assert np.array_equal(np.array([c[1] for c in model.components]), cov)
+    assert report.bic == mle._aic_bic(model.free_param_count, trace[-1], rows.shape[0])[1]
+
+
 @pytest.fixture(scope="module")
 def segments_rows():
     return gen_segments_2d(default_segments_scenario()).rows
@@ -446,7 +598,8 @@ def test_gaussian_e_and_m_step_match_per_component_loop(segments_rows, cov_type)
     model, _ = mx.gmm_fit(rows, 4, seed=11, settings=settings, covariance_type=cov_type)
     es = _assert_e_step_matches(model, rows)
     floor = mx._COV_FLOOR * float(np.max(np.var(rows, axis=0)))
-    weights, comps = mx._gmm_m_step(rows, es.resp, cov_type, floor)
+    fit = mx._gmm_m_step(rows, es.resp.T[None], cov_type, floor).model(0)
+    weights, comps = fit.weights, fit.components
     nk = es.resp.sum(axis=0)
     assert np.allclose(weights, nk / rows.shape[0], rtol=1e-12)
     for k, (mean, cov) in enumerate(comps):

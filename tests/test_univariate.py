@@ -646,6 +646,35 @@ def test_cc_moment_existence_threshold():
     assert uv.central_moment(cc, 6).flag == "infinite"
 
 
+@pytest.mark.parametrize("beta", [1.4, 3.0, 7.0])
+def test_cc_left_tail_and_quantile_keep_relative_accuracy_to_1e_100(beta):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    m, s = 2.0, 0.5
+    spec = uv.make("CC", {"m": m, "s": s, "beta": beta})
+    half_mass = mp.pi / beta / mp.sin(mp.pi / beta)  # of 1 / (1 + t^beta) over t > 0
+
+    def tail(y):  # P(X < m - s y), with y^(1 - beta) taken out of the integral
+        y = mp.mpf(y)
+        return y ** (1 - beta) * mp.quad(lambda r: 1 / (y ** -beta + r ** beta),
+                                         [1, mp.inf]) / (2 * half_mass)
+
+    ys = 10.0 ** np.linspace(-3.0, 99.0 / (beta - 1.0), 12)
+    vs = 10.0 ** -np.linspace(1.0, 100.0, 12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = uv.cdf(spec, m - s * ys)
+        q = uv.quantile(spec, vs)
+        back = uv.cdf(spec, q)
+    assert got[-1] < 1e-99
+    for g, y in zip(got, ys):
+        assert g == pytest.approx(float(tail(y)), rel=1e-8)
+    assert np.all(np.isfinite(q))
+    assert back == pytest.approx(vs, rel=1e-8)
+    for x, v in zip(q, vs):
+        assert float(tail((m - x) / s)) == pytest.approx(v, rel=1e-8)
+
+
 def test_moment_requires_even_order():
     al = uv.make("AL", {"a": 0, "b": 1, "s": 0.1})
     with pytest.raises(ValueError):
