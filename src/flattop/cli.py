@@ -392,7 +392,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--header", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bl-upgrade", action="store_true")
+    p.add_argument("--bl-upgrade", action="store_true",
+                   help="FTM on 1-d data: switch flat-topped components to BL at the "
+                        "first stall (no effect on 2-d data)")
     p.add_argument("--resp", default=None, help="write the responsibility CSV")
     add_common(p)
     p.set_defaults(fn=_cmd_mixfit)

@@ -11,33 +11,37 @@ optimization continues the same way.
 Supported component layouts: univariate Gaussian / AL / BL, and for 2-d
 data full- or diagonal-covariance Gaussians and axis-aligned AL products.
 
-Both fits run one cycle loop, ``_em``: E-step, an M-step callback, and the
-stall rule of ``MixtureSettings``, kept per lane.  The GMM's ``n_init``
-restarts are the R lanes of one loop, run in lock-step: their parameters
-are stacked with a leading lane axis (``_Gaussians``), and each cycle is
-one R x K x N E-step and one stacked M-step over the lanes still running.
-A lane stops when it stalls, after ``max_cycles``, or when a component it
-already reseeded collapses again.  All k-means++ starts are drawn before
-the loop, lane by lane, so the random stream, and every lane's fit, is that
-of restarts run one after another.  GEM is the one-lane case: its callback
-is ``m_step``, and the BL upgrade is the loop's one-time hook for the first
-stall.
+Both fits run one cycle loop, ``_em``, on a state of parameter arrays,
+and build the returned ``MixtureModel`` only when the loop ends.  The
+GMM's ``n_init`` restarts are the R lanes of one loop, run in lock-step:
+their parameters are stacked with a leading lane axis (``_Gaussians``),
+and each cycle is one R x K x N E-step and one stacked M-step over the
+lanes still running.  A lane stops when it stalls, after ``max_cycles``, or
+when a component it already reseeded collapses again.  All k-means++ starts
+are drawn before the loop, lane by lane, so the random stream, and every
+lane's fit, is that of restarts run one after another.
 
-Every step works on all components at once.  The E-step builds the R x K x
-N log-density array in one broadcast: Gaussians through one stacked
-Cholesky factorization, flat components from their parameters gathered
-into arrays, one row per (component, axis) factor.  AL and BL factors are
-scored by the log-density kernel of ``mle`` (a per-factor constant plus
-per-point terms in a, b, s[, t]), the same function the M-step climbs,
-which is what makes each GEM cycle monotone; other families go through
-``univariate.log_pdf``.  One E-step core (``_e_core``) turns it into
+GEM is the one-lane case, on parameter columns (``_Flat``): the weights
+and, per AL or BL family, the P x J parameters of its (component, axis)
+factors together with each factor's two edge terms, the per-point
+log-cosh (AL) or softplus (BL) shoulders of the log-density kernel of
+``mle``.  The columns live from one cycle to the next.  The E-step scores
+every factor as the kernel's constant plus its cached edges, which is the
+very function the M-step climbs, and is what makes each GEM cycle
+monotone.  Factors of other families, which only the public ``e_step``
+scores, go through ``univariate.log_pdf`` once.  The M-step hands the live
+factors of each family to the single coordinate pass of ``mle`` with the
+N x J matrix of their responsibilities; the pass starts from the cached
+edges, recomputes only the edge a trial step moves, and returns the edges
+at its new parameters.  Specs are built only when a model leaves the loop:
+at the end of the fit, in the public ``m_step``, and in the BL-upgrade
+hook, which the loop runs once, at the first stall.
+
+One E-step core (``_e_core``) turns the R x K x N log densities into
 responsibilities and per-lane log-likelihoods for the loop and for the
 public ``e_step``, which alone also computes Q.  The Gaussian M-step
 computes the weighted means, covariances and eigenvalue floors of every
-lane as stacked arrays.  The GEM M-step hands every AL factor, and then
-every BL factor, to the single coordinate pass of ``mle`` with the N x J
-matrix of their responsibilities, which backtracks per factor by mask;
-``mle.fit`` runs the same pass on one problem with unit weights.
+lane as stacked arrays.
 """
 
 from __future__ import annotations
@@ -87,7 +91,8 @@ class MixtureSettings:
     M-step is one coordinate pass with the fixed step control of ``mle``.
     With ``bl_upgrade``, the first stall of a GEM fit swaps BL in for the AL
     components that are flat-topped by the closed-form bound (below
-    ``flatness.FLAT_REGIME_BOUND``) and the cycles go on.
+    ``flatness.FLAT_REGIME_BOUND``) and the cycles go on.  It applies to
+    1-d data only: on 2-d data it does nothing.
     """
 
     max_cycles: int = 300
@@ -117,7 +122,7 @@ class MixtureModel:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a non-empty vector")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-9):  # NaN fails both
             raise ValueError("weights must be a probability vector")
         if len(self.components) != w.size:
             raise ValueError("one component per weight required")
@@ -195,49 +200,96 @@ class _Gaussians:
                             components=comps, cov_type=self.cov_type)
 
 
+def _specs(model: MixtureModel) -> list[uv.UnivariateSpec]:
+    """The univariate factors of a flat model, component by component: factor
+    f = k * dim + axis is axis ``axis`` of component k."""
+    return [spec for comp in model.components
+            for spec in (comp if isinstance(comp, tuple) else (comp,))]
+
+
+@dataclass
+class _Columns:
+    """The factors of one kernel family: their indices f (see ``_specs``),
+    data rows x (J x N), parameters (P x J, in the kernel's coordinate
+    order) and the kernel's two edge terms at those parameters (J x N
+    each)."""
+
+    idx: np.ndarray
+    x: np.ndarray
+    p: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+
+@dataclass
+class _Flat:
+    """One flat model as the GEM state: the weights (K,) and the factors of
+    each AL or BL family as ``_Columns``.  The GEM M-step updates the
+    columns in place and keeps every edge pair equal to the kernel's at its
+    parameters, so the E-step recomputes no edge.  ``fixed`` holds the
+    log-density rows of the factors of families without a kernel, scored
+    once: GEM moves no such factor.  Specs are built only by ``model``."""
+
+    weights: np.ndarray
+    dim: int
+    factorized: bool
+    groups: dict[str, _Columns]
+    fixed: np.ndarray  # (K dim) x N
+
+    @classmethod
+    def of(cls, model: MixtureModel, rows: np.ndarray) -> _Flat:
+        specs = _specs(model)
+        cols = np.ascontiguousarray(rows.T)
+        fixed = np.empty((len(specs), rows.shape[0]))
+        groups = {}
+        for family in dict.fromkeys(spec.family for spec in specs):
+            idx = np.array([f for f, spec in enumerate(specs) if spec.family == family])
+            x = cols[idx % model.dim]
+            kernel = mle._KERNELS.get(family)
+            if kernel is None:
+                fixed[idx] = [uv.log_pdf(specs[f], row) for f, row in zip(idx, x)]
+                continue
+            p = np.array([[getattr(specs[f], name) for f in idx] for name in kernel.names])
+            groups[family] = _Columns(idx, x, p, *kernel.edges(x, p))
+        return cls(model.weights, model.dim, model.factorized, groups, fixed)
+
+    def model(self, lane: int = 0) -> MixtureModel:
+        """The model of the state, which has one lane."""
+        specs = [None] * self.fixed.shape[0]
+        for family, c in self.groups.items():
+            names = mle._KERNELS[family].names
+            for f, q in zip(c.idx, c.p.T):
+                specs[f] = uv.make(family, dict(zip(names, q)))
+        comps = [tuple(specs[f:f + self.dim]) if self.dim > 1 else specs[f]
+                 for f in range(0, len(specs), self.dim)]
+        return MixtureModel(kind="flat", dim=self.dim, weights=self.weights, components=comps,
+                            factorized=self.factorized)
+
+
 # ---------------------------------------------------------------------------
 # Component log densities
 # ---------------------------------------------------------------------------
 
-def _factors(model: MixtureModel) -> list[tuple[int, int, uv.UnivariateSpec]]:
-    """(component, axis, spec) of every univariate factor of a flat model,
-    component by component."""
-    return [(k, axis, spec) for k, comp in enumerate(model.components)
-            for axis, spec in enumerate(comp if isinstance(comp, tuple) else (comp,))]
-
-
-def _factor_logpdf(family: str, x: np.ndarray, specs) -> np.ndarray:
-    """Row j of ``x`` under ``specs[j]``.  AL and BL rows are scored in one
-    broadcast by the constant and per-point terms of the M-step's kernel,
-    so GEM evaluates the same function of (a, b, s[, t]) that it climbs."""
-    kernel = mle._KERNELS.get(family)
-    if kernel is None:
-        return np.array([uv.log_pdf(spec, row) for spec, row in zip(specs, x)])
-    p = np.array([[getattr(spec, name) for spec in specs] for name in kernel.names])
-    return kernel.const(p)[:, None] + kernel.terms(x, p)
-
-
 def _log_matrix(model, rows: np.ndarray) -> np.ndarray:
     """R x K x N component log densities of the lanes of ``_Gaussians``, or
-    1 x K x N of a flat model."""
+    1 x K x N of a ``_Flat`` state, whose AL and BL factors are scored
+    from their cached edges by the M-step's kernel (so GEM evaluates the
+    same function of (a, b, s[, t]) that it climbs)."""
+    if isinstance(model, _Flat):
+        out = model.fixed.copy()
+        for family, c in model.groups.items():
+            out[c.idx] = mle._KERNELS[family].const(c.p)[:, None] + (-c.left - c.right)
+        return out.reshape(model.weights.size, model.dim, -1).sum(axis=1)[None]
     cols = np.ascontiguousarray(rows.T)  # dim x N
-    if isinstance(model, _Gaussians):
-        dim = model.means.shape[-1]
-        if dim == 1:
-            var = model.cov[..., None]
-            return -0.5 * (np.log(2.0 * math.pi * var) + (cols - model.means) ** 2 / var)
-        chol = np.linalg.cholesky(model.cov)
-        z = np.linalg.inv(chol) @ (cols - model.means[..., None])  # R x K x dim x N
-        log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=2, axis2=3)), axis=2)
-        return -0.5 * (dim * math.log(2.0 * math.pi) + log_det[..., None]
-                       + np.einsum("rkdn,rkdn->rkn", z, z))
-    factors = _factors(model)
-    x = cols[[axis for _, axis, _ in factors]]
-    out = np.empty_like(x)
-    for family in {spec.family for _, _, spec in factors}:
-        idx = [j for j, (_, _, spec) in enumerate(factors) if spec.family == family]
-        out[idx] = _factor_logpdf(family, x[idx], [factors[j][2] for j in idx])
-    return out.reshape(model.k, model.dim, -1).sum(axis=1)[None]
+    dim = model.means.shape[-1]
+    if dim == 1:
+        var = model.cov[..., None]
+        return -0.5 * (np.log(2.0 * math.pi * var) + (cols - model.means) ** 2 / var)
+    chol = np.linalg.cholesky(model.cov)
+    z = np.linalg.inv(chol) @ (cols - model.means[..., None])  # R x K x dim x N
+    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=2, axis2=3)), axis=2)
+    return -0.5 * (dim * math.log(2.0 * math.pi) + log_det[..., None]
+                   + np.einsum("rkdn,rkdn->rkn", z, z))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +320,7 @@ def e_step(model: MixtureModel, data) -> EStepResult:
     """
     rows = _rows_of(data)
     log_joint, resp, finite, loglik = _e_core(
-        _Gaussians.of(model) if model.kind == "gaussian" else model, rows)
+        _Gaussians.of(model) if model.kind == "gaussian" else _Flat.of(model, rows), rows)
     q = float(np.sum(resp[0] * np.where(np.isfinite(log_joint[0]), log_joint[0], 0.0)))
     return EStepResult(resp=resp[0].T, q=q, loglik=loglik[0], flagged=np.flatnonzero(~finite[0]))
 
@@ -435,7 +487,7 @@ def _em(model, rows: np.ndarray, settings: MixtureSettings, m_step,
     for trace, ll in zip(traces, _e_core(model, rows)[3]):
         trace.append(ll)
     best = max(range(lanes), key=lambda lane: traces[lane][-1])
-    model = model.model(best) if isinstance(model, _Gaussians) else model
+    model = model.model(best)
     trace = traces[best]
     k_free = model.free_param_count
     aic, bic = mle._aic_bic(k_free, trace[-1], rows.shape[0])
@@ -489,34 +541,45 @@ def m_step(model: MixtureModel, data, resp: np.ndarray) -> MixtureModel:
     rows = _rows_of(data)
     if resp.shape != (rows.shape[0], model.k):
         raise ValueError("responsibilities must be N x K")
+    if not np.all(resp >= 0) or not np.all(np.isfinite(resp)):  # NaN fails the first
+        raise ValueError("responsibilities must be finite and non-negative")
     if model.kind != "flat":
         raise ValueError("m_step drives flat mixtures; use gmm_fit for Gaussians")
-    factors = _factors(model)
-    unsupported = {spec.family for _, _, spec in factors} - set(mle._KERNELS)
+    _check_kernel_families(model)
+    return _gem_m_step(_Flat.of(model, rows), resp, _axis_bounds(rows, model.dim)).model()
+
+
+def _check_kernel_families(model: MixtureModel) -> None:
+    unsupported = {spec.family for spec in _specs(model)} - set(mle._KERNELS)
     if unsupported:
         raise ValueError(f"m_step supports AL and BL components, got {sorted(unsupported)}")
+
+
+def _axis_bounds(rows: np.ndarray, dim: int) -> np.ndarray:
+    """The 4 x dim ``mle._bounds_from_data`` rows of every axis."""
+    return np.stack([mle._bounds_from_data(rows[:, axis]) for axis in range(dim)], axis=1)
+
+
+def _gem_m_step(state: _Flat, resp: np.ndarray, bounds: np.ndarray) -> _Flat:
+    """The M-step of ``m_step`` on the columns of ``state``, in place, from
+    the N x K responsibilities: every live factor of each kernel family
+    goes through one coordinate pass, which starts from the cached edges
+    and returns those at its new parameters."""
     weights = resp.mean(axis=0)
-    weights = weights / weights.sum()
+    state.weights = weights / weights.sum()
     live = resp.sum(axis=0) >= 1e-12  # zero responsibility: gradients vanish
-    bounds = np.stack([mle._bounds_from_data(rows[:, axis]) for axis in range(model.dim)],
-                      axis=1)
-    cols = np.ascontiguousarray(rows.T)
-    comps = [list(c) if isinstance(c, tuple) else [c] for c in model.components]
-    for family, (names, *_) in mle._KERNELS.items():
-        group = [f for f in factors if f[2].family == family and live[f[0]]]
-        if not group:
+    for family, c in state.groups.items():
+        j = np.flatnonzero(live[c.idx // state.dim])
+        if not j.size:
             continue
-        ks, axes, specs = (list(v) for v in zip(*group))
-        x = cols[axes]
-        w = np.ascontiguousarray(resp.T[ks])
+        x, p, edges = c.x[j], c.p[:, j], (c.left[j], c.right[j])
+        w = np.ascontiguousarray(resp.T[c.idx[j] // state.dim])
         n = w.sum(axis=1)
-        p = np.array([[getattr(spec, name) for spec in specs] for name in names])
-        p, _, _ = mle._coordinate_pass(family, x, w, n, p, mle._loglik(family, x, w, n, p),
-                                       bounds[:, axes])
-        for j, (k, axis) in enumerate(zip(ks, axes)):
-            comps[k][axis] = uv.make(family, dict(zip(names, p[:, j])))
-    comps = [tuple(c) if model.dim > 1 else c[0] for c in comps]
-    return replace(model, weights=weights, components=comps)
+        p, _, (left, right), _ = mle._coordinate_pass(
+            family, x, w, n, p, mle._loglik(family, x, w, n, p, edges), edges,
+            bounds[:, c.idx[j] % state.dim])
+        c.p[:, j], c.left[j], c.right[j] = p, left, right
+    return state
 
 
 def _upgrade_flat_components(model: MixtureModel) -> MixtureModel | None:
@@ -551,8 +614,16 @@ def ftm_fit(
     rows = _rows_of(data)
     if init.kind != "flat":
         raise ValueError("ftm_fit expects a flat mixture (see ftm_from_gmm)")
-    return _em(init, rows, settings, lambda model, resp: m_step(model, rows, resp[0].T),
-               _upgrade_flat_components if settings.bl_upgrade else None)
+    _check_kernel_families(init)
+    bounds = _axis_bounds(rows, init.dim)
+
+    def upgrade(state: _Flat) -> _Flat | None:
+        model = _upgrade_flat_components(state.model())
+        return None if model is None else _Flat.of(model, rows)
+
+    return _em(_Flat.of(init, rows), rows, settings,
+               lambda state, resp: _gem_m_step(state, resp[0].T, bounds),
+               upgrade if settings.bl_upgrade else None)
 
 
 def score(model: MixtureModel, data) -> tuple[float, float]:

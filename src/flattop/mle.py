@@ -11,10 +11,13 @@ The AL and BL coordinate pass runs on J independent weighted problems at
 once, backtracking each by mask: ``fit`` is its J = 1 case with unit (or
 dataset) weights, and the mixture M-step runs it on every (component,
 axis) factor with the responsibilities as weights.  Each family's
-log-density is one kernel, a per-problem constant plus per-point terms in
-(a, b, s[, t]); the log-likelihood sums them, and the mixture E-step
-scores points with the same terms.  The pass keeps b - a at least a few
-ulps of the data, so the density stays defined on near-constant samples.
+log-density is one kernel, a per-problem constant minus two per-point edge
+terms, one per shoulder; the log-likelihood sums them, and the mixture
+E-step scores points with the same terms.  The pass takes the edges at its
+start and returns them at its end, and a trial step recomputes only the
+edge its coordinate moves (a the left one, b the right one).  The pass
+keeps b - a at least a few ulps of the data, so the density stays defined
+on near-constant samples.
 
 The elliptical cosh-ratio family (CL) runs one such pass over the blocks m,
 Lambda = Sigma^-1, log R (R = r^n) and log t, each stepped by its analytic
@@ -155,10 +158,9 @@ def _al_const(p) -> np.ndarray:
     return log_sinh((b - a) / (2.0 * s)) - np.log(2.0 * (b - a))
 
 
-def _al_terms(x, p) -> np.ndarray:
-    a, b, s = p
-    two_s = 2.0 * s[:, None]
-    return -log_cosh((x - a[:, None]) / two_s) - log_cosh((x - b[:, None]) / two_s)
+def _al_edge(side, x, p) -> np.ndarray:
+    """ln cosh z_a (side 0) or ln cosh z_b (side 1)."""
+    return log_cosh((x - p[side][:, None]) / (2.0 * p[2][:, None]))
 
 
 def _al_partial(name, x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
@@ -189,9 +191,12 @@ def _bl_const(p) -> np.ndarray:
     return np.array([-math.log(uv._bl_mass(*q)) for q in p.T])
 
 
-def _bl_terms(x, p) -> np.ndarray:
+def _bl_edge(side, x, p) -> np.ndarray:
+    """softplus((a - x)/s) (side 0) or softplus((x - b)/t) (side 1)."""
     a, b, s, t = p
-    return -softplus((a[:, None] - x) / s[:, None]) - softplus((x - b[:, None]) / t[:, None])
+    if side == 0:
+        return softplus((a[:, None] - x) / s[:, None])
+    return softplus((x - b[:, None]) / t[:, None])
 
 
 def _bl_partial(name, x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
@@ -215,26 +220,36 @@ def _bl_partial(name, x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Kernel(NamedTuple):
-    """A family's coordinate order and its log-density ln f(x_i) = const +
-    terms_i, split into the per-problem constant ``const(p)`` (J,) and the
-    per-point ``terms(x, p)`` (J, N), plus the partial kernel."""
+    """A family's coordinate order and its log-density ln f(x_i) = const -
+    left_i - right_i: the per-problem constant ``const(p)`` (J,) and the two
+    per-point edge terms ``edge(side, x, p)`` (J, N), side 0 for the left
+    shoulder and 1 for the right, plus the partial kernel.  ``moves[i]``
+    lists the sides that coordinate i changes, so a step in it recomputes
+    only those."""
 
     names: tuple[str, ...]
+    moves: tuple[tuple[int, ...], ...]
     const: Callable[[np.ndarray], np.ndarray]
-    terms: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    edge: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     partial: Callable
+
+    def edges(self, x, p) -> tuple[np.ndarray, np.ndarray]:
+        return self.edge(0, x, p), self.edge(1, x, p)
 
 
 _KERNELS = {
-    "AL": _Kernel(("a", "b", "s"), _al_const, _al_terms, _al_partial),
-    "BL": _Kernel(("a", "b", "s", "t"), _bl_const, _bl_terms, _bl_partial),
+    "AL": _Kernel(("a", "b", "s"), ((0,), (1,), (0, 1)), _al_const, _al_edge, _al_partial),
+    "BL": _Kernel(("a", "b", "s", "t"), ((0,), (1,), (0,), (1,)), _bl_const, _bl_edge,
+                  _bl_partial),
 }
 
 
-def _loglik(family: str, x, w, n, p) -> np.ndarray:
-    """The (J,) weighted log-likelihoods n const + sum_i w_i terms_i."""
+def _loglik(family: str, x, w, n, p, edges=None) -> np.ndarray:
+    """The (J,) weighted log-likelihoods n const + sum_i w_i (-left_i -
+    right_i), from ``edges`` if the caller holds them at ``p``."""
     kernel = _KERNELS[family]
-    return n * kernel.const(p) + _wsum(w, kernel.terms(x, p))
+    left, right = kernel.edges(x, p) if edges is None else edges
+    return n * kernel.const(p) + _wsum(w, -left - right)
 
 
 def _one(data, weights):
@@ -488,25 +503,28 @@ def _ulps(lo, hi, k: float):
     return k * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
 
 
-def _coordinate_pass(family, x, w, n, p, ll, bounds):
+def _coordinate_pass(family, x, w, n, p, ll, edges, bounds):
     """One monotone coordinate pass over J independent problems at once.
 
     ``x``, ``w``, ``n`` and ``p`` are in the kernel layout above, ``ll`` is
-    the (J,) log-likelihood at ``p`` and ``bounds`` the (4, J) rows of
-    ``_bounds_from_data``.  Each coordinate steps by gradient/|curvature|
-    and backtracks per problem, by mask, until that problem's
-    log-likelihood does not decrease.  Returns the new parameters and
-    log-likelihoods and the mask of problems that accepted a step.
+    the (J,) log-likelihood at ``p``, ``edges`` the kernel's (left, right)
+    terms at ``p`` and ``bounds`` the (4, J) rows of ``_bounds_from_data``.
+    Each coordinate steps by gradient/|curvature| and backtracks per
+    problem, by mask, until that problem's log-likelihood does not
+    decrease; a trial recomputes only the edges its coordinate moves.
+    Returns the new parameters, log-likelihoods and edges (each equal to
+    the kernel's at the new parameters) and the mask of problems that
+    accepted a step.
     """
-    names, _, _, partial = _KERNELS[family]
+    kernel = _KERNELS[family]
     lo, hi, s_min, s_max = bounds
     eps = 1e-9 * (hi - lo)
     # a <= b - gap keeps b - a > 0 only if gap is at least an ulp of the data.
     gap = np.maximum(eps, _ulps(lo, hi, 4.0))
-    p, ll = p.copy(), ll.copy()
+    p, ll, edges = p.copy(), ll.copy(), [e.copy() for e in edges]
     moved = np.zeros(p.shape[1], dtype=bool)
-    for i, name in enumerate(names):
-        grad, curv = partial(name, x, w, n, p)
+    for i, (name, sides) in enumerate(zip(kernel.names, kernel.moves)):
+        grad, curv = kernel.partial(name, x, w, n, p)
         if name == "a":
             scale, low, high = p[1] - p[0], lo + eps, p[1] - gap
         elif name == "b":
@@ -523,15 +541,19 @@ def _coordinate_pass(family, x, w, n, p, ll, bounds):
                 break
             trial = p[:, idx]
             trial[i] = cand[idx]
-            ll_new = _loglik(family, x[idx], w[idx], n[idx], trial)
+            trial_edges = [kernel.edge(side, x[idx], trial) if side in sides else e[idx]
+                           for side, e in enumerate(edges)]
+            ll_new = _loglik(family, x[idx], w[idx], n[idx], trial, trial_edges)
             up = ll_new >= ll[idx]
             done = idx[up]
             p[i, done] = cand[done]
             ll[done] = ll_new[up]
+            for side in sides:
+                edges[side][done] = trial_edges[side][up]
             moved[done] = True
             live[done] = False
             step = step * _BACKTRACK_FACTOR
-    return p, ll, moved
+    return p, ll, tuple(edges), moved
 
 
 def _ascend(one_pass, state, ll: float, settings: FitSettings, k: int, count: int):
@@ -569,7 +591,7 @@ def _fit_univariate(x: np.ndarray, init: uv.UnivariateSpec, settings: FitSetting
                     weights=None) -> tuple[uv.UnivariateSpec, FitReport]:
     """AL or BL fit: coordinate passes on the single problem (J = 1); a pass
     makes progress when it accepts a step."""
-    names, _, _, partial = _KERNELS[init.family]
+    kernel = _KERNELS[init.family]
     bounds = _bounds_from_data(x)
     lo, hi, s_min = bounds[:3]
     if not (lo < init.a < init.b < hi):
@@ -582,15 +604,17 @@ def _fit_univariate(x: np.ndarray, init: uv.UnivariateSpec, settings: FitSetting
     x1, w1, n = _one(x, weights)
 
     def one_pass(state):
-        p, ll, moved = _coordinate_pass(init.family, x1, w1, n, *state, bounds[:, None])
-        grad_norm = max(abs(float(partial(name, x1, w1, n, p)[0][0]))
-                        for name in names) / float(n[0])
-        return (p, ll), float(ll[0]), grad_norm, bool(moved[0])
+        p, ll, edges, moved = _coordinate_pass(init.family, x1, w1, n, *state, bounds[:, None])
+        grad_norm = max(abs(float(kernel.partial(name, x1, w1, n, p)[0][0]))
+                        for name in kernel.names) / float(n[0])
+        return (p, ll, edges), float(ll[0]), grad_norm, bool(moved[0])
 
-    p = _params(*(getattr(init, name) for name in names))
-    ll = _loglik(init.family, x1, w1, n, p)
-    (p, _), report = _ascend(one_pass, (p, ll), float(ll[0]), settings, len(names), x.size)
-    spec = uv.make(init.family, dict(zip(names, p[:, 0])))
+    p = _params(*(getattr(init, name) for name in kernel.names))
+    edges = kernel.edges(x1, p)
+    ll = _loglik(init.family, x1, w1, n, p, edges)
+    (p, _, _), report = _ascend(one_pass, (p, ll, edges), float(ll[0]), settings,
+                                len(kernel.names), x.size)
+    spec = uv.make(init.family, dict(zip(kernel.names, p[:, 0])))
     report.final_params = spec.params()
     return spec, report
 

@@ -83,29 +83,30 @@ class QuadratureResult:
     converged: bool = True
 
 
-# 15-point Kronrod abscissae on [-1, 1] and the embedded 7-point Gauss rule.
-_XK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
+# 15-point Kronrod abscissae on [-1, 1] and the embedded 7-point Gauss rule:
+# the qk15 values of QUADPACK (Piessens et al., 1983; Kronrod, Math. Comp.
+# 1965), whose abscissa 0.5860... is corrected from its 27th digit on (the
+# double is the same).
+_XK_HALF = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
 ])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
+_WK_HALF = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
 ])
+_XK = np.concatenate((-_XK_HALF, [0.0], _XK_HALF[::-1]))
+_WK = np.concatenate((_WK_HALF, [0.209482141084727828012999174891714], _WK_HALF[::-1]))
 # Gauss-7 weights aligned with the odd Kronrod abscissae (indices 1,3,...,13).
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-    0.381830050505119, 0.279705391489277, 0.129484966168870,
+_WG_HALF = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
 ])
+_WG = np.concatenate((_WG_HALF, [0.417959183673469387755102040816327], _WG_HALF[::-1]))
 _G_IDX = np.arange(1, 15, 2)
 
 
@@ -261,7 +262,7 @@ def _integrate(f, a: float, b: float, settings: QuadratureSettings, points, map_
         worst = worst[:np.searchsorted(np.cumsum(e[worst]), excess) + 1]
         # Roundoff floor: halving a panel gains nothing once it is this
         # narrow, or once its error is within the rule's own rounding of its
-        # value (the Kronrod and Gauss weights agree to ~7e-15 only).
+        # value.
         worst = worst[(pb[worst] - pa[worst] >= 1e-15 * (hi - lo))
                       & (e[worst] > _ROUNDOFF * np.abs(v[worst]))]
         if worst.size == 0:

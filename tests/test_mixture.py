@@ -159,6 +159,23 @@ def test_m_step_zero_responsibility_leaves_component_unchanged():
     assert new.components[1] == spec_far
 
 
+@pytest.mark.parametrize("weights", [[math.nan, 1.0], [-0.5, 1.5], [math.inf, 1.0]])
+def test_model_rejects_weights_that_are_not_a_probability_vector(weights):
+    specs = [uv.make("AL", {"a": 0.0, "b": 1.0, "s": 0.1})] * 2
+    with pytest.raises(ValueError, match="probability vector"):
+        mx.MixtureModel(kind="flat", dim=1, weights=np.array(weights), components=specs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.25, math.inf])
+def test_m_step_rejects_nan_or_negative_responsibilities(bad):
+    x = _two_block_data()
+    model = mx.ftm_from_gmm(mx.gmm_fit(x, 2, seed=8)[0])
+    resp = mx.e_step(model, x).resp
+    resp[3, 1] = bad
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        mx.m_step(model, x, resp)
+
+
 def test_one_gem_cycle_raises_observed_loglik():
     rng = np.random.default_rng(9)
     for trial in range(20):
@@ -493,6 +510,18 @@ def _assert_m_step_matches(model, rows, resp):
     return new
 
 
+def _ref_e_core(log_mat, weights):
+    """N x K responsibilities and the log-likelihood from the K x N
+    component log densities of one model."""
+    with np.errstate(divide="ignore"):
+        log_joint = log_mat + np.log(weights)[:, None]
+    row_tot = specfun.logsumexp(log_joint, axis=0)
+    finite = np.isfinite(row_tot)
+    resp = np.exp(log_joint - np.where(finite, row_tot, 0.0)).T
+    resp[~finite] = 1.0 / weights.size
+    return resp, float(np.sum(row_tot[finite]))
+
+
 def _ref_gauss_e_step(weights, means, cov, rows):
     """One Gaussian restart's N x K responsibilities and log-likelihood."""
     cols = np.ascontiguousarray(rows.T)
@@ -506,12 +535,7 @@ def _ref_gauss_e_step(weights, means, cov, rows):
         log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
         log_mat = -0.5 * (rows.shape[1] * math.log(2.0 * math.pi) + log_det[:, None]
                           + np.einsum("kdn,kdn->kn", z, z))
-    log_joint = log_mat + np.log(weights)[:, None]
-    row_tot = specfun.logsumexp(log_joint, axis=0)
-    finite = np.isfinite(row_tot)
-    resp = np.exp(log_joint - np.where(finite, row_tot, 0.0)).T
-    resp[~finite] = 1.0 / weights.size
-    return resp, float(np.sum(row_tot[finite]))
+    return _ref_e_core(log_mat, weights)
 
 
 def _ref_gauss_m_step(rows, resp, cov_type, floor):
@@ -584,6 +608,132 @@ def test_gmm_restart_lanes_match_restarts_run_one_after_another(segments_rows, d
     assert np.array_equal(np.array([c[0] for c in model.components]).reshape(means.shape), means)
     assert np.array_equal(np.array([c[1] for c in model.components]), cov)
     assert report.bic == mle._aic_bic(model.free_param_count, trace[-1], rows.shape[0])[1]
+
+
+def _specs_of(model):
+    return [spec for comp in model.components
+            for spec in (comp if isinstance(comp, tuple) else (comp,))]
+
+
+def _ref_flat_e_step(model, rows):
+    """A flat model's N x K responsibilities and log-likelihood, each AL or
+    BL factor scored on its own from fresh kernel edges."""
+    out = np.empty((model.k * model.dim, rows.shape[0]))
+    for f, spec in enumerate(_specs_of(model)):
+        kernel = mle._KERNELS[spec.family]
+        p = np.array([[getattr(spec, name)] for name in kernel.names])
+        left, right = kernel.edges(rows[:, f % model.dim][None], p)
+        out[f] = kernel.const(p)[:, None] + (-left - right)
+    return _ref_e_core(out.reshape(model.k, model.dim, -1).sum(axis=1), model.weights)
+
+
+def _ref_gem_m_step(model, rows, resp):
+    """The spec-based GEM M-step: every live factor of a family goes through
+    one coordinate pass from fresh edges, and every moved factor becomes a
+    new spec."""
+    weights = resp.mean(axis=0)
+    weights = weights / weights.sum()
+    live = resp.sum(axis=0) >= 1e-12
+    bounds = np.stack([mle._bounds_from_data(rows[:, axis]) for axis in range(model.dim)],
+                      axis=1)
+    cols = np.ascontiguousarray(rows.T)
+    specs = _specs_of(model)
+    for family, kernel in mle._KERNELS.items():
+        group = [f for f, spec in enumerate(specs)
+                 if spec.family == family and live[f // model.dim]]
+        if not group:
+            continue
+        ks, axes = [f // model.dim for f in group], [f % model.dim for f in group]
+        x = cols[axes]
+        w = np.ascontiguousarray(resp.T[ks])
+        n = w.sum(axis=1)
+        p = np.array([[getattr(specs[f], name) for f in group] for name in kernel.names])
+        p = mle._coordinate_pass(family, x, w, n, p, mle._loglik(family, x, w, n, p),
+                                 kernel.edges(x, p), bounds[:, axes])[0]
+        for j, f in enumerate(group):
+            specs[f] = uv.make(family, dict(zip(kernel.names, p[:, j])))
+    comps = [tuple(specs[f:f + model.dim]) if model.dim > 1 else specs[f]
+             for f in range(0, len(specs), model.dim)]
+    return mx.MixtureModel(kind="flat", dim=model.dim, weights=weights, components=comps,
+                           factorized=model.factorized)
+
+
+def _ref_gem(rows, model, settings):
+    """GEM cycles on specs, one M-step after another: the final model, the
+    trace, the cycle count and whether the fit converged."""
+    trace, stall, converged, upgrade = [], 0, False, settings.bl_upgrade
+    for cycles in range(1, settings.max_cycles + 1):
+        resp, loglik = _ref_flat_e_step(model, rows)
+        trace.append(loglik)
+        model = _ref_gem_m_step(model, rows, resp)
+        gain = (trace[-1] - trace[-2]) / max(abs(trace[-2]), 1.0) if cycles > 1 else math.inf
+        stall = stall + 1 if gain < settings.rel_tol else 0
+        if stall >= settings.stall_cycles:
+            upgraded = mx._upgrade_flat_components(model) if upgrade else None
+            if upgraded is None:
+                converged = True
+                break
+            model, stall, upgrade = upgraded, 0, False
+    trace.append(_ref_flat_e_step(model, rows)[1])
+    return model, trace, cycles, converged
+
+
+def _skewed_block(seed=11):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.uniform(0, 10, 400), 10.0 + rng.exponential(1.0, 120)])
+
+
+def _gem_case(name, segments_rows):
+    """(rows, init, bl_upgrade) of one reference case."""
+    if name == "2d":
+        base, _ = mx.gmm_fit(segments_rows, 4, seed=11, covariance_type="diag")
+        return segments_rows, mx.ftm_from_gmm(base), False
+    if name == "zero-resp":
+        x = _two_block_data(seed=13, n=120)
+        near, _ = mx.gmm_fit(x, 2, seed=14)
+        far = uv.make("AL", {"a": 90.0, "b": 91.0, "s": 0.1})
+        init = mx.MixtureModel(kind="flat", dim=1, weights=np.array([0.45, 0.45, 0.1]),
+                               components=mx.ftm_from_gmm(near).components + [far])
+        return x.reshape(-1, 1), init, False
+    x = gen_mixed_1d(20260808).x if name == "1d" else _skewed_block()
+    base, _ = mx.gmm_fit(x, 2 if name == "1d" else 1, seed=12)
+    return x.reshape(-1, 1), mx.ftm_from_gmm(base), name == "bl-upgrade"
+
+
+@pytest.mark.parametrize("rel_tol", [-math.inf, 1e-8])
+@pytest.mark.parametrize("case", ["1d", "bl-upgrade", "2d", "zero-resp"])
+def test_gem_columns_match_the_spec_based_loop(segments_rows, case, rel_tol):
+    rows, init, upgrade = _gem_case(case, segments_rows)
+    settings = mx.MixtureSettings(rel_tol=rel_tol, bl_upgrade=upgrade,
+                                  max_cycles=25 if rel_tol == -math.inf else 300)
+    model, report = mx.ftm_fit(rows, init, settings)
+    ref, trace, iterations, converged = _ref_gem(rows, init, settings)
+    assert report.loglik_trace == trace
+    assert (report.iterations, report.converged) == (iterations, converged)
+    assert np.array_equal(model.weights, ref.weights)
+    assert model.components == ref.components
+    assert report.bic == mle._aic_bic(ref.free_param_count, trace[-1], rows.shape[0])[1]
+    upgraded = any(spec.family == "BL" for spec in _specs_of(model))
+    assert upgraded == (upgrade and rel_tol > 0)  # no stall with rel_tol = -inf
+    if case == "zero-resp":
+        assert model.components[2] == init.components[2]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ftm_fit_builds_specs_only_for_the_returned_model(monkeypatch, segments_rows, dim):
+    rows = segments_rows if dim == 2 else _two_block_data().reshape(-1, 1)
+    base, _ = mx.gmm_fit(rows, 3, seed=11, covariance_type="diag")
+    init = mx.ftm_from_gmm(base)
+    real_make, made = uv.make, []
+
+    def counting_make(family, params):
+        made.append(real_make(family, params))
+        return made[-1]
+
+    monkeypatch.setattr(uv, "make", counting_make)
+    model, report = mx.ftm_fit(rows, init, mx.MixtureSettings(max_cycles=10))
+    assert report.iterations == 10
+    assert [id(spec) for spec in _specs_of(model)] == [id(spec) for spec in made]
 
 
 @pytest.fixture(scope="module")

@@ -132,6 +132,33 @@ def test_bl_fit_builds_no_spec_per_coordinate_step(monkeypatch):
     assert families == ["BL"]  # the returned spec only
 
 
+@pytest.mark.parametrize("family, p", [
+    ("AL", [[0.5, 2.0, 0.5], [3.5, 6.0, 7.5], [0.3, 0.6, 0.2]]),
+    ("BL", [[0.5, 2.0, 0.5], [3.5, 6.0, 7.5], [0.3, 0.6, 0.2], [0.4, 0.3, 0.2]]),
+])
+def test_coordinate_pass_returns_the_edges_at_its_parameters(family, p):
+    # Three problems: weighted data, a zero-weight problem (no coordinate can
+    # move, so it accepts no step) and data on a narrow range.
+    rng = np.random.default_rng(31)
+    x = np.stack([rng.uniform(0.0, 4.0, 60), rng.uniform(0.0, 8.0, 60),
+                  0.5 + 1e-3 * rng.uniform(-1.0, 1.0, 60)])
+    w = np.stack([rng.uniform(0.2, 2.0, 60), np.zeros(60), np.ones(60)])
+    n = w.sum(axis=1)
+    p = np.array(p)
+    bounds = np.stack([mle._bounds_from_data(row) for row in x], axis=1)
+    kernel = mle._KERNELS[family]
+    edges = kernel.edges(x, p)
+    ll = mle._loglik(family, x, w, n, p, edges)
+    for _ in range(3):
+        start = p
+        p, ll, edges, moved = mle._coordinate_pass(family, x, w, n, p, ll, edges, bounds)
+        fresh = kernel.edges(x, p)
+        assert all(np.array_equal(e, f) for e, f in zip(edges, fresh))
+        assert np.array_equal(ll, mle._loglik(family, x, w, n, p))
+        assert moved[0] and not moved[1]
+        assert np.array_equal(p[:, 1], start[:, 1])
+
+
 def test_bl_symmetric_instance_balances_scales():
     x = np.concatenate([np.linspace(0.5, 4.5, 30), 5.0 + np.linspace(0.5, 4.5, 30)])
     g = mle.grad_bl_flat(x, 0.0, 10.0, 0.3, 0.3)
