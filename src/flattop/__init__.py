@@ -78,7 +78,6 @@ from .quadrature import QuadratureError, QuadratureSettings, integrate
 from .specfun import (
     erf,
     fermi_dirac_complete,
-    fermi_dirac_incomplete,
     incomplete_gamma,
     log_beta,
     polylog_neg,

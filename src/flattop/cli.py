@@ -148,27 +148,32 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _al_start(ds, init_normal: bool) -> uv.UnivariateSpec:
+    return mle.init_al_from_normal_fit(ds) if init_normal else mle.init_al_from_data(ds)
+
+
+def _bl_start(ds, init_normal: bool) -> uv.UnivariateSpec:
+    al = _al_start(ds, init_normal)
+    return uv.make("BL", {"a": al.a, "b": al.b, "s": al.s, "t": al.s})
+
+
+# Per fit family: the start from the data (given --init-normal), and the
+# payload key and JSON form of the fitted spec.  --init replaces the start
+# of AL and BL; CL takes neither flag (see ``main``).
+_FIT = {
+    "AL": (_al_start, "params", uv.UnivariateSpec.params),
+    "BL": (_bl_start, "params", uv.UnivariateSpec.params),
+    "CL": (lambda ds, _: mle.init_cl_from_data(ds), "model", multivariate.mv_to_json_dict),
+}
+
+
 def _cmd_fit(args) -> int:
     ds = data_io.read_csv(args.data, has_header=args.header)
-    if args.family in ("AL", "BL"):
-        if args.init is not None:
-            init = uv.make(args.family, args.init)
-        elif args.family == "AL":
-            init = (mle.init_al_from_normal_fit(ds) if args.init_normal
-                    else mle.init_al_from_data(ds))
-        else:
-            al = mle.init_al_from_data(ds)
-            init = uv.make("BL", {"a": al.a, "b": al.b, "s": al.s, "t": al.s})
-        spec, report = mle.fit(ds, init)
-        payload = {"family": args.family, "params": spec.params(),
-                   "report": dataclasses.asdict(report)}
-    elif args.family == "CL":
-        init = mle.init_cl_from_data(ds)
-        spec, report = mle.fit(ds, init)
-        payload = {"family": "CL", "model": multivariate.mv_to_json_dict(spec),
-                   "report": dataclasses.asdict(report)}
-    else:
-        raise ValueError(f"fit supports AL, BL, CL; got {args.family}")
+    start, key, as_json = _FIT[args.family]
+    init = (uv.make(args.family, args.init) if args.init is not None
+            else start(ds, args.init_normal))
+    spec, report = mle.fit(ds, init)
+    payload = {"family": args.family, key: as_json(spec), "report": dataclasses.asdict(report)}
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("iteration,loglik\n")
@@ -181,12 +186,7 @@ def _cmd_fit(args) -> int:
 def _cmd_mixfit(args) -> int:
     ds = data_io.read_csv(args.data, has_header=args.header)
     settings = mixture.MixtureSettings(bl_upgrade=args.bl_upgrade)
-    if args.family == "GMM":
-        model, report = mixture.gmm_fit(ds, args.k, args.seed, settings)
-    else:
-        cov = "diag" if ds.dim > 1 else "full"
-        base, _ = mixture.gmm_fit(ds, args.k, args.seed, settings, covariance_type=cov)
-        model, report = mixture.ftm_fit(ds, mixture.ftm_from_gmm(base), settings)
+    model, report = mixture._fit(ds, args.family, args.k, args.seed, settings)
     payload = {"model": mixture.mixture_to_json_dict(model),
                "report": dataclasses.asdict(report)}
     if args.resp:
@@ -287,7 +287,7 @@ def _cmd_gradcheck(args) -> int:
         analytic = list(mle.grad_bl_flat(x, a, b, s, t)[:4])
         fds = _central_differences([a, b, s, t], lambda v: 1e-5 * max(abs(v), 0.05),
                                    lambda th: mle.loglik_bl(x, *th))
-    elif args.family == "CL":
+    else:
         dim = 2
         pts = rng.normal(size=(args.n, dim))
         m = rng.normal(size=dim) * 0.1
@@ -312,8 +312,6 @@ def _cmd_gradcheck(args) -> int:
                                       lambda th: f(m, symmetric(th), big_r, t))
                + _central_differences([big_r, t], lambda v: 1e-6,
                                       lambda th: f(m, lam, *th)))
-    else:
-        raise ValueError(f"gradcheck supports AL, BL, CL; got {args.family}")
     rows = [(name, an, fd, abs(an - fd) / max(abs(fd), 1e-12))
             for name, an, fd in zip(names, analytic, fds)]
 
@@ -381,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--header", action="store_true", help="data CSV has a header row")
     p.add_argument("--init", type=_parse_params, default=None)
     p.add_argument("--init-normal", action="store_true",
-                   help="start from the best-fit-normal surrogate")
+                   help="start AL (and BL, at t = s) from the best-fit-normal surrogate")
     p.add_argument("--trace", default=None, help="write iteration,loglik CSV")
     add_common(p)
     p.set_defaults(fn=_cmd_fit)
@@ -467,6 +465,9 @@ def main(argv=None) -> int:
         if args.p is None or args.q is None:
             print("divergence --case pair needs --p and --q", file=sys.stderr)
             return 2
+    if args.command == "fit" and args.family == "CL" and (args.init or args.init_normal):
+        print("fit --family CL takes neither --init nor --init-normal", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except (ValueError, OSError, uv.ConvergenceError, QuadratureError,

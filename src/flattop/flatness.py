@@ -83,24 +83,34 @@ def fwhm_boundaries(spec: uv.UnivariateSpec) -> tuple[float, float]:
     if spec.family == "U":
         return spec.a, spec.b
     xm = uv.mode(spec)
-    pm = uv.pdf(spec, xm)
+    level = 0.5 * uv.pdf(spec, xm)
     out = []
     for direction in (-1.0, 1.0):
         step = max(uv._scale(spec), 1e-12)
         far = xm + direction * step
         for _ in range(200):
-            if uv.pdf(spec, far) < 0.5 * pm:
+            p_far = uv.pdf(spec, far)
+            if p_far < level:
                 break
             step *= 2.0
             far = xm + direction * step
         else:
             raise FlatnessError("half maximum not reached")
-        lo, hi = (far, xm) if direction < 0 else (xm, far)
-        try:
-            out.append(specfun.brentq(lambda x: uv.pdf(spec, x) - 0.5 * pm, lo, hi,
-                                      xtol=1e-12 * max(1.0, abs(far)), maxiter=100))
-        except (ValueError, RuntimeError) as exc:
-            raise FlatnessError(f"half maximum root solve failed: {exc}") from exc
+        # Bisect between ``inner``, where the density is at least half its
+        # maximum, and ``far``, where it is below, to xtol.  A steep edge
+        # moves the density by more than 1e-10 relative over xtol, so a
+        # secant step across the last bracket gives the end.
+        inner, p_inner, xtol = xm, 2.0 * level, 1e-12 * max(1.0, abs(far))
+        while abs(far - inner) > xtol:
+            mid = 0.5 * (inner + far)
+            p = uv.pdf(spec, mid)
+            if not math.isfinite(p):
+                raise FlatnessError(f"half maximum search: density is {p} at x={mid!r}")
+            if p >= level:
+                inner, p_inner = mid, p
+            else:
+                far, p_far = mid, p
+        out.append(inner + (far - inner) * (p_inner - level) / (p_inner - p_far))
     return out[0], out[1]
 
 

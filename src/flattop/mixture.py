@@ -633,6 +633,17 @@ def score(model: MixtureModel, data) -> tuple[float, float]:
     return mle._aic_bic(model.free_param_count, e_step(model, rows).loglik, rows.shape[0])
 
 
+def _fit(data, family: str, k: int, seed: int,
+         settings: MixtureSettings) -> tuple[MixtureModel, FitReport]:
+    """The fit of ``mixfit`` and of each ``sweep`` row: the GMM, or GEM from
+    the diagonal-covariance GMM of the same K (1-d data has no covariance
+    type)."""
+    if family == "GMM":
+        return gmm_fit(data, k, seed, settings)
+    base, _ = gmm_fit(data, k, seed, settings, covariance_type="diag")
+    return ftm_fit(data, ftm_from_gmm(base), settings)
+
+
 def sweep(
     data,
     family: str,
@@ -652,11 +663,7 @@ def sweep(
     out: list[SweepRow] = []
     for k in k_range:
         try:
-            if family == "GMM":
-                model, report = gmm_fit(rows, k, seed, settings, covariance_type="full")
-            else:
-                base, _ = gmm_fit(rows, k, seed, settings, covariance_type="diag")
-                model, report = ftm_fit(rows, ftm_from_gmm(base), settings)
+            _, report = _fit(rows, family, k, seed, settings)
             ll = report.loglik_trace[-1]
             out.append(SweepRow(k=k, iterations=report.iterations,
                                 loglik_per_point=ll / rows.shape[0],

@@ -428,14 +428,14 @@ def normal_mle_loglik(data) -> float:
 # ---------------------------------------------------------------------------
 
 def init_al_from_data(data) -> uv.UnivariateSpec:
-    """Near-uniform starting point: s at four times its floor, boundaries
-    one s inside the sample range."""
+    """Near-uniform starting point: s = span / N, four times the floor
+    span / (4N) of ``init_al_from_normal_fit``, and boundaries one s inside
+    the sample range."""
     x = _data_1d(data)
     span = float(x.max() - x.min())
     if span == 0.0:
         raise ValueError("degenerate data: all points equal")
     s = span / x.size
-    s = max(s, span / (4.0 * x.size))
     # Two ulps at least, so that min(x) < a < b < max(x) on near-constant data.
     inset = max(s, float(_ulps(x.min(), x.max(), 2.0)))
     return uv.make("AL", {"a": float(x.min()) + inset, "b": float(x.max()) - inset, "s": s})

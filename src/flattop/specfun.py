@@ -1,7 +1,7 @@
-"""Special functions: Fermi-Dirac integrals, polylogarithms at negative
-exponential argument, classical gamma/beta/erf wrappers, the stable
-hyperbolic helpers shared by the distribution code, and Brent's root and
-bounded minimum searches.
+"""Special functions: the complete Fermi-Dirac integral, polylogarithms at
+negative exponential argument, classical gamma/beta/erf wrappers, the
+stable hyperbolic helpers shared by the distribution code, and Brent's
+bounded minimum search.
 
 Conventions
 -----------
@@ -10,8 +10,6 @@ the negative real axis with the argument given in log form.  The complete
 Fermi-Dirac integral of order ``j`` is
 
     F_j(x) = (1/Gamma(j+1)) * Int_0^inf t^j / (e^(t-x) + 1) dt = -Li_{j+1}(-e^x)
-
-and the incomplete variant replaces the lower limit 0 by ``u >= 0``.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ __all__ = [
     "log_expm1",
     "polylog_neg",
     "fermi_dirac_complete",
-    "fermi_dirac_incomplete",
     "erf",
     "incomplete_gamma",
     "log_beta",
@@ -189,7 +186,6 @@ def _li_neg_series(order: float, x: float) -> float:
     z = math.exp(x)
     if z < 0.5:
         total = 0.0
-        term_log = 0.0
         for k in range(1, 400):
             term = math.exp(k * x) / k ** order
             total += -term if k % 2 == 1 else term
@@ -238,27 +234,6 @@ def polylog_neg(n: int, x: float) -> float:
 # Fermi-Dirac integrals
 # ---------------------------------------------------------------------------
 
-def _check_order(j: float) -> float:
-    j = float(j)
-    if not j > -1.0:
-        raise ValueError(f"Fermi-Dirac order must satisfy j > -1, got {j}")
-    return j
-
-
-def _fd_substituted(j: float, x: float):
-    """The F_j integrand t^j / (1 + e^(t - x)) under t = u^m, and m.
-
-    m = max(1, ceil(1/(j+1))) makes m(j+1) >= 1, so the substituted
-    integrand m u^(m(j+1)-1) / (1 + e^(u^m - x)) is bounded at u = 0.
-    """
-    mf = float(max(1, math.ceil(1.0 / (j + 1.0))))
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        return mf * u ** (mf * (j + 1.0) - 1.0) * _expit(x - u ** mf)
-
-    return integrand, mf
-
-
 def fermi_dirac_complete(j: float, x: float) -> float:
     """Complete Fermi-Dirac integral F_j(x), strictly increasing in x.
 
@@ -266,7 +241,9 @@ def fermi_dirac_complete(j: float, x: float) -> float:
     polylogarithm identity; fractional j falls back to adaptive quadrature
     (series for x <= 0, where it converges for any order).
     """
-    j = _check_order(j)
+    j = float(j)
+    if not j > -1.0:
+        raise ValueError(f"Fermi-Dirac order must satisfy j > -1, got {j}")
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("x must be finite")
@@ -276,7 +253,13 @@ def fermi_dirac_complete(j: float, x: float) -> float:
         return -_li_neg_series(j + 1.0, x)
     if float(j).is_integer():
         return -polylog_neg(int(j) + 1, x)
-    integrand, mf = _fd_substituted(j, x)
+    # Under t = u^m with m = max(1, ceil(1/(j+1))), m(j+1) >= 1, so the
+    # integrand m u^(m(j+1)-1) / (1 + e^(u^m - x)) is bounded at u = 0.
+    mf = float(max(1, math.ceil(1.0 / (j + 1.0))))
+
+    def integrand(u: np.ndarray) -> np.ndarray:
+        return mf * u ** (mf * (j + 1.0) - 1.0) * _expit(x - u ** mf)
+
     # The Fermi step sits at t = x; over t in [x - 40, x + 40] the factor
     # e^(x - t) moves by e^40, so panels bracket the whole step in u = t^(1/m).
     step = (max(x - 40.0, 0.0), x, x + 40.0)
@@ -286,108 +269,14 @@ def fermi_dirac_complete(j: float, x: float) -> float:
     return res.value / math.gamma(j + 1.0)
 
 
-def fermi_dirac_incomplete(j: float, x: float, u: float) -> float:
-    """Incomplete Fermi-Dirac integral with lower limit u >= 0.
-
-    Equals the complete integral at u = 0; for j = 0 it is
-    ln(1 + e^(x-u)) exactly.  Negative orders with a small lower limit are
-    computed as complete minus head, with the head integral substituted to
-    clear the t^j edge singularity.
-    """
-    j = _check_order(j)
-    u = float(u)
-    if u < 0.0:
-        raise ValueError(f"lower limit must satisfy u >= 0, got {u}")
-    if j == 0.0:
-        return float(softplus(x - u))
-    if u == 0.0:
-        return fermi_dirac_complete(j, x)
-    if j < 0.0 and u <= 1.0:
-        head, mf = _fd_substituted(j, x)
-        with np.errstate(over="ignore"):  # for _expit
-            head_val = integrate(head, 0.0, u ** (1.0 / mf), _FD_SETTINGS).value
-        return fermi_dirac_complete(j, x) - head_val / math.gamma(j + 1.0)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return t ** j * _expit(x - t)
-
-    hints = (x,) if x > u else ()
-    with np.errstate(over="ignore"):  # for _expit
-        res = integrate(integrand, u, math.inf, _FD_SETTINGS, points=hints)
-    return res.value / math.gamma(j + 1.0)
-
-
 # ---------------------------------------------------------------------------
-# Brent's root and minimum search (Brent, "Algorithms for Minimization
-# without Derivatives", 1973, ch. 4 and 5), ported step for step from
-# scipy's brentq and bounded minimize_scalar so that every iterate matches
+# Brent's bounded minimum search (Brent, "Algorithms for Minimization
+# without Derivatives", 1973, ch. 5), ported step for step from scipy's
+# bounded minimize_scalar so that every iterate matches
 # ---------------------------------------------------------------------------
 
-_RTOL = 4.0 * float(np.finfo(float).eps)
 _FMIN_XATOL = 1e-10
 _FMIN_MAXFUN = 500
-
-
-def _value(f, x: float) -> float:
-    fx = float(f(x))
-    if math.isnan(fx):
-        raise ValueError(f"The function value at x={x:.6g} is NaN; solver cannot continue.")
-    return fx
-
-
-def brentq(f, a: float, b: float, xtol: float, maxiter: int) -> float:
-    """A root of ``f`` in [a, b], where f(a) and f(b) differ in sign.
-
-    Inverse quadratic interpolation, secant and bisection steps keep a
-    bracket that shrinks to 2 (xtol + 4 eps |x|).  Raises ValueError for a
-    bracket without a sign change or a NaN value of ``f``, and RuntimeError
-    after ``maxiter`` iterations.
-    """
-    xtol = float(xtol)  # so that a zero divisor raises, below
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre = _value(f, xpre)
-    fcur = _value(f, xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # IEEE division gives inf or nan; both bisect
-                stry = math.inf
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = _value(f, xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _unit_sign(v: float) -> float:

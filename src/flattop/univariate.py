@@ -663,8 +663,11 @@ _FAMILY: dict[str, _Family] = {
         check=lambda v: _require(-1.0 < v["lam"] < 1.0,
                                  f"ALS: requires lam in (-1, 1), got {v['lam']}"),
         mode=lambda spec: spec.m if spec.lam == 0.0 else None),
-    "BL": _Family(("a", "b", "s", "t"), _normalizer_bl, _log_pdf_bl, symmetric=False),
-    "BD": _Family(("a", "b", "s", "t"), _normalizer_bd, _log_pdf_bd, symmetric=False),
+    # BL and BD are symmetric about m at s = t.
+    "BL": _Family(("a", "b", "s", "t"), _normalizer_bl, _log_pdf_bl, symmetric=False,
+                  mode=lambda spec: spec.m if spec.s == spec.t else None),
+    "BD": _Family(("a", "b", "s", "t"), _normalizer_bd, _log_pdf_bd, symmetric=False,
+                  mode=lambda spec: spec.m if spec.s == spec.t else None),
     "CC": _Family(
         ("m", "s", "beta"),
         lambda spec: spec.beta / (2.0 * spec.s * (math.pi / math.sin(math.pi / spec.beta))),

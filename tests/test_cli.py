@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import flattop
-from flattop import cli, mixture, multivariate as mv, univariate as uv
+from flattop import cli, mixture, mle, multivariate as mv, univariate as uv
 from flattop.data_io import Dataset, gen_mixed_1d, write_csv
 
 
@@ -233,6 +233,8 @@ def test_scipy_free_commands_do_not_import_scipy(tmp_path):
         ["fit", "--family", "BL", "--data", str(mixed), "--init", "a=-0.9,b=1.1,s=0.3,t=0.3"],
         ["fit", "--family", "CL", "--data", str(cl)],
         ["flatness", *al_params],
+        ["flatness", *al_params, "--boundaries", "fwhm"],
+        ["flatness", *bl_params],  # a numeric mode
         ["divergence", "--case", "pair", "--p", "U:a=-0.5,b=0.5",
          "--q", "GN:mu=0.1,s=0.8,beta=3"],
     ]
@@ -310,6 +312,48 @@ def test_fit_subcommand_emits_report(capsys, tmp_path):
     trace_lines = trace_path.read_text().strip().split("\n")
     assert trace_lines[0] == "iteration,loglik"
     assert len(trace_lines) >= 3
+
+
+def test_fit_bl_takes_init_normal_as_al_does(capsys, tmp_path):
+    """BL starts from AL's start with t = s, so --init-normal selects that
+    start for BL too."""
+    path = tmp_path / "bl.csv"
+    ds = uv.sample(uv.make("BL", {"a": -1.0, "b": 1.0, "s": 0.2, "t": 0.4}), 200, 1)
+    write_csv(ds, str(path))
+    al = mle.init_al_from_normal_fit(ds)
+    fit = ("fit", "--family", "BL", "--data", str(path))
+    code, normal, err = _run(capsys, *fit, "--init-normal")
+    assert code == 0, err
+    _, explicit, _ = _run(capsys, *fit, "--init", f"a={al.a!r},b={al.b!r},s={al.s!r},t={al.s!r}")
+    _, from_data, _ = _run(capsys, *fit)
+    assert normal == explicit
+    assert normal != from_data
+
+
+@pytest.mark.parametrize("flag", [("--init", "m=0"), ("--init-normal",)])
+def test_fit_cl_rejects_init_flags(capsys, tmp_path, flag):
+    path = tmp_path / "cl.csv"
+    write_csv(mv.mv_sample(mv.make_mv("CL", [0.0, 0.0], 1.0, 20.0), 200, 3), str(path))
+    code, out, err = _run(capsys, "fit", "--family", "CL", "--data", str(path), *flag)
+    assert code == 2
+    assert out == ""
+    assert err == "fit --family CL takes neither --init nor --init-normal\n"
+
+
+@pytest.mark.parametrize("family", ["GMM", "FTM"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mixfit_and_sweep_run_the_same_fit(capsys, tmp_path, family, dim):
+    rng = np.random.default_rng(7)
+    rows = np.concatenate([rng.uniform(0, 3, (120, dim)), rng.uniform(6, 9, (120, dim))])
+    path = tmp_path / "d.csv"
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",")
+    data = ("--data", str(path), "--seed", "2")
+    code, out, err = _run(capsys, "mixfit", "--family", family, "--k", "2", *data)
+    assert code == 0, err
+    bic = json.loads(out)["report"]["bic"]
+    code, out, err = _run(capsys, "sweep", "--family", family, "--k", "1:2", *data)
+    assert code == 0, err
+    assert out.strip().split("\n")[2].split(",")[4] == cli._fmt(bic)
 
 
 def test_mixfit_writes_model_and_responsibilities(capsys, tmp_path):

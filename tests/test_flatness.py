@@ -45,14 +45,28 @@ def test_fwhm_numeric_matches_half_height():
     assert uv.pdf(al, b) == pytest.approx(0.5 * pm, rel=1e-8)
 
 
-def test_fwhm_root_failures_raise_flatness_error(monkeypatch):
+@pytest.mark.parametrize("family, params", [
+    ("AL", {"a": 2.0, "b": 1e3, "s": 5.0}),
+    ("BL", {"a": 0.0, "b": 2.0, "s": 0.1, "t": 0.8}),
+    ("BL", {"a": -3.0, "b": 4.0, "s": 1.5, "t": 0.05}),
+    ("ALS", {"a": -1.0, "b": 1.0, "s": 0.3, "lam": 0.6}),
+    ("CH", {"m": 0.5, "r": 2.0, "s": 0.25, "beta": 3.0}),  # bisection alone misses by 3.5e-10
+])
+def test_fwhm_ends_are_at_half_maximum(family, params):
+    spec = uv.make(family, params)
+    half = 0.5 * uv.pdf(spec, uv.mode(spec))
+    a, b = fl.fwhm_boundaries(spec)
+    assert a < uv.mode(spec) < b
+    assert uv.pdf(spec, a) == pytest.approx(half, rel=1e-10)
+    assert uv.pdf(spec, b) == pytest.approx(half, rel=1e-10)
+
+
+def test_fwhm_non_finite_density_raises_flatness_error(monkeypatch):
     al = uv.make("AL", {"a": -1, "b": 1, "s": 0.2})
-    solver = fl.specfun.brentq
-    monkeypatch.setattr(fl.specfun, "brentq", lambda f, lo, hi, xtol, maxiter: solver(f, lo, hi, xtol, 2))
-    with pytest.raises(fl.FlatnessError, match="Failed to converge"):
-        fl.fwhm_boundaries(al)
-    monkeypatch.setattr(fl.specfun, "brentq", lambda f, lo, hi, xtol, maxiter: solver(f, hi, hi + 1.0, xtol, maxiter))
-    with pytest.raises(fl.FlatnessError, match="different signs"):
+    pdf, xm = uv.pdf, uv.mode(al)
+    monkeypatch.setattr(fl.uv, "pdf", lambda spec, x: pdf(spec, x) if x == xm or abs(x) > 1.5
+                        else math.nan)
+    with pytest.raises(fl.FlatnessError, match="density is nan"):
         fl.fwhm_boundaries(al)
 
 

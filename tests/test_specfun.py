@@ -100,43 +100,6 @@ def test_fd_rejects_order_at_or_below_minus_one():
 
 
 # ---------------------------------------------------------------------------
-# Incomplete Fermi-Dirac integral
-# ---------------------------------------------------------------------------
-
-def test_incomplete_order_zero_closed_form():
-    assert sf.fermi_dirac_incomplete(0, 2.0, 2.0) == pytest.approx(math.log(2.0), abs=1e-15)
-    assert sf.fermi_dirac_incomplete(0, 0.0, 0.0) == pytest.approx(math.log(2.0), abs=1e-15)
-
-
-def test_incomplete_reduces_to_complete_at_zero():
-    for j in (-0.5, 0.5, 1.0, 3.0):
-        for x in (-2.0, 0.5, 4.0):
-            full = sf.fermi_dirac_complete(j, x)
-            assert sf.fermi_dirac_incomplete(j, x, 0.0) == pytest.approx(full, rel=1e-10)
-
-
-def test_incomplete_fractional_vs_scipy_oracle():
-    oracle = quad(lambda t: t ** 0.5 * expit(1.0 - t), 3.0, np.inf,
-                  limit=200)[0] / math.gamma(1.5)
-    assert sf.fermi_dirac_incomplete(0.5, 1.0, 3.0) == pytest.approx(oracle, rel=1e-10)
-
-
-def test_incomplete_negative_order_small_lower_limit():
-    # The t^j edge singularity regime: even a tiny lower limit removes
-    # O(u^(j+1)) mass, which scipy captures via endpoint extrapolation.
-    j, x, u = -2.0 / 3.0, 1.2, 1e-6
-    inner = quad(lambda t: t ** j * expit(x - t), u, 1.0, limit=200)[0]
-    outer = quad(lambda t: t ** j * expit(x - t), 1.0, np.inf, limit=200)[0]
-    oracle = (inner + outer) / math.gamma(j + 1.0)
-    assert sf.fermi_dirac_incomplete(j, x, u) == pytest.approx(oracle, rel=1e-8)
-
-
-def test_incomplete_rejects_negative_lower_limit():
-    with pytest.raises(ValueError):
-        sf.fermi_dirac_incomplete(0.5, 1.0, -0.1)
-
-
-# ---------------------------------------------------------------------------
 # Classical wrappers
 # ---------------------------------------------------------------------------
 
@@ -237,25 +200,6 @@ def test_logistic_limits_without_warnings():
     assert out.tolist() == [0.0, 1.0, 0.0, 1.0, 0.5]
 
 
-_ROOT_CASES = [
-    (lambda x: math.cos(x) - x, 0.0, 1.0),
-    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
-    (lambda x: math.exp(x) - 2.0, -5.0, 5.0),
-    (lambda x: math.atan(x - 0.7), -1e3, 1e3),
-    (lambda x: math.tanh(50.0 * (x - 0.123)), -1.0, 1.0),
-    (lambda x: 1e-170 * (x - 0.3) ** 3, 0.0, 1.0),  # products of values underflow
-]
-
-
-@pytest.mark.parametrize("case", range(len(_ROOT_CASES)))
-@pytest.mark.parametrize("xtol", [2e-12, 1e-300, 1e-3])
-def test_brentq_matches_scipy_bit_for_bit(case, xtol):
-    from scipy import optimize
-
-    f, a, b = _ROOT_CASES[case]
-    assert sf.brentq(f, a, b, xtol, 100) == optimize.brentq(f, a, b, xtol=xtol, maxiter=100)
-
-
 _MIN_CASES = [
     (lambda x: (x - 0.3) ** 2, -1.0, 2.0),
     (lambda x: math.cos(x), 0.0, 6.0),
@@ -275,12 +219,6 @@ def test_fminbound_matches_scipy_bit_for_bit(case):
 
 
 def test_brent_failures_raise(monkeypatch):
-    with pytest.raises(ValueError, match="different signs"):
-        sf.brentq(lambda x: math.cos(x) - x, 1.0, 2.0, 2e-12, 100)
-    with pytest.raises(ValueError, match="NaN"):
-        sf.brentq(lambda x: math.nan, 0.0, 1.0, 2e-12, 100)
-    with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
-        sf.brentq(lambda x: math.cos(x) - x, 0.0, 1.0, 2e-12, 3)
     with pytest.raises(RuntimeError, match="NaN"):
         sf.fminbound(lambda x: math.nan, 0.0, 1.0)
     with pytest.raises(ValueError, match="finite"):

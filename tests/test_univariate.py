@@ -470,6 +470,19 @@ def test_quantile_roundtrip_all_families():
         assert err < tol, (family, err)
 
 
+@pytest.mark.parametrize("family, a, b, s", [
+    ("BL", 0.0, 10.0, 0.1), ("BL", -1.0, 1.0, 0.3), ("BD", 0.0, 10.0, 0.5), ("BD", 0.0, 2.0, 0.3),
+])
+def test_bl_and_bd_at_equal_scales_have_their_mode_at_m(family, a, b, s):
+    """At s = t the density is symmetric about m; a bounded minimiser would
+    stop anywhere on its flat top."""
+    spec = uv.make(family, {"a": a, "b": b, "s": s, "t": s})
+    offsets = np.array([0.125, 0.375, 1.5])
+    assert np.allclose(uv.pdf(spec, spec.m - offsets), uv.pdf(spec, spec.m + offsets),
+                       rtol=1e-14, atol=0.0)
+    assert uv.mode(spec) == spec.m == 0.5 * (a + b)
+
+
 def test_modes_match_scipy_bit_for_bit(monkeypatch):
     """specfun's bounded Brent minimiser reproduces scipy's iterates: the
     same modes on every BL, BD, ALS, CF, CH and CE config."""
@@ -484,7 +497,7 @@ def test_modes_match_scipy_bit_for_bit(monkeypatch):
         rec = uv._FAMILY[spec.family]
         numeric_modes += not rec.symmetric and (rec.mode is None or rec.mode(spec) is None)
         assert mode == uv._mode_cached.__wrapped__(spec), spec
-    assert numeric_modes == 40  # BL, BD and ALS at lam != 0
+    assert numeric_modes == 36  # BL, BD at s != t and ALS at lam != 0
 
 
 def test_solver_failures_raise_convergence_error(monkeypatch):
