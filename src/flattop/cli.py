@@ -20,8 +20,9 @@ import sys
 
 import numpy as np
 
-from . import data_io, divergence, flatness, mixture, mle, multivariate, univariate as uv
-from .quadrature import QuadratureError
+# Only what every command needs loads here; each handler imports the
+# modules it runs, so a cold process compiles no module it does not use.
+from . import FlattopError, data_io, univariate as uv
 
 _OUTPUT_DIR_VAR = "FLATTOP_OUTPUT_DIR"
 
@@ -149,6 +150,8 @@ def _cmd_sample(args) -> int:
 
 
 def _al_start(ds, init_normal: bool) -> uv.UnivariateSpec:
+    from . import mle
+
     return mle.init_al_from_normal_fit(ds) if init_normal else mle.init_al_from_data(ds)
 
 
@@ -157,17 +160,31 @@ def _bl_start(ds, init_normal: bool) -> uv.UnivariateSpec:
     return uv.make("BL", {"a": al.a, "b": al.b, "s": al.s, "t": al.s})
 
 
+def _cl_start(ds, _):
+    from . import mle
+
+    return mle.init_cl_from_data(ds)
+
+
+def _cl_json(spec) -> dict:
+    from . import multivariate
+
+    return multivariate.mv_to_json_dict(spec)
+
+
 # Per fit family: the start from the data (given --init-normal), and the
 # payload key and JSON form of the fitted spec.  --init replaces the start
 # of AL and BL; CL takes neither flag (see ``main``).
 _FIT = {
     "AL": (_al_start, "params", uv.UnivariateSpec.params),
     "BL": (_bl_start, "params", uv.UnivariateSpec.params),
-    "CL": (lambda ds, _: mle.init_cl_from_data(ds), "model", multivariate.mv_to_json_dict),
+    "CL": (_cl_start, "model", _cl_json),
 }
 
 
 def _cmd_fit(args) -> int:
+    from . import mle
+
     ds = data_io.read_csv(args.data, has_header=args.header)
     start, key, as_json = _FIT[args.family]
     init = (uv.make(args.family, args.init) if args.init is not None
@@ -184,6 +201,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_mixfit(args) -> int:
+    from . import mixture
+
     ds = data_io.read_csv(args.data, has_header=args.header)
     settings = mixture.MixtureSettings(bl_upgrade=args.bl_upgrade)
     model, report = mixture._fit(ds, args.family, args.k, args.seed, settings)
@@ -200,6 +219,8 @@ def _cmd_mixfit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import mixture
+
     ds = data_io.read_csv(args.data, has_header=args.header)
     rows = mixture.sweep(ds, args.family, args.k, args.seed)
     lines = ["K,it,loglik_per_N,AIC,BIC"]
@@ -211,6 +232,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_flatness(args) -> int:
+    from . import flatness
+
     spec = uv.make(args.family, args.params)
     eps = tuple(float(e) for e in args.eps.split(",")) if args.eps else (0.1, 0.05, 0.01)
     report = flatness.flatness_report(spec, eps, boundaries=args.boundaries)
@@ -228,6 +251,8 @@ def _cmd_flatness(args) -> int:
 
 
 def _cmd_divergence(args) -> int:
+    from . import divergence
+
     if args.case == "uniform-normal":
         kl, l1 = divergence.uniform_vs_bestfit_normal_1d()
         result = divergence.DivergenceResult(kl=kl, l1=l1, method="closed_form")
@@ -261,6 +286,8 @@ def _central_differences(theta, step, value) -> list:
 
 
 def _cmd_gradcheck(args) -> int:
+    from . import mle
+
     rng = np.random.default_rng(args.seed)
     if args.family == "AL":
         a, b = sorted(rng.uniform(-5.0, 5.0, 2))
@@ -470,8 +497,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except (ValueError, OSError, uv.ConvergenceError, QuadratureError,
-            flatness.FlatnessError, mixture.ComponentCollapseError) as exc:
+    except (ValueError, OSError, FlattopError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

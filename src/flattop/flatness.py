@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import specfun, univariate as uv
+from . import FlattopError, specfun, univariate as uv
 
 __all__ = [
     "FlatnessError",
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-class FlatnessError(RuntimeError):
+class FlatnessError(FlattopError):
     """Raised on degenerate boundary derivatives."""
 
 
@@ -256,8 +256,10 @@ def delta_eps_flat(
     """Averaged flatness over [x1, x2].
 
     ``integral`` mode measures 1 - (mass on [x1, x2]) / (p(x_m) (x2 - x1));
-    ``concave`` mode measures 1 - (p(x1) + p(x2)) / (2 p(x_m)).
+    ``concave`` mode measures 1 - (p(x1) + p(x2)) / (2 p(x_m)).  Every
+    threshold must lie in (0, 1).
     """
+    eps_list = _thresholds(epsilons)
     xm = uv.mode(spec)
     if not x1 < xm < x2:
         raise ValueError(f"x1 < mode < x2 required: x1={x1}, x_m={xm}, x2={x2}")
@@ -273,7 +275,7 @@ def delta_eps_flat(
     return DeltaFlatResult(
         delta=x2 - x1,
         measure=measure,
-        satisfied_at={float(e): measure < e for e in epsilons},
+        satisfied_at={e: measure < e for e in eps_list},
     )
 
 
@@ -317,9 +319,17 @@ def gn_flat_interval_ratio(beta: float, eps: float) -> float:
     for the generalized normal: |log2(1 - eps)|^(1/beta)."""
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    (eps,) = _thresholds((eps,))
     return abs(math.log2(1.0 - eps)) ** (1.0 / beta)
+
+
+def _thresholds(epsilons: Iterable[float]) -> list[float]:
+    """The flatness thresholds as floats; each must lie in (0, 1)."""
+    out = [float(e) for e in epsilons]
+    for eps in out:
+        if not 0.0 < eps < 1.0:  # NaN fails too
+            raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    return out
 
 
 def flatness_report(
@@ -327,7 +337,9 @@ def flatness_report(
     epsilons: Iterable[float] = (0.1, 0.05, 0.01),
     boundaries: str | tuple[float, float] = "canonical",
 ) -> FlatnessReport:
-    """Assemble the full flatness summary used by the CLI."""
+    """Assemble the full flatness summary used by the CLI.  Every threshold
+    must lie in (0, 1)."""
+    eps_list = _thresholds(epsilons)
     if boundaries == "canonical":
         a, b = canonical_boundaries(spec)
     elif boundaries == "fwhm":
@@ -335,7 +347,6 @@ def flatness_report(
     else:
         a, b = boundaries
     measure = eps_flat_measure(spec, a, b)
-    eps_list = [float(e) for e in epsilons]
     ratio = None
     if spec.family == "GN" and eps_list:
         ratio = gn_flat_interval_ratio(spec.beta, eps_list[0])

@@ -23,19 +23,21 @@ lane's fit, is that of restarts run one after another.
 
 GEM is the one-lane case, on parameter columns (``_Flat``): the weights
 and, per AL or BL family, the P x J parameters of its (component, axis)
-factors together with each factor's two edge terms, the per-point
-log-cosh (AL) or softplus (BL) shoulders of the log-density kernel of
-``mle``.  The columns live from one cycle to the next.  The E-step scores
-every factor as the kernel's constant plus its cached edges, which is the
-very function the M-step climbs, and is what makes each GEM cycle
-monotone.  Factors of other families, which only the public ``e_step``
-scores, go through ``univariate.log_pdf`` once.  The M-step hands the live
-factors of each family to the single coordinate pass of ``mle`` with the
-N x J matrix of their responsibilities; the pass starts from the cached
-edges, recomputes only the edge a trial step moves, and returns the edges
-at its new parameters.  Specs are built only when a model leaves the loop:
-at the end of the fit, in the public ``m_step``, and in the BL-upgrade
-hook, which the loop runs once, at the first stall.
+factors together with each factor's kernel terms from ``mle``: the
+constant (the log-normalizer) and the two edge terms, the per-point
+log-cosh (AL) or softplus (BL) shoulders.  The columns live from one
+cycle to the next.  The E-step scores every factor from its cached terms,
+which is the very function the M-step climbs, and is what makes each GEM
+cycle monotone.  Factors of other families, which only the public
+``e_step`` scores, go through ``univariate.log_pdf`` once.  The M-step
+hands the live factors of each family to the single coordinate pass of
+``mle`` with the N x J matrix of their responsibilities; the pass starts
+from the cached terms, recomputes the constant and only the edge a trial
+step moves, and returns the terms at its new parameters, so no cycle
+computes a BL normalizer twice at the same parameters.  Specs are built
+only when a model leaves the loop: at the end of the fit, in the public
+``m_step``, and in the BL-upgrade hook, which the loop runs once, at the
+first stall.
 
 One E-step core (``_e_core``) turns the R x K x N log densities into
 responsibilities and per-lane log-likelihoods for the loop and for the
@@ -50,7 +52,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from . import mle, specfun, univariate as uv
+from . import FlattopError, mle, specfun, univariate as uv
 from .data_io import _rows_of
 from .mle import FitReport
 from .quadrature import QuadratureError
@@ -72,7 +74,7 @@ __all__ = [
 ]
 
 
-class ComponentCollapseError(RuntimeError):
+class ComponentCollapseError(FlattopError):
     """Raised when a Gaussian EM component loses all responsibility again
     after it was reseeded."""
 
@@ -211,12 +213,13 @@ def _specs(model: MixtureModel) -> list[uv.UnivariateSpec]:
 class _Columns:
     """The factors of one kernel family: their indices f (see ``_specs``),
     data rows x (J x N), parameters (P x J, in the kernel's coordinate
-    order) and the kernel's two edge terms at those parameters (J x N
-    each)."""
+    order) and the kernel's terms at those parameters: the constant (J,)
+    and the two edge terms (J x N each)."""
 
     idx: np.ndarray
     x: np.ndarray
     p: np.ndarray
+    const: np.ndarray
     left: np.ndarray
     right: np.ndarray
 
@@ -225,8 +228,8 @@ class _Columns:
 class _Flat:
     """One flat model as the GEM state: the weights (K,) and the factors of
     each AL or BL family as ``_Columns``.  The GEM M-step updates the
-    columns in place and keeps every edge pair equal to the kernel's at its
-    parameters, so the E-step recomputes no edge.  ``fixed`` holds the
+    columns in place and keeps every constant and edge pair equal to the
+    kernel's at its parameters, so the E-step recomputes neither.  ``fixed`` holds the
     log-density rows of the factors of families without a kernel, scored
     once: GEM moves no such factor.  Specs are built only by ``model``."""
 
@@ -250,7 +253,7 @@ class _Flat:
                 fixed[idx] = [uv.log_pdf(specs[f], row) for f, row in zip(idx, x)]
                 continue
             p = np.array([[getattr(specs[f], name) for f in idx] for name in kernel.names])
-            groups[family] = _Columns(idx, x, p, *kernel.edges(x, p))
+            groups[family] = _Columns(idx, x, p, *kernel.terms(x, p))
         return cls(model.weights, model.dim, model.factorized, groups, fixed)
 
     def model(self, lane: int = 0) -> MixtureModel:
@@ -273,12 +276,12 @@ class _Flat:
 def _log_matrix(model, rows: np.ndarray) -> np.ndarray:
     """R x K x N component log densities of the lanes of ``_Gaussians``, or
     1 x K x N of a ``_Flat`` state, whose AL and BL factors are scored
-    from their cached edges by the M-step's kernel (so GEM evaluates the
-    same function of (a, b, s[, t]) that it climbs)."""
+    from their cached kernel terms (so GEM evaluates the same function of
+    (a, b, s[, t]) that it climbs)."""
     if isinstance(model, _Flat):
         out = model.fixed.copy()
-        for family, c in model.groups.items():
-            out[c.idx] = mle._KERNELS[family].const(c.p)[:, None] + (-c.left - c.right)
+        for c in model.groups.values():
+            out[c.idx] = c.const[:, None] + (-c.left - c.right)
         return out.reshape(model.weights.size, model.dim, -1).sum(axis=1)[None]
     cols = np.ascontiguousarray(rows.T)  # dim x N
     dim = model.means.shape[-1]
@@ -563,7 +566,7 @@ def _axis_bounds(rows: np.ndarray, dim: int) -> np.ndarray:
 def _gem_m_step(state: _Flat, resp: np.ndarray, bounds: np.ndarray) -> _Flat:
     """The M-step of ``m_step`` on the columns of ``state``, in place, from
     the N x K responsibilities: every live factor of each kernel family
-    goes through one coordinate pass, which starts from the cached edges
+    goes through one coordinate pass, which starts from the cached terms
     and returns those at its new parameters."""
     weights = resp.mean(axis=0)
     state.weights = weights / weights.sum()
@@ -572,13 +575,14 @@ def _gem_m_step(state: _Flat, resp: np.ndarray, bounds: np.ndarray) -> _Flat:
         j = np.flatnonzero(live[c.idx // state.dim])
         if not j.size:
             continue
-        x, p, edges = c.x[j], c.p[:, j], (c.left[j], c.right[j])
+        x, p, terms = c.x[j], c.p[:, j], (c.const[j], c.left[j], c.right[j])
         w = np.ascontiguousarray(resp.T[c.idx[j] // state.dim])
         n = w.sum(axis=1)
-        p, _, (left, right), _ = mle._coordinate_pass(
-            family, x, w, n, p, mle._loglik(family, x, w, n, p, edges), edges,
+        p, _, terms, _ = mle._coordinate_pass(
+            family, x, w, n, p, mle._loglik(family, x, w, n, p, terms), terms,
             bounds[:, c.idx[j] % state.dim])
-        c.p[:, j], c.left[j], c.right[j] = p, left, right
+        c.p[:, j] = p
+        c.const[j], c.left[j], c.right[j] = terms
     return state
 
 

@@ -13,11 +13,11 @@ dataset) weights, and the mixture M-step runs it on every (component,
 axis) factor with the responsibilities as weights.  Each family's
 log-density is one kernel, a per-problem constant minus two per-point edge
 terms, one per shoulder; the log-likelihood sums them, and the mixture
-E-step scores points with the same terms.  The pass takes the edges at its
-start and returns them at its end, and a trial step recomputes only the
-edge its coordinate moves (a the left one, b the right one).  The pass
-keeps b - a at least a few ulps of the data, so the density stays defined
-on near-constant samples.
+E-step scores points with the same terms.  The pass takes the constant and
+the edges at its start and returns them at its end, and a trial step
+recomputes the constant and only the edge its coordinate moves (a the
+left one, b the right one).  The pass keeps b - a at least a few ulps of
+the data, so the density stays defined on near-constant samples.
 
 The elliptical cosh-ratio family (CL) runs one such pass over the blocks m,
 Lambda = Sigma^-1, log R (R = r^n) and log t, each stepped by its analytic
@@ -225,7 +225,7 @@ class _Kernel(NamedTuple):
     per-point edge terms ``edge(side, x, p)`` (J, N), side 0 for the left
     shoulder and 1 for the right, plus the partial kernel.  ``moves[i]``
     lists the sides that coordinate i changes, so a step in it recomputes
-    only those."""
+    only those (and the constant, which every coordinate changes)."""
 
     names: tuple[str, ...]
     moves: tuple[tuple[int, ...], ...]
@@ -233,8 +233,9 @@ class _Kernel(NamedTuple):
     edge: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     partial: Callable
 
-    def edges(self, x, p) -> tuple[np.ndarray, np.ndarray]:
-        return self.edge(0, x, p), self.edge(1, x, p)
+    def terms(self, x, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(const, left, right) at ``p``."""
+        return self.const(p), self.edge(0, x, p), self.edge(1, x, p)
 
 
 _KERNELS = {
@@ -244,12 +245,12 @@ _KERNELS = {
 }
 
 
-def _loglik(family: str, x, w, n, p, edges=None) -> np.ndarray:
+def _loglik(family: str, x, w, n, p, terms=None) -> np.ndarray:
     """The (J,) weighted log-likelihoods n const + sum_i w_i (-left_i -
-    right_i), from ``edges`` if the caller holds them at ``p``."""
-    kernel = _KERNELS[family]
-    left, right = kernel.edges(x, p) if edges is None else edges
-    return n * kernel.const(p) + _wsum(w, -left - right)
+    right_i), from ``terms`` = (const, left, right) if the caller holds them
+    at ``p``."""
+    const, left, right = _KERNELS[family].terms(x, p) if terms is None else terms
+    return n * const + _wsum(w, -left - right)
 
 
 def _one(data, weights):
@@ -503,25 +504,25 @@ def _ulps(lo, hi, k: float):
     return k * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
 
 
-def _coordinate_pass(family, x, w, n, p, ll, edges, bounds):
+def _coordinate_pass(family, x, w, n, p, ll, terms, bounds):
     """One monotone coordinate pass over J independent problems at once.
 
     ``x``, ``w``, ``n`` and ``p`` are in the kernel layout above, ``ll`` is
-    the (J,) log-likelihood at ``p``, ``edges`` the kernel's (left, right)
-    terms at ``p`` and ``bounds`` the (4, J) rows of ``_bounds_from_data``.
+    the (J,) log-likelihood at ``p``, ``terms`` the kernel's (const, left,
+    right) at ``p`` and ``bounds`` the (4, J) rows of ``_bounds_from_data``.
     Each coordinate steps by gradient/|curvature| and backtracks per
     problem, by mask, until that problem's log-likelihood does not
-    decrease; a trial recomputes only the edges its coordinate moves.
-    Returns the new parameters, log-likelihoods and edges (each equal to
-    the kernel's at the new parameters) and the mask of problems that
-    accepted a step.
+    decrease; a trial recomputes the constant and only the edges its
+    coordinate moves.  Returns the new parameters, log-likelihoods and
+    terms (each equal to the kernel's at the new parameters) and the mask
+    of problems that accepted a step.
     """
     kernel = _KERNELS[family]
     lo, hi, s_min, s_max = bounds
     eps = 1e-9 * (hi - lo)
     # a <= b - gap keeps b - a > 0 only if gap is at least an ulp of the data.
     gap = np.maximum(eps, _ulps(lo, hi, 4.0))
-    p, ll, edges = p.copy(), ll.copy(), [e.copy() for e in edges]
+    p, ll, terms = p.copy(), ll.copy(), [t.copy() for t in terms]
     moved = np.zeros(p.shape[1], dtype=bool)
     for i, (name, sides) in enumerate(zip(kernel.names, kernel.moves)):
         grad, curv = kernel.partial(name, x, w, n, p)
@@ -533,27 +534,33 @@ def _coordinate_pass(family, x, w, n, p, ll, edges, bounds):
             scale, low, high = p[i], s_min, s_max
         step = _step_size(grad, curv, scale) * grad
         live = np.ones(p.shape[1], dtype=bool)
+        tried = np.full(p.shape[1], np.nan)
         for _ in range(_MAX_BACKTRACKS):
             cand = np.minimum(np.maximum(p[i] + step, low), high)
             live &= cand != p[i]  # clip or underflow: no movement possible
-            idx = np.flatnonzero(live)
-            if idx.size == 0:
+            if not live.any():
                 break
+            # A clipped step can repeat the candidate just rejected: skip it.
+            idx = np.flatnonzero(live & (cand != tried))
+            tried = cand
+            step = step * _BACKTRACK_FACTOR
+            if idx.size == 0:
+                continue
             trial = p[:, idx]
             trial[i] = cand[idx]
-            trial_edges = [kernel.edge(side, x[idx], trial) if side in sides else e[idx]
-                           for side, e in enumerate(edges)]
-            ll_new = _loglik(family, x[idx], w[idx], n[idx], trial, trial_edges)
+            trial_terms = [kernel.const(trial)] + [
+                kernel.edge(side, x[idx], trial) if side in sides else e[idx]
+                for side, e in enumerate(terms[1:])]
+            ll_new = _loglik(family, x[idx], w[idx], n[idx], trial, trial_terms)
             up = ll_new >= ll[idx]
             done = idx[up]
             p[i, done] = cand[done]
             ll[done] = ll_new[up]
-            for side in sides:
-                edges[side][done] = trial_edges[side][up]
+            for k in (0, *(side + 1 for side in sides)):
+                terms[k][done] = trial_terms[k][up]
             moved[done] = True
             live[done] = False
-            step = step * _BACKTRACK_FACTOR
-    return p, ll, tuple(edges), moved
+    return p, ll, tuple(terms), moved
 
 
 def _ascend(one_pass, state, ll: float, settings: FitSettings, k: int, count: int):
@@ -604,15 +611,15 @@ def _fit_univariate(x: np.ndarray, init: uv.UnivariateSpec, settings: FitSetting
     x1, w1, n = _one(x, weights)
 
     def one_pass(state):
-        p, ll, edges, moved = _coordinate_pass(init.family, x1, w1, n, *state, bounds[:, None])
+        p, ll, terms, moved = _coordinate_pass(init.family, x1, w1, n, *state, bounds[:, None])
         grad_norm = max(abs(float(kernel.partial(name, x1, w1, n, p)[0][0]))
                         for name in kernel.names) / float(n[0])
-        return (p, ll, edges), float(ll[0]), grad_norm, bool(moved[0])
+        return (p, ll, terms), float(ll[0]), grad_norm, bool(moved[0])
 
     p = _params(*(getattr(init, name) for name in kernel.names))
-    edges = kernel.edges(x1, p)
-    ll = _loglik(init.family, x1, w1, n, p, edges)
-    (p, _, _), report = _ascend(one_pass, (p, ll, edges), float(ll[0]), settings,
+    terms = kernel.terms(x1, p)
+    ll = _loglik(init.family, x1, w1, n, p, terms)
+    (p, _, _), report = _ascend(one_pass, (p, ll, terms), float(ll[0]), settings,
                                 len(kernel.names), x.size)
     spec = uv.make(init.family, dict(zip(kernel.names, p[:, 0])))
     report.final_params = spec.params()

@@ -29,6 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import FlattopError
+
 __all__ = [
     "QuadratureError",
     "QuadratureSettings",
@@ -38,7 +40,7 @@ __all__ = [
 ]
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(FlattopError):
     """Raised when subdivision or tail truncation cannot reach the tolerance."""
 
 

@@ -57,7 +57,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from . import specfun
+from . import FlattopError, specfun
 from .quadrature import QuadratureError, QuadratureSettings, _integrate, _kronrod, integrate
 
 __all__ = [
@@ -88,7 +88,7 @@ __all__ = [
 ]
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(FlattopError):
     """Raised when an iterative solver exhausts its budget."""
 
 

@@ -115,6 +115,26 @@ def test_typed_library_errors_exit_one_without_traceback(capsys, tmp_path, monke
     assert err == "error: component 0 collapsed twice; aborting\n"
 
 
+def test_convergence_error_exits_one_without_traceback(capsys, monkeypatch):
+    message = "quantile: Newton steps did not converge at 1 of 3"
+
+    def fail(spec, n, seed):
+        raise uv.ConvergenceError(message)
+
+    monkeypatch.setattr(uv, "sample", fail)
+    got = _run(capsys, "sample", "--family", "AL", "--params", "a=-1,b=1,s=0.1", "-n", "3")
+    assert got == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("family, params", [
+    ("AL", "a=-1,b=1,s=0.1"), ("BL", "a=0,b=5,s=0.3,t=0.6"), ("GN", "mu=0,s=1,beta=3")])
+@pytest.mark.parametrize("eps, shown", [
+    ("0", "0.0"), ("1", "1.0"), ("-1", "-1.0"), ("2", "2.0"), ("nan", "nan"), ("0.1,2", "2.0")])
+def test_flatness_rejects_thresholds_outside_unit_interval(capsys, family, params, eps, shown):
+    got = _run(capsys, "flatness", "--family", family, "--params", params, f"--eps={eps}")
+    assert got == (1, "", f"error: eps must lie in (0, 1), got {shown}\n")
+
+
 @pytest.mark.parametrize("argv, code, err", [
     # The AN curvature bound decays to its limit 0.
     (("--family", "AN", "--params", "a=0,b=1,s=1e-200"), 0, ""),
@@ -197,20 +217,37 @@ def test_fit_from_data_init_on_near_constant_data(capsys, tmp_path, family):
 
 
 # Run in a fresh interpreter: the test process has scipy loaded already.
+# Reports the scipy and flattop modules loaded after ``import flattop`` and
+# then, cumulatively, after each argv.
 _SCIPY_FREE_SCRIPT = """
 import contextlib, io, json, sys
-import flattop, flattop.cli
+import flattop
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def modules(package):
+    return sorted(m.partition(".")[2] for m in sys.modules
+                  if m == package or m.startswith(package + "."))
 
-report = [("import", 0, scipy_modules())]
+report = [("import", 0, modules("scipy"), modules("flattop"))]
+import flattop.cli
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = flattop.cli.main(argv)
-    report.append((argv[0], code, scipy_modules()))
+    report.append((argv[0], code, modules("scipy"), modules("flattop")))
 print(json.dumps(report))
 """
+
+# The flattop modules a cold command loads: ``import flattop`` loads none
+# (the "" is the package itself), and no command here loads ``mixture``.
+_BASE_MODULES = ["", "cli", "data_io", "quadrature", "specfun", "univariate"]
+_MODULES_AFTER = {
+    "import": [""],
+    "gen": _BASE_MODULES,
+    "eval": _BASE_MODULES,
+    "sample": _BASE_MODULES,
+    "fit": sorted(_BASE_MODULES + ["mle", "multivariate"]),
+    "flatness": sorted(_BASE_MODULES + ["flatness", "mle", "multivariate"]),
+    "divergence": sorted(_BASE_MODULES + ["divergence", "flatness", "mle", "multivariate"]),
+}
 
 
 def test_scipy_free_commands_do_not_import_scipy(tmp_path):
@@ -243,8 +280,10 @@ def test_scipy_free_commands_do_not_import_scipy(tmp_path):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert [step for step, _, _ in report] == ["import", *(a[0] for a in argvs)]
-    assert [(step, code, mods) for step, code, mods in report if code or mods] == []
+    assert [step for step, *_ in report] == ["import", *(a[0] for a in argvs)]
+    assert [(step, code, mods) for step, code, mods, _ in report if code or mods] == []
+    assert [(step, mods) for step, _, _, mods in report] == [
+        (step, _MODULES_AFTER[step]) for step, *_ in report]
 
 
 def _scipy_imports(path):

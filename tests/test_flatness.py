@@ -230,3 +230,19 @@ def test_report_assembles_fields():
     assert rep.verdict_at[0.01] == (rep.epsilon_measure < 0.01)
     rep2 = fl.flatness_report(al, epsilons=(0.01,), boundaries=(-1.0, 1.0))
     assert rep2.a == -1.0 and rep2.b == 1.0
+
+
+@pytest.mark.parametrize("family, params", [
+    ("AL", {"a": -1, "b": 1, "s": 0.1}),
+    ("BL", {"a": 0, "b": 5, "s": 0.3, "t": 0.6}),
+    ("GN", {"mu": 0, "s": 1, "beta": 3}),
+])
+@pytest.mark.parametrize("eps", [0.0, 1.0, -1.0, 2.0, math.nan])
+def test_report_rejects_every_threshold_outside_unit_interval(family, params, eps):
+    spec = uv.make(family, params)
+    a, b = fl.canonical_boundaries(spec)
+    for epsilons in ((eps,), (0.1, eps)):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+            fl.flatness_report(spec, epsilons=epsilons)
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+            fl.delta_eps_flat(spec, a, b, epsilons=epsilons)

@@ -227,6 +227,25 @@ def test_bl_upgrade_improves_skewed_fit():
     assert any(getattr(c, "family", None) == "BL" for c in upg.components)
 
 
+def test_gem_computes_each_bl_normalizer_once(monkeypatch):
+    # The E-step scores from the cached constant, the M-step starts from it,
+    # and a backtrack that clips to the candidate just rejected skips it.
+    rng = np.random.default_rng(11)
+    x = np.concatenate([rng.uniform(0, 10, 400), 10.0 + rng.exponential(1.0, 120)])
+    base, _ = mx.gmm_fit(x, 1, seed=12)
+    kernel = mle._KERNELS["BL"]
+    seen = []
+
+    def recording_const(p):
+        seen.extend(map(tuple, p.T))
+        return kernel.const(p)
+
+    monkeypatch.setitem(mle._KERNELS, "BL", kernel._replace(const=recording_const))
+    _, report = mx.ftm_fit(x, mx.ftm_from_gmm(base), mx.MixtureSettings(bl_upgrade=True))
+    assert report.iterations > 10 and len(seen) > 10
+    assert len(set(seen)) == len(seen)
+
+
 def test_label_permutation_invariance():
     x = _two_block_data(seed=13)
     base, _ = mx.gmm_fit(x, 2, seed=14)
@@ -617,19 +636,19 @@ def _specs_of(model):
 
 def _ref_flat_e_step(model, rows):
     """A flat model's N x K responsibilities and log-likelihood, each AL or
-    BL factor scored on its own from fresh kernel edges."""
+    BL factor scored on its own from fresh kernel terms."""
     out = np.empty((model.k * model.dim, rows.shape[0]))
     for f, spec in enumerate(_specs_of(model)):
         kernel = mle._KERNELS[spec.family]
         p = np.array([[getattr(spec, name)] for name in kernel.names])
-        left, right = kernel.edges(rows[:, f % model.dim][None], p)
-        out[f] = kernel.const(p)[:, None] + (-left - right)
+        const, left, right = kernel.terms(rows[:, f % model.dim][None], p)
+        out[f] = const[:, None] + (-left - right)
     return _ref_e_core(out.reshape(model.k, model.dim, -1).sum(axis=1), model.weights)
 
 
 def _ref_gem_m_step(model, rows, resp):
     """The spec-based GEM M-step: every live factor of a family goes through
-    one coordinate pass from fresh edges, and every moved factor becomes a
+    one coordinate pass from fresh terms, and every moved factor becomes a
     new spec."""
     weights = resp.mean(axis=0)
     weights = weights / weights.sum()
@@ -649,7 +668,7 @@ def _ref_gem_m_step(model, rows, resp):
         n = w.sum(axis=1)
         p = np.array([[getattr(specs[f], name) for f in group] for name in kernel.names])
         p = mle._coordinate_pass(family, x, w, n, p, mle._loglik(family, x, w, n, p),
-                                 kernel.edges(x, p), bounds[:, axes])[0]
+                                 kernel.terms(x, p), bounds[:, axes])[0]
         for j, f in enumerate(group):
             specs[f] = uv.make(family, dict(zip(kernel.names, p[:, j])))
     comps = [tuple(specs[f:f + model.dim]) if model.dim > 1 else specs[f]

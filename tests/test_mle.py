@@ -147,13 +147,13 @@ def test_coordinate_pass_returns_the_edges_at_its_parameters(family, p):
     p = np.array(p)
     bounds = np.stack([mle._bounds_from_data(row) for row in x], axis=1)
     kernel = mle._KERNELS[family]
-    edges = kernel.edges(x, p)
-    ll = mle._loglik(family, x, w, n, p, edges)
+    terms = kernel.terms(x, p)
+    ll = mle._loglik(family, x, w, n, p, terms)
     for _ in range(3):
         start = p
-        p, ll, edges, moved = mle._coordinate_pass(family, x, w, n, p, ll, edges, bounds)
-        fresh = kernel.edges(x, p)
-        assert all(np.array_equal(e, f) for e, f in zip(edges, fresh))
+        p, ll, terms, moved = mle._coordinate_pass(family, x, w, n, p, ll, terms, bounds)
+        fresh = kernel.terms(x, p)
+        assert all(np.array_equal(t, f) for t, f in zip(terms, fresh))
         assert np.array_equal(ll, mle._loglik(family, x, w, n, p))
         assert moved[0] and not moved[1]
         assert np.array_equal(p[:, 1], start[:, 1])
