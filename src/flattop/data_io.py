@@ -73,12 +73,21 @@ class Dataset:
 
 
 def _rows_of(data) -> np.ndarray:
-    """The rows of a Dataset, or of an array with a 1-d sample as one column."""
+    """The rows of a Dataset, or of an array with a 1-d sample as one column;
+    a ValueError if any value is not finite."""
     if isinstance(data, Dataset):
         return data.rows
     arr = np.asarray(data, dtype=float)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
+    return _finite(arr)
+
+
+def _finite(arr: np.ndarray) -> np.ndarray:
+    """``arr``, or a ValueError that counts its NaN and infinite values."""
+    bad = arr.size - np.count_nonzero(np.isfinite(arr))
+    if bad:
+        raise ValueError(f"data must be finite: {bad} of {arr.size} values are NaN or infinite")
     return arr
 
 

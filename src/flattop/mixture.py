@@ -41,9 +41,13 @@ first stall.
 
 One E-step core (``_e_core``) turns the R x K x N log densities into
 responsibilities and per-lane log-likelihoods for the loop and for the
-public ``e_step``, which alone also computes Q.  The Gaussian M-step
-computes the weighted means, covariances and eigenvalue floors of every
-lane as stacked arrays.
+public ``e_step``, which alone also computes Q.  It runs one full-size
+exponential, shifted by each point's largest log joint density; the sum
+of a point's K terms both normalises its responsibilities and gives its
+log-likelihood.  A second pass would cost as much again: numpy's ``exp``
+is slow wherever its result underflows, as it does for far components.
+The Gaussian M-step computes the weighted means, covariances and
+eigenvalue floors of every lane as stacked arrays.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from . import FlattopError, mle, specfun, univariate as uv
+from . import FlattopError, mle, univariate as uv
 from .data_io import _rows_of
 from .mle import FitReport
 from .quadrature import QuadratureError
@@ -302,16 +306,25 @@ def _log_matrix(model, rows: np.ndarray) -> np.ndarray:
 def _e_core(model, rows: np.ndarray):
     """The E-step of every lane of ``model``: the log joint densities and
     the responsibilities (R x K x N), the mask of points that some component
-    scores (R x N), and each lane's log-likelihood.  Points where every
-    component underflows get uniform responsibilities."""
+    scores (R x N), and each lane's log-likelihood.
+
+    One exponential, shifted by each point's largest log joint density
+    ``top``, gives both: its sum over K is ``tot`` >= 1, the responsibilities
+    are the terms over ``tot``, and the point adds top + ln(tot).  Points
+    where every component underflows (``top`` not finite) get uniform
+    responsibilities and add nothing."""
+    log_joint = _log_matrix(model, rows)
     with np.errstate(divide="ignore"):
-        log_w = np.log(model.weights)
-    log_joint = _log_matrix(model, rows) + log_w.reshape(-1, log_w.shape[-1], 1)
-    row_tot = specfun.logsumexp(log_joint, axis=1)
-    finite = np.isfinite(row_tot)
-    resp = np.exp(log_joint - np.where(finite, row_tot, 0.0)[:, None])
+        log_joint += np.log(model.weights).reshape(-1, log_joint.shape[1], 1)
+    top = log_joint.max(axis=1)
+    finite = np.isfinite(top)
+    resp = np.exp(log_joint - np.where(finite, top, 0.0)[:, None])
+    tot = resp.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 and ln 0 of the unscored points
+        resp /= tot[:, None]
+        point_ll = top + np.log(tot)
     np.swapaxes(resp, 1, 2)[~finite] = 1.0 / log_joint.shape[1]
-    return log_joint, resp, finite, [float(np.sum(t[f])) for t, f in zip(row_tot, finite)]
+    return log_joint, resp, finite, [float(np.sum(ll[f])) for ll, f in zip(point_ll, finite)]
 
 
 def e_step(model: MixtureModel, data) -> EStepResult:

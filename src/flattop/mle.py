@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import univariate as uv
-from .data_io import Dataset, _rows_of
+from .data_io import Dataset, _finite, _rows_of
 from .multivariate import MultivariateSpec, make_mv
 from .specfun import coth, csch2, log_cosh, log_sinh, log_sinh_ratio, logistic, sech2, softplus
 
@@ -127,7 +127,7 @@ def _data_1d(data) -> np.ndarray:
         arr = arr[:, 0]
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty 1-d sample")
-    return arr
+    return _finite(arr)
 
 
 def _weights(x: np.ndarray, w) -> np.ndarray:

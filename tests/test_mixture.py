@@ -1,11 +1,12 @@
 import math
+import types
 import warnings
 
 import numpy as np
 import pytest
 from scipy import special as sp
 
-from flattop import mixture as mx, mle, specfun, univariate as uv
+from flattop import mixture as mx, mle, univariate as uv
 from flattop.data_io import default_segments_scenario, gen_mixed_1d, gen_segments_2d
 
 
@@ -531,14 +532,19 @@ def _assert_m_step_matches(model, rows, resp):
 
 def _ref_e_core(log_mat, weights):
     """N x K responsibilities and the log-likelihood from the K x N
-    component log densities of one model."""
+    component log densities of one model, normalised by one exponential
+    shifted by each point's largest log joint density."""
     with np.errstate(divide="ignore"):
         log_joint = log_mat + np.log(weights)[:, None]
-    row_tot = specfun.logsumexp(log_joint, axis=0)
-    finite = np.isfinite(row_tot)
-    resp = np.exp(log_joint - np.where(finite, row_tot, 0.0)).T
+    top = log_joint.max(axis=0)
+    finite = np.isfinite(top)
+    resp = np.exp(log_joint - np.where(finite, top, 0.0))
+    tot = resp.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        resp = (resp / tot).T
+        point_ll = top + np.log(tot)
     resp[~finite] = 1.0 / weights.size
-    return resp, float(np.sum(row_tot[finite]))
+    return resp, float(np.sum(point_ll[finite]))
 
 
 def _ref_gauss_e_step(weights, means, cov, rows):
@@ -825,8 +831,6 @@ def test_zero_responsibility_component_is_bit_identical():
 
 @pytest.mark.parametrize("components, point", [
     ([uv.make("U", {"a": 0.0, "b": 1.0}), uv.make("U", {"a": 2.0, "b": 3.0})], 10.0),
-    ([uv.make("AL", {"a": 0.0, "b": 1.0, "s": 0.1}),
-      uv.make("BL", {"a": 2.0, "b": 3.0, "s": 0.1, "t": 0.2})], math.inf),
 ])
 def test_point_outside_every_component_is_flagged_without_warning(components, point):
     x = np.array([0.5, 2.5, point, 0.7])
@@ -841,3 +845,70 @@ def test_point_outside_every_component_is_flagged_without_warning(components, po
     resp, loglik = _ref_e_step(model, x[keep].reshape(-1, 1))
     assert np.allclose(es.resp[keep], resp, rtol=1e-12)
     assert es.loglik == pytest.approx(loglik, rel=1e-12)
+
+
+_FLAT_PAIR = mx.MixtureModel(kind="flat", dim=1, weights=np.array([0.4, 0.6]), components=[
+    uv.make("AL", {"a": 0.0, "b": 1.0, "s": 0.1}),
+    uv.make("BL", {"a": 2.0, "b": 3.0, "s": 0.1, "t": 0.2})])
+
+_ENTRY_POINTS = {
+    "gmm_fit": lambda x: mx.gmm_fit(x, 1, seed=1),
+    "ftm_fit": lambda x: mx.ftm_fit(x, _FLAT_PAIR),
+    "e_step": lambda x: mx.e_step(_FLAT_PAIR, x),
+    "m_step": lambda x: mx.m_step(_FLAT_PAIR, x, np.full((x.size, 2), 0.5)),
+    "score": lambda x: mx.score(_FLAT_PAIR, x),
+    "sweep": lambda x: mx.sweep(x, "GMM", [1, 2], seed=1),
+    "mle.fit": lambda x: mle.fit(x, uv.make("AL", {"a": 1.5, "b": 4.5, "s": 0.5})),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_fitting_entry_points_reject_non_finite_data(entry, bad):
+    x = np.array([1.0, 2.0, bad, 4.0, 5.0, 6.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="data must be finite: 1 of 6 values"):
+            _ENTRY_POINTS[entry](x)
+
+
+def _extreme_log_densities():
+    """R x K x N log densities and R x K weights of three lanes: random
+    points, ties at the maximum, a point no component scores, and gaps of
+    more than 745 between components, so their terms underflow to 0 or to
+    subnormals."""
+    rng = np.random.default_rng(5)
+    log_mat = rng.normal(-3.0, 4.0, (3, 4, 9))
+    log_mat[:, :, 0] = [-2.0, -2.0, -7.0, -2.0]  # ties at the top in lanes 1 and 2
+    log_mat[:, :, 1] = -math.inf
+    log_mat[:, :, 2] = [-10.0, -800.0, -1e4, -760.0]  # exp underflows to 0
+    log_mat[:, :, 3] = [-5.0, -745.5, -748.0, -742.0]  # subnormal terms
+    log_mat[:, :, 4] = [-900.0, -900.0, -1900.0, -math.inf]  # far below 0
+    log_mat[1, :, 5] = [-math.inf, -math.inf, -math.inf, 3.0]
+    log_mat[2, :, 6] = [-math.inf, -5.0, -math.inf, -math.inf]
+    weights = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25], [0.5, 0.5, 0.0, 0.0]])
+    return log_mat, weights
+
+
+def test_e_core_on_extreme_log_densities_matches_scipy_logsumexp(monkeypatch):
+    log_mat, weights = _extreme_log_densities()
+    monkeypatch.setattr(mx, "_log_matrix", lambda model, rows: log_mat.copy())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_joint, resp, finite, loglik = mx._e_core(types.SimpleNamespace(weights=weights), None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref_joint = log_mat + np.log(weights)[..., None]
+        ref_tot = sp.logsumexp(ref_joint, axis=1)
+        ref_resp = np.exp(ref_joint - ref_tot[:, None])
+    assert np.array_equal(log_joint, ref_joint)
+    assert finite.tolist() == np.isfinite(ref_tot).tolist()
+    assert finite[:, 1].tolist() == [False] * 3
+    assert resp[:, :, 1].tolist() == [[0.25] * 4] * 3
+    assert np.all(np.abs(resp.sum(axis=1) - 1.0) <= 4 * np.finfo(float).eps)
+    scored = finite[:, None]
+    assert np.allclose(np.where(scored, resp, 0.0), np.where(scored, ref_resp, 0.0), rtol=1e-13,
+                       atol=1e-300)
+    for ll, tot, f in zip(loglik, ref_tot, finite):
+        assert ll == pytest.approx(float(np.sum(tot[f])), rel=1e-13)
+    assert resp[0, :, 2].tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert 0.0 < resp[0, 3, 3] < np.finfo(float).tiny  # a subnormal responsibility
