@@ -3,8 +3,8 @@
 The package covers twelve univariate families that interpolate between
 bell-shaped and rectangular, their flatness criteria, elliptical
 multivariate counterparts, maximum-likelihood fitting by monotone
-coordinate ascent, and a generalized-EM mixture pipeline with AIC/BIC
-model selection.
+ascent (block Newton steps for the logistic difference), and a
+generalized-EM mixture pipeline with AIC/BIC model selection.
 
 ``import flattop`` loads no submodule: each exported name is looked up in
 ``_EXPORTS`` and its submodule imported on first use (PEP 562), so a

@@ -22,9 +22,13 @@ import numpy as np
 
 # Only what every command needs loads here; each handler imports the
 # modules it runs, so a cold process compiles no module it does not use.
-from . import FlattopError, data_io, univariate as uv
+from . import FlattopError, data_io
 
 _OUTPUT_DIR_VAR = "FLATTOP_OUTPUT_DIR"
+
+# ``univariate.FAMILIES``, spelled out so that building the parser loads no
+# density code (a test keeps the two equal).
+_FAMILIES = ("U", "GN", "AN", "AL", "ALS", "BL", "BD", "CC", "CF", "CE", "CH", "DE")
 
 
 def _fmt(v: float) -> str:
@@ -125,6 +129,8 @@ def _json_dumps(obj) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
+    from . import univariate as uv
+
     spec = uv.make(args.family, args.params)
     xs = args.grid
     pdf_vals = uv.pdf(spec, xs)
@@ -142,6 +148,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from . import univariate as uv
+
     spec = uv.make(args.family, args.params)
     ds = uv.sample(spec, args.n, args.seed)
     lines = [_fmt(v) for v in ds.x]
@@ -149,13 +157,15 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _al_start(ds, init_normal: bool) -> uv.UnivariateSpec:
+def _al_start(ds, init_normal: bool):
     from . import mle
 
     return mle.init_al_from_normal_fit(ds) if init_normal else mle.init_al_from_data(ds)
 
 
-def _bl_start(ds, init_normal: bool) -> uv.UnivariateSpec:
+def _bl_start(ds, init_normal: bool):
+    from . import univariate as uv
+
     al = _al_start(ds, init_normal)
     return uv.make("BL", {"a": al.a, "b": al.b, "s": al.s, "t": al.s})
 
@@ -176,14 +186,14 @@ def _cl_json(spec) -> dict:
 # payload key and JSON form of the fitted spec.  --init replaces the start
 # of AL and BL; CL takes neither flag (see ``main``).
 _FIT = {
-    "AL": (_al_start, "params", uv.UnivariateSpec.params),
-    "BL": (_bl_start, "params", uv.UnivariateSpec.params),
+    "AL": (_al_start, "params", lambda spec: spec.params()),
+    "BL": (_bl_start, "params", lambda spec: spec.params()),
     "CL": (_cl_start, "model", _cl_json),
 }
 
 
 def _cmd_fit(args) -> int:
-    from . import mle
+    from . import mle, univariate as uv
 
     ds = data_io.read_csv(args.data, has_header=args.header)
     start, key, as_json = _FIT[args.family]
@@ -232,7 +242,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_flatness(args) -> int:
-    from . import flatness
+    from . import flatness, univariate as uv
 
     spec = uv.make(args.family, args.params)
     eps = tuple(float(e) for e in args.eps.split(",")) if args.eps else (0.1, 0.05, 0.01)
@@ -251,7 +261,7 @@ def _cmd_flatness(args) -> int:
 
 
 def _cmd_divergence(args) -> int:
-    from . import divergence
+    from . import divergence, univariate as uv
 
     if args.case == "uniform-normal":
         kl, l1 = divergence.uniform_vs_bestfit_normal_1d()
@@ -385,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("eval", help="tabulate pdf and cdf on a grid")
-    p.add_argument("--family", required=True, choices=uv.FAMILIES)
+    p.add_argument("--family", required=True, choices=_FAMILIES)
     p.add_argument("--params", required=True, type=_parse_params)
     p.add_argument("--grid", required=True, type=_parse_grid)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -393,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("sample", help="inverse-transform sampling")
-    p.add_argument("--family", required=True, choices=uv.FAMILIES)
+    p.add_argument("--family", required=True, choices=_FAMILIES)
     p.add_argument("--params", required=True, type=_parse_params)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -434,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("flatness", help="flatness report for one family")
-    p.add_argument("--family", required=True, choices=uv.FAMILIES)
+    p.add_argument("--family", required=True, choices=_FAMILIES)
     p.add_argument("--params", required=True, type=_parse_params)
     p.add_argument("--eps", default=None, help="comma-separated thresholds")
     p.add_argument("--boundaries", choices=("canonical", "fwhm"), default="canonical")

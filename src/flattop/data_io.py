@@ -74,12 +74,15 @@ class Dataset:
 
 def _rows_of(data) -> np.ndarray:
     """The rows of a Dataset, or of an array with a 1-d sample as one column;
-    a ValueError if any value is not finite."""
+    a ValueError if the array is not (N, dim) or any value is not finite."""
     if isinstance(data, Dataset):
         return data.rows
     arr = np.asarray(data, dtype=float)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
+    if arr.ndim != 2:
+        raise ValueError(f"data must be an (N, dim) array of points or a 1-d sample, "
+                         f"got shape {arr.shape}")
     return _finite(arr)
 
 

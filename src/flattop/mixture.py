@@ -3,7 +3,7 @@ fitted by generalized EM.
 
 The migration pipeline is: fit a GMM, replace every Gaussian component with
 its logistic-difference surrogate, then run generalized EM where each
-M-step performs one monotone coordinate pass per component (weights are
+M-step performs one monotone ascent pass per component (weights are
 updated in closed form).  Components whose fitted surrogate is flat-topped
 can optionally be upgraded to the asymmetric sigmoid-product family and
 optimization continues the same way.
@@ -30,14 +30,15 @@ cycle to the next.  The E-step scores every factor from its cached terms,
 which is the very function the M-step climbs, and is what makes each GEM
 cycle monotone.  Factors of other families, which only the public
 ``e_step`` scores, go through ``univariate.log_pdf`` once.  The M-step
-hands the live factors of each family to the single coordinate pass of
-``mle`` with the N x J matrix of their responsibilities; the pass starts
-from the cached terms, recomputes the constant and only the edge a trial
-step moves, and returns the terms at its new parameters, so no cycle
-computes a BL normalizer twice at the same parameters.  Specs are built
-only when a model leaves the loop: at the end of the fit, in the public
-``m_step``, and in the BL-upgrade hook, which the loop runs once, at the
-first stall.
+hands the live factors of each family to the one pass of ``mle`` for that
+family, with the N x J matrix of their responsibilities: a block Newton
+step on every AL factor, a coordinate pass on every BL factor.  The pass
+starts from the cached terms, recomputes the constant and only the edges
+a trial step moves, and returns the terms at its new parameters, so no
+cycle computes a BL normalizer twice at the same parameters.  Specs are
+built only when a model leaves the loop: at the end of the fit, in the
+public ``m_step``, and in the BL-upgrade hook, which the loop runs once, at
+the first stall.
 
 One E-step core (``_e_core``) turns the R x K x N log densities into
 responsibilities and per-lane log-likelihoods for the loop and for the
@@ -94,7 +95,7 @@ class MixtureSettings:
     relative log-likelihood change below ``rel_tol``, or else the fit stops
     after ``max_cycles``.  ``n_init`` applies to the GMM, whose covariances
     are floored at ``_COV_FLOOR`` times the largest data variance.  Each GEM
-    M-step is one coordinate pass with the fixed step control of ``mle``.
+    M-step is one pass of ``mle`` per family, with its fixed step control.
     With ``bl_upgrade``, the first stall of a GEM fit swaps BL in for the AL
     components that are flat-topped by the closed-form bound (below
     ``flatness.FLAT_REGIME_BOUND``) and the cycles go on.  It applies to
@@ -553,7 +554,8 @@ def _surrogate(mean: float, var: float) -> uv.UnivariateSpec:
 
 def m_step(model: MixtureModel, data, resp: np.ndarray) -> MixtureModel:
     """Generalized M-step: closed-form weight update plus one weighted
-    coordinate pass per component, so Q never decreases."""
+    ascent pass per component (a block Newton step for AL, a coordinate
+    pass for BL), so Q never decreases."""
     rows = _rows_of(data)
     if resp.shape != (rows.shape[0], model.k):
         raise ValueError("responsibilities must be N x K")
@@ -578,9 +580,9 @@ def _axis_bounds(rows: np.ndarray, dim: int) -> np.ndarray:
 
 def _gem_m_step(state: _Flat, resp: np.ndarray, bounds: np.ndarray) -> _Flat:
     """The M-step of ``m_step`` on the columns of ``state``, in place, from
-    the N x K responsibilities: every live factor of each kernel family
-    goes through one coordinate pass, which starts from the cached terms
-    and returns those at its new parameters."""
+    the N x K responsibilities: the live factors of each kernel family go
+    through one pass of ``mle._pass`` together, which starts from the
+    cached terms and returns those at its new parameters."""
     weights = resp.mean(axis=0)
     state.weights = weights / weights.sum()
     live = resp.sum(axis=0) >= 1e-12  # zero responsibility: gradients vanish
@@ -591,7 +593,7 @@ def _gem_m_step(state: _Flat, resp: np.ndarray, bounds: np.ndarray) -> _Flat:
         x, p, terms = c.x[j], c.p[:, j], (c.const[j], c.left[j], c.right[j])
         w = np.ascontiguousarray(resp.T[c.idx[j] // state.dim])
         n = w.sum(axis=1)
-        p, _, terms, _ = mle._coordinate_pass(
+        p, _, terms, _ = mle._pass(
             family, x, w, n, p, mle._loglik(family, x, w, n, p, terms), terms,
             bounds[:, c.idx[j] % state.dim])
         c.p[:, j] = p

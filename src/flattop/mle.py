@@ -1,31 +1,40 @@
-"""Maximum-likelihood fitting by coordinate-wise gradient ascent.
+"""Maximum-likelihood fitting by monotone ascent on bound-constrained
+parameters.
 
 The logistic-difference family (AL) carries the full analytic derivative
-set: three first partials and all six second partials in tanh/coth/sech/csch
-form, evaluated exp-shifted.  The sigmoid-product family (BL) uses the
-flat-regime approximate gradients.  The fitter updates one parameter at a
-time with step 1/|second partial| and backtracks until the log-likelihood
-does not decrease, so every accepted step is an ascent step.
+set: the gradient and the Hessian in (a, b, s), in tanh/coth/sech/csch
+form, built from ten weighted sums over the points.  One AL pass is one
+projected modified-Newton step on the whole block (Nocedal & Wright,
+*Numerical Optimization*, 3.4): a coordinate at its bound with the
+gradient pointing out is held, the Hessian's eigenvalues are taken in
+absolute value, the step shrinks b - a and s by at most half, and it is
+halved until the log-likelihood does not decrease.  The sigmoid-product
+family (BL) has only the flat-regime approximate gradients, so its pass
+updates one parameter at a time with step 1/|second partial| and
+backtracks the same way.  Either way every accepted step is an ascent step,
+except an AL step whose predicted gain is below the rounding error of the
+log-likelihood: it is tried once and may lose up to that error.
 
-The AL and BL coordinate pass runs on J independent weighted problems at
-once, backtracking each by mask: ``fit`` is its J = 1 case with unit (or
-dataset) weights, and the mixture M-step runs it on every (component,
-axis) factor with the responsibilities as weights.  Each family's
-log-density is one kernel, a per-problem constant minus two per-point edge
-terms, one per shoulder; the log-likelihood sums them, and the mixture
-E-step scores points with the same terms.  The pass takes the constant and
-the edges at its start and returns them at its end, and a trial step
-recomputes the constant and only the edge its coordinate moves (a the
-left one, b the right one).  The pass keeps b - a at least a few ulps of
-the data, so the density stays defined on near-constant samples.
+Both passes run on J independent weighted problems at once, backtracking
+each by mask: ``fit`` is their J = 1 case with unit (or dataset) weights,
+and the mixture M-step runs them on every (component, axis) factor with
+the responsibilities as weights.  Each family's log-density is one kernel,
+a per-problem constant minus two per-point edge terms, one per shoulder;
+the log-likelihood sums them, and the mixture E-step scores points with
+the same terms.  A pass takes the constant and the edges at its start and
+returns them at its end; a trial step recomputes the constant and the
+edges it moves (an AL step both, a BL step in a or s the left one, in b or
+t the right one).  Each pass keeps b - a at least a few ulps of the data,
+so the density stays defined on near-constant samples.
 
-The elliptical cosh-ratio family (CL) runs one such pass over the blocks m,
-Lambda = Sigma^-1, log R (R = r^n) and log t, each stepped by its analytic
-gradient/|curvature| and backtracked.  R and t move on a log scale, at most
-one e-fold per step, so no step throws R near 0, where the likelihood is
-flat in R.  A CL fit stops when a pass does not strictly raise the
-log-likelihood.  Every fit is ``converged`` when its largest gradient entry
-per point, in natural coordinates (R and t for CL), is below ``grad_tol``.
+The elliptical cosh-ratio family (CL) runs one coordinate pass over the
+blocks m, Lambda = Sigma^-1, log R (R = r^n) and log t, each stepped by its
+analytic gradient/|curvature| and backtracked.  R and t move on a log
+scale, at most one e-fold per step, so no step throws R near 0, where the
+likelihood is flat in R.  A CL fit stops when a pass does not strictly
+raise the log-likelihood.  Every fit is ``converged`` when its largest
+gradient entry per point, in natural coordinates (R and t for CL), is
+below ``grad_tol``.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ import numpy as np
 from . import univariate as uv
 from .data_io import Dataset, _finite, _rows_of
 from .multivariate import MultivariateSpec, make_mv
-from .specfun import coth, csch2, log_cosh, log_sinh, log_sinh_ratio, logistic, sech2, softplus
+from .specfun import coth, csch2, log_cosh, log_sinh, log_sinh_ratio, logistic, softplus
 
 __all__ = [
     "FitSettings",
@@ -60,12 +69,13 @@ __all__ = [
     "normal_mle_loglik",
 ]
 
-# Step control of every coordinate step: a Newton-like step of _ETA0 per
-# unit gradient over |curvature|, shrunk by _BACKTRACK_FACTOR up to
+# Step control: a coordinate step is _ETA0 per unit gradient over
+# |curvature|; it and the AL block step shrink by _BACKTRACK_FACTOR up to
 # _MAX_BACKTRACKS times until the log-likelihood does not fall.
 _ETA0 = 1.0
 _BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 30
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -85,7 +95,7 @@ class FitReport:
     """Optimization trace of every fit (``fit``, ``mixture.gmm_fit`` and
     ``mixture.ftm_fit``); the trace never decreases beyond 1e-9 slack.
 
-    ``iterations`` counts coordinate passes or EM cycles, and AIC and BIC
+    ``iterations`` counts fit passes or EM cycles, and AIC and BIC
     come from the last log-likelihood of the trace and ``free_params``.
     ``grad_norm`` (largest gradient entry per point) is NaN for mixtures,
     and ``final_params`` is empty for them.
@@ -142,8 +152,7 @@ def _weights(x: np.ndarray, w) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # AL and BL kernels, batched over J independent (data, weights, parameters)
 # problems: ``x`` and ``w`` are (J, N), ``n`` the (J,) weight sums and ``p``
-# the (P, J) parameters in coordinate order.  Each partial comes with the
-# curvature that sizes its coordinate step.
+# the (P, J) parameters in coordinate order.
 # ---------------------------------------------------------------------------
 
 def _wsum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -163,27 +172,74 @@ def _al_edge(side, x, p) -> np.ndarray:
     return log_cosh((x - p[side][:, None]) / (2.0 * p[2][:, None]))
 
 
-def _al_partial(name, x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
+# Below this g = (b - a)/2s the differences 1/g - coth g, 1/g^2 - csch^2 g and
+# coth g - g csch^2 g lose about eps/g^2 relative in direct form, and four
+# terms of their Taylor series are exact to double precision.
+_G_SERIES = 0.05
+
+
+def _coth_terms(g):
+    """coth g, csch^2 g and the three differences above, for g > 0."""
+    em = -np.expm1(-2.0 * g)  # 1 - e^-2g, without cancellation
+    cg = (2.0 - em) / em
+    c2g = 4.0 * (1.0 - em) / (em * em)
+    small = g < _G_SERIES
+    gd = np.where(small, 1.0, g)
+    gs = np.where(small, g, 0.0)
+    g2 = gs * gs
+    series = (-gs * (1.0 / 3.0 - g2 * (1.0 / 45.0 - g2 * (2.0 / 945.0 - g2 / 4725.0))),
+              1.0 / 3.0 - g2 * (1.0 / 15.0 - g2 * (2.0 / 189.0 - g2 / 675.0)),
+              gs * (2.0 / 3.0 - g2 * (4.0 / 45.0 - g2 * (4.0 / 315.0 - g2 * 8.0 / 4725.0))))
+    direct = (1.0 / gd - cg, 1.0 / (gd * gd) - c2g, cg - gd * c2g)
+    return (cg, c2g, *(np.where(small, sv, dv) for sv, dv in zip(series, direct)))
+
+
+def _al_derivs(x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
+    """The (J, 3) gradient and (J, 3, 3) Hessian in (a, b, s).
+
+    The constant ln sinh g - ln 2(b - a) gives the n-weighted coth/csch^2
+    terms (``_coth_terms``, which keeps them exact as b - a -> 0).  The
+    edges give ten weighted sums, one (J, 10, N) @ (J, N, 1) product: of
+    tanh z, z tanh z, sech^2 z, z sech^2 z and z^2 sech^2 z at z = z_a and
+    z_b, with sech^2 = 1 - tanh^2.
+    """
     a, b, s = p
+    j, count = x.shape
     g = (b - a) / (2.0 * s)
-    cg = coth(g)
-    c2g = csch2(g)
-    if name == "s":
-        za = (x - a[:, None]) / (2.0 * s[:, None])
-        zb = (x - b[:, None]) / (2.0 * s[:, None])
-        ta, tb = np.tanh(za), np.tanh(zb)
-        grad = (-n * g * cg + _wsum(w, za * ta + zb * tb)) / s
-        # d/ds of the first partial doubles the odd tanh/coth terms.
-        curv = (n * (2.0 * g * cg - g * g * c2g)
-                - _wsum(w, 2.0 * za * ta + za * za * sech2(za))
-                - _wsum(w, 2.0 * zb * tb + zb * zb * sech2(zb))) / s ** 2
-        return grad, curv
-    edge, sign = (a, 1.0) if name == "a" else (b, -1.0)
-    z = (x - edge[:, None]) / (2.0 * s[:, None])
-    grad = sign * (n / (b - a) - n * cg / (2.0 * s)) + _wsum(w, np.tanh(z)) / (2.0 * s)
-    quarter = 1.0 / (4.0 * s ** 2)
-    curv = n * (1.0 / (b - a) ** 2) - n * quarter * c2g - quarter * _wsum(w, sech2(z))
-    return grad, curv
+    cg, c2g, inv_g_coth, inv_g2_csch2, coth_g_csch2 = _coth_terms(g)
+    rows = np.empty((j, 5, 2, count))
+    tanh, z_tanh, sech2, z_sech2, zz_sech2 = (rows[:, k] for k in range(5))
+    z = x[:, None, :] - p[:2].T[:, :, None]  # (J, 2, N)
+    z *= (0.5 / s)[:, None, None]
+    np.tanh(z, out=tanh)
+    np.multiply(z, tanh, out=z_tanh)
+    np.multiply(tanh, tanh, out=sech2)
+    np.subtract(1.0, sech2, out=sech2)
+    np.multiply(z, sech2, out=z_sech2)
+    np.multiply(z, z_sech2, out=zz_sech2)
+    t_sum, zt_sum, q_sum, zq_sum, zzq_sum = (
+        (rows.reshape(j, 10, count) @ w[:, :, None]).reshape(j, 5, 2).transpose(1, 2, 0))
+    half_s = 0.5 / s
+    quarter = half_s * half_s
+    half = 0.5 / (s * s)
+    # n times the constant's partials; d/db = -d/da, d2/db2 = -d2/dadb = d2/da2
+    # and d2/dbds = -d2/dads.
+    c_a = n * half_s * inv_g_coth
+    c_aa = n * quarter * inv_g2_csch2
+    c_as = n * half * coth_g_csch2
+    grad = np.empty((j, 3))
+    grad[:, 0] = c_a + half_s * t_sum[0]
+    grad[:, 1] = half_s * t_sum[1] - c_a
+    grad[:, 2] = (zt_sum[0] + zt_sum[1] - n * g * cg) / s
+    hess = np.empty((j, 3, 3))
+    hess[:, 0, 0] = c_aa - quarter * q_sum[0]
+    hess[:, 1, 1] = c_aa - quarter * q_sum[1]
+    hess[:, 2, 2] = (n * (2.0 * g * cg - g * g * c2g) - 2.0 * (zt_sum[0] + zt_sum[1])
+                     - zzq_sum[0] - zzq_sum[1]) / (s * s)
+    hess[:, 0, 1] = hess[:, 1, 0] = -c_aa
+    hess[:, 0, 2] = hess[:, 2, 0] = c_as - half * (t_sum[0] + zq_sum[0])
+    hess[:, 1, 2] = hess[:, 2, 1] = -c_as - half * (t_sum[1] + zq_sum[1])
+    return grad, hess
 
 
 def _bl_const(p) -> np.ndarray:
@@ -200,7 +256,8 @@ def _bl_edge(side, x, p) -> np.ndarray:
 
 
 def _bl_partial(name, x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
-    """Flat-regime partials; the curvatures only size the steps."""
+    """Flat-regime partial of one coordinate and the curvature that sizes its
+    step."""
     a, b, s, t = p
     if name in ("a", "s"):
         f = logistic((x - a[:, None]) / s[:, None])       # F_L(x; a, s)
@@ -223,15 +280,13 @@ class _Kernel(NamedTuple):
     """A family's coordinate order and its log-density ln f(x_i) = const -
     left_i - right_i: the per-problem constant ``const(p)`` (J,) and the two
     per-point edge terms ``edge(side, x, p)`` (J, N), side 0 for the left
-    shoulder and 1 for the right, plus the partial kernel.  ``moves[i]``
-    lists the sides that coordinate i changes, so a step in it recomputes
-    only those (and the constant, which every coordinate changes)."""
+    shoulder and 1 for the right, plus ``grad(x, w, n, p)``, the (J, P)
+    gradient that the stop rule reads."""
 
     names: tuple[str, ...]
-    moves: tuple[tuple[int, ...], ...]
     const: Callable[[np.ndarray], np.ndarray]
     edge: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
-    partial: Callable
+    grad: Callable
 
     def terms(self, x, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(const, left, right) at ``p``."""
@@ -239,10 +294,14 @@ class _Kernel(NamedTuple):
 
 
 _KERNELS = {
-    "AL": _Kernel(("a", "b", "s"), ((0,), (1,), (0, 1)), _al_const, _al_edge, _al_partial),
-    "BL": _Kernel(("a", "b", "s", "t"), ((0,), (1,), (0,), (1,)), _bl_const, _bl_edge,
-                  _bl_partial),
+    "AL": _Kernel(("a", "b", "s"), _al_const, _al_edge, lambda *args: _al_derivs(*args)[0]),
+    "BL": _Kernel(("a", "b", "s", "t"), _bl_const, _bl_edge, lambda *args: np.stack(
+        [_bl_partial(name, *args)[0] for name in "abst"], axis=1)),
 }
+
+# The sides of the BL kernel that each coordinate (a, b, s, t) moves: a step
+# in it recomputes only those edges, and the constant.
+_BL_MOVES = ((0,), (1,), (0,), (1,))
 
 
 def _loglik(family: str, x, w, n, p, terms=None) -> np.ndarray:
@@ -275,27 +334,16 @@ def loglik_al(data, a: float, b: float, s: float, weights=None) -> float:
 
 def grad_al(data, a: float, b: float, s: float, weights=None) -> tuple[float, float, float]:
     """First partials of the AL log-likelihood with respect to (a, b, s)."""
-    x, w, n = _one(data, weights)
-    p = _params(a, b, s)
-    return tuple(float(_al_partial(name, x, w, n, p)[0][0]) for name in "abs")
+    grad = _al_derivs(*_one(data, weights), _params(a, b, s))[0]
+    return tuple(float(v) for v in grad[0])
 
 
 def hess_al(data, a: float, b: float, s: float, weights=None) -> AlHessian:
-    """All six second partials of the AL log-likelihood; the three
-    curvatures are the batched kernel's."""
-    x, w, n = _one(data, weights)
-    daa, dbb, dss = (float(_al_partial(name, x, w, n, _params(a, b, s))[1][0]) for name in "abs")
-    x, w, n = x[0], w[0], float(n[0])
-    g = (b - a) / (2.0 * s)
-    cg = float(coth(g))
-    c2g = float(csch2(g))
-    za = (x - a) / (2.0 * s)
-    zb = (x - b) / (2.0 * s)
-    dab = -n * (1.0 / (b - a) ** 2) + n * (1.0 / (4.0 * s ** 2)) * c2g
-    half = 1.0 / (2.0 * s ** 2)
-    das = n * half * (cg - g * c2g) - half * float(np.dot(w, np.tanh(za) + za * sech2(za)))
-    dbs = -n * half * (cg - g * c2g) - half * float(np.dot(w, np.tanh(zb) + zb * sech2(zb)))
-    return AlHessian(daa, dbb, dss, dab, das, dbs)
+    """All six second partials of the AL log-likelihood, from the batched
+    kernel."""
+    hess = _al_derivs(*_one(data, weights), _params(a, b, s))[1][0]
+    pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+    return AlHessian(*(float(hess[i, j]) for i, j in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +525,7 @@ def init_cl_from_data(data) -> MultivariateSpec:
 
 
 # ---------------------------------------------------------------------------
-# The coordinate-ascent fitter
+# The AL and BL passes
 # ---------------------------------------------------------------------------
 
 def _step_size(grad, curvature, scale):
@@ -504,63 +552,145 @@ def _ulps(lo, hi, k: float):
     return k * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
 
 
-def _coordinate_pass(family, x, w, n, p, ll, terms, bounds):
-    """One monotone coordinate pass over J independent problems at once.
+def _edge_gap(lo, hi):
+    """(eps, gap): a and b keep eps inside the data range and b - a >= gap,
+    which is at least a few ulps of the data, so that b - a > 0."""
+    eps = 1e-9 * (hi - lo)
+    return eps, np.maximum(eps, _ulps(lo, hi, 4.0))
+
+
+def _backtrack(family, x, w, n, p, ll, terms, step, low, high, sides,
+               least_width=None, rounding=None) -> np.ndarray:
+    """Take the (P, J) ``step`` from ``p``, clipped to [low, high], halving
+    it per problem, by mask, until that problem's log-likelihood does not
+    decrease; a candidate whose b - a is below ``least_width`` (J,) is
+    halved without a trial.  A problem whose ``rounding`` (J,) is above 0
+    gets one candidate, taken unless the log-likelihood falls by more than
+    that.  A trial recomputes the constant and the edges in ``sides``.
+    Updates ``p``, ``ll`` and the ``terms`` list in place and returns the
+    mask of problems that took a step without a fall."""
+    kernel = _KERNELS[family]
+    moved = np.zeros(p.shape[1], dtype=bool)
+    live = np.ones(p.shape[1], dtype=bool)
+    tried = np.full_like(p, np.nan)
+    slack = np.zeros(p.shape[1]) if rounding is None else rounding
+    tries = np.where(slack > 0.0, 1, _MAX_BACKTRACKS)
+    for attempt in range(_MAX_BACKTRACKS):
+        cand = np.minimum(np.maximum(p + step, low), high)
+        # Clip or underflow (no movement possible), or no tries left.
+        live &= (cand != p).any(axis=0) & (attempt < tries)
+        if not live.any():
+            break
+        # A clipped step can repeat the candidate just rejected: skip it.
+        fresh = live & (cand != tried).any(axis=0)
+        if least_width is not None:
+            fresh &= cand[1] - cand[0] >= least_width
+        idx = np.flatnonzero(fresh)
+        tried = cand
+        step = step * _BACKTRACK_FACTOR
+        if idx.size == 0:
+            continue
+        sub = slice(None) if idx.size == p.shape[1] else idx  # a view when all try
+        trial, x_sub = cand[:, sub], x[sub]
+        trial_terms = [kernel.const(trial)] + [
+            kernel.edge(side, x_sub, trial) if side in sides else e[sub]
+            for side, e in enumerate(terms[1:])]
+        ll_new = _loglik(family, x_sub, w[sub], n[sub], trial, trial_terms)
+        kept = ll_new >= ll[idx]
+        up = ll_new >= ll[idx] - slack[idx]
+        done = idx[up]
+        p[:, done] = trial[:, up]
+        ll[done] = ll_new[up]
+        for k in (0, *(side + 1 for side in sides)):
+            terms[k][done] = trial_terms[k][up]
+        moved[done] = kept[up]
+        live[done] = False
+    return moved
+
+
+def _newton_pass(x, w, n, p, ll, terms, bounds):
+    """One projected modified-Newton step on the AL block (a, b, s) of J
+    independent problems at once.
 
     ``x``, ``w``, ``n`` and ``p`` are in the kernel layout above, ``ll`` is
     the (J,) log-likelihood at ``p``, ``terms`` the kernel's (const, left,
     right) at ``p`` and ``bounds`` the (4, J) rows of ``_bounds_from_data``.
-    Each coordinate steps by gradient/|curvature| and backtracks per
-    problem, by mask, until that problem's log-likelihood does not
-    decrease; a trial recomputes the constant and only the edges its
-    coordinate moves.  Returns the new parameters, log-likelihoods and
-    terms (each equal to the kernel's at the new parameters) and the mask
-    of problems that accepted a step.
+    A coordinate at its bound (or beyond it, where a start put it) with the
+    gradient pointing out is held: its gradient entry is zeroed and its
+    Hessian row and column become those of -I.  The step is V |L|^-1 V^T g
+    for the eigenpairs (L, V) of the Hessian, with |L| floored at 1e-12 of
+    its largest entry.  ``_backtrack`` halves it, recomputing the constant
+    and both edges.  A candidate keeps at least half of s (a bound of the
+    box) and half of b - a above the least gap (a narrower one is halved
+    without a trial): without that rule a bell-shaped fit can collapse a
+    onto b, the logistic limit, which is stationary by symmetry.  Scaling
+    the whole step instead stalls a fit whose b - a is already near 0, where
+    a shift of the location alone would take it all.  Returns the new
+    parameters, log-likelihoods and terms (each equal to the kernel's at the
+    new parameters) and the mask of problems that took a step without a
+    fall.
     """
-    kernel = _KERNELS[family]
     lo, hi, s_min, s_max = bounds
-    eps = 1e-9 * (hi - lo)
-    # a <= b - gap keeps b - a > 0 only if gap is at least an ulp of the data.
-    gap = np.maximum(eps, _ulps(lo, hi, 4.0))
+    eps, gap = _edge_gap(lo, hi)
+    grad, hess = _al_derivs(x, w, n, p)
+    # A coordinate never leaves the box, nor moves further out of it.
+    low = np.minimum(np.stack([lo + eps, np.full_like(lo, -np.inf),
+                               np.maximum(s_min, 0.5 * p[2])]), p)
+    high = np.maximum(np.stack([np.full_like(hi, np.inf), hi - eps, s_max]), p)
+    held = (((p <= low) & (grad.T < 0.0)) | ((p >= high) & (grad.T > 0.0))).T
+    grad[held] = 0.0
+    hess = np.where(held[:, :, None] | held[:, None, :], -np.eye(3) * held[:, :, None], hess)
+    vals, vecs = np.linalg.eigh(hess)
+    mag = np.abs(vals)
+    mag = np.maximum(mag, np.maximum(1e-12 * mag.max(axis=1, keepdims=True), 1e-300))
+    step = (vecs @ ((np.swapaxes(vecs, 1, 2) @ grad[:, :, None]) / mag[:, :, None]))[:, :, 0].T
+    least_width = np.minimum(p[1] - p[0], 0.5 * (p[1] - p[0] + gap))
+    # A step whose predicted gain g.step / 2 is below the rounding error of
+    # the log-likelihood (eps times the sum of its terms' magnitudes) is
+    # tried once, and taken unless the log-likelihood falls by more than
+    # that: there a trial compares rounding errors, so whether the full step
+    # or one of its halvings passes is chance, and halving on to underflow
+    # costs up to _MAX_BACKTRACKS trials a pass.
+    rounding = _EPS * (np.abs(n * terms[0]) + (n * terms[0] - ll))
+    rounding = np.where(0.5 * np.einsum("ji,ij->j", grad, step) <= rounding, rounding, 0.0)
+    p, ll, terms = p.copy(), ll.copy(), [t.copy() for t in terms]
+    moved = _backtrack("AL", x, w, n, p, ll, terms, step, low, high, (0, 1), least_width,
+                       rounding)
+    return p, ll, tuple(terms), moved
+
+
+def _coordinate_pass(x, w, n, p, ll, terms, bounds):
+    """One monotone coordinate pass over J independent BL problems at once,
+    with the arguments and results of ``_newton_pass``.
+
+    Each coordinate steps by gradient/|curvature| and ``_backtrack`` halves
+    the step, recomputing the constant and only the edges the coordinate
+    moves.
+    """
+    lo, hi, s_min, s_max = bounds
+    eps, gap = _edge_gap(lo, hi)
     p, ll, terms = p.copy(), ll.copy(), [t.copy() for t in terms]
     moved = np.zeros(p.shape[1], dtype=bool)
-    for i, (name, sides) in enumerate(zip(kernel.names, kernel.moves)):
-        grad, curv = kernel.partial(name, x, w, n, p)
+    for i, (name, sides) in enumerate(zip(_KERNELS["BL"].names, _BL_MOVES)):
+        grad, curv = _bl_partial(name, x, w, n, p)
+        step = np.zeros_like(p)
+        low, high = p.copy(), p.copy()  # the other coordinates stay
         if name == "a":
-            scale, low, high = p[1] - p[0], lo + eps, p[1] - gap
+            scale, low[i], high[i] = p[1] - p[0], lo + eps, p[1] - gap
         elif name == "b":
-            scale, low, high = p[1] - p[0], p[0] + gap, hi - eps
+            scale, low[i], high[i] = p[1] - p[0], p[0] + gap, hi - eps
         else:
-            scale, low, high = p[i], s_min, s_max
-        step = _step_size(grad, curv, scale) * grad
-        live = np.ones(p.shape[1], dtype=bool)
-        tried = np.full(p.shape[1], np.nan)
-        for _ in range(_MAX_BACKTRACKS):
-            cand = np.minimum(np.maximum(p[i] + step, low), high)
-            live &= cand != p[i]  # clip or underflow: no movement possible
-            if not live.any():
-                break
-            # A clipped step can repeat the candidate just rejected: skip it.
-            idx = np.flatnonzero(live & (cand != tried))
-            tried = cand
-            step = step * _BACKTRACK_FACTOR
-            if idx.size == 0:
-                continue
-            trial = p[:, idx]
-            trial[i] = cand[idx]
-            trial_terms = [kernel.const(trial)] + [
-                kernel.edge(side, x[idx], trial) if side in sides else e[idx]
-                for side, e in enumerate(terms[1:])]
-            ll_new = _loglik(family, x[idx], w[idx], n[idx], trial, trial_terms)
-            up = ll_new >= ll[idx]
-            done = idx[up]
-            p[i, done] = cand[done]
-            ll[done] = ll_new[up]
-            for k in (0, *(side + 1 for side in sides)):
-                terms[k][done] = trial_terms[k][up]
-            moved[done] = True
-            live[done] = False
+            scale, low[i], high[i] = p[i], s_min, s_max
+        step[i] = _step_size(grad, curv, scale) * grad
+        moved |= _backtrack("BL", x, w, n, p, ll, terms, step, low, high, sides)
     return p, ll, tuple(terms), moved
+
+
+def _pass(family, x, w, n, p, ll, terms, bounds):
+    """One monotone pass of ``family`` (see ``_newton_pass``): a block Newton
+    step for AL, a coordinate pass for BL, whose gradient is only the
+    flat-regime approximation."""
+    return (_newton_pass if family == "AL" else _coordinate_pass)(x, w, n, p, ll, terms, bounds)
 
 
 def _ascend(one_pass, state, ll: float, settings: FitSettings, k: int, count: int):
@@ -596,8 +726,8 @@ def _aic_bic(k: int, ll: float, count: int) -> tuple[float, float]:
 
 def _fit_univariate(x: np.ndarray, init: uv.UnivariateSpec, settings: FitSettings,
                     weights=None) -> tuple[uv.UnivariateSpec, FitReport]:
-    """AL or BL fit: coordinate passes on the single problem (J = 1); a pass
-    makes progress when it accepts a step."""
+    """AL or BL fit: passes of ``_pass`` on the single problem (J = 1); a
+    pass makes progress when it takes a step without a fall."""
     kernel = _KERNELS[init.family]
     bounds = _bounds_from_data(x)
     lo, hi, s_min = bounds[:3]
@@ -611,9 +741,8 @@ def _fit_univariate(x: np.ndarray, init: uv.UnivariateSpec, settings: FitSetting
     x1, w1, n = _one(x, weights)
 
     def one_pass(state):
-        p, ll, terms, moved = _coordinate_pass(init.family, x1, w1, n, *state, bounds[:, None])
-        grad_norm = max(abs(float(kernel.partial(name, x1, w1, n, p)[0][0]))
-                        for name in kernel.names) / float(n[0])
+        p, ll, terms, moved = _pass(init.family, x1, w1, n, *state, bounds[:, None])
+        grad_norm = float(np.max(np.abs(kernel.grad(x1, w1, n, p)))) / float(n[0])
         return (p, ll, terms), float(ll[0]), grad_norm, bool(moved[0])
 
     p = _params(*(getattr(init, name) for name in kernel.names))
@@ -682,7 +811,8 @@ def _fit_cl(rows: np.ndarray, init: MultivariateSpec,
 
 def fit(data, init, settings: FitSettings | None = None):
     """Fit AL, BL (univariate specs) or CL (multivariate spec) by monotone
-    coordinate ascent starting from ``init``.
+    ascent starting from ``init``: block Newton steps for AL, coordinate
+    passes for BL and CL.
 
     Returns ``(spec, FitReport)``.  Bound constraints
     min(x) < a < b < max(x) and s >= range/(4N) hold at every iterate.
@@ -698,7 +828,7 @@ def fit(data, init, settings: FitSettings | None = None):
         if init.family != "CL":
             raise ValueError(f"fit supports the CL multivariate family, got {init.family}")
         rows = _rows_of(data)
-        if rows.ndim != 2 or rows.shape[0] < 2:
+        if rows.shape[0] < 2:
             raise ValueError("CL fit needs at least two points")
         if float(np.max(np.var(rows, axis=0))) == 0.0:
             raise ValueError("degenerate data: all points equal")

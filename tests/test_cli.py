@@ -237,11 +237,12 @@ print(json.dumps(report))
 """
 
 # The flattop modules a cold command loads: ``import flattop`` loads none
-# (the "" is the package itself), and no command here loads ``mixture``.
+# (the "" is the package itself), ``gen`` no density code, and no command
+# here loads ``mixture``.
 _BASE_MODULES = ["", "cli", "data_io", "quadrature", "specfun", "univariate"]
 _MODULES_AFTER = {
     "import": [""],
-    "gen": _BASE_MODULES,
+    "gen": ["", "cli", "data_io"],
     "eval": _BASE_MODULES,
     "sample": _BASE_MODULES,
     "fit": sorted(_BASE_MODULES + ["mle", "multivariate"]),
@@ -308,6 +309,11 @@ def _scipy_imports(path):
     with open(path) as fh:
         visit(ast.parse(fh.read()), False)
     return found
+
+
+def test_cli_family_choices_are_the_univariate_families():
+    # The parser spells the families out so that ``gen`` loads no density code.
+    assert cli._FAMILIES == uv.FAMILIES
 
 
 def test_package_imports_only_scipy_special_and_only_inside_functions():

@@ -1,4 +1,5 @@
 import math
+import re
 import types
 import warnings
 
@@ -247,6 +248,39 @@ def test_gem_computes_each_bl_normalizer_once(monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
+def test_gem_tries_a_step_below_rounding_once(monkeypatch):
+    # Within ten cycles the y factor of this one-component fit reaches a
+    # maximum where every Newton step predicts a gain below the rounding
+    # error of the log-likelihood, and a strict test rejected each trial
+    # there: halving on to underflow took ~23 trials a cycle.  (The x factor
+    # sits at a corner of its box, where every coordinate is held and no
+    # trial runs.)
+    rows = gen_segments_2d(default_segments_scenario(9002)).rows
+    settings = mx.MixtureSettings(max_cycles=25, rel_tol=-math.inf)
+    base, _ = mx.gmm_fit(rows, 1, seed=11, settings=settings, covariance_type="diag")
+    kernel = mle._KERNELS["AL"]
+    calls = []
+
+    def recording_const(p):
+        calls.append(p.shape[1])
+        return kernel.const(p)
+
+    real_m_step, per_cycle = mx._gem_m_step, []
+
+    def counting_m_step(*args):
+        start = len(calls)
+        out = real_m_step(*args)
+        per_cycle.append(len(calls) - start)
+        return out
+
+    monkeypatch.setitem(mle._KERNELS, "AL", kernel._replace(const=recording_const))
+    monkeypatch.setattr(mx, "_gem_m_step", counting_m_step)
+    _, report = mx.ftm_fit(rows, mx.ftm_from_gmm(base), settings)
+    assert report.iterations == 25
+    assert per_cycle[10:] == [1] * 15
+    assert np.all(np.diff(report.loglik_trace) >= -1e-9)
+
+
 def test_label_permutation_invariance():
     x = _two_block_data(seed=13)
     base, _ = mx.gmm_fit(x, 2, seed=14)
@@ -433,11 +467,8 @@ def _ref_e_step(model, rows):
 
 
 def _ref_partial(name, x, w, spec):
-    """(partial, curvature) of one coordinate, from the scalar derivatives."""
-    if spec.family == "AL":
-        grad = dict(zip("abs", mle.grad_al(x, spec.a, spec.b, spec.s, w)))
-        hess = mle.hess_al(x, spec.a, spec.b, spec.s, w)
-        return grad[name], {"a": hess.daa, "b": hess.dbb, "s": hess.dss}[name]
+    """(partial, curvature) of one BL coordinate, from the scalar flat-regime
+    derivatives."""
     a, b, s, t = spec.a, spec.b, spec.s, spec.t
     g = mle.grad_bl_flat(x, a, b, s, t, w)
     n = float(w.sum())
@@ -454,21 +485,67 @@ def _ref_partial(name, x, w, spec):
     return g.dt, -2.0 * g.dt / t - float(np.dot(w, (x - b) ** 2 * v)) / t ** 4
 
 
-def _ref_pass(x, w, spec):
-    """One monotone coordinate pass on one component and axis."""
-    names = tuple(spec.params())
+def _ref_box(x):
+    """(lo, hi, eps, s_min, s_max) of one axis."""
     lo, hi = float(x.min()), float(x.max())
-    eps = 1e-9 * (hi - lo)
     s_min = (hi - lo) / (4.0 * x.size)
-    s_max = max(float(np.std(x)), 2.0 * s_min)
+    return lo, hi, 1e-9 * (hi - lo), s_min, max(float(np.std(x)), 2.0 * s_min)
 
-    def loglik(sp_):
-        if sp_.family == "AL":
-            return mle.loglik_al(x, sp_.a, sp_.b, sp_.s, w)
-        return mle.loglik_bl(x, sp_.a, sp_.b, sp_.s, sp_.t, w)
 
-    ll = loglik(spec)
-    for name in names:
+def _ref_newton_step(x, w, spec):
+    """One projected modified-Newton step on one AL factor, built from the
+    public gradient and Hessian, and halved until the log-likelihood does
+    not fall."""
+    lo, hi, eps, s_min, s_max = _ref_box(x)
+    gap = max(eps, 4.0 * float(np.spacing(max(abs(lo), abs(hi)))))
+    theta = np.array([spec.a, spec.b, spec.s])
+    grad = np.array(mle.grad_al(x, *theta, w))
+    h = mle.hess_al(x, *theta, w)
+    hess = np.array([[h.daa, h.dab, h.das], [h.dab, h.dbb, h.dbs], [h.das, h.dbs, h.dss]])
+    low = np.minimum([lo + eps, -math.inf, max(s_min, 0.5 * theta[2])], theta)
+    high = np.maximum([math.inf, hi - eps, s_max], theta)
+    for i in range(3):
+        if (theta[i] <= low[i] and grad[i] < 0.0) or (theta[i] >= high[i] and grad[i] > 0.0):
+            grad[i] = 0.0
+            hess[i, :] = hess[:, i] = 0.0
+            hess[i, i] = -1.0
+    vals, vecs = np.linalg.eigh(hess)
+    mag = np.abs(vals)
+    mag = np.maximum(mag, max(1e-12 * mag.max(), 1e-300))
+    step = vecs @ ((vecs.T @ grad) / mag)
+    # A candidate keeps at least half of b - a above the gap, and of s.
+    width = theta[1] - theta[0]
+    least_width = min(width, 0.5 * (width + gap))
+    ll, tried = mle.loglik_al(x, *theta, w), None
+    # A step whose predicted gain is below the rounding error of the
+    # log-likelihood, eps times the sum of the terms' magnitudes |N ln c| +
+    # (N ln c - ll) for the constant c of the density, is tried once and
+    # taken unless the log-likelihood falls by more than that.
+    g = width / (2.0 * theta[2])
+    n_const = float(w.sum()) * (g + math.log1p(-math.exp(-2.0 * g)) - math.log(4.0 * width))
+    rounding = np.finfo(float).eps * (abs(n_const) + (n_const - ll))
+    slack = rounding if 0.5 * (grad @ step) <= rounding else 0.0
+    for _ in range(1 if slack else mle._MAX_BACKTRACKS):
+        cand = np.minimum(np.maximum(theta + step, low), high)
+        if np.array_equal(cand, theta):
+            break
+        fresh = tried is None or not np.array_equal(cand, tried)
+        if (fresh and cand[1] - cand[0] >= least_width
+                and mle.loglik_al(x, *cand, w) >= ll - slack):
+            return uv.make("AL", dict(zip("abs", cand)))
+        tried = cand
+        step = step * mle._BACKTRACK_FACTOR
+    return spec
+
+
+def _ref_pass(x, w, spec):
+    """One monotone pass on one component and axis: a Newton step for AL, a
+    coordinate pass for BL."""
+    if spec.family == "AL":
+        return _ref_newton_step(x, w, spec)
+    lo, hi, eps, s_min, s_max = _ref_box(x)
+    ll = mle.loglik_bl(x, spec.a, spec.b, spec.s, spec.t, w)
+    for name in "abst":
         g, curv = _ref_partial(name, x, w, spec)
         scale = spec.b - spec.a if name in "ab" else getattr(spec, name)
         step = (0.1 * scale / max(abs(g), 1e-300) if abs(curv) < 1e-12
@@ -480,7 +557,7 @@ def _ref_pass(x, w, spec):
             if value == getattr(spec, name):
                 break
             cand = uv.make(spec.family, {**spec.params(), name: value})
-            ll_new = loglik(cand)
+            ll_new = mle.loglik_bl(x, cand.a, cand.b, cand.s, cand.t, w)
             if ll_new >= ll:
                 spec, ll = cand, ll_new
                 break
@@ -673,7 +750,7 @@ def _ref_gem_m_step(model, rows, resp):
         w = np.ascontiguousarray(resp.T[ks])
         n = w.sum(axis=1)
         p = np.array([[getattr(specs[f], name) for f in group] for name in kernel.names])
-        p = mle._coordinate_pass(family, x, w, n, p, mle._loglik(family, x, w, n, p),
+        p = mle._pass(family, x, w, n, p, mle._loglik(family, x, w, n, p),
                                  kernel.terms(x, p), bounds[:, axes])[0]
         for j, f in enumerate(group):
             specs[f] = uv.make(family, dict(zip(kernel.names, p[:, j])))
@@ -870,6 +947,15 @@ def test_fitting_entry_points_reject_non_finite_data(entry, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="data must be finite: 1 of 6 values"):
             _ENTRY_POINTS[entry](x)
+
+
+@pytest.mark.parametrize("entry", [e for e in _ENTRY_POINTS if e != "mle.fit"])
+@pytest.mark.parametrize("bad", [np.float64(5.0), np.zeros((3, 2, 2))], ids=["scalar", "3-d"])
+def test_fitting_entry_points_reject_data_not_shaped_as_points(entry, bad):
+    # A scalar used to raise IndexError, a 3-d array numpy's np.cov error.
+    with pytest.raises(ValueError, match=r"\(N, dim\) array .* got shape " + re.escape(
+            str(bad.shape))):
+        _ENTRY_POINTS[entry](bad)
 
 
 def _extreme_log_densities():
