@@ -24,18 +24,17 @@ lane's fit, is that of restarts run one after another.
 GEM is the one-lane case, on parameter columns (``_Flat``): the weights
 and, per AL or BL family, the P x J parameters of its (component, axis)
 factors together with each factor's kernel terms from ``mle``: the
-constant (the log-normalizer) and the two edge terms, the per-point
+constant (the log-normalizer) and the edge term, the sum of the per-point
 log-cosh (AL) or softplus (BL) shoulders.  The columns live from one
 cycle to the next.  The E-step scores every factor from its cached terms,
 which is the very function the M-step climbs, and is what makes each GEM
 cycle monotone.  Factors of other families, which only the public
 ``e_step`` scores, go through ``univariate.log_pdf`` once.  The M-step
-hands the live factors of each family to the one pass of ``mle`` for that
-family, with the N x J matrix of their responsibilities: a block Newton
-step on every AL factor, a coordinate pass on every BL factor.  The pass
-starts from the cached terms, recomputes the constant and only the edges
-a trial step moves, and returns the terms at its new parameters, so no
-cycle computes a BL normalizer twice at the same parameters.  Specs are
+hands the live factors of each family to the one pass of ``mle``, with the
+N x J matrix of their responsibilities: a block Newton step on every AL
+and every BL factor.  The pass starts from the cached terms, recomputes
+them at each trial step, and returns the terms at its new parameters, so
+no cycle computes a BL normalizer twice at the same parameters.  Specs are
 built only when a model leaves the loop: at the end of the fit, in the
 public ``m_step``, and in the BL-upgrade hook, which the loop runs once, at
 the first stall.
@@ -219,21 +218,20 @@ class _Columns:
     """The factors of one kernel family: their indices f (see ``_specs``),
     data rows x (J x N), parameters (P x J, in the kernel's coordinate
     order) and the kernel's terms at those parameters: the constant (J,)
-    and the two edge terms (J x N each)."""
+    and the edge term (J x N)."""
 
     idx: np.ndarray
     x: np.ndarray
     p: np.ndarray
     const: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    edges: np.ndarray
 
 
 @dataclass
 class _Flat:
     """One flat model as the GEM state: the weights (K,) and the factors of
     each AL or BL family as ``_Columns``.  The GEM M-step updates the
-    columns in place and keeps every constant and edge pair equal to the
+    columns in place and keeps every constant and edge term equal to the
     kernel's at its parameters, so the E-step recomputes neither.  ``fixed`` holds the
     log-density rows of the factors of families without a kernel, scored
     once: GEM moves no such factor.  Specs are built only by ``model``."""
@@ -286,7 +284,7 @@ def _log_matrix(model, rows: np.ndarray) -> np.ndarray:
     if isinstance(model, _Flat):
         out = model.fixed.copy()
         for c in model.groups.values():
-            out[c.idx] = c.const[:, None] + (-c.left - c.right)
+            out[c.idx] = c.const[:, None] - c.edges
         return out.reshape(model.weights.size, model.dim, -1).sum(axis=1)[None]
     cols = np.ascontiguousarray(rows.T)  # dim x N
     dim = model.means.shape[-1]
@@ -554,8 +552,7 @@ def _surrogate(mean: float, var: float) -> uv.UnivariateSpec:
 
 def m_step(model: MixtureModel, data, resp: np.ndarray) -> MixtureModel:
     """Generalized M-step: closed-form weight update plus one weighted
-    ascent pass per component (a block Newton step for AL, a coordinate
-    pass for BL), so Q never decreases."""
+    block Newton step per AL or BL component, so Q never decreases."""
     rows = _rows_of(data)
     if resp.shape != (rows.shape[0], model.k):
         raise ValueError("responsibilities must be N x K")
@@ -581,8 +578,8 @@ def _axis_bounds(rows: np.ndarray, dim: int) -> np.ndarray:
 def _gem_m_step(state: _Flat, resp: np.ndarray, bounds: np.ndarray) -> _Flat:
     """The M-step of ``m_step`` on the columns of ``state``, in place, from
     the N x K responsibilities: the live factors of each kernel family go
-    through one pass of ``mle._pass`` together, which starts from the
-    cached terms and returns those at its new parameters."""
+    through one ``mle._newton_pass`` together, which starts from the cached
+    terms and returns those at its new parameters."""
     weights = resp.mean(axis=0)
     state.weights = weights / weights.sum()
     live = resp.sum(axis=0) >= 1e-12  # zero responsibility: gradients vanish
@@ -590,14 +587,14 @@ def _gem_m_step(state: _Flat, resp: np.ndarray, bounds: np.ndarray) -> _Flat:
         j = np.flatnonzero(live[c.idx // state.dim])
         if not j.size:
             continue
-        x, p, terms = c.x[j], c.p[:, j], (c.const[j], c.left[j], c.right[j])
+        x, p, terms = c.x[j], c.p[:, j], (c.const[j], c.edges[j])
         w = np.ascontiguousarray(resp.T[c.idx[j] // state.dim])
         n = w.sum(axis=1)
-        p, _, terms, _ = mle._pass(
+        p, _, terms, _ = mle._newton_pass(
             family, x, w, n, p, mle._loglik(family, x, w, n, p, terms), terms,
-            bounds[:, c.idx[j] % state.dim])
+            mle._KERNELS[family].derivs(x, w, n, p), bounds[:, c.idx[j] % state.dim])
         c.p[:, j] = p
-        c.const[j], c.left[j], c.right[j] = terms
+        c.const[j], c.edges[j] = terms
     return state
 
 

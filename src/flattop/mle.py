@@ -1,31 +1,35 @@
 """Maximum-likelihood fitting by monotone ascent on bound-constrained
 parameters.
 
-The logistic-difference family (AL) carries the full analytic derivative
-set: the gradient and the Hessian in (a, b, s), in tanh/coth/sech/csch
-form, built from ten weighted sums over the points.  One AL pass is one
-projected modified-Newton step on the whole block (Nocedal & Wright,
-*Numerical Optimization*, 3.4): a coordinate at its bound with the
-gradient pointing out is held, the Hessian's eigenvalues are taken in
-absolute value, the step shrinks b - a and s by at most half, and it is
-halved until the log-likelihood does not decrease.  The sigmoid-product
-family (BL) has only the flat-regime approximate gradients, so its pass
-updates one parameter at a time with step 1/|second partial| and
-backtracks the same way.  Either way every accepted step is an ascent step,
-except an AL step whose predicted gain is below the rounding error of the
-log-likelihood: it is tried once and may lose up to that error.
+The logistic-difference family (AL) and the sigmoid-product family (BL)
+both carry the exact gradient and Hessian of their log-likelihood.  AL's,
+in (a, b, s), come in tanh/coth/sech/csch form from ten weighted sums over
+the points.  BL's normalizer Z has no closed form, but with e = left +
+right, the sum of its two softplus edges, grad ln Z = -E[grad e] and
+hess ln Z = Cov[grad e] - E[hess e] under the density: one Kronrod pass
+over the panels of Z's quadrature gives both, and one per-point function
+of the edge derivatives serves those integrals and the weighted data sums.
+The flat-regime partials of the paper stay public as ``grad_bl_flat``.
 
-Both passes run on J independent weighted problems at once, backtracking
-each by mask: ``fit`` is their J = 1 case with unit (or dataset) weights,
-and the mixture M-step runs them on every (component, axis) factor with
-the responsibilities as weights.  Each family's log-density is one kernel,
-a per-problem constant minus two per-point edge terms, one per shoulder;
-the log-likelihood sums them, and the mixture E-step scores points with
-the same terms.  A pass takes the constant and the edges at its start and
-returns them at its end; a trial step recomputes the constant and the
-edges it moves (an AL step both, a BL step in a or s the left one, in b or
-t the right one).  Each pass keeps b - a at least a few ulps of the data,
-so the density stays defined on near-constant samples.
+One pass of either family is one projected modified-Newton step on the
+whole block (Nocedal & Wright, *Numerical Optimization*, 3.4): a
+coordinate at its bound with the gradient pointing out is held, the
+Hessian's eigenvalues are taken in absolute value, the step shrinks b - a
+and each scale by at most half, and it is halved until the log-likelihood
+does not decrease.  So every accepted step is an ascent step, except one
+whose predicted gain is below the rounding error of the log-likelihood:
+it is tried once and may lose up to that error.
+
+The pass runs on J independent weighted problems at once, backtracking
+each by mask: ``fit`` is its J = 1 case with unit (or dataset) weights,
+and the mixture M-step runs it on every (component, axis) factor with the
+responsibilities as weights.  Each family's log-density is one kernel, a
+per-problem constant minus a per-point edge term, the sum of the two
+shoulders' terms; the log-likelihood sums them, and the mixture E-step
+scores points with the same terms.  A pass takes the terms and the
+derivatives at its start and returns the terms at its end; a trial step
+recomputes both terms.  Each pass keeps b - a at least a few ulps of the
+data, so the density stays defined on near-constant samples.
 
 The elliptical cosh-ratio family (CL) runs one coordinate pass over the
 blocks m, Lambda = Sigma^-1, log R (R = r^n) and log t, each stepped by its
@@ -48,6 +52,7 @@ import numpy as np
 from . import univariate as uv
 from .data_io import Dataset, _finite, _rows_of
 from .multivariate import MultivariateSpec, make_mv
+from .quadrature import _WK, _kronrod_nodes
 from .specfun import coth, csch2, log_cosh, log_sinh, log_sinh_ratio, logistic, softplus
 
 __all__ = [
@@ -69,8 +74,8 @@ __all__ = [
     "normal_mle_loglik",
 ]
 
-# Step control: a coordinate step is _ETA0 per unit gradient over
-# |curvature|; it and the AL block step shrink by _BACKTRACK_FACTOR up to
+# Step control: a CL coordinate step is _ETA0 per unit gradient over
+# |curvature|; it and the AL/BL block step shrink by _BACKTRACK_FACTOR up to
 # _MAX_BACKTRACKS times until the log-likelihood does not fall.
 _ETA0 = 1.0
 _BACKTRACK_FACTOR = 0.5
@@ -167,9 +172,10 @@ def _al_const(p) -> np.ndarray:
     return log_sinh((b - a) / (2.0 * s)) - np.log(2.0 * (b - a))
 
 
-def _al_edge(side, x, p) -> np.ndarray:
-    """ln cosh z_a (side 0) or ln cosh z_b (side 1)."""
-    return log_cosh((x - p[side][:, None]) / (2.0 * p[2][:, None]))
+def _al_edges(x, p) -> np.ndarray:
+    """ln cosh z_a + ln cosh z_b."""
+    a, b, s = (q[:, None] for q in p)
+    return log_cosh((x - a) / (2.0 * s)) + log_cosh((x - b) / (2.0 * s))
 
 
 # Below this g = (b - a)/2s the differences 1/g - coth g, 1/g^2 - csch^2 g and
@@ -244,72 +250,97 @@ def _al_derivs(x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
 
 def _bl_const(p) -> np.ndarray:
     """The exact log-normalizer: one quadrature per problem."""
-    return np.array([-math.log(uv._bl_mass(*q)) for q in p.T])
+    return np.array([-math.log(uv._bl_mass(*q)[0]) for q in p.T])
 
 
-def _bl_edge(side, x, p) -> np.ndarray:
-    """softplus((a - x)/s) (side 0) or softplus((x - b)/t) (side 1)."""
-    a, b, s, t = p
-    if side == 0:
-        return softplus((a[:, None] - x) / s[:, None])
-    return softplus((x - b[:, None]) / t[:, None])
+def _bl_edges(x, p) -> np.ndarray:
+    """softplus((a - x)/s) + softplus((x - b)/t)."""
+    a, b, s, t = (q[:, None] for q in p)
+    return softplus((a - x) / s) + softplus((x - b) / t)
 
 
-def _bl_partial(name, x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
-    """Flat-regime partial of one coordinate and the curvature that sizes its
-    step."""
-    a, b, s, t = p
-    if name in ("a", "s"):
-        f = logistic((x - a[:, None]) / s[:, None])       # F_L(x; a, s)
+def _bl_edge_derivs(x, p) -> tuple[np.ndarray, np.ndarray]:
+    """The (J, 4, N) gradient and (J, 4, 4, N) Hessian in (a, b, s, t) of
+    the edges e = left + right (``_bl_edges``) at every point.
+
+    With u = (a - x)/s and the logistic sigma, left = softplus u has the
+    partials sigma/s in a and -u sigma/s in s, and the second partials
+    sigma'/s^2, -(u sigma' + sigma)/s^2 and u (u sigma' + 2 sigma)/s^2 in
+    (a, a), (a, s) and (s, s), for sigma' = sigma (1 - sigma).  Right =
+    softplus v, v = (x - b)/t, has the same in (b, t), with the sign of each
+    partial of first order in b flipped.  No term mixes the two sides.
+    """
+    j, count = x.shape
+    grad = np.empty((j, 4, count))
+    hess = np.zeros((j, 4, 4, count))
+    for loc, scale, sign, z in ((0, 2, 1.0, p[0][:, None] - x), (1, 3, -1.0, x - p[1][:, None])):
+        inv = 1.0 / p[scale][:, None]
+        z = z * inv
+        f = logistic(z)
         v = f * (1.0 - f)
-        if name == "a":
-            return (n / (b - a) - _wsum(w, 1.0 - f) / s,
-                    n / (b - a) ** 2 - _wsum(w, v) / s ** 2)
-        grad = _wsum(w, (a[:, None] - x) * (1.0 - f)) / s ** 2
-        return grad, -2.0 * grad / s - _wsum(w, (x - a[:, None]) ** 2 * v) / s ** 4
-    f = logistic((x - b[:, None]) / t[:, None])           # F_L(x; b, t)
-    v = f * (1.0 - f)
-    if name == "b":
-        return (-n / (b - a) + _wsum(w, f) / t,
-                n / (b - a) ** 2 - _wsum(w, v) / t ** 2)
-    grad = _wsum(w, (x - b[:, None]) * f) / t ** 2
-    return grad, -2.0 * grad / t - _wsum(w, (x - b[:, None]) ** 2 * v) / t ** 4
+        zv = z * v
+        grad[:, loc] = sign * f * inv
+        grad[:, scale] = -z * f * inv
+        hess[:, loc, loc] = v * inv * inv
+        hess[:, loc, scale] = hess[:, scale, loc] = -sign * (zv + f) * inv * inv
+        hess[:, scale, scale] = z * (zv + 2.0 * f) * inv * inv
+    return grad, hess
+
+
+def _bl_derivs(x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
+    """The (J, 4) gradient and (J, 4, 4) Hessian in (a, b, s, t) of the
+    exact log-likelihood n ln c - sum_i w_i e_i, c = 1/Z.
+
+    The data give the weighted sums of ``_bl_edge_derivs``.  The normalizer
+    gives n E[grad e] and -n (Cov[grad e] - E[hess e]) under the density,
+    from one 15-point Kronrod pass over the panels of Z's quadrature.
+    """
+    j, count = x.shape
+    pts_grad, pts_hess = _bl_edge_derivs(x, p)
+    grad = -(pts_grad @ w[:, :, None])[:, :, 0]
+    hess = -(pts_hess.reshape(j, 16, count) @ w[:, :, None]).reshape(j, 4, 4)
+    for k in range(j):
+        q = p[:, k:k + 1]
+        mass, panels = uv._bl_mass(*q[:, 0])
+        nodes, half = _kronrod_nodes(panels[:-1], panels[1:])
+        nodes = nodes.reshape(1, -1)
+        dens = (half[:, None] * _WK).ravel() / mass * np.exp(-_bl_edges(nodes, q))[0]
+        (node_grad,), (node_hess,) = _bl_edge_derivs(nodes, q)
+        mean = node_grad @ dens
+        dev = node_grad - mean[:, None]
+        grad[k] += n[k] * mean
+        hess[k] -= n[k] * ((dev * dens) @ dev.T - node_hess @ dens)
+    return grad, hess
 
 
 class _Kernel(NamedTuple):
     """A family's coordinate order and its log-density ln f(x_i) = const -
-    left_i - right_i: the per-problem constant ``const(p)`` (J,) and the two
-    per-point edge terms ``edge(side, x, p)`` (J, N), side 0 for the left
-    shoulder and 1 for the right, plus ``grad(x, w, n, p)``, the (J, P)
-    gradient that the stop rule reads."""
+    edges_i: the per-problem constant ``const(p)`` (J,) and the per-point
+    sum of its two shoulder terms ``edges(x, p)`` (J, N), plus
+    ``derivs(x, w, n, p)``, the (J, P) gradient and (J, P, P) Hessian of
+    the weighted log-likelihood."""
 
     names: tuple[str, ...]
     const: Callable[[np.ndarray], np.ndarray]
-    edge: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
-    grad: Callable
+    edges: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    derivs: Callable
 
-    def terms(self, x, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(const, left, right) at ``p``."""
-        return self.const(p), self.edge(0, x, p), self.edge(1, x, p)
+    def terms(self, x, p) -> tuple[np.ndarray, np.ndarray]:
+        """(const, edges) at ``p``."""
+        return self.const(p), self.edges(x, p)
 
 
 _KERNELS = {
-    "AL": _Kernel(("a", "b", "s"), _al_const, _al_edge, lambda *args: _al_derivs(*args)[0]),
-    "BL": _Kernel(("a", "b", "s", "t"), _bl_const, _bl_edge, lambda *args: np.stack(
-        [_bl_partial(name, *args)[0] for name in "abst"], axis=1)),
+    "AL": _Kernel(("a", "b", "s"), _al_const, _al_edges, _al_derivs),
+    "BL": _Kernel(("a", "b", "s", "t"), _bl_const, _bl_edges, _bl_derivs),
 }
-
-# The sides of the BL kernel that each coordinate (a, b, s, t) moves: a step
-# in it recomputes only those edges, and the constant.
-_BL_MOVES = ((0,), (1,), (0,), (1,))
 
 
 def _loglik(family: str, x, w, n, p, terms=None) -> np.ndarray:
-    """The (J,) weighted log-likelihoods n const + sum_i w_i (-left_i -
-    right_i), from ``terms`` = (const, left, right) if the caller holds them
-    at ``p``."""
-    const, left, right = _KERNELS[family].terms(x, p) if terms is None else terms
-    return n * const + _wsum(w, -left - right)
+    """The (J,) weighted log-likelihoods n const - sum_i w_i edges_i, from
+    ``terms`` = (const, edges) if the caller holds them at ``p``."""
+    const, edges = _KERNELS[family].terms(x, p) if terms is None else terms
+    return n * const + _wsum(w, -edges)
 
 
 def _one(data, weights):
@@ -366,9 +397,12 @@ def grad_bl_flat(data, a: float, b: float, s: float, t: float,
     from .flatness import FLAT_REGIME_BOUND, bl_flat_bound
 
     x, w, n = _one(data, weights)
-    p = _params(a, b, s, t)
-    grads = (float(_bl_partial(name, x, w, n, p)[0][0]) for name in "abst")
-    return BlGradient(*grads, bool(bl_flat_bound(a, b, s, t) < FLAT_REGIME_BOUND))
+    f_a = logistic((x - a) / s)  # F_L(x; a, s)
+    f_b = logistic((x - b) / t)  # F_L(x; b, t)
+    grads = (n / (b - a) - _wsum(w, 1.0 - f_a) / s, -n / (b - a) + _wsum(w, f_b) / t,
+             _wsum(w, (a - x) * (1.0 - f_a)) / s ** 2, _wsum(w, (x - b) * f_b) / t ** 2)
+    return BlGradient(*(float(g[0]) for g in grads),
+                      bool(bl_flat_bound(a, b, s, t) < FLAT_REGIME_BOUND))
 
 
 # ---------------------------------------------------------------------------
@@ -525,16 +559,8 @@ def init_cl_from_data(data) -> MultivariateSpec:
 
 
 # ---------------------------------------------------------------------------
-# The AL and BL passes
+# The AL and BL pass
 # ---------------------------------------------------------------------------
-
-def _step_size(grad, curvature, scale):
-    """Step per unit gradient: _ETA0/|curvature|, or a tenth of the
-    parameter's scale where the curvature vanishes."""
-    flat = np.abs(curvature) < 1e-12
-    return np.where(flat, 0.1 * scale / np.maximum(np.abs(grad), 1e-300),
-                    _ETA0 / np.where(flat, 1.0, np.abs(curvature)))
-
 
 def _bounds_from_data(x: np.ndarray) -> np.ndarray:
     """(lo, hi, s_min, s_max) of the box every iterate stays in."""
@@ -559,22 +585,21 @@ def _edge_gap(lo, hi):
     return eps, np.maximum(eps, _ulps(lo, hi, 4.0))
 
 
-def _backtrack(family, x, w, n, p, ll, terms, step, low, high, sides,
-               least_width=None, rounding=None) -> np.ndarray:
+def _backtrack(family, x, w, n, p, ll, terms, step, low, high, least_width,
+               rounding) -> np.ndarray:
     """Take the (P, J) ``step`` from ``p``, clipped to [low, high], halving
     it per problem, by mask, until that problem's log-likelihood does not
     decrease; a candidate whose b - a is below ``least_width`` (J,) is
     halved without a trial.  A problem whose ``rounding`` (J,) is above 0
     gets one candidate, taken unless the log-likelihood falls by more than
-    that.  A trial recomputes the constant and the edges in ``sides``.
-    Updates ``p``, ``ll`` and the ``terms`` list in place and returns the
-    mask of problems that took a step without a fall."""
+    that.  A trial recomputes the kernel's terms.  Updates ``p``,
+    ``ll`` and the ``terms`` list in place and returns the mask of problems
+    that took a step without a fall."""
     kernel = _KERNELS[family]
     moved = np.zeros(p.shape[1], dtype=bool)
     live = np.ones(p.shape[1], dtype=bool)
     tried = np.full_like(p, np.nan)
-    slack = np.zeros(p.shape[1]) if rounding is None else rounding
-    tries = np.where(slack > 0.0, 1, _MAX_BACKTRACKS)
+    tries = np.where(rounding > 0.0, 1, _MAX_BACKTRACKS)
     for attempt in range(_MAX_BACKTRACKS):
         cand = np.minimum(np.maximum(p + step, low), high)
         # Clip or underflow (no movement possible), or no tries left.
@@ -582,64 +607,63 @@ def _backtrack(family, x, w, n, p, ll, terms, step, low, high, sides,
         if not live.any():
             break
         # A clipped step can repeat the candidate just rejected: skip it.
-        fresh = live & (cand != tried).any(axis=0)
-        if least_width is not None:
-            fresh &= cand[1] - cand[0] >= least_width
+        fresh = live & (cand != tried).any(axis=0) & (cand[1] - cand[0] >= least_width)
         idx = np.flatnonzero(fresh)
         tried = cand
         step = step * _BACKTRACK_FACTOR
         if idx.size == 0:
             continue
         sub = slice(None) if idx.size == p.shape[1] else idx  # a view when all try
-        trial, x_sub = cand[:, sub], x[sub]
-        trial_terms = [kernel.const(trial)] + [
-            kernel.edge(side, x_sub, trial) if side in sides else e[sub]
-            for side, e in enumerate(terms[1:])]
-        ll_new = _loglik(family, x_sub, w[sub], n[sub], trial, trial_terms)
+        trial = cand[:, sub]
+        trial_terms = kernel.terms(x[sub], trial)
+        ll_new = _loglik(family, x[sub], w[sub], n[sub], trial, trial_terms)
         kept = ll_new >= ll[idx]
-        up = ll_new >= ll[idx] - slack[idx]
+        up = ll_new >= ll[idx] - rounding[idx]
         done = idx[up]
         p[:, done] = trial[:, up]
         ll[done] = ll_new[up]
-        for k in (0, *(side + 1 for side in sides)):
-            terms[k][done] = trial_terms[k][up]
+        for old, new in zip(terms, trial_terms):
+            old[done] = new[up]
         moved[done] = kept[up]
         live[done] = False
     return moved
 
 
-def _newton_pass(x, w, n, p, ll, terms, bounds):
-    """One projected modified-Newton step on the AL block (a, b, s) of J
-    independent problems at once.
+def _newton_pass(family, x, w, n, p, ll, terms, derivs, bounds):
+    """One projected modified-Newton step on the whole AL block (a, b, s) or
+    BL block (a, b, s, t) of J independent problems at once.
 
     ``x``, ``w``, ``n`` and ``p`` are in the kernel layout above, ``ll`` is
-    the (J,) log-likelihood at ``p``, ``terms`` the kernel's (const, left,
-    right) at ``p`` and ``bounds`` the (4, J) rows of ``_bounds_from_data``.
-    A coordinate at its bound (or beyond it, where a start put it) with the
-    gradient pointing out is held: its gradient entry is zeroed and its
-    Hessian row and column become those of -I.  The step is V |L|^-1 V^T g
-    for the eigenpairs (L, V) of the Hessian, with |L| floored at 1e-12 of
-    its largest entry.  ``_backtrack`` halves it, recomputing the constant
-    and both edges.  A candidate keeps at least half of s (a bound of the
-    box) and half of b - a above the least gap (a narrower one is halved
-    without a trial): without that rule a bell-shaped fit can collapse a
-    onto b, the logistic limit, which is stationary by symmetry.  Scaling
-    the whole step instead stalls a fit whose b - a is already near 0, where
-    a shift of the location alone would take it all.  Returns the new
-    parameters, log-likelihoods and terms (each equal to the kernel's at the
-    new parameters) and the mask of problems that took a step without a
-    fall.
+    the (J,) log-likelihood at ``p``, ``terms`` the kernel's (const, edges)
+    at ``p``, ``derivs`` its (gradient, Hessian) at ``p`` and
+    ``bounds`` the (4, J) rows of ``_bounds_from_data``.  A coordinate at
+    its bound (or beyond it, where a start put it) with the gradient
+    pointing out is held: its gradient entry is zeroed and its Hessian row
+    and column become those of -I.  The step is V |L|^-1 V^T g for the
+    eigenpairs (L, V) of the Hessian, with |L| floored at 1e-12 of its
+    largest entry.  ``_backtrack`` halves it.  A candidate keeps at least
+    half of each scale (s, t; a bound of the box) and half of b - a above
+    the least gap (a narrower one is halved without a trial): without that
+    rule a bell-shaped fit can collapse a onto b, the logistic limit, which
+    is stationary by symmetry.  Scaling the whole step instead stalls a fit
+    whose b - a is already near 0, where a shift of the location alone
+    would take it all.  Returns the new parameters, log-likelihoods and
+    terms (each equal to the kernel's at the new parameters) and the mask
+    of problems that took a step without a fall.
     """
     lo, hi, s_min, s_max = bounds
     eps, gap = _edge_gap(lo, hi)
-    grad, hess = _al_derivs(x, w, n, p)
+    grad, hess = derivs
+    scales = p[2:]
     # A coordinate never leaves the box, nor moves further out of it.
-    low = np.minimum(np.stack([lo + eps, np.full_like(lo, -np.inf),
-                               np.maximum(s_min, 0.5 * p[2])]), p)
-    high = np.maximum(np.stack([np.full_like(hi, np.inf), hi - eps, s_max]), p)
+    low = np.minimum(np.vstack([lo + eps, np.full_like(lo, -np.inf),
+                                np.maximum(s_min, 0.5 * scales)]), p)
+    high = np.maximum(np.vstack([np.full_like(hi, np.inf), hi - eps,
+                                 np.broadcast_to(s_max, scales.shape)]), p)
     held = (((p <= low) & (grad.T < 0.0)) | ((p >= high) & (grad.T > 0.0))).T
-    grad[held] = 0.0
-    hess = np.where(held[:, :, None] | held[:, None, :], -np.eye(3) * held[:, :, None], hess)
+    grad = np.where(held, 0.0, grad)
+    hess = np.where(held[:, :, None] | held[:, None, :], -np.eye(len(p)) * held[:, :, None],
+                    hess)
     vals, vecs = np.linalg.eigh(hess)
     mag = np.abs(vals)
     mag = np.maximum(mag, np.maximum(1e-12 * mag.max(axis=1, keepdims=True), 1e-300))
@@ -654,43 +678,8 @@ def _newton_pass(x, w, n, p, ll, terms, bounds):
     rounding = _EPS * (np.abs(n * terms[0]) + (n * terms[0] - ll))
     rounding = np.where(0.5 * np.einsum("ji,ij->j", grad, step) <= rounding, rounding, 0.0)
     p, ll, terms = p.copy(), ll.copy(), [t.copy() for t in terms]
-    moved = _backtrack("AL", x, w, n, p, ll, terms, step, low, high, (0, 1), least_width,
-                       rounding)
+    moved = _backtrack(family, x, w, n, p, ll, terms, step, low, high, least_width, rounding)
     return p, ll, tuple(terms), moved
-
-
-def _coordinate_pass(x, w, n, p, ll, terms, bounds):
-    """One monotone coordinate pass over J independent BL problems at once,
-    with the arguments and results of ``_newton_pass``.
-
-    Each coordinate steps by gradient/|curvature| and ``_backtrack`` halves
-    the step, recomputing the constant and only the edges the coordinate
-    moves.
-    """
-    lo, hi, s_min, s_max = bounds
-    eps, gap = _edge_gap(lo, hi)
-    p, ll, terms = p.copy(), ll.copy(), [t.copy() for t in terms]
-    moved = np.zeros(p.shape[1], dtype=bool)
-    for i, (name, sides) in enumerate(zip(_KERNELS["BL"].names, _BL_MOVES)):
-        grad, curv = _bl_partial(name, x, w, n, p)
-        step = np.zeros_like(p)
-        low, high = p.copy(), p.copy()  # the other coordinates stay
-        if name == "a":
-            scale, low[i], high[i] = p[1] - p[0], lo + eps, p[1] - gap
-        elif name == "b":
-            scale, low[i], high[i] = p[1] - p[0], p[0] + gap, hi - eps
-        else:
-            scale, low[i], high[i] = p[i], s_min, s_max
-        step[i] = _step_size(grad, curv, scale) * grad
-        moved |= _backtrack("BL", x, w, n, p, ll, terms, step, low, high, sides)
-    return p, ll, tuple(terms), moved
-
-
-def _pass(family, x, w, n, p, ll, terms, bounds):
-    """One monotone pass of ``family`` (see ``_newton_pass``): a block Newton
-    step for AL, a coordinate pass for BL, whose gradient is only the
-    flat-regime approximation."""
-    return (_newton_pass if family == "AL" else _coordinate_pass)(x, w, n, p, ll, terms, bounds)
 
 
 def _ascend(one_pass, state, ll: float, settings: FitSettings, k: int, count: int):
@@ -726,8 +715,10 @@ def _aic_bic(k: int, ll: float, count: int) -> tuple[float, float]:
 
 def _fit_univariate(x: np.ndarray, init: uv.UnivariateSpec, settings: FitSettings,
                     weights=None) -> tuple[uv.UnivariateSpec, FitReport]:
-    """AL or BL fit: passes of ``_pass`` on the single problem (J = 1); a
-    pass makes progress when it takes a step without a fall."""
+    """AL or BL fit: passes of ``_newton_pass`` on the single problem
+    (J = 1); a pass makes progress when it takes a step without a fall.  The
+    derivatives at each new iterate serve both the stop rule and the next
+    pass."""
     kernel = _KERNELS[init.family]
     bounds = _bounds_from_data(x)
     lo, hi, s_min = bounds[:3]
@@ -741,15 +732,17 @@ def _fit_univariate(x: np.ndarray, init: uv.UnivariateSpec, settings: FitSetting
     x1, w1, n = _one(x, weights)
 
     def one_pass(state):
-        p, ll, terms, moved = _pass(init.family, x1, w1, n, *state, bounds[:, None])
-        grad_norm = float(np.max(np.abs(kernel.grad(x1, w1, n, p)))) / float(n[0])
-        return (p, ll, terms), float(ll[0]), grad_norm, bool(moved[0])
+        p, ll, terms, moved = _newton_pass(init.family, x1, w1, n, *state, bounds[:, None])
+        derivs = kernel.derivs(x1, w1, n, p)
+        grad_norm = float(np.max(np.abs(derivs[0]))) / float(n[0])
+        return (p, ll, terms, derivs), float(ll[0]), grad_norm, bool(moved[0])
 
     p = _params(*(getattr(init, name) for name in kernel.names))
     terms = kernel.terms(x1, p)
     ll = _loglik(init.family, x1, w1, n, p, terms)
-    (p, _, _), report = _ascend(one_pass, (p, ll, terms), float(ll[0]), settings,
-                                len(kernel.names), x.size)
+    state = (p, ll, terms, kernel.derivs(x1, w1, n, p))
+    (p, *_), report = _ascend(one_pass, state, float(ll[0]), settings, len(kernel.names),
+                              x.size)
     spec = uv.make(init.family, dict(zip(kernel.names, p[:, 0])))
     report.final_params = spec.params()
     return spec, report
@@ -811,8 +804,8 @@ def _fit_cl(rows: np.ndarray, init: MultivariateSpec,
 
 def fit(data, init, settings: FitSettings | None = None):
     """Fit AL, BL (univariate specs) or CL (multivariate spec) by monotone
-    ascent starting from ``init``: block Newton steps for AL, coordinate
-    passes for BL and CL.
+    ascent starting from ``init``: block Newton steps for AL and BL,
+    coordinate passes for CL.
 
     Returns ``(spec, FitReport)``.  Bound constraints
     min(x) < a < b < max(x) and s >= range/(4N) hold at every iterate.

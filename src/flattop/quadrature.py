@@ -112,12 +112,18 @@ _WG = np.concatenate((_WG_HALF, [0.417959183673469387755102040816327], _WG_HALF[
 _G_IDX = np.arange(1, 15, 2)
 
 
+def _kronrod_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 15 Kronrod abscissae of every [a_i, b_i], one row per panel, and
+    the panels' half-widths."""
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b))[:, None] + half[:, None] * _XK, half
+
+
 def _kronrod(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
              b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 15-point Kronrod rule over every [a_i, b_i], in one integrand
     call: the values and their |Kronrod - Gauss| error estimates."""
-    half = 0.5 * (b - a)
-    x = (0.5 * (a + b))[:, None] + half[:, None] * _XK
+    x, half = _kronrod_nodes(a, b)
     y = np.asarray(f(x.ravel()), dtype=float)
     if y.shape != (x.size,):
         raise QuadratureError("integrand must return an array matching its input")

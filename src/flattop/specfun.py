@@ -137,8 +137,8 @@ def sech2(z):
 
 def csch2(z):
     """csch^2(z) for z != 0, exp-shifted."""
-    t = np.exp(-2.0 * np.abs(z))
-    return 4.0 * t / (1.0 - t) ** 2
+    w = -2.0 * np.abs(z)
+    return 4.0 * np.exp(w) / np.expm1(w) ** 2  # (1 - e^w)^2, without cancellation
 
 
 def coth(z):

@@ -416,19 +416,23 @@ def _pdf_als(spec, x):
     return np.exp(log_ends) * (-spec.c * np.expm1(neg_d))
 
 
-def _bl_mass(a: float, b: float, s: float, t: float) -> float:
-    """Integral of the unnormalized BL density, 1/c; the MLE kernel takes
-    its logarithm."""
+@lru_cache(maxsize=512)
+def _bl_mass(a: float, b: float, s: float, t: float) -> tuple[float, np.ndarray]:
+    """Integral of the unnormalized BL density, 1/c, and the edges of the
+    panels its quadrature settles on.  The MLE kernel takes the logarithm of
+    the first at a trial step and, once the step is taken, its derivatives
+    on the second: the cache spares it a second quadrature."""
     def integrand(x: np.ndarray) -> np.ndarray:
         return specfun._expit((x - a) / s) * specfun._expit((b - x) / t)
 
     with np.errstate(over="ignore"):  # for _expit
-        return integrate(integrand, -math.inf, math.inf, _NORM_SETTINGS,
-                         points=(a, 0.5 * (a + b), b)).value
+        res, _, _, edges, _ = _integrate(integrand, -math.inf, math.inf, _NORM_SETTINGS,
+                                         (a, 0.5 * (a + b), b), True)
+    return res.value, edges
 
 
 def _normalizer_bl(spec) -> float:
-    return 1.0 / _bl_mass(spec.a, spec.b, spec.s, spec.t)
+    return 1.0 / _bl_mass(spec.a, spec.b, spec.s, spec.t)[0]
 
 
 def _log_pdf_bl(spec, x):

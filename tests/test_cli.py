@@ -375,6 +375,31 @@ def test_fit_bl_takes_init_normal_as_al_does(capsys, tmp_path):
     assert normal != from_data
 
 
+@pytest.mark.parametrize("name, aic", [("al-draws", 21224.26), ("mixed55", 534.80)])
+def test_fit_bl_from_the_normal_start_converges_to_the_data_start_optimum(
+        capsys, tmp_path, name, aic):
+    # From the AL-of-the-normal start at t = s, the flat-regime coordinate
+    # pass stopped after 1 pass at -11181.35 on the 5000 AL draws, and ran
+    # 500 passes (50 s) on the 55-point mixed set; the exact BL gradient and
+    # Hessian reach the optimum of the data start.
+    path = tmp_path / "data.csv"
+    if name == "al-draws":
+        params = {"a": -0.9527135011989731, "b": 6.690625112347761, "s": 0.2157835546275788}
+        ds = uv.sample(uv.make("AL", params), 5000, 1)
+    else:
+        ds = gen_mixed_1d(20260808)
+    write_csv(ds, str(path))
+    fit = ("fit", "--family", "BL", "--data", str(path))
+    code, out, err = _run(capsys, *fit, "--init-normal")
+    assert code == 0, err
+    report = json.loads(out)["report"]
+    assert report["converged"] and report["iterations"] <= 20
+    assert report["aic"] == pytest.approx(aic, abs=0.01)
+    assert np.all(np.diff(report["loglik_trace"]) >= -1e-9)
+    _, from_data, _ = _run(capsys, *fit)
+    assert report["aic"] == pytest.approx(json.loads(from_data)["report"]["aic"], rel=1e-9)
+
+
 @pytest.mark.parametrize("flag", [("--init", "m=0"), ("--init-normal",)])
 def test_fit_cl_rejects_init_flags(capsys, tmp_path, flag):
     path = tmp_path / "cl.csv"

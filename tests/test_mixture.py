@@ -466,25 +466,6 @@ def _ref_e_step(model, rows):
     return np.exp(log_joint - row_tot[:, None]), float(np.sum(row_tot))
 
 
-def _ref_partial(name, x, w, spec):
-    """(partial, curvature) of one BL coordinate, from the scalar flat-regime
-    derivatives."""
-    a, b, s, t = spec.a, spec.b, spec.s, spec.t
-    g = mle.grad_bl_flat(x, a, b, s, t, w)
-    n = float(w.sum())
-    if name in "as":
-        f = sp.expit((x - a) / s)
-        v = f * (1.0 - f)
-        if name == "a":
-            return g.da, n / (b - a) ** 2 - float(np.dot(w, v)) / s ** 2
-        return g.ds, -2.0 * g.ds / s - float(np.dot(w, (x - a) ** 2 * v)) / s ** 4
-    f = sp.expit((x - b) / t)
-    v = f * (1.0 - f)
-    if name == "b":
-        return g.db, n / (b - a) ** 2 - float(np.dot(w, v)) / t ** 2
-    return g.dt, -2.0 * g.dt / t - float(np.dot(w, (x - b) ** 2 * v)) / t ** 4
-
-
 def _ref_box(x):
     """(lo, hi, eps, s_min, s_max) of one axis."""
     lo, hi = float(x.min()), float(x.max())
@@ -492,19 +473,29 @@ def _ref_box(x):
     return lo, hi, 1e-9 * (hi - lo), s_min, max(float(np.std(x)), 2.0 * s_min)
 
 
-def _ref_newton_step(x, w, spec):
-    """One projected modified-Newton step on one AL factor, built from the
-    public gradient and Hessian, and halved until the log-likelihood does
-    not fall."""
+def _ref_pass(x, w, spec):
+    """One projected modified-Newton step on one component and axis, built
+    from the public AL gradient and Hessian or the BL kernel's derivatives,
+    and halved until the log-likelihood does not fall."""
     lo, hi, eps, s_min, s_max = _ref_box(x)
     gap = max(eps, 4.0 * float(np.spacing(max(abs(lo), abs(hi)))))
-    theta = np.array([spec.a, spec.b, spec.s])
-    grad = np.array(mle.grad_al(x, *theta, w))
-    h = mle.hess_al(x, *theta, w)
-    hess = np.array([[h.daa, h.dab, h.das], [h.dab, h.dbb, h.dbs], [h.das, h.dbs, h.dss]])
-    low = np.minimum([lo + eps, -math.inf, max(s_min, 0.5 * theta[2])], theta)
-    high = np.maximum([math.inf, hi - eps, s_max], theta)
-    for i in range(3):
+    names = mle._KERNELS[spec.family].names
+    theta = np.array([getattr(spec, name) for name in names])
+    if spec.family == "AL":
+        loglik = mle.loglik_al
+        grad = np.array(mle.grad_al(x, *theta, w))
+        h = mle.hess_al(x, *theta, w)
+        hess = np.array([[h.daa, h.dab, h.das], [h.dab, h.dbb, h.dbs], [h.das, h.dbs, h.dss]])
+        g = (theta[1] - theta[0]) / (2.0 * theta[2])
+        log_c = g + math.log1p(-math.exp(-2.0 * g)) - math.log(4.0 * (theta[1] - theta[0]))
+    else:
+        loglik = mle.loglik_bl
+        grad, hess = (d[0] for d in mle._KERNELS["BL"].derivs(
+            x[None], w[None], w[None].sum(axis=1), theta[:, None]))
+        log_c = math.log(spec.c)
+    low = np.minimum([lo + eps, -math.inf, *(max(s_min, 0.5 * v) for v in theta[2:])], theta)
+    high = np.maximum([math.inf, hi - eps, *[s_max] * (theta.size - 2)], theta)
+    for i in range(theta.size):
         if (theta[i] <= low[i] and grad[i] < 0.0) or (theta[i] >= high[i] and grad[i] > 0.0):
             grad[i] = 0.0
             hess[i, :] = hess[:, i] = 0.0
@@ -513,16 +504,15 @@ def _ref_newton_step(x, w, spec):
     mag = np.abs(vals)
     mag = np.maximum(mag, max(1e-12 * mag.max(), 1e-300))
     step = vecs @ ((vecs.T @ grad) / mag)
-    # A candidate keeps at least half of b - a above the gap, and of s.
+    # A candidate keeps at least half of b - a above the gap, and of each scale.
     width = theta[1] - theta[0]
     least_width = min(width, 0.5 * (width + gap))
-    ll, tried = mle.loglik_al(x, *theta, w), None
+    ll, tried = loglik(x, *theta, w), None
     # A step whose predicted gain is below the rounding error of the
     # log-likelihood, eps times the sum of the terms' magnitudes |N ln c| +
     # (N ln c - ll) for the constant c of the density, is tried once and
     # taken unless the log-likelihood falls by more than that.
-    g = width / (2.0 * theta[2])
-    n_const = float(w.sum()) * (g + math.log1p(-math.exp(-2.0 * g)) - math.log(4.0 * width))
+    n_const = float(w.sum()) * log_c
     rounding = np.finfo(float).eps * (abs(n_const) + (n_const - ll))
     slack = rounding if 0.5 * (grad @ step) <= rounding else 0.0
     for _ in range(1 if slack else mle._MAX_BACKTRACKS):
@@ -531,37 +521,10 @@ def _ref_newton_step(x, w, spec):
             break
         fresh = tried is None or not np.array_equal(cand, tried)
         if (fresh and cand[1] - cand[0] >= least_width
-                and mle.loglik_al(x, *cand, w) >= ll - slack):
-            return uv.make("AL", dict(zip("abs", cand)))
+                and loglik(x, *cand, w) >= ll - slack):
+            return uv.make(spec.family, dict(zip(names, cand)))
         tried = cand
         step = step * mle._BACKTRACK_FACTOR
-    return spec
-
-
-def _ref_pass(x, w, spec):
-    """One monotone pass on one component and axis: a Newton step for AL, a
-    coordinate pass for BL."""
-    if spec.family == "AL":
-        return _ref_newton_step(x, w, spec)
-    lo, hi, eps, s_min, s_max = _ref_box(x)
-    ll = mle.loglik_bl(x, spec.a, spec.b, spec.s, spec.t, w)
-    for name in "abst":
-        g, curv = _ref_partial(name, x, w, spec)
-        scale = spec.b - spec.a if name in "ab" else getattr(spec, name)
-        step = (0.1 * scale / max(abs(g), 1e-300) if abs(curv) < 1e-12
-                else mle._ETA0 / abs(curv)) * g
-        low, high = {"a": (lo + eps, spec.b - eps), "b": (spec.a + eps, hi - eps)}.get(
-            name, (s_min, s_max))
-        for _ in range(mle._MAX_BACKTRACKS):
-            value = min(max(getattr(spec, name) + step, low), high)
-            if value == getattr(spec, name):
-                break
-            cand = uv.make(spec.family, {**spec.params(), name: value})
-            ll_new = mle.loglik_bl(x, cand.a, cand.b, cand.s, cand.t, w)
-            if ll_new >= ll:
-                spec, ll = cand, ll_new
-                break
-            step *= mle._BACKTRACK_FACTOR
     return spec
 
 
@@ -724,15 +687,15 @@ def _ref_flat_e_step(model, rows):
     for f, spec in enumerate(_specs_of(model)):
         kernel = mle._KERNELS[spec.family]
         p = np.array([[getattr(spec, name)] for name in kernel.names])
-        const, left, right = kernel.terms(rows[:, f % model.dim][None], p)
-        out[f] = const[:, None] + (-left - right)
+        const, edges = kernel.terms(rows[:, f % model.dim][None], p)
+        out[f] = const[:, None] - edges
     return _ref_e_core(out.reshape(model.k, model.dim, -1).sum(axis=1), model.weights)
 
 
 def _ref_gem_m_step(model, rows, resp):
     """The spec-based GEM M-step: every live factor of a family goes through
-    one coordinate pass from fresh terms, and every moved factor becomes a
-    new spec."""
+    one Newton pass from fresh terms, and every moved factor becomes a new
+    spec."""
     weights = resp.mean(axis=0)
     weights = weights / weights.sum()
     live = resp.sum(axis=0) >= 1e-12
@@ -750,8 +713,8 @@ def _ref_gem_m_step(model, rows, resp):
         w = np.ascontiguousarray(resp.T[ks])
         n = w.sum(axis=1)
         p = np.array([[getattr(specs[f], name) for f in group] for name in kernel.names])
-        p = mle._pass(family, x, w, n, p, mle._loglik(family, x, w, n, p),
-                                 kernel.terms(x, p), bounds[:, axes])[0]
+        p = mle._newton_pass(family, x, w, n, p, mle._loglik(family, x, w, n, p),
+                             kernel.terms(x, p), kernel.derivs(x, w, n, p), bounds[:, axes])[0]
         for j, f in enumerate(group):
             specs[f] = uv.make(family, dict(zip(kernel.names, p[:, j])))
     comps = [tuple(specs[f:f + model.dim]) if model.dim > 1 else specs[f]

@@ -144,6 +144,71 @@ def test_bl_gradient_pushes_boundary_toward_outlying_mass():
     assert g.db > 0.0
 
 
+# Corners and the middle of the BL box of the property tests (flat-topped:
+# b - a above both scales), and two bell-shaped shapes, b - a below them.
+_BL_SHAPES = [(-3.0, -2.2, 0.6, 0.08), (1.0, 9.0, 0.08, 0.6), (-1.0, 3.0, 0.3, 0.3),
+              (0.0, 0.5, 1.0, 1.5), (-0.2, 0.2, 0.7, 0.4)]
+
+
+def _bl_problem(a, b, s, t):
+    """Weighted data that the BL density at (a, b, s, t) does not fit, in the
+    kernel layout, so that no partial is near 0."""
+    rng = np.random.default_rng(23)
+    x = rng.uniform(a - 2.0, b + 1.0, 300) + rng.logistic(0.0, 0.3, 300)
+    w = rng.uniform(0.5, 1.5, 300)
+    return x, w, np.array([a, b, s, t], dtype=float)
+
+
+def _bl_kernel_derivs(x, w, p):
+    return (d[0] for d in mle._KERNELS["BL"].derivs(x[None], w[None], w[None].sum(axis=1),
+                                                    p[:, None]))
+
+
+def _central(f, p):
+    """Central differences of ``f`` along each coordinate of ``p``, one row
+    each."""
+    rows = []
+    for i, h in enumerate(1e-5 * np.maximum(np.abs(p), 0.1)):
+        up, down = p.copy(), p.copy()
+        up[i] += h
+        down[i] -= h
+        rows.append((np.asarray(f(up)) - np.asarray(f(down))) / (2.0 * h))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("a, b, s, t", _BL_SHAPES)
+def test_bl_kernel_gradient_matches_differences_of_the_loglik(a, b, s, t):
+    x, w, p = _bl_problem(a, b, s, t)
+    grad, _ = _bl_kernel_derivs(x, w, p)
+    fd = _central(lambda q: mle.loglik_bl(x, *q, w), p)
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("a, b, s, t", _BL_SHAPES)
+def test_bl_kernel_hessian_matches_differences_of_its_gradient(a, b, s, t):
+    x, w, p = _bl_problem(a, b, s, t)
+    _, hess = _bl_kernel_derivs(x, w, p)
+    fd = _central(lambda q: next(iter(_bl_kernel_derivs(x, w, q))), p)
+    assert np.max(np.abs(hess - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("a, b, s", [(0.0, 1.0, 0.3), (0.0, 5.0, 1.0), (-1.0, 2.0, 4.0),
+                                     (0.0, 0.01, 1.0)])
+def test_bl_normalizer_and_its_gradient_match_the_closed_form_at_s_equal_t(a, b, s):
+    # At s = t, Z = d / (1 - e^(-d/s)) with d = b - a, so d ln Z/db = -d ln Z/da
+    # = 1/d - 1/(s (e^(d/s) - 1)) and (d/ds + d/dt) ln Z = d / (s^2 (e^(d/s) - 1)).
+    # With no data and n = 1 the kernel's gradient is E[grad e] = -grad ln Z.
+    d = b - a
+    assert uv._bl_mass(a, b, s, s)[0] == pytest.approx(d / -math.expm1(-d / s), rel=1e-12)
+    x = np.array([[0.5 * (a + b)]])
+    p = np.array([[a], [b], [s], [s]])
+    grad, _ = mle._KERNELS["BL"].derivs(x, np.zeros_like(x), np.ones(1), p)
+    d_b = 1.0 / d - 1.0 / (s * math.expm1(d / s))
+    assert grad[0, 0] == pytest.approx(d_b, rel=1e-12)
+    assert grad[0, 1] == pytest.approx(-d_b, rel=1e-12)
+    assert grad[0, 2] + grad[0, 3] == pytest.approx(-d / (s * s * math.expm1(d / s)), rel=1e-12)
+
+
 def test_bl_fit_builds_no_spec_per_coordinate_step(monkeypatch):
     ds = gen_mixed_1d(seed=20260808)
     al, _ = mle.fit(ds, mle.init_al_from_normal_fit(ds))
@@ -156,8 +221,8 @@ def test_bl_fit_builds_no_spec_per_coordinate_step(monkeypatch):
         return real_make(family, params)
 
     monkeypatch.setattr(uv, "make", counting_make)
-    _, report = mle.fit(ds, init, mle.FitSettings(max_iters=10))
-    assert report.iterations == 10
+    _, report = mle.fit(ds, init, mle.FitSettings(max_iters=2))
+    assert report.iterations == 2
     assert families == ["BL"]  # the returned spec only
 
 
@@ -165,7 +230,7 @@ def test_bl_fit_builds_no_spec_per_coordinate_step(monkeypatch):
     ("AL", [[0.5, 2.0, 0.5], [3.5, 6.0, 7.5], [0.3, 0.6, 0.2]]),
     ("BL", [[0.5, 2.0, 0.5], [3.5, 6.0, 7.5], [0.3, 0.6, 0.2], [0.4, 0.3, 0.2]]),
 ])
-def test_coordinate_pass_returns_the_edges_at_its_parameters(family, p):
+def test_newton_pass_returns_the_terms_at_its_parameters(family, p):
     # Three problems: weighted data, a zero-weight problem (no coordinate can
     # move, so it accepts no step) and data on a narrow range.
     rng = np.random.default_rng(31)
@@ -180,7 +245,8 @@ def test_coordinate_pass_returns_the_edges_at_its_parameters(family, p):
     ll = mle._loglik(family, x, w, n, p, terms)
     for _ in range(3):
         start = p
-        p, ll, terms, moved = mle._pass(family, x, w, n, p, ll, terms, bounds)
+        p, ll, terms, moved = mle._newton_pass(family, x, w, n, p, ll, terms,
+                                               kernel.derivs(x, w, n, p), bounds)
         fresh = kernel.terms(x, p)
         assert all(np.array_equal(t, f) for t, f in zip(terms, fresh))
         assert np.array_equal(ll, mle._loglik(family, x, w, n, p))
@@ -199,9 +265,10 @@ def test_newton_pass_holds_a_coordinate_at_its_bound():
     p = np.array([[0.5, 0.5], [3.5, 3.5], [0.3, 0.25]])
     bounds = np.stack([mle._bounds_from_data(row) for row in x], axis=1)
     bounds[3] = [0.3, 0.2]
-    terms = mle._KERNELS["AL"].terms(x, p)
-    new, ll, _, moved = mle._newton_pass(x, w, n, p, mle._loglik("AL", x, w, n, p, terms),
-                                         terms, bounds)
+    kernel = mle._KERNELS["AL"]
+    terms = kernel.terms(x, p)
+    new, ll, _, moved = mle._newton_pass("AL", x, w, n, p, mle._loglik("AL", x, w, n, p, terms),
+                                         terms, kernel.derivs(x, w, n, p), bounds)
     assert moved.all() and np.array_equal(new[2], p[2])
     for j in range(2):
         grad = mle.grad_al(x[j], *p[:, j])
@@ -227,7 +294,8 @@ def test_al_step_keeps_half_of_s():
     # From s = 1.5 on draws of scale 0.5 the Newton step in s is about -2.2.
     x, w, n, p, ll, terms = _logistic_problem(-0.2, 0.2, 1.5)
     bounds = mle._bounds_from_data(x[0])[:, None]
-    new, ll_new, _, moved = mle._newton_pass(x, w, n, p, ll, terms, bounds)
+    new, ll_new, _, moved = mle._newton_pass("AL", x, w, n, p, ll, terms,
+                                             mle._al_derivs(x, w, n, p), bounds)
     assert moved[0] and ll_new[0] > ll[0]
     assert new[2, 0] == 0.75
 
@@ -242,7 +310,7 @@ def test_al_step_keeps_half_of_the_width():
     _, gap = mle._edge_gap(x.min(), x.max())
     new, ll_new, terms = p.copy(), ll.copy(), list(terms)
     moved = mle._backtrack("AL", x, w, n, new, ll_new, terms, step, np.full((3, 1), -np.inf),
-                           np.full((3, 1), np.inf), (0, 1), 0.5 * (0.4 + gap))
+                           np.full((3, 1), np.inf), 0.5 * (0.4 + gap), np.zeros(1))
     assert moved[0] and ll_new[0] > ll[0]
     assert new[1, 0] - new[0, 0] == pytest.approx(0.4 - 0.19, rel=1e-12)  # one halving
 

@@ -159,6 +159,15 @@ def test_log_sinh_matches_mpmath_from_subnormal_to_large_z():
     assert sf.log_sinh(1e-12) == pytest.approx(math.log(1e-12), rel=1e-15)
 
 
+def test_csch2_matches_mpmath_from_small_to_large_z():
+    mpmath = pytest.importorskip("mpmath")
+    z = np.concatenate([np.geomspace(1e-10, 20.0, 400), -np.geomspace(1e-10, 20.0, 50)])
+    got = sf.csch2(z)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.csch(mpmath.mpf(float(v))) ** 2) for v in z])
+    assert (np.abs(got - want) / np.spacing(want)).max() <= 4
+
+
 def test_logsumexp_matches_scipy_and_handles_empty_slices():
     rng = np.random.default_rng(5)
     a = rng.normal(scale=300.0, size=(50, 7))
