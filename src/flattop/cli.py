@@ -62,7 +62,11 @@ def _parse_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"grid must be numeric, got {text!r}")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError("grid needs step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    if not (math.isfinite(span) and math.isfinite(step)):  # nan, inf, or too many points
+        raise argparse.ArgumentTypeError(f"grid needs a finite start, stop, step and point count, "
+                                         f"got {text!r}")
+    count = int(math.floor(span + 1e-9)) + 1
     return start + step * np.arange(count)
 
 

@@ -74,10 +74,9 @@ __all__ = [
     "normal_mle_loglik",
 ]
 
-# Step control: a CL coordinate step is _ETA0 per unit gradient over
-# |curvature|; it and the AL/BL block step shrink by _BACKTRACK_FACTOR up to
-# _MAX_BACKTRACKS times until the log-likelihood does not fall.
-_ETA0 = 1.0
+# Step control: a CL coordinate step is the gradient over |curvature|; it and
+# the AL/BL block step shrink by _BACKTRACK_FACTOR up to _MAX_BACKTRACKS times
+# until the log-likelihood does not fall.
 _BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 30
 _EPS = float(np.finfo(float).eps)
@@ -775,7 +774,7 @@ def _fit_cl(rows: np.ndarray, init: MultivariateSpec,
         start = ll
         for block in range(4):
             grad, curv = _cl_block(rows, theta, block)
-            step = _ETA0 / max(abs(curv), 1e-12) * grad
+            step = 1.0 / max(abs(curv), 1e-12) * grad
             if block >= 2:  # one e-fold at most: the curvature can vanish there
                 step = min(max(step, -1.0), 1.0)
             for _ in range(_MAX_BACKTRACKS):

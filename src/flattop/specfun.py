@@ -1,7 +1,6 @@
 """Special functions: the complete Fermi-Dirac integral, polylogarithms at
-negative exponential argument, classical gamma/beta/erf wrappers, the
-stable hyperbolic helpers shared by the distribution code, and Brent's
-bounded minimum search.
+negative exponential argument, classical gamma/beta/erf wrappers, and the
+stable hyperbolic helpers shared by the distribution code.
 
 Conventions
 -----------
@@ -270,99 +269,9 @@ def fermi_dirac_complete(j: float, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Brent's bounded minimum search (Brent, "Algorithms for Minimization
-# without Derivatives", 1973, ch. 5), ported step for step from scipy's
-# bounded minimize_scalar so that every iterate matches
-# ---------------------------------------------------------------------------
-
-_FMIN_XATOL = 1e-10
-_FMIN_MAXFUN = 500
-
-
-def _unit_sign(v: float) -> float:
-    """np.sign(v) + (v == 0): 1 at zero, nan for nan."""
-    return v if v != v else (1.0 if v >= 0.0 else -1.0)
-
-
-def fminbound(f, lo: float, hi: float) -> float:
-    """The minimizer of ``f`` on [lo, hi] by golden-section and parabolic
-    steps, stopping when the bracket around it is within ~_FMIN_XATOL.
-    Raises RuntimeError when _FMIN_MAXFUN evaluations are used up or a
-    value is NaN.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("Optimization bounds must be finite scalars.")
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = float(lo), float(hi)
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = float(f(x))
-    num = 1
-    fu = math.inf
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + _FMIN_XATOL / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _unit_sign(xm - xf)
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-        x = xf + _unit_sign(rat) * max(abs(rat), tol1)
-        fu = float(f(x))
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + _FMIN_XATOL / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _FMIN_MAXFUN:
-            raise RuntimeError("Maximum number of function calls reached.")
-    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
-        raise RuntimeError("NaN result encountered.")
-    return xf
-
-
-# ---------------------------------------------------------------------------
-# Classical special functions: the package's only scipy calls, to
-# scipy.special, imported where called; validated domains
+# Classical special functions: wrappers of scipy.special, imported where
+# called (``univariate`` and ``divergence`` call it themselves); validated
+# domains
 # ---------------------------------------------------------------------------
 
 def erf(x):

@@ -26,12 +26,13 @@ closed-form hooks for the pdf, cdf, quantile, central moments and kurtosis.
 Each public function looks the record up once.  Where a hook is missing, or
 declines the spec's parameters (CF and CH have a closed cdf and quantile
 only at beta = 1), the one numeric default runs: the pdf is exp(log_pdf);
-the mode of an asymmetric family is a bounded maximization; central moments
-are integrated and the kurtosis is their ratio.  The numeric cdf and
-quantile share one table per spec (``_table``, cached): the panels that
-adaptive quadrature settles on for the density over the real line, started
-at the mode, at a and b and at the family's ``breaks`` (the steep CF and CH
-edges), with the cdf at every panel edge.  A point's cdf is the value at its
+the mode of an asymmetric family is the root of its log-density slope, by
+bisection; central moments are integrated and the kurtosis is their ratio.
+The numeric cdf and quantile share one table per spec (``_table``,
+cached): the panels that adaptive quadrature settles on for the density
+over the real line, started at the mode, at a and b and at the family's
+``breaks`` (the shoulders of BL, BD and ALS, the steep CF and CH edges),
+with the cdf at every panel edge.  A point's cdf is the value at its
 panel's left edge plus one 15-point Kronrod rule up to the point, so it
 depends on that point alone; a point beyond the table integrates its own
 tail.  A quantile starts in the panel whose cdf values bracket v and takes
@@ -150,7 +151,8 @@ class _Family:
     where its closed form does not cover the spec's parameters; a moment
     hook returns inf for a divergent moment.  ``check`` sees the parameters
     after ``make`` has derived m and r.  ``breaks`` gives the numeric cdf
-    table break points beyond the mode, a and b.
+    table break points beyond the mode, a and b.  ``slope`` has the sign of
+    d ln p/dx, which an asymmetric family's numeric mode is the root of.
     """
 
     fields: tuple[str, ...]
@@ -167,6 +169,7 @@ class _Family:
     mode: Callable | None = None
     bounded: bool = False
     breaks: Callable | None = None
+    slope: Callable | None = None
 
 
 def _require(cond: bool, message: str) -> None:
@@ -416,6 +419,30 @@ def _pdf_als(spec, x):
     return np.exp(log_ends) * (-spec.c * np.expm1(neg_d))
 
 
+def _log_shoulder_als(w, lam):
+    """ln f(w), f = dF/dw the density of the skewed logistic CDF F(w/2)
+    (see ``_als_terms``): ln[logistic(u) logistic(-u) du/dw]."""
+    g = np.hypot(w, 2.0)
+    u = w + lam * (g - 2.0)
+    return -specfun.softplus(u) - specfun.softplus(-u) + np.log1p(lam * w / g)
+
+
+def _slope_als(spec, x):
+    """ln f(w1) - ln f(w2): p is c [F(w1/2) - F(w2/2)], so d ln p/dx has
+    the sign of f(w1) - f(w2)."""
+    return (_log_shoulder_als((x - spec.a) / spec.s, spec.lam)
+            - _log_shoulder_als((x - spec.b) / spec.s, spec.lam))
+
+
+def _shoulders(a: float, b: float, s: float, t: float) -> list[float]:
+    """Break points 0, 1, 3, 10 and 30 widths s to both sides of a and t to
+    both sides of b: a panel much wider than its edge's width, reaching from
+    the edge deep into a flat top, can miss the whole shoulder with all
+    fifteen of its nodes."""
+    return [edge + j * w for edge, w in ((a, s), (b, t))
+            for j in (0, -1, 1, -3, 3, -10, 10, -30, 30)]
+
+
 @lru_cache(maxsize=512)
 def _bl_mass(a: float, b: float, s: float, t: float) -> tuple[float, np.ndarray]:
     """Integral of the unnormalized BL density, 1/c, and the edges of the
@@ -427,7 +454,7 @@ def _bl_mass(a: float, b: float, s: float, t: float) -> tuple[float, np.ndarray]
 
     with np.errstate(over="ignore"):  # for _expit
         res, _, _, edges, _ = _integrate(integrand, -math.inf, math.inf, _NORM_SETTINGS,
-                                         (a, 0.5 * (a + b), b), True)
+                                         _shoulders(a, b, s, t), True)
     return res.value, edges
 
 
@@ -440,6 +467,13 @@ def _log_pdf_bl(spec, x):
         return (math.log(spec.c)
                 - specfun.softplus((spec.a - x) / spec.s)
                 - specfun.softplus((x - spec.b) / spec.t))
+
+
+def _slope_bl(spec, x):
+    """ln of the ratio of the two terms of d ln p/dx = logistic((a - x)/s)/s
+    - logistic((x - b)/t)/t, formed in log space."""
+    return (specfun.softplus((spec.b - x) / spec.t) - specfun.softplus((x - spec.a) / spec.s)
+            + math.log(spec.t / spec.s))
 
 
 def _bd_exp_term(a: float, b: float, s: float, t: float) -> float:
@@ -482,6 +516,18 @@ def _log_pdf_bd(spec, x):
     return (math.log(spec.c)
             + _log_fd_cdf((x - spec.a) / spec.s)
             + _log_fd_cdf((spec.b - x) / spec.t))
+
+
+def _log_fd_slope(z):
+    """ln of d ln F_D/dz: 0 for z < 0, -z - ln(2 - e^-z) for z >= 0."""
+    zp = np.maximum(z, 0.0)
+    return -zp - np.log(2.0 - np.exp(-zp))
+
+
+def _slope_bd(spec, x):
+    """The BL slope of ``_slope_bl`` with the Laplace sigmoid F_D."""
+    return (_log_fd_slope((x - spec.a) / spec.s) - _log_fd_slope((spec.b - x) / spec.t)
+            + math.log(spec.t / spec.s))
 
 
 def _log_pdf_cc(spec, x):
@@ -567,12 +613,10 @@ def _fd_moment(spec, k: int, beta: float, two_sided: bool) -> float:
 
 
 def _fd_edges(spec) -> list[float]:
-    """Break points 0, 1, 3, 10 and 30 edge widths w = s min(1, (s/r)^(beta-1))
-    / beta to both sides of each edge m -+ r of CF and CH: a panel much
-    wider than w can miss the whole step with all fifteen of its nodes."""
+    """The ``_shoulders`` of the CF and CH edges m -+ r, whose steps are
+    w = s min(1, (s/r)^(beta-1)) / beta wide."""
     w = spec.s * math.exp(min(0.0, (spec.beta - 1.0) * math.log(spec.s / spec.r))) / spec.beta
-    return [spec.m + side * spec.r + j * w
-            for side in (-1.0, 1.0) for j in (0, -1, 1, -3, 3, -10, 10, -30, 30)]
+    return _shoulders(spec.m - spec.r, spec.m + spec.r, w, w)
 
 
 def _log_pdf_cf(spec, x):
@@ -666,12 +710,15 @@ _FAMILY: dict[str, _Family] = {
         symmetric=False, pdf=_pdf_als,
         check=lambda v: _require(-1.0 < v["lam"] < 1.0,
                                  f"ALS: requires lam in (-1, 1), got {v['lam']}"),
-        mode=lambda spec: spec.m if spec.lam == 0.0 else None),
+        mode=lambda spec: spec.m if spec.lam == 0.0 else None,
+        breaks=lambda spec: _shoulders(spec.a, spec.b, spec.s, spec.s), slope=_slope_als),
     # BL and BD are symmetric about m at s = t.
     "BL": _Family(("a", "b", "s", "t"), _normalizer_bl, _log_pdf_bl, symmetric=False,
-                  mode=lambda spec: spec.m if spec.s == spec.t else None),
+                  mode=lambda spec: spec.m if spec.s == spec.t else None,
+                  breaks=lambda spec: _shoulders(spec.a, spec.b, spec.s, spec.t), slope=_slope_bl),
     "BD": _Family(("a", "b", "s", "t"), _normalizer_bd, _log_pdf_bd, symmetric=False,
-                  mode=lambda spec: spec.m if spec.s == spec.t else None),
+                  mode=lambda spec: spec.m if spec.s == spec.t else None,
+                  breaks=lambda spec: _shoulders(spec.a, spec.b, spec.s, spec.t), slope=_slope_bd),
     "CC": _Family(
         ("m", "s", "beta"),
         lambda spec: spec.beta / (2.0 * spec.s * (math.pi / math.sin(math.pi / spec.beta))),
@@ -730,13 +777,23 @@ def _mode_cached(spec: UnivariateSpec) -> float:
     closed = None if rec.mode is None else rec.mode(spec)
     if closed is not None:
         return closed
-    # Asymmetric families: bracketed maximization of log_pdf.
+    # Asymmetric families: bisection on the sign of the slope, which changes
+    # sign once.  BL and BD are log-concave, and the ALS slope is f(w1) -
+    # f(w2) for a unimodal f.  A search on values of ln p stops anywhere on
+    # a top where ln p is flat to rounding; the log-space slope is not flat.
     lo = spec.a - 20.0 * (spec.s + (spec.t or spec.s))
     hi = spec.b + 20.0 * (spec.s + (spec.t or spec.s))
-    try:
-        return specfun.fminbound(lambda x: -log_pdf(spec, x), lo, hi)
-    except RuntimeError as exc:
-        raise ConvergenceError(f"mode search failed for {spec.family}: {exc}") from exc
+    if not rec.slope(spec, lo) > 0.0 > rec.slope(spec, hi):
+        raise ConvergenceError(f"mode search failed for {spec.family}: the slope does not "
+                               f"fall through 0 on [{lo!r}, {hi!r}]")
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:  # until lo and hi are adjacent doubles
+        g = rec.slope(spec, mid)
+        if math.isnan(g):
+            raise ConvergenceError(f"mode search failed for {spec.family}: nan slope at {mid!r}")
+        lo, hi = (mid, hi) if g > 0.0 else (lo, mid) if g < 0.0 else (mid, mid)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def mode(spec: UnivariateSpec) -> float:

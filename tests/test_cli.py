@@ -71,6 +71,17 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("grid", ["0:inf:1", "0:1e300:1e-300", "-inf:0:1", "0:nan:1", "0:1:inf"])
+def test_grid_without_a_finite_point_count_is_a_usage_error(capsys, grid):
+    """An infinite bound or step, or more points than a float can count,
+    used to end in an OverflowError traceback."""
+    code, out, err = _run(capsys, "eval", "--family", "AL", "--params", "a=-1,b=1,s=0.1",
+                          "--grid", grid)
+    assert (code, out) == (2, "")
+    assert f"argument --grid: grid needs a finite start, stop, step and point count, got {grid!r}" in err
+    assert "Traceback" not in err
+
+
 def test_runtime_errors_exit_one(capsys):
     code, _, err = _run(capsys, "eval", "--family", "AL",
                         "--params", "a=1,b=0,s=0.1", "--grid", "0:1:0.5")

@@ -207,31 +207,3 @@ def test_logistic_limits_without_warnings():
         warnings.simplefilter("error")
         out = sf.logistic(np.array([-np.inf, np.inf, -1e300, 1e300, 0.0]))
     assert out.tolist() == [0.0, 1.0, 0.0, 1.0, 0.5]
-
-
-_MIN_CASES = [
-    (lambda x: (x - 0.3) ** 2, -1.0, 2.0),
-    (lambda x: math.cos(x), 0.0, 6.0),
-    (lambda x: abs(x - 0.5) ** 0.5, 0.0, 1.0),
-    (lambda x: -math.exp(-x * x) * x, -3.0, 0.0),
-    (lambda x: x ** 4 - x, -2.0, 2.0),
-]
-
-
-@pytest.mark.parametrize("case", range(len(_MIN_CASES)))
-def test_fminbound_matches_scipy_bit_for_bit(case):
-    from scipy import optimize
-
-    f, lo, hi = _MIN_CASES[case]
-    res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
-    assert sf.fminbound(f, lo, hi) == float(res.x)
-
-
-def test_brent_failures_raise(monkeypatch):
-    with pytest.raises(RuntimeError, match="NaN"):
-        sf.fminbound(lambda x: math.nan, 0.0, 1.0)
-    with pytest.raises(ValueError, match="finite"):
-        sf.fminbound(math.cos, 0.0, math.inf)
-    monkeypatch.setattr(sf, "_FMIN_MAXFUN", 5)
-    with pytest.raises(RuntimeError, match="function calls"):
-        sf.fminbound(math.cos, 0.0, 6.0)

@@ -483,32 +483,128 @@ def test_bl_and_bd_at_equal_scales_have_their_mode_at_m(family, a, b, s):
     assert uv.mode(spec) == spec.m == 0.5 * (a + b)
 
 
-def test_modes_match_scipy_bit_for_bit(monkeypatch):
-    """specfun's bounded Brent minimiser reproduces scipy's iterates: the
-    same modes on every BL, BD, ALS, CF, CH and CE config."""
-    from scipy import optimize
+def _log_slope_terms_mp(family, params, x):
+    """ln of the two terms of d ln p/dx whose difference it is, in mpmath:
+    the mode is where they are equal."""
+    import mpmath as mp
 
-    specs = [uv.make(f, p) for f in ("BL", "BD", "ALS", "CF", "CH", "CE") for p in CONFIG_GRID[f]]
-    ours = [uv._mode_cached.__wrapped__(spec) for spec in specs]
-    monkeypatch.setattr(uv.specfun, "fminbound", lambda f, lo, hi: optimize.minimize_scalar(
-        f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10}).x)
-    numeric_modes = 0
-    for spec, mode in zip(specs, ours):
-        rec = uv._FAMILY[spec.family]
-        numeric_modes += not rec.symmetric and (rec.mode is None or rec.mode(spec) is None)
-        assert mode == uv._mode_cached.__wrapped__(spec), spec
-    assert numeric_modes == 36  # BL, BD at s != t and ALS at lam != 0
+    a, b, s = (mp.mpf(params[k]) for k in "abs")
+    if family == "BL":
+        t = mp.mpf(params["t"])
+        return -mp.log(s * (1 + mp.exp((x - a) / s))), -mp.log(t * (1 + mp.exp((b - x) / t)))
+    if family == "BD":
+        t = mp.mpf(params["t"])
+
+        def log_g(z):  # ln of d ln F_D/dz
+            return mp.mpf(0) if z < 0 else -z - mp.log(2 - mp.exp(-z))
+
+        return log_g((x - a) / s) - mp.log(s), log_g((b - x) / t) - mp.log(t)
+    lam = mp.mpf(params["lam"])
+
+    def log_f(w):  # ln dF/dw, F the skewed logistic CDF in w = (x - edge)/s
+        h = mp.sqrt(w * w + 4)
+        u = w + lam * (h - 2)
+        return -mp.log(mp.exp(u) + 2 + mp.exp(-u)) + mp.log(1 + lam * w / h)
+
+    return log_f((x - a) / s), log_f((x - b) / s)
+
+
+def _slope_root_mp(spec):
+    import mpmath as mp
+
+    params = spec.params()
+    lo = spec.a - 20.0 * (spec.s + (spec.t or spec.s))
+    hi = spec.b + 20.0 * (spec.s + (spec.t or spec.s))
+    with mp.workdps(40):
+        def gap(x):
+            left, right = _log_slope_terms_mp(spec.family, params, x)
+            return left - right
+
+        return float(mp.findroot(gap, (mp.mpf(lo), mp.mpf(hi)), solver="illinois"))
+
+
+ASYMMETRIC = [("BL", {"a": 0.0, "b": 8.0, "s": 0.1, "t": 0.2}),
+              ("BL", {"a": 0.0, "b": 1000.0, "s": 0.1, "t": 0.2})]
+ASYMMETRIC += [(f, p) for f in ("BL", "BD", "ALS") for p in CONFIG_GRID[f]
+               if (p["lam"] != 0.0 if f == "ALS" else p["s"] != p["t"])]
+
+
+def test_modes_are_the_roots_of_the_log_density_slope():
+    """Every numeric mode, of BL and BD at s != t and ALS at lam != 0, is the
+    root of d ln p/dx to 4 ulps.  A bounded minimiser of -ln p stops
+    anywhere on a top flat to rounding: it missed these roots by 4e-11 to
+    3.3e-4 of max(1, |x|)."""
+    pytest.importorskip("mpmath")
+    assert len(ASYMMETRIC) == 2 + 36
+    for family, params in ASYMMETRIC:
+        spec = uv.make(family, params)
+        got, want = uv._mode_cached.__wrapped__(spec), _slope_root_mp(spec)
+        assert abs(got - want) <= 4.0 * math.ulp(max(1.0, abs(want))), (family, params, got, want)
+
+
+def test_wide_bl_top_has_its_mode_at_the_closed_root():
+    """On a top 1000 wide the two terms of d ln p/dx are e^((a - x)/s)/s and
+    e^((x - b)/t)/t to double precision, so its root is (a/s + b/t -
+    ln(s/t)) / (1/s + 1/t) = 333.37954314537, where a bounded minimiser
+    stopped at 984.46.  The flatness report runs there too; its table used
+    to miss the density's mass."""
+    from flattop import flatness
+
+    spec = uv.make("BL", {"a": 0.0, "b": 1000.0, "s": 0.1, "t": 0.2})
+    want = (0.0 / 0.1 + 1000.0 / 0.2 - math.log(0.1 / 0.2)) / (1.0 / 0.1 + 1.0 / 0.2)
+    assert uv.mode(spec) == pytest.approx(want, rel=4e-16, abs=0.0)
+    assert uv.mode(uv.make("BL", {"a": 0.0, "b": 8.0, "s": 0.1, "t": 0.2})) == pytest.approx(
+        2.7128764787040, abs=1e-12)
+    report = flatness.flatness_report(spec)
+    assert report.epsilon_measure < 0.01
 
 
 def test_solver_failures_raise_convergence_error(monkeypatch):
     spec = uv.make("BL", {"a": 0.0, "b": 2.0, "s": 0.1, "t": 0.8})
-    monkeypatch.setattr(uv.specfun, "_FMIN_MAXFUN", 3)
+    nan_slope = dataclasses.replace(uv._FAMILY["BL"], slope=lambda sp, x: math.nan)
+    monkeypatch.setitem(uv._FAMILY, "BL", nan_slope)
     with pytest.raises(uv.ConvergenceError, match="mode search failed"):
+        uv._mode_cached.__wrapped__(spec)
+    # Signs right at the ends, nan between them.
+    ends_only = dataclasses.replace(uv._FAMILY["BL"],
+                                    slope=lambda sp, x: {-18.0: 1.0, 20.0: -1.0}.get(x, math.nan))
+    monkeypatch.setitem(uv._FAMILY, "BL", ends_only)
+    with pytest.raises(uv.ConvergenceError, match="mode search failed for BL: nan slope at 1.0"):
         uv._mode_cached.__wrapped__(spec)
     monkeypatch.undo()
     monkeypatch.setattr(uv, "_NEWTON_STEPS", 1)
     with pytest.raises(uv.ConvergenceError, match="Newton steps did not converge at 2 of 2"):
         uv.quantile(spec, [0.3, 0.6])
+
+
+def _wide_top_specs():
+    """BL, BD and ALS (lam = 0.5) tops 20 to 5000 wide on shoulders 0.05 to
+    0.9 wide: 105 specs."""
+    grid = list(itertools.product((20.0, 60.0, 200.0, 1000.0, 5000.0), (0.05, 0.1, 0.3)))
+    specs = [(f, {"a": 0.0, "b": w, "s": s, "t": t}) for f in ("BL", "BD")
+             for (w, s), t in itertools.product(grid, (0.07, 0.2, 0.9))]
+    return specs + [("ALS", {"a": 0.0, "b": w, "s": s, "lam": 0.5}) for w, s in grid]
+
+
+def test_wide_tops_build_their_table_and_bl_mass():
+    """The shoulder break points put nodes on each shoulder of a wide top:
+    without them a 15-point panel reaching from a or b deep into the top
+    missed the shoulder, 31 of these tables missed their mass by more than
+    1e-10, and the BL mass was up to 8.3e-5 off."""
+    mp = pytest.importorskip("mpmath")
+    specs = _wide_top_specs()
+    assert len(specs) == 105
+    v = np.array([1e-9, 0.3, 0.5, 0.7, 1.0 - 1e-9])
+    for family, params in specs:
+        spec = uv.make(family, params)
+        got = uv.cdf(spec, uv.quantile(spec, v))
+        assert np.all(np.abs(got - v) <= 1e-12 * np.minimum(v, 1.0 - v) + 8.9e-16), (family, params)
+        if family == "BL":
+            a, b, s, t = (mp.mpf(params[k]) for k in "abst")
+            with mp.workdps(20):
+                want = mp.quad(lambda x: 1 / ((1 + mp.exp((a - x) / s)) * (1 + mp.exp((x - b) / t))),
+                               sorted([-mp.inf, a - 40 * s, a, a + 40 * s, b - 40 * t, b, b + 40 * t, mp.inf]))
+            assert uv._bl_mass(*(params[k] for k in "abst"))[0] == pytest.approx(float(want), rel=1e-12)
 
 
 def test_quantile_domain_check():
