@@ -53,6 +53,7 @@ eigenvalue floors of every lane as stacked arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -92,13 +93,19 @@ class MixtureSettings:
 
     Convergence is declared after ``stall_cycles`` consecutive cycles with
     relative log-likelihood change below ``rel_tol``, or else the fit stops
-    after ``max_cycles``.  ``n_init`` applies to the GMM, whose covariances
-    are floored at ``_COV_FLOOR`` times the largest data variance.  Each GEM
-    M-step is one pass of ``mle`` per family, with its fixed step control.
-    With ``bl_upgrade``, the first stall of a GEM fit swaps BL in for the AL
-    components that are flat-topped by the closed-form bound (below
-    ``flatness.FLAT_REGIME_BOUND``) and the cycles go on.  It applies to
-    1-d data only: on 2-d data it does nothing.
+    after ``max_cycles``.  A ``rel_tol`` of -inf never stalls, so the fit
+    runs all ``max_cycles``.  ``n_init`` applies to the GMM, whose
+    covariances are floored at ``_COV_FLOOR`` times the largest data
+    variance.  ``max_cycles``, ``stall_cycles`` and ``n_init`` must be
+    positive integers and ``rel_tol`` not NaN (``ValueError``).
+
+    Each GEM M-step is one pass of ``mle`` per family, with its fixed step
+    control and its stop rule: a factor whose Newton step predicts a gain
+    within the rounding error of its log-likelihood is held and runs no
+    trial.  With ``bl_upgrade``, the first stall of a GEM fit swaps BL in
+    for the AL components that are flat-topped by the closed-form bound
+    (below ``flatness.FLAT_REGIME_BOUND``) and the cycles go on.  It
+    applies to 1-d data only: on 2-d data it does nothing.
     """
 
     max_cycles: int = 300
@@ -106,6 +113,12 @@ class MixtureSettings:
     stall_cycles: int = 3
     n_init: int = 4
     bl_upgrade: bool = False
+
+    def __post_init__(self) -> None:
+        counts = (self.max_cycles, self.stall_cycles, self.n_init)
+        if math.isnan(self.rel_tol) or not all(isinstance(c, numbers.Integral) and c >= 1
+                                               for c in counts):
+            raise ValueError(f"invalid {self}: counts must be integers >= 1, rel_tol not NaN")
 
 
 @dataclass
@@ -418,8 +431,7 @@ def gmm_fit(
         raise ValueError("covariance_type must be 'full' or 'diag'")
     floor = max(_COV_FLOOR * float(np.max(np.var(rows, axis=0))), 1e-300)
     cov_type = covariance_type if rows.shape[1] > 1 else None
-    start = _gmm_start(rows, k, max(1, settings.n_init), np.random.default_rng(seed), cov_type,
-                       floor)
+    start = _gmm_start(rows, k, settings.n_init, np.random.default_rng(seed), cov_type, floor)
     return _em(start, rows, settings, lambda lanes, resp: _gmm_m_step(rows, resp, cov_type, floor))
 
 
@@ -590,7 +602,7 @@ def _gem_m_step(state: _Flat, resp: np.ndarray, bounds: np.ndarray) -> _Flat:
         x, p, terms = c.x[j], c.p[:, j], (c.const[j], c.edges[j])
         w = np.ascontiguousarray(resp.T[c.idx[j] // state.dim])
         n = w.sum(axis=1)
-        p, _, terms, _ = mle._newton_pass(
+        p, _, terms, *_ = mle._newton_pass(
             family, x, w, n, p, mle._loglik(family, x, w, n, p, terms), terms,
             mle._KERNELS[family].derivs(x, w, n, p), bounds[:, c.idx[j] % state.dim])
         c.p[:, j] = p

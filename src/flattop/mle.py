@@ -13,12 +13,10 @@ The flat-regime partials of the paper stay public as ``grad_bl_flat``.
 
 One pass of either family is one projected modified-Newton step on the
 whole block (Nocedal & Wright, *Numerical Optimization*, 3.4): a
-coordinate at its bound with the gradient pointing out is held, the
+coordinate at its bound with the gradient pointing out is pinned, the
 Hessian's eigenvalues are taken in absolute value, the step shrinks b - a
 and each scale by at most half, and it is halved until the log-likelihood
-does not decrease.  So every accepted step is an ascent step, except one
-whose predicted gain is below the rounding error of the log-likelihood:
-it is tried once and may lose up to that error.
+does not decrease, so every accepted step is an ascent step.
 
 The pass runs on J independent weighted problems at once, backtracking
 each by mask: ``fit`` is its J = 1 case with unit (or dataset) weights,
@@ -35,15 +33,22 @@ The elliptical cosh-ratio family (CL) runs one coordinate pass over the
 blocks m, Lambda = Sigma^-1, log R (R = r^n) and log t, each stepped by its
 analytic gradient/|curvature| and backtracked.  R and t move on a log
 scale, at most one e-fold per step, so no step throws R near 0, where the
-likelihood is flat in R.  A CL fit stops when a pass does not strictly
-raise the log-likelihood.  Every fit is ``converged`` when its largest
-gradient entry per point, in natural coordinates (R and t for CL), is
-below ``grad_tol``.
+likelihood is flat in R.
+
+Every fit stops by one rule: it is ``converged`` when the gain its next
+step predicts, g.step / 2 (for the Newton step, half the squared Newton
+decrement; Boyd & Vandenberghe, *Convex Optimization*, 9.5.1), is no
+larger than the rounding error of its log-likelihood (``_rounding_error``).
+There a trial would compare rounding errors, so a problem held by that
+rule gets none.  A CL pass predicts the sum of its four block steps'
+gains.  A fit also stops after a pass without progress, or after
+``max_iters`` passes, and is then not converged.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -82,27 +87,37 @@ _MAX_BACKTRACKS = 30
 _EPS = float(np.finfo(float).eps)
 
 
+def _rounding_error(n, const, ll):
+    """The rounding error of a log-likelihood ``ll`` = n const + sum_i v_i
+    whose per-point terms v_i all have one sign: 4 eps times the sum of the
+    terms' magnitudes, |n const| + (n const - ll).  AL and BL subtract
+    edges >= 0 and CL adds ln sinh-ratios <= 0, so it serves every family."""
+    return 4.0 * _EPS * (np.abs(n * const) + (n * const - ll))
+
+
 @dataclass(frozen=True)
 class FitSettings:
-    """Iteration budget and convergence tolerance."""
+    """Iteration budget: a fit stops after ``max_iters`` passes if the
+    stop rule of the module docstring has not stopped it before."""
 
     max_iters: int = 500
-    grad_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1 or self.grad_tol <= 0:
-            raise ValueError("max_iters, grad_tol must be positive")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
 
 
 @dataclass
 class FitReport:
     """Optimization trace of every fit (``fit``, ``mixture.gmm_fit`` and
-    ``mixture.ftm_fit``); the trace never decreases beyond 1e-9 slack.
+    ``mixture.ftm_fit``).  A ``fit`` trace never decreases; a mixture
+    trace never decreases beyond 1e-9 slack.
 
     ``iterations`` counts fit passes or EM cycles, and AIC and BIC
     come from the last log-likelihood of the trace and ``free_params``.
-    ``grad_norm`` (largest gradient entry per point) is NaN for mixtures,
-    and ``final_params`` is empty for them.
+    ``grad_norm``, the largest gradient entry per point at the final
+    parameters, is a diagnostic only (no stop rule reads it); it is NaN for
+    mixtures, and ``final_params`` is empty for them.
     """
 
     converged: bool
@@ -416,12 +431,17 @@ def _cl_points(rows: np.ndarray, m: np.ndarray, lam: np.ndarray, t: float):
     return d, q, t * q ** (rows.shape[1] / 2.0)
 
 
+def _cl_const(n_dim: int, big_r, lam) -> float:
+    """The per-point constant of the CL log-density, ln of Gamma(n/2 + 1)
+    |Lambda|^(1/2) / (pi^(n/2) R)."""
+    return (math.lgamma(n_dim / 2.0 + 1.0) - (n_dim / 2.0) * math.log(math.pi)
+            - math.log(big_r) + 0.5 * float(np.linalg.slogdet(lam)[1]))
+
+
 def _loglik_cl_raw(rows, m, lam, big_r, t) -> float:
     count, n_dim = rows.shape
     _, _, u = _cl_points(rows, m, lam, t)
-    const = (math.lgamma(n_dim / 2.0 + 1.0) - (n_dim / 2.0) * math.log(math.pi)
-             - math.log(big_r) + 0.5 * float(np.linalg.slogdet(lam)[1]))
-    return count * const + float(np.sum(log_sinh_ratio(u, big_r * t)))
+    return count * _cl_const(n_dim, big_r, lam) + float(np.sum(log_sinh_ratio(u, big_r * t)))
 
 
 def loglik_cl(data, spec: MultivariateSpec) -> float:
@@ -584,25 +604,19 @@ def _edge_gap(lo, hi):
     return eps, np.maximum(eps, _ulps(lo, hi, 4.0))
 
 
-def _backtrack(family, x, w, n, p, ll, terms, step, low, high, least_width,
-               rounding) -> np.ndarray:
+def _backtrack(family, x, w, n, p, ll, terms, step, low, high, least_width) -> None:
     """Take the (P, J) ``step`` from ``p``, clipped to [low, high], halving
     it per problem, by mask, until that problem's log-likelihood does not
     decrease; a candidate whose b - a is below ``least_width`` (J,) is
-    halved without a trial.  A problem whose ``rounding`` (J,) is above 0
-    gets one candidate, taken unless the log-likelihood falls by more than
-    that.  A trial recomputes the kernel's terms.  Updates ``p``,
-    ``ll`` and the ``terms`` list in place and returns the mask of problems
-    that took a step without a fall."""
+    halved without a trial, and a problem whose step is 0 gets none.  A
+    trial recomputes the kernel's terms.  Updates ``p``, ``ll`` and the
+    ``terms`` list in place."""
     kernel = _KERNELS[family]
-    moved = np.zeros(p.shape[1], dtype=bool)
     live = np.ones(p.shape[1], dtype=bool)
     tried = np.full_like(p, np.nan)
-    tries = np.where(rounding > 0.0, 1, _MAX_BACKTRACKS)
-    for attempt in range(_MAX_BACKTRACKS):
+    for _ in range(_MAX_BACKTRACKS):
         cand = np.minimum(np.maximum(p + step, low), high)
-        # Clip or underflow (no movement possible), or no tries left.
-        live &= (cand != p).any(axis=0) & (attempt < tries)
+        live &= (cand != p).any(axis=0)  # clip or underflow: no movement possible
         if not live.any():
             break
         # A clipped step can repeat the candidate just rejected: skip it.
@@ -616,16 +630,13 @@ def _backtrack(family, x, w, n, p, ll, terms, step, low, high, least_width,
         trial = cand[:, sub]
         trial_terms = kernel.terms(x[sub], trial)
         ll_new = _loglik(family, x[sub], w[sub], n[sub], trial, trial_terms)
-        kept = ll_new >= ll[idx]
-        up = ll_new >= ll[idx] - rounding[idx]
+        up = ll_new >= ll[idx]
         done = idx[up]
         p[:, done] = trial[:, up]
         ll[done] = ll_new[up]
         for old, new in zip(terms, trial_terms):
             old[done] = new[up]
-        moved[done] = kept[up]
         live[done] = False
-    return moved
 
 
 def _newton_pass(family, x, w, n, p, ll, terms, derivs, bounds):
@@ -637,7 +648,7 @@ def _newton_pass(family, x, w, n, p, ll, terms, derivs, bounds):
     at ``p``, ``derivs`` its (gradient, Hessian) at ``p`` and
     ``bounds`` the (4, J) rows of ``_bounds_from_data``.  A coordinate at
     its bound (or beyond it, where a start put it) with the gradient
-    pointing out is held: its gradient entry is zeroed and its Hessian row
+    pointing out is pinned: its gradient entry is zeroed and its Hessian row
     and column become those of -I.  The step is V |L|^-1 V^T g for the
     eigenpairs (L, V) of the Hessian, with |L| floored at 1e-12 of its
     largest entry.  ``_backtrack`` halves it.  A candidate keeps at least
@@ -646,9 +657,11 @@ def _newton_pass(family, x, w, n, p, ll, terms, derivs, bounds):
     rule a bell-shaped fit can collapse a onto b, the logistic limit, which
     is stationary by symmetry.  Scaling the whole step instead stalls a fit
     whose b - a is already near 0, where a shift of the location alone
-    would take it all.  Returns the new parameters, log-likelihoods and
-    terms (each equal to the kernel's at the new parameters) and the mask
-    of problems that took a step without a fall.
+    would take it all.  A problem whose predicted gain g.step / 2 is
+    within ``_rounding_error`` is held: it gets no trial.  Returns the new
+    parameters, log-likelihoods and terms (each equal to the kernel's at the
+    new parameters), the mask of problems that took a step and the mask of
+    those held.
     """
     lo, hi, s_min, s_max = bounds
     eps, gap = _edge_gap(lo, hi)
@@ -659,51 +672,38 @@ def _newton_pass(family, x, w, n, p, ll, terms, derivs, bounds):
                                 np.maximum(s_min, 0.5 * scales)]), p)
     high = np.maximum(np.vstack([np.full_like(hi, np.inf), hi - eps,
                                  np.broadcast_to(s_max, scales.shape)]), p)
-    held = (((p <= low) & (grad.T < 0.0)) | ((p >= high) & (grad.T > 0.0))).T
-    grad = np.where(held, 0.0, grad)
-    hess = np.where(held[:, :, None] | held[:, None, :], -np.eye(len(p)) * held[:, :, None],
+    pinned = (((p <= low) & (grad.T < 0.0)) | ((p >= high) & (grad.T > 0.0))).T
+    grad = np.where(pinned, 0.0, grad)
+    hess = np.where(pinned[:, :, None] | pinned[:, None, :], -np.eye(len(p)) * pinned[:, :, None],
                     hess)
     vals, vecs = np.linalg.eigh(hess)
     mag = np.abs(vals)
     mag = np.maximum(mag, np.maximum(1e-12 * mag.max(axis=1, keepdims=True), 1e-300))
     step = (vecs @ ((np.swapaxes(vecs, 1, 2) @ grad[:, :, None]) / mag[:, :, None]))[:, :, 0].T
     least_width = np.minimum(p[1] - p[0], 0.5 * (p[1] - p[0] + gap))
-    # A step whose predicted gain g.step / 2 is below the rounding error of
-    # the log-likelihood (eps times the sum of its terms' magnitudes) is
-    # tried once, and taken unless the log-likelihood falls by more than
-    # that: there a trial compares rounding errors, so whether the full step
-    # or one of its halvings passes is chance, and halving on to underflow
-    # costs up to _MAX_BACKTRACKS trials a pass.
-    rounding = _EPS * (np.abs(n * terms[0]) + (n * terms[0] - ll))
-    rounding = np.where(0.5 * np.einsum("ji,ij->j", grad, step) <= rounding, rounding, 0.0)
-    p, ll, terms = p.copy(), ll.copy(), [t.copy() for t in terms]
-    moved = _backtrack(family, x, w, n, p, ll, terms, step, low, high, least_width, rounding)
-    return p, ll, tuple(terms), moved
+    held = 0.5 * np.einsum("ji,ij->j", grad, step) <= _rounding_error(n, terms[0], ll)
+    step[:, held] = 0.0
+    new, ll, terms = p.copy(), ll.copy(), [t.copy() for t in terms]
+    _backtrack(family, x, w, n, new, ll, terms, step, low, high, least_width)
+    return new, ll, tuple(terms), (new != p).any(axis=0), held
 
 
 def _ascend(one_pass, state, ll: float, settings: FitSettings, k: int, count: int):
     """The outer loop of every fit.  ``one_pass(state)`` returns the new
-    state, its log-likelihood, the gradient norm per point and whether the
-    pass made progress.  Stops when the gradient norm is below ``grad_tol``
-    (converged), after a pass without progress, or after ``max_iters``
-    passes.  Returns the last state and its FitReport for ``k`` free
-    parameters and ``count`` points; the caller fills in ``final_params``."""
+    state, its log-likelihood, whether the pass was held by the stop rule
+    and whether it made progress.  Stops after a held pass (converged), a
+    pass without progress, or ``max_iters`` passes.  Returns the last state
+    and its FitReport for ``k`` free parameters and ``count`` points; the
+    caller fills in ``final_params`` and ``grad_norm``."""
     trace = [ll]
-    converged = False
-    grad_norm = math.inf
-    iters = 0
-    for iters in range(1, settings.max_iters + 1):
-        state, ll, grad_norm, progressed = one_pass(state)
+    for iters in range(1, settings.max_iters + 1):  # max_iters >= 1
+        state, ll, converged, progressed = one_pass(state)
         trace.append(ll)
-        if grad_norm < settings.grad_tol:
-            converged = True
-            break
-        if not progressed:
+        if converged or not progressed:
             break
     aic, bic = _aic_bic(k, ll, count)
-    return state, FitReport(converged=converged, iterations=iters, loglik_trace=trace,
-                            final_params={}, grad_norm=grad_norm, aic=aic, bic=bic,
-                            free_params=k)
+    return state, FitReport(converged, iters, trace, final_params={}, grad_norm=math.nan,
+                            aic=aic, bic=bic, free_params=k)
 
 
 def _aic_bic(k: int, ll: float, count: int) -> tuple[float, float]:
@@ -715,9 +715,8 @@ def _aic_bic(k: int, ll: float, count: int) -> tuple[float, float]:
 def _fit_univariate(x: np.ndarray, init: uv.UnivariateSpec, settings: FitSettings,
                     weights=None) -> tuple[uv.UnivariateSpec, FitReport]:
     """AL or BL fit: passes of ``_newton_pass`` on the single problem
-    (J = 1); a pass makes progress when it takes a step without a fall.  The
-    derivatives at each new iterate serve both the stop rule and the next
-    pass."""
+    (J = 1); a pass makes progress when it takes a step.  The derivatives
+    at each new iterate serve the next pass."""
     kernel = _KERNELS[init.family]
     bounds = _bounds_from_data(x)
     lo, hi, s_min = bounds[:3]
@@ -731,19 +730,20 @@ def _fit_univariate(x: np.ndarray, init: uv.UnivariateSpec, settings: FitSetting
     x1, w1, n = _one(x, weights)
 
     def one_pass(state):
-        p, ll, terms, moved = _newton_pass(init.family, x1, w1, n, *state, bounds[:, None])
-        derivs = kernel.derivs(x1, w1, n, p)
-        grad_norm = float(np.max(np.abs(derivs[0]))) / float(n[0])
-        return (p, ll, terms, derivs), float(ll[0]), grad_norm, bool(moved[0])
+        p, ll, terms, moved, held = _newton_pass(init.family, x1, w1, n, *state,
+                                                 bounds[:, None])
+        derivs = kernel.derivs(x1, w1, n, p) if moved[0] else state[3]
+        return (p, ll, terms, derivs), float(ll[0]), bool(held[0]), bool(moved[0])
 
     p = _params(*(getattr(init, name) for name in kernel.names))
     terms = kernel.terms(x1, p)
     ll = _loglik(init.family, x1, w1, n, p, terms)
     state = (p, ll, terms, kernel.derivs(x1, w1, n, p))
-    (p, *_), report = _ascend(one_pass, state, float(ll[0]), settings, len(kernel.names),
-                              x.size)
+    (p, _, _, (grad, _)), report = _ascend(one_pass, state, float(ll[0]), settings,
+                                           len(kernel.names), x.size)
     spec = uv.make(init.family, dict(zip(kernel.names, p[:, 0])))
     report.final_params = spec.params()
+    report.grad_norm = float(np.max(np.abs(grad))) / float(n[0])
     return spec, report
 
 
@@ -757,7 +757,9 @@ def _project_pd(mat: np.ndarray, floor: float = 1e-10) -> np.ndarray:
 def _fit_cl(rows: np.ndarray, init: MultivariateSpec,
             settings: FitSettings) -> tuple[MultivariateSpec, FitReport]:
     """CL fit by block passes (see the module docstring); a pass makes
-    progress when it strictly raises the log-likelihood."""
+    progress when it strictly raises the log-likelihood, and it is held
+    when its four blocks predict a gain sum_k |g_k|^2 / 2|curv_k| within
+    the rounding error of the log-likelihood at its start."""
     count, n_dim = rows.shape
 
     def loglik(theta):
@@ -771,10 +773,13 @@ def _fit_cl(rows: np.ndarray, init: MultivariateSpec,
 
     def one_pass(state):
         theta, ll = state
-        start = ll
+        start, gain = ll, 0.0
+        rounding = _rounding_error(count, _cl_const(n_dim, math.exp(theta[2]), theta[1]), ll)
         for block in range(4):
             grad, curv = _cl_block(rows, theta, block)
-            step = 1.0 / max(abs(curv), 1e-12) * grad
+            curv = max(abs(curv), 1e-12)
+            gain += 0.5 * float(np.sum(np.square(grad))) / curv
+            step = 1.0 / curv * grad
             if block >= 2:  # one e-fold at most: the curvature can vanish there
                 step = min(max(step, -1.0), 1.0)
             for _ in range(_MAX_BACKTRACKS):
@@ -785,9 +790,9 @@ def _fit_cl(rows: np.ndarray, init: MultivariateSpec,
                     theta, ll = cand, ll_new
                     break
                 step = step * _BACKTRACK_FACTOR
-        grads = _grad_cl_raw(rows, theta[0], theta[1], math.exp(theta[2]), math.exp(theta[3]))
-        grad_norm = max(float(np.max(np.abs(g))) for g in grads) / count
-        return (theta, ll), ll, grad_norm, ll > start
+        # A start where the log-likelihood is -inf (outside the log blocks'
+        # range) has no finite rounding error: it is never held.
+        return (theta, ll), ll, bool(gain <= rounding < math.inf), ll > start
 
     theta = [init.m.copy(), np.linalg.inv(init.sigma), n_dim * math.log(init.r),
              math.log(init.t)]
@@ -797,6 +802,8 @@ def _fit_cl(rows: np.ndarray, init: MultivariateSpec,
     sigma = np.linalg.inv(lam)
     spec = make_mv("CL", m, r=math.exp(log_r / n_dim), t=math.exp(log_t), sigma=sigma)
     report.final_params = {"m": m.tolist(), "Sigma": sigma.tolist(), "r": spec.r, "t": spec.t}
+    grads = _grad_cl_raw(rows, m, lam, math.exp(log_r), math.exp(log_t))
+    report.grad_norm = max(float(np.max(np.abs(g))) for g in grads) / count
     report.free_params_unconstrained = k + 1
     return spec, report
 

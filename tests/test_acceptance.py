@@ -356,7 +356,7 @@ def test_criterion_6_gem_behavior():
     tight = mx.MixtureSettings(max_cycles=2000, rel_tol=1e-12, stall_cycles=5)
     _, gem_report = mx.ftm_fit(ds.x, mx.ftm_from_gmm(base), tight)
     _, mle_report = mle.fit(ds, mle.init_al_from_normal_fit(ds),
-                            mle.FitSettings(max_iters=2000, grad_tol=1e-10))
+                            mle.FitSettings(max_iters=2000))
     gap = abs(gem_report.loglik_trace[-1] - mle_report.loglik_trace[-1])
     assert gap < 1e-8
 

@@ -52,6 +52,17 @@ def test_gmm_rejects_tiny_samples_and_bad_k():
         mx.gmm_fit(np.arange(10.0), 0, seed=0)
 
 
+@pytest.mark.parametrize("bad", [{"max_cycles": 0}, {"max_cycles": -3}, {"n_init": 0},
+                                 {"stall_cycles": 0}, {"max_cycles": 2.5},
+                                 {"rel_tol": math.nan}])
+def test_mixture_settings_reject_invalid_values(bad):
+    # max_cycles=-3 once returned a 0-cycle fit, rel_tol=nan never stalled
+    # and n_init=0 was run as one restart.
+    with pytest.raises(ValueError, match="invalid MixtureSettings"):
+        mx.MixtureSettings(**bad)
+    assert mx.MixtureSettings(rel_tol=-math.inf).rel_tol == -math.inf  # never stalls
+
+
 def test_gmm_2d_free_parameter_counts():
     rng = np.random.default_rng(3)
     rows = rng.normal(size=(200, 2))
@@ -211,7 +222,7 @@ def test_ftm_k1_equals_direct_mle():
     settings = mx.MixtureSettings(max_cycles=2000, rel_tol=1e-12, stall_cycles=5)
     _, gem_report = mx.ftm_fit(ds.x, mx.ftm_from_gmm(base), settings)
     _, mle_report = mle.fit(ds, mle.init_al_from_normal_fit(ds),
-                            mle.FitSettings(max_iters=2000, grad_tol=1e-10))
+                            mle.FitSettings(max_iters=2000))
     assert abs(gem_report.loglik_trace[-1] - mle_report.loglik_trace[-1]) < 1e-8
 
 
@@ -232,9 +243,10 @@ def test_bl_upgrade_improves_skewed_fit():
 def test_gem_computes_each_bl_normalizer_once(monkeypatch):
     # The E-step scores from the cached constant, the M-step starts from it,
     # and a backtrack that clips to the candidate just rejected skips it.
+    # Two components and a tight rel_tol give the BL phase enough trials.
     rng = np.random.default_rng(11)
     x = np.concatenate([rng.uniform(0, 10, 400), 10.0 + rng.exponential(1.0, 120)])
-    base, _ = mx.gmm_fit(x, 1, seed=12)
+    base, _ = mx.gmm_fit(x, 2, seed=12)
     kernel = mle._KERNELS["BL"]
     seen = []
 
@@ -243,18 +255,19 @@ def test_gem_computes_each_bl_normalizer_once(monkeypatch):
         return kernel.const(p)
 
     monkeypatch.setitem(mle._KERNELS, "BL", kernel._replace(const=recording_const))
-    _, report = mx.ftm_fit(x, mx.ftm_from_gmm(base), mx.MixtureSettings(bl_upgrade=True))
+    _, report = mx.ftm_fit(x, mx.ftm_from_gmm(base),
+                           mx.MixtureSettings(rel_tol=1e-12, bl_upgrade=True))
     assert report.iterations > 10 and len(seen) > 10
     assert len(set(seen)) == len(seen)
 
 
-def test_gem_tries_a_step_below_rounding_once(monkeypatch):
+def test_gem_held_factor_runs_no_trial(monkeypatch):
     # Within ten cycles the y factor of this one-component fit reaches a
     # maximum where every Newton step predicts a gain below the rounding
-    # error of the log-likelihood, and a strict test rejected each trial
-    # there: halving on to underflow took ~23 trials a cycle.  (The x factor
-    # sits at a corner of its box, where every coordinate is held and no
-    # trial runs.)
+    # error of the log-likelihood: it is held and runs no trial, where a
+    # strict test of each trial once took ~23 trials a cycle, halving on to
+    # underflow.  (The x factor sits at a corner of its box, where every
+    # coordinate is pinned and no trial runs.)
     rows = gen_segments_2d(default_segments_scenario(9002)).rows
     settings = mx.MixtureSettings(max_cycles=25, rel_tol=-math.inf)
     base, _ = mx.gmm_fit(rows, 1, seed=11, settings=settings, covariance_type="diag")
@@ -277,7 +290,7 @@ def test_gem_tries_a_step_below_rounding_once(monkeypatch):
     monkeypatch.setattr(mx, "_gem_m_step", counting_m_step)
     _, report = mx.ftm_fit(rows, mx.ftm_from_gmm(base), settings)
     assert report.iterations == 25
-    assert per_cycle[10:] == [1] * 15
+    assert per_cycle[10:] == [0] * 15
     assert np.all(np.diff(report.loglik_trace) >= -1e-9)
 
 
@@ -476,7 +489,8 @@ def _ref_box(x):
 def _ref_pass(x, w, spec):
     """One projected modified-Newton step on one component and axis, built
     from the public AL gradient and Hessian or the BL kernel's derivatives,
-    and halved until the log-likelihood does not fall."""
+    and halved until the log-likelihood does not fall; none if its
+    predicted gain is within the rounding error of the log-likelihood."""
     lo, hi, eps, s_min, s_max = _ref_box(x)
     gap = max(eps, 4.0 * float(np.spacing(max(abs(lo), abs(hi)))))
     names = mle._KERNELS[spec.family].names
@@ -508,20 +522,18 @@ def _ref_pass(x, w, spec):
     width = theta[1] - theta[0]
     least_width = min(width, 0.5 * (width + gap))
     ll, tried = loglik(x, *theta, w), None
-    # A step whose predicted gain is below the rounding error of the
-    # log-likelihood, eps times the sum of the terms' magnitudes |N ln c| +
-    # (N ln c - ll) for the constant c of the density, is tried once and
-    # taken unless the log-likelihood falls by more than that.
+    # The rounding error of the log-likelihood is 4 eps times the sum of
+    # its terms' magnitudes, |N ln c| + (N ln c - ll) for the constant c of
+    # the density.
     n_const = float(w.sum()) * log_c
-    rounding = np.finfo(float).eps * (abs(n_const) + (n_const - ll))
-    slack = rounding if 0.5 * (grad @ step) <= rounding else 0.0
-    for _ in range(1 if slack else mle._MAX_BACKTRACKS):
+    if 0.5 * (grad @ step) <= 4.0 * np.finfo(float).eps * (abs(n_const) + (n_const - ll)):
+        return spec
+    for _ in range(mle._MAX_BACKTRACKS):
         cand = np.minimum(np.maximum(theta + step, low), high)
         if np.array_equal(cand, theta):
             break
         fresh = tried is None or not np.array_equal(cand, tried)
-        if (fresh and cand[1] - cand[0] >= least_width
-                and loglik(x, *cand, w) >= ll - slack):
+        if fresh and cand[1] - cand[0] >= least_width and loglik(x, *cand, w) >= ll:
             return uv.make(spec.family, dict(zip(names, cand)))
         tried = cand
         step = step * mle._BACKTRACK_FACTOR

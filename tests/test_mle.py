@@ -245,12 +245,13 @@ def test_newton_pass_returns_the_terms_at_its_parameters(family, p):
     ll = mle._loglik(family, x, w, n, p, terms)
     for _ in range(3):
         start = p
-        p, ll, terms, moved = mle._newton_pass(family, x, w, n, p, ll, terms,
-                                               kernel.derivs(x, w, n, p), bounds)
+        p, ll, terms, moved, held = mle._newton_pass(family, x, w, n, p, ll, terms,
+                                                     kernel.derivs(x, w, n, p), bounds)
         fresh = kernel.terms(x, p)
         assert all(np.array_equal(t, f) for t, f in zip(terms, fresh))
         assert np.array_equal(ll, mle._loglik(family, x, w, n, p))
         assert moved[0] and not moved[1]
+        assert held[1] and not held[0]  # zero weight: no gain to predict
         assert np.array_equal(p[:, 1], start[:, 1])
 
 
@@ -267,8 +268,9 @@ def test_newton_pass_holds_a_coordinate_at_its_bound():
     bounds[3] = [0.3, 0.2]
     kernel = mle._KERNELS["AL"]
     terms = kernel.terms(x, p)
-    new, ll, _, moved = mle._newton_pass("AL", x, w, n, p, mle._loglik("AL", x, w, n, p, terms),
-                                         terms, kernel.derivs(x, w, n, p), bounds)
+    new, ll, _, moved, _ = mle._newton_pass("AL", x, w, n, p,
+                                            mle._loglik("AL", x, w, n, p, terms), terms,
+                                            kernel.derivs(x, w, n, p), bounds)
     assert moved.all() and np.array_equal(new[2], p[2])
     for j in range(2):
         grad = mle.grad_al(x[j], *p[:, j])
@@ -294,8 +296,8 @@ def test_al_step_keeps_half_of_s():
     # From s = 1.5 on draws of scale 0.5 the Newton step in s is about -2.2.
     x, w, n, p, ll, terms = _logistic_problem(-0.2, 0.2, 1.5)
     bounds = mle._bounds_from_data(x[0])[:, None]
-    new, ll_new, _, moved = mle._newton_pass("AL", x, w, n, p, ll, terms,
-                                             mle._al_derivs(x, w, n, p), bounds)
+    new, ll_new, _, moved, _ = mle._newton_pass("AL", x, w, n, p, ll, terms,
+                                                mle._al_derivs(x, w, n, p), bounds)
     assert moved[0] and ll_new[0] > ll[0]
     assert new[2, 0] == 0.75
 
@@ -309,9 +311,9 @@ def test_al_step_keeps_half_of_the_width():
     assert mle.loglik_al(x[0], *(p + step)[:, 0]) > ll[0]
     _, gap = mle._edge_gap(x.min(), x.max())
     new, ll_new, terms = p.copy(), ll.copy(), list(terms)
-    moved = mle._backtrack("AL", x, w, n, new, ll_new, terms, step, np.full((3, 1), -np.inf),
-                           np.full((3, 1), np.inf), 0.5 * (0.4 + gap), np.zeros(1))
-    assert moved[0] and ll_new[0] > ll[0]
+    mle._backtrack("AL", x, w, n, new, ll_new, terms, step, np.full((3, 1), -np.inf),
+                   np.full((3, 1), np.inf), 0.5 * (0.4 + gap))
+    assert ll_new[0] > ll[0]
     assert new[1, 0] - new[0, 0] == pytest.approx(0.4 - 0.19, rel=1e-12)  # one halving
 
 
@@ -458,6 +460,27 @@ def test_mixed_sample_pipeline_monotone_and_beats_normal():
     assert rep_bl.loglik_trace[-1] >= trace[-1] - 1e-9
 
 
+@pytest.mark.parametrize("bad", [0, -1, 2.5, "3"])
+def test_fit_settings_reject_a_budget_that_is_not_a_positive_integer(bad):
+    with pytest.raises(ValueError, match="max_iters"):
+        mle.FitSettings(max_iters=bad)
+
+
+def test_fit_settings_have_no_gradient_tolerance():
+    with pytest.raises(TypeError):
+        mle.FitSettings(grad_tol=1e-10)
+
+
+def test_cl_fit_of_gaussian_data_converges():
+    # The CL optimum of normal data lies at R -> 0, where the R entry of
+    # the gradient, g_logR / R, grows as R shrinks: a gradient tolerance in
+    # natural coordinates stopped this fit after 34 passes, unconverged.
+    rows = np.random.default_rng(5).standard_normal((300, 2))
+    _, report = mle.fit(rows, mle.init_cl_from_data(rows))
+    assert report.converged and report.iterations < 50
+    assert np.all(np.diff(report.loglik_trace) >= 0.0)
+
+
 def test_fit_report_information_criteria():
     rng = np.random.default_rng(10)
     x = rng.uniform(0.0, 1.0, 200)
@@ -480,21 +503,21 @@ def test_cl_fit_recovers_location_and_counts():
     assert trace[-1] >= mle.loglik_cl(ds, truth)
 
 
-@pytest.mark.parametrize("m, t, seeds", [([0.0, 0.0], 20.0, range(1, 21)),
-                                         ([0.0], 10.0, range(1, 11))])
+@pytest.mark.parametrize("m, t, seeds", [([0.0, 0.0], 20.0, range(1, 41)),
+                                         ([0.0], 10.0, range(1, 41))])
 def test_cl_fit_reaches_the_truth_on_every_seed(m, t, seeds):
     # A Newton step in R = r^n can overshoot to R near 0, where the gradient
     # in R vanishes and a fit stays, ~140 nats below the truth with
     # r <= 0.0015.  r is compared at |Sigma| = 1, since (Sigma, r, t) is
-    # determined only up to scale.
+    # determined only up to scale.  Stopped by a gradient tolerance, 16 of
+    # these 80 fits ended at the rounding floor with ``converged`` false.
     truth = make_mv("CL", m, 1.0, t)
-    settings = mle.FitSettings()
     for seed in seeds:
         ds = mv_sample(truth, 1000, seed)
-        spec, report = mle.fit(ds, mle.init_cl_from_data(ds), settings)
+        spec, report = mle.fit(ds, mle.init_cl_from_data(ds))
         assert report.loglik_trace[-1] >= mle.loglik_cl(ds, truth), seed
         assert normalize_sigma(spec).r == pytest.approx(1.0, abs=0.1), seed
-        assert report.iterations < settings.max_iters, seed
+        assert report.converged, seed
 
 
 @pytest.mark.parametrize("seed, params, best", [
@@ -524,14 +547,15 @@ def test_fit_of_bell_shaped_al_draws_reaches_the_optimum_in_few_passes(seed, par
 ])
 def test_fit_converges_where_steps_fall_below_rounding(seed, params, init):
     # Near grad_norm 1e-8 on 5000 points the Newton step predicts a gain
-    # below the rounding error of the log-likelihood.  Judged by a strict
-    # no-fall test, these fits stopped there with grad_norm 1.2e-8 and
-    # 1.4e-8 (converged false); one step taken within the rounding error
-    # brings the gradient to the floor.
+    # below the rounding error of the log-likelihood, where a trial would
+    # compare rounding errors.  Judged by a gradient tolerance and a strict
+    # no-fall test, these fits stopped there with converged false; a step
+    # taken within the rounding error let the trace fall by up to 7e-12.
+    # The stop rule ends them there, converged, on a trace that never falls.
     x = uv.sample(uv.make("AL", params), 5000, seed).x
     _, report = mle.fit(x, init(x))
     assert report.converged and report.iterations <= 20
-    assert np.all(np.diff(report.loglik_trace) >= -1e-9)
+    assert np.all(np.diff(report.loglik_trace) >= 0.0)
 
 
 def test_readme_quick_tour_fit_converges():
