@@ -11,38 +11,39 @@ over the panels of Z's quadrature gives both, and one per-point function
 of the edge derivatives serves those integrals and the weighted data sums.
 The flat-regime partials of the paper stay public as ``grad_bl_flat``.
 
-One pass of either family is one projected modified-Newton step on the
-whole block (Nocedal & Wright, *Numerical Optimization*, 3.4): a
+The elliptical cosh-ratio family (CL) carries them too, in coordinates
+where its log-likelihood has no flat direction: (Lambda, R = r^n, t) enter
+it only through Lambda' = t^(2/n) Lambda and a = R t, so the fit climbs m,
+the Cholesky factor L of Lambda' (its diagonal as a log) and log a, on the
+data whitened by its start.
+
+One pass of every family is one projected modified-Newton step on all its
+coordinates (Nocedal & Wright, *Numerical Optimization*, 3.4): a
 coordinate at its bound with the gradient pointing out is pinned, the
-Hessian's eigenvalues are taken in absolute value, the step shrinks b - a
-and each scale by at most half, and it is halved until the log-likelihood
-does not decrease, so every accepted step is an ascent step.
+Hessian's eigenvalues are taken in absolute value, an AL or BL step
+shrinks b - a and each scale by at most half, and the step is halved
+until the log-likelihood does not decrease, so every accepted step is an
+ascent step.  Each family's box bounds its coordinates: a and b inside
+the data range and the scales for AL and BL, log a alone for CL.
 
 The pass runs on J independent weighted problems at once, backtracking
 each by mask: ``fit`` is its J = 1 case with unit (or dataset) weights,
 and the mixture M-step runs it on every (component, axis) factor with the
 responsibilities as weights.  Each family's log-density is one kernel, a
-per-problem constant minus a per-point edge term, the sum of the two
-shoulders' terms; the log-likelihood sums them, and the mixture E-step
+per-problem constant minus a per-point edge term (for AL and BL the sum
+of the two shoulders' terms); the log-likelihood sums them, and the mixture E-step
 scores points with the same terms.  A pass takes the terms and the
 derivatives at its start and returns the terms at its end; a trial step
 recomputes both terms.  Each pass keeps b - a at least a few ulps of the
 data, so the density stays defined on near-constant samples.
-
-The elliptical cosh-ratio family (CL) runs one coordinate pass over the
-blocks m, Lambda = Sigma^-1, log R (R = r^n) and log t, each stepped by its
-analytic gradient/|curvature| and backtracked.  R and t move on a log
-scale, at most one e-fold per step, so no step throws R near 0, where the
-likelihood is flat in R.
 
 Every fit stops by one rule: it is ``converged`` when the gain its next
 step predicts, g.step / 2 (for the Newton step, half the squared Newton
 decrement; Boyd & Vandenberghe, *Convex Optimization*, 9.5.1), is no
 larger than the rounding error of its log-likelihood (``_rounding_error``).
 There a trial would compare rounding errors, so a problem held by that
-rule gets none.  A CL pass predicts the sum of its four block steps'
-gains.  A fit also stops after a pass without progress, or after
-``max_iters`` passes, and is then not converged.
+rule gets none.  A fit also stops after a pass that took no step, or
+after ``max_iters`` passes, and is then not converged.
 """
 
 from __future__ import annotations
@@ -79,9 +80,8 @@ __all__ = [
     "normal_mle_loglik",
 ]
 
-# Step control: a CL coordinate step is the gradient over |curvature|; it and
-# the AL/BL block step shrink by _BACKTRACK_FACTOR up to _MAX_BACKTRACKS times
-# until the log-likelihood does not fall.
+# Step control: the Newton step of every family shrinks by _BACKTRACK_FACTOR
+# up to _MAX_BACKTRACKS times until the log-likelihood does not fall.
 _BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 30
 _EPS = float(np.finfo(float).eps)
@@ -90,8 +90,8 @@ _EPS = float(np.finfo(float).eps)
 def _rounding_error(n, const, ll):
     """The rounding error of a log-likelihood ``ll`` = n const + sum_i v_i
     whose per-point terms v_i all have one sign: 4 eps times the sum of the
-    terms' magnitudes, |n const| + (n const - ll).  AL and BL subtract
-    edges >= 0 and CL adds ln sinh-ratios <= 0, so it serves every family."""
+    terms' magnitudes, |n const| + (n const - ll).  Every kernel subtracts
+    edges >= 0, so it serves every family."""
     return 4.0 * _EPS * (np.abs(n * const) + (n * const - ll))
 
 
@@ -330,23 +330,38 @@ def _bl_derivs(x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
 class _Kernel(NamedTuple):
     """A family's coordinate order and its log-density ln f(x_i) = const -
     edges_i: the per-problem constant ``const(p)`` (J,) and the per-point
-    sum of its two shoulder terms ``edges(x, p)`` (J, N), plus
-    ``derivs(x, w, n, p)``, the (J, P) gradient and (J, P, P) Hessian of
-    the weighted log-likelihood."""
+    edge term ``edges(x, p)`` (J, N), for AL and BL the sum of its two
+    shoulder terms; ``derivs(x, w, n, p)``, the (J, P) gradient and
+    (J, P, P) Hessian of the weighted log-likelihood; and ``box(p,
+    bounds)``, the (low, high, least_width) of ``_backtrack`` at ``p``."""
 
     names: tuple[str, ...]
     const: Callable[[np.ndarray], np.ndarray]
     edges: Callable[[np.ndarray, np.ndarray], np.ndarray]
     derivs: Callable
+    box: Callable
 
     def terms(self, x, p) -> tuple[np.ndarray, np.ndarray]:
         """(const, edges) at ``p``."""
         return self.const(p), self.edges(x, p)
 
 
+def _al_bl_box(p, bounds):
+    """a and b keep eps inside the data range and each scale stays in
+    [max(s_min, half its value), s_max], for the (4, J) ``bounds`` rows of
+    ``_bounds_from_data``; a candidate keeps half of b - a above the least
+    gap (see ``_newton_pass``)."""
+    lo, hi, s_min, s_max = bounds
+    eps, gap = _edge_gap(lo, hi)
+    scales = p[2:]
+    low = np.vstack([lo + eps, np.full_like(lo, -np.inf), np.maximum(s_min, 0.5 * scales)])
+    high = np.vstack([np.full_like(hi, np.inf), hi - eps, np.broadcast_to(s_max, scales.shape)])
+    return low, high, np.minimum(p[1] - p[0], 0.5 * (p[1] - p[0] + gap))
+
+
 _KERNELS = {
-    "AL": _Kernel(("a", "b", "s"), _al_const, _al_edges, _al_derivs),
-    "BL": _Kernel(("a", "b", "s", "t"), _bl_const, _bl_edges, _bl_derivs),
+    "AL": _Kernel(("a", "b", "s"), _al_const, _al_edges, _al_derivs, _al_bl_box),
+    "BL": _Kernel(("a", "b", "s", "t"), _bl_const, _bl_edges, _bl_derivs, _al_bl_box),
 }
 
 
@@ -420,100 +435,163 @@ def grad_bl_flat(data, a: float, b: float, s: float, t: float,
 
 
 # ---------------------------------------------------------------------------
-# CL: log-likelihood and the block kernel.  The fit works in the blocks
-# theta = (m, Lambda = Sigma^-1, log R, log t) with R = r^n.
+# CL kernel.  With Lambda' = t^(2/n) Lambda = L L^T and a = R t, R = r^n, the
+# log-density is ln Gamma(n/2 + 1) - (n/2) ln pi - ln a + ln |L| + phi(u, a)
+# for u = |L^T (x - m)|^n and phi(u, a) = ln sinh a - ln(cosh u + cosh a): it
+# depends on (Lambda, R, t) only through (Lambda', a).  The coordinates are
+# m, the entries of L in ``np.tril_indices`` order with its diagonal as a
+# log, and log a: (n + 1)(n + 2)/2 of them.  ``y`` is (J, N, n).
 # ---------------------------------------------------------------------------
 
-def _cl_points(rows: np.ndarray, m: np.ndarray, lam: np.ndarray, t: float):
-    """d = x - m, q = d^T Lambda d and u = t q^(n/2) for every row."""
-    d = rows - m
-    q = np.maximum(np.einsum("ij,jk,ik->i", d, lam, d), 0.0)
-    return d, q, t * q ** (rows.shape[1] / 2.0)
+def _cl_unpack(p):
+    """m (J, n), the factor L (J, n, n) and a (J, 1) of the (P, J) coordinates."""
+    dim = math.isqrt(2 * len(p)) - 1  # P = (n + 1)(n + 2)/2
+    rows, cols = np.tril_indices(dim)
+    lower = np.zeros((p.shape[1], dim, dim))
+    lower[:, rows, cols] = p[dim:-1].T
+    lower[:, range(dim), range(dim)] = np.exp(p[dim:-1][rows == cols].T)
+    return p[:dim].T, lower, np.exp(p[-1:]).T
 
 
-def _cl_const(n_dim: int, big_r, lam) -> float:
-    """The per-point constant of the CL log-density, ln of Gamma(n/2 + 1)
-    |Lambda|^(1/2) / (pi^(n/2) R)."""
-    return (math.lgamma(n_dim / 2.0 + 1.0) - (n_dim / 2.0) * math.log(math.pi)
-            - math.log(big_r) + 0.5 * float(np.linalg.slogdet(lam)[1]))
+def _cl_coords(m, lam, big_r, t) -> np.ndarray:
+    """The (P, 1) coordinates of (m, Lambda, R, t)."""
+    dim = len(m)
+    rows, cols = np.tril_indices(dim)
+    entries = np.linalg.cholesky(t ** (2.0 / dim) * lam)[rows, cols]
+    entries[rows == cols] = np.log(entries[rows == cols])
+    return np.concatenate([m, entries, [math.log(big_r * t)]])[:, None]
+
+
+def _cl_const(p) -> np.ndarray:
+    dim = math.isqrt(2 * len(p)) - 1
+    rows, cols = np.tril_indices(dim)
+    return (math.lgamma(dim / 2.0 + 1.0) - (dim / 2.0) * math.log(math.pi) - p[-1]
+            + p[dim:-1][rows == cols].sum(axis=0))
+
+
+def _cl_edges(y, p) -> np.ndarray:
+    """-phi(u, a) >= 0 at every point: inf or NaN where a trial step
+    overflows L or u, so that ``_backtrack`` rejects it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, lower, a = _cl_unpack(p)
+        z = (y - m[:, None, :]) @ lower
+        return -log_sinh_ratio(np.sum(z * z, axis=2) ** (y.shape[2] / 2.0), a)
+
+
+def _cl_parts(y, w, p):
+    """The per-point pieces of the CL derivatives: d = x - m, z = L^T d, L,
+    and the weighted factors c1 = phi_u u', c2 = phi_uu u'^2 + phi_u u'' and
+    c_ua = phi_ua u' a on the gradient of s = |z|^2 and its outer product,
+    a phi_a and a^2 (csch^2 a + S) = -a^2 phi_aa.
+
+    phi_u = -A, phi_a = coth a - B, phi_uu = -S, phi_ua = -D and phi_aa =
+    -csch^2 a - S, where A = sigma(u - a) - sigma(-u - a), B = sigma(a - u)
+    - sigma(-u - a), S = sigma'(u - a) + sigma'(-u - a) and D = sigma'(-u - a)
+    - sigma'(u - a) for the logistic sigma; u = s^(n/2) has u' = n u / 2s
+    and u'' = (n/2 - 1) u' / s.
+    """
+    dim = y.shape[2]
+    m, lower, a = _cl_unpack(p)
+    d = y - m[:, None, :]
+    z = d @ lower
+    s = np.sum(z * z, axis=2)
+    u = s ** (dim / 2.0)
+    safe = np.where(s > 0.0, s, np.inf)  # a point at m adds no u'(s), u''(s)
+    du = 0.5 * dim * u / safe
+    hi, hi_c = logistic(u - a), logistic(a - u)
+    lo, lo_c = logistic(-u - a), logistic(u + a)
+    phi_u = lo - hi
+    s_sum = hi * hi_c + lo * lo_c
+    return (d, z, lower, w * phi_u * du, w * (phi_u * (0.5 * dim - 1.0) / safe - s_sum * du) * du,
+            w * (hi * hi_c - lo * lo_c) * du * a, w * (coth(a) - hi_c + lo) * a,
+            w * (csch2(a) + s_sum) * a * a)
+
+
+def _cl_derivs(y, w, n, p) -> tuple[np.ndarray, np.ndarray]:
+    """The (J, P) gradient and (J, P, P) Hessian in the CL coordinates.
+
+    Through s, m and L move u: s has the gradient 2 (-L z, z_c d_r), the
+    second entry over the entries (r, c) of L, and the Hessian 2 Lambda' in
+    (m, m), -2 (L_pc d_r + [p = r] z_c) in (m_p, L_rc) and 2 [c = c'] d_r
+    d_r' in (L_rc, L_r'c').  A diagonal entry L_cc = e^l moves by its log:
+    its row and column scale by L_cc and its second derivative gains its
+    first.
+    """
+    j, _, dim = y.shape
+    rows, cols = np.tril_indices(dim)
+    diag = dim + np.flatnonzero(rows == cols)
+    d, z, lower, c1, c2, c_ua, slope_a, curv_a = _cl_parts(y, w, p)
+    grad_s = 2.0 * np.concatenate([-z @ np.swapaxes(lower, 1, 2),
+                                   z[:, :, cols] * d[:, :, rows]], axis=2)
+    d_sum, z_sum = (np.einsum("jn,jni->ji", c1, v) for v in (d, z))
+    grad = np.concatenate([np.einsum("jn,jnp->jp", c1, grad_s),
+                           slope_a.sum(axis=1, keepdims=True)], axis=1)
+    hess = np.zeros((j, len(p), len(p)))
+    hess[:, :-1, :-1] = np.einsum("jn,jnp,jnq->jpq", c2, grad_s, grad_s)
+    hess[:, :dim, :dim] += 2.0 * c1.sum(axis=1)[:, None, None] * lower @ np.swapaxes(lower, 1, 2)
+    cross = -2.0 * (lower[:, :, cols] * d_sum[:, None, rows]
+                    + np.eye(dim)[:, rows] * z_sum[:, None, cols])
+    hess[:, :dim, dim:-1] += cross
+    hess[:, dim:-1, :dim] += np.swapaxes(cross, 1, 2)
+    dd = np.einsum("jn,jni,jnk->jik", c1, d, d)
+    hess[:, dim:-1, dim:-1] += 2.0 * (cols[:, None] == cols) * dd[:, rows[:, None], rows]
+    hess[:, -1, :-1] = hess[:, :-1, -1] = np.einsum("jn,jnp->jp", c_ua, grad_s)
+    hess[:, -1, -1] = grad[:, -1] - curv_a.sum(axis=1)
+    scale = np.ones_like(grad)
+    scale[:, diag] = np.exp(p[diag]).T
+    grad *= scale
+    hess *= scale[:, :, None] * scale[:, None, :]
+    hess[:, diag, diag] += grad[:, diag]
+    grad[:, diag] += n[:, None]  # the constant: ln |L| - ln a
+    grad[:, -1] -= n
+    return grad, hess
+
+
+def _cl_box(p, _):
+    """(low, high, least_width) of a CL problem: log a in [ln 1e-8, 400],
+    every other coordinate free.  Below a = 1e-8 the density equals its
+    a -> 0 limit to double precision, and ln sinh a loses its digits."""
+    low, high = np.full_like(p, -np.inf), np.full_like(p, np.inf)
+    low[-1], high[-1] = math.log(1e-8), 400.0
+    return low, high, -np.inf
+
+
+_KERNELS["CL"] = _Kernel(("m", "L", "log_a"), _cl_const, _cl_edges, _cl_derivs, _cl_box)
 
 
 def _loglik_cl_raw(rows, m, lam, big_r, t) -> float:
-    count, n_dim = rows.shape
-    _, _, u = _cl_points(rows, m, lam, t)
-    return count * _cl_const(n_dim, big_r, lam) + float(np.sum(log_sinh_ratio(u, big_r * t)))
+    p = _cl_coords(m, lam, big_r, t)
+    return float(_loglik("CL", rows[None], np.ones((1, len(rows))), np.array([len(rows)]), p)[0])
+
+
+def _cl_raw_args(data, spec: MultivariateSpec):
+    return _rows_of(data), spec.m, np.linalg.inv(spec.sigma), spec.r ** spec.n, spec.t
 
 
 def loglik_cl(data, spec: MultivariateSpec) -> float:
     """Log-likelihood of a CL spec on rows of points."""
-    rows = _rows_of(data)
-    lam = np.linalg.inv(spec.sigma)
-    return _loglik_cl_raw(rows, spec.m, lam, spec.r ** spec.n, spec.t)
-
-
-def _cl_block(rows, theta, block: int):
-    """Gradient of the CL log-likelihood in block ``block`` of ``theta`` and
-    the second derivative along the unit vector of that gradient.
-
-    Per point, phi(u, a) = ln sinh a - ln(cosh u + cosh a), a = R t, has
-    phi_u = -A, phi_a = coth a - B, phi_uu = -S, phi_ua = -D and phi_aa =
-    -csch^2 a - S, where A = sigma(u - a) - sigma(-u - a), B = sigma(a - u)
-    - sigma(-u - a), S = sigma'(u - a) + sigma'(-u - a) and D = sigma'(-u - a)
-    - sigma'(u - a) for the logistic sigma.  A step along g moves u and a at
-    rates (u', u'', a', a''); the curvature sums phi'' over the points, plus
-    -N tr(Sigma V Sigma V) / 2 from ln |Lambda| for the Lambda block.
-    """
-    m, lam, log_r, log_t = theta
-    count, n_dim = rows.shape
-    t = math.exp(log_t)
-    a = math.exp(log_r + log_t)
-    d, q, u = _cl_points(rows, m, lam, t)
-    safe_q = np.where(q > 0.0, q, math.inf)  # a point at m adds no u'(q), u''(q)
-    du_dq = 0.5 * n_dim * u / safe_q
-    d2u_dq2 = (0.5 * n_dim - 1.0) * du_dq / safe_q
-    hi, hi_c = logistic(u - a), logistic(a - u)
-    lo, lo_c = logistic(-u - a), logistic(u + a)
-    ratio_u = hi - lo                  # A = sinh u / (cosh u + cosh a)
-    ratio_a = hi_c - lo                # B = sinh a / (cosh u + cosh a)
-    s_sum = hi * hi_c + lo * lo_c
-    s_diff = lo * lo_c - hi * hi_c
-    coth_a = float(coth(a))
-    extra = 0.0
-    if block < 2:  # m and Lambda move u through q, at rates q' and q''
-        if block == 0:
-            grad = 2.0 * lam @ ((ratio_u * du_dq) @ d)
-            dq, d2q = -2.0 * (d @ (lam @ grad)), 2.0 * grad @ lam @ grad
-        else:
-            sigma = np.linalg.inv(lam)
-            grad = 0.5 * count * sigma - (d.T * (ratio_u * du_dq)) @ d
-            dq, d2q = np.einsum("ij,jk,ik->i", d, grad, d), 0.0
-            sv = sigma @ grad
-            extra = -0.5 * count * float(np.sum(sv * sv.T))
-        du, d2u = du_dq * dq, d2u_dq2 * dq * dq + du_dq * d2q
-        da = d2a = 0.0
-    else:  # log R moves a; log t moves a and u; each at unit rate in its log
-        rate_u = u if block == 3 else 0.0
-        grad = (float(np.sum((coth_a - ratio_a) * a - ratio_u * rate_u))
-                - (count if block == 2 else 0.0))
-        du, d2u, da, d2a = grad * rate_u, grad * grad * rate_u, grad * a, grad * grad * a
-    curv = extra + float(np.sum(-ratio_u * d2u + (coth_a - ratio_a) * d2a - s_sum * du * du
-                                - 2.0 * s_diff * du * da - (float(csch2(a)) + s_sum) * da * da))
-    norm2 = float(np.sum(np.square(grad)))
-    return grad, (curv / norm2 if norm2 > 0.0 else 0.0)
+    return _loglik_cl_raw(*_cl_raw_args(data, spec))
 
 
 def _grad_cl_raw(rows, m, lam, big_r, t):
-    """Gradient blocks for (m, Lambda = Sigma^-1, R = r^n, t)."""
-    theta = (m, lam, math.log(big_r), math.log(t))
-    gm, glam, g_log_r, g_log_t = (_cl_block(rows, theta, block)[0] for block in range(4))
-    return gm, glam, g_log_r / big_r, g_log_t / t
+    """Gradient blocks for (m, Lambda = Sigma^-1, R = r^n, t), by the chain
+    rule from the kernel's pieces: with G the gradient in Lambda' =
+    t^(2/n) Lambda, sum_i c1_i d_i d_i^T + (N/2) Lambda'^-1, and g that in
+    log a, they are -2 Lambda' sum_i c1_i d_i, t^(2/n) G, g / R and
+    (2/n) tr(G Lambda') / t + g / t."""
+    count, dim = rows.shape
+    p = _cl_coords(m, lam, big_r, t)
+    (d,), _, (lower,), (c1,), _, _, (slope_a,), _ = _cl_parts(rows[None], np.ones((1, count)), p)
+    lam_prime = lower @ lower.T
+    g_lam = (c1 * d.T) @ d + 0.5 * count * np.linalg.inv(lam_prime)
+    g_log_a = float(np.sum(slope_a)) - count
+    return (-2.0 * lam_prime @ (c1 @ d), t ** (2.0 / dim) * g_lam, g_log_a / big_r,
+            (2.0 / dim * float(np.sum(g_lam * lam_prime)) + g_log_a) / t)
 
 
 def grad_cl(data, spec: MultivariateSpec):
     """Gradient blocks of the CL log-likelihood for {m, Sigma^-1, r^n, t}."""
-    rows = _rows_of(data)
-    lam = np.linalg.inv(spec.sigma)
-    return _grad_cl_raw(rows, spec.m, lam, spec.r ** spec.n, spec.t)
+    return _grad_cl_raw(*_cl_raw_args(data, spec))
 
 
 def normal_mle_loglik(data) -> float:
@@ -567,11 +645,10 @@ def init_cl_from_data(data) -> MultivariateSpec:
     elliptical radius, and a mid-steep shoulder."""
     rows = _rows_of(data)
     m = rows.mean(axis=0)
-    sigma = np.cov(rows.T, bias=True)
-    sigma = np.atleast_2d(sigma)
+    sigma = np.atleast_2d(np.cov(rows.T, bias=True))
     n_dim = rows.shape[1]
     sigma += 1e-8 * float(np.trace(sigma)) / n_dim * np.eye(n_dim)
-    rho = np.sqrt(_cl_points(rows, m, np.linalg.inv(sigma), 1.0)[1])
+    rho = np.linalg.norm(np.linalg.solve(np.linalg.cholesky(sigma), (rows - m).T), axis=0)
     r = float(np.median(rho)) or 1.0
     t = 4.0 / r ** n_dim
     return make_mv("CL", m, r=r, t=t, sigma=sigma)
@@ -607,7 +684,8 @@ def _edge_gap(lo, hi):
 def _backtrack(family, x, w, n, p, ll, terms, step, low, high, least_width) -> None:
     """Take the (P, J) ``step`` from ``p``, clipped to [low, high], halving
     it per problem, by mask, until that problem's log-likelihood does not
-    decrease; a candidate whose b - a is below ``least_width`` (J,) is
+    decrease; a candidate whose coordinates 1 and 0 differ by less than
+    ``least_width`` (an AL or BL b - a below its floor; -inf for CL) is
     halved without a trial, and a problem whose step is 0 gets none.  A
     trial recomputes the kernel's terms.  Updates ``p``, ``ll`` and the
     ``terms`` list in place."""
@@ -640,38 +718,34 @@ def _backtrack(family, x, w, n, p, ll, terms, step, low, high, least_width) -> N
 
 
 def _newton_pass(family, x, w, n, p, ll, terms, derivs, bounds):
-    """One projected modified-Newton step on the whole AL block (a, b, s) or
-    BL block (a, b, s, t) of J independent problems at once.
+    """One projected modified-Newton step on all coordinates of J
+    independent problems of one family at once: AL (a, b, s), BL (a, b, s,
+    t) or CL (m, L, log a).
 
     ``x``, ``w``, ``n`` and ``p`` are in the kernel layout above, ``ll`` is
     the (J,) log-likelihood at ``p``, ``terms`` the kernel's (const, edges)
-    at ``p``, ``derivs`` its (gradient, Hessian) at ``p`` and
-    ``bounds`` the (4, J) rows of ``_bounds_from_data``.  A coordinate at
-    its bound (or beyond it, where a start put it) with the gradient
-    pointing out is pinned: its gradient entry is zeroed and its Hessian row
-    and column become those of -I.  The step is V |L|^-1 V^T g for the
-    eigenpairs (L, V) of the Hessian, with |L| floored at 1e-12 of its
-    largest entry.  ``_backtrack`` halves it.  A candidate keeps at least
-    half of each scale (s, t; a bound of the box) and half of b - a above
-    the least gap (a narrower one is halved without a trial): without that
-    rule a bell-shaped fit can collapse a onto b, the logistic limit, which
-    is stationary by symmetry.  Scaling the whole step instead stalls a fit
-    whose b - a is already near 0, where a shift of the location alone
-    would take it all.  A problem whose predicted gain g.step / 2 is
-    within ``_rounding_error`` is held: it gets no trial.  Returns the new
-    parameters, log-likelihoods and terms (each equal to the kernel's at the
-    new parameters), the mask of problems that took a step and the mask of
-    those held.
+    at ``p``, ``derivs`` its (gradient, Hessian) at ``p`` and ``bounds``
+    what the kernel's box reads: the (4, J) rows of ``_bounds_from_data``
+    for AL and BL, nothing for CL.  A coordinate at its bound (or beyond it,
+    where a start put it) with the gradient pointing out is pinned: its
+    gradient entry is zeroed and its Hessian row and column become those of
+    -I.  The step is V |L|^-1 V^T g for the eigenpairs (L, V) of the
+    Hessian, with |L| floored at 1e-12 of its largest entry.  ``_backtrack``
+    halves it.  An AL or BL candidate keeps at least half of each scale (s,
+    t; a bound of the box) and half of b - a above the least gap (a narrower
+    one is halved without a trial): without that rule a bell-shaped fit can
+    collapse a onto b, the logistic limit, which is stationary by symmetry.
+    Scaling the whole step instead stalls a fit whose b - a is already near
+    0, where a shift of the location alone would take it all.  A problem
+    whose predicted gain g.step / 2 is within ``_rounding_error`` is held:
+    it gets no trial.  Returns the new parameters, log-likelihoods and terms
+    (each equal to the kernel's at the new parameters), the mask of problems
+    that took a step and the mask of those held.
     """
-    lo, hi, s_min, s_max = bounds
-    eps, gap = _edge_gap(lo, hi)
     grad, hess = derivs
-    scales = p[2:]
+    low, high, least_width = _KERNELS[family].box(p, bounds)
     # A coordinate never leaves the box, nor moves further out of it.
-    low = np.minimum(np.vstack([lo + eps, np.full_like(lo, -np.inf),
-                                np.maximum(s_min, 0.5 * scales)]), p)
-    high = np.maximum(np.vstack([np.full_like(hi, np.inf), hi - eps,
-                                 np.broadcast_to(s_max, scales.shape)]), p)
+    low, high = np.minimum(low, p), np.maximum(high, p)
     pinned = (((p <= low) & (grad.T < 0.0)) | ((p >= high) & (grad.T > 0.0))).T
     grad = np.where(pinned, 0.0, grad)
     hess = np.where(pinned[:, :, None] | pinned[:, None, :], -np.eye(len(p)) * pinned[:, :, None],
@@ -680,7 +754,6 @@ def _newton_pass(family, x, w, n, p, ll, terms, derivs, bounds):
     mag = np.abs(vals)
     mag = np.maximum(mag, np.maximum(1e-12 * mag.max(axis=1, keepdims=True), 1e-300))
     step = (vecs @ ((np.swapaxes(vecs, 1, 2) @ grad[:, :, None]) / mag[:, :, None]))[:, :, 0].T
-    least_width = np.minimum(p[1] - p[0], 0.5 * (p[1] - p[0] + gap))
     held = 0.5 * np.einsum("ji,ij->j", grad, step) <= _rounding_error(n, terms[0], ll)
     step[:, held] = 0.0
     new, ll, terms = p.copy(), ll.copy(), [t.copy() for t in terms]
@@ -688,22 +761,29 @@ def _newton_pass(family, x, w, n, p, ll, terms, derivs, bounds):
     return new, ll, tuple(terms), (new != p).any(axis=0), held
 
 
-def _ascend(one_pass, state, ll: float, settings: FitSettings, k: int, count: int):
-    """The outer loop of every fit.  ``one_pass(state)`` returns the new
-    state, its log-likelihood, whether the pass was held by the stop rule
-    and whether it made progress.  Stops after a held pass (converged), a
-    pass without progress, or ``max_iters`` passes.  Returns the last state
-    and its FitReport for ``k`` free parameters and ``count`` points; the
-    caller fills in ``final_params`` and ``grad_norm``."""
-    trace = [ll]
+def _climb(family, x, w, n, p, bounds, settings: FitSettings, offset: float = 0.0):
+    """The passes of every fit: ``_newton_pass`` on a single problem (J =
+    1) from ``p``, the derivatives at each new iterate serving the next
+    pass.  Stops after a held pass (converged), a pass that took no step,
+    or ``max_iters`` passes.  Returns the last parameters and their
+    FitReport, whose trace adds ``offset`` to every log-likelihood and
+    whose ``grad_norm`` is the largest gradient entry per point; the caller
+    fills in ``final_params``."""
+    kernel = _KERNELS[family]
+    terms = kernel.terms(x, p)
+    ll = _loglik(family, x, w, n, p, terms)
+    derivs = kernel.derivs(x, w, n, p)
+    trace = [float(ll[0]) + offset]
     for iters in range(1, settings.max_iters + 1):  # max_iters >= 1
-        state, ll, converged, progressed = one_pass(state)
-        trace.append(ll)
-        if converged or not progressed:
+        p, ll, terms, moved, held = _newton_pass(family, x, w, n, p, ll, terms, derivs, bounds)
+        trace.append(float(ll[0]) + offset)
+        if held[0] or not moved[0]:
             break
-    aic, bic = _aic_bic(k, ll, count)
-    return state, FitReport(converged, iters, trace, final_params={}, grad_norm=math.nan,
-                            aic=aic, bic=bic, free_params=k)
+        derivs = kernel.derivs(x, w, n, p)
+    aic, bic = _aic_bic(len(p), trace[-1], x.shape[1])
+    return p, FitReport(bool(held[0]), iters, trace, final_params={},
+                        grad_norm=float(np.max(np.abs(derivs[0]))) / float(n[0]),
+                        aic=aic, bic=bic, free_params=len(p))
 
 
 def _aic_bic(k: int, ll: float, count: int) -> tuple[float, float]:
@@ -714,9 +794,7 @@ def _aic_bic(k: int, ll: float, count: int) -> tuple[float, float]:
 
 def _fit_univariate(x: np.ndarray, init: uv.UnivariateSpec, settings: FitSettings,
                     weights=None) -> tuple[uv.UnivariateSpec, FitReport]:
-    """AL or BL fit: passes of ``_newton_pass`` on the single problem
-    (J = 1); a pass makes progress when it takes a step.  The derivatives
-    at each new iterate serve the next pass."""
+    """AL or BL fit: ``_climb`` in (a, b, s[, t])."""
     kernel = _KERNELS[init.family]
     bounds = _bounds_from_data(x)
     lo, hi, s_min = bounds[:3]
@@ -726,92 +804,48 @@ def _fit_univariate(x: np.ndarray, init: uv.UnivariateSpec, settings: FitSetting
             f"range=({lo}, {hi})")
     if init.family == "AL" and not init.s >= s_min:
         raise ValueError(f"init violates s >= {s_min}: s={init.s}")
-
-    x1, w1, n = _one(x, weights)
-
-    def one_pass(state):
-        p, ll, terms, moved, held = _newton_pass(init.family, x1, w1, n, *state,
-                                                 bounds[:, None])
-        derivs = kernel.derivs(x1, w1, n, p) if moved[0] else state[3]
-        return (p, ll, terms, derivs), float(ll[0]), bool(held[0]), bool(moved[0])
-
-    p = _params(*(getattr(init, name) for name in kernel.names))
-    terms = kernel.terms(x1, p)
-    ll = _loglik(init.family, x1, w1, n, p, terms)
-    state = (p, ll, terms, kernel.derivs(x1, w1, n, p))
-    (p, _, _, (grad, _)), report = _ascend(one_pass, state, float(ll[0]), settings,
-                                           len(kernel.names), x.size)
+    p, report = _climb(init.family, *_one(x, weights),
+                       _params(*(getattr(init, name) for name in kernel.names)),
+                       bounds[:, None], settings)
     spec = uv.make(init.family, dict(zip(kernel.names, p[:, 0])))
     report.final_params = spec.params()
-    report.grad_norm = float(np.max(np.abs(grad))) / float(n[0])
     return spec, report
-
-
-def _project_pd(mat: np.ndarray, floor: float = 1e-10) -> np.ndarray:
-    sym = 0.5 * (mat + mat.T)
-    vals, vecs = np.linalg.eigh(sym)
-    vals = np.maximum(vals, floor)
-    return (vecs * vals) @ vecs.T
 
 
 def _fit_cl(rows: np.ndarray, init: MultivariateSpec,
             settings: FitSettings) -> tuple[MultivariateSpec, FitReport]:
-    """CL fit by block passes (see the module docstring); a pass makes
-    progress when it strictly raises the log-likelihood, and it is held
-    when its four blocks predict a gain sum_k |g_k|^2 / 2|curv_k| within
-    the rounding error of the log-likelihood at its start."""
-    count, n_dim = rows.shape
+    """CL fit: ``_climb`` in the coordinates (m, L, log a) on the data
+    whitened by the start, y = L0^T (x - m0), from m = 0 and L = I.
 
-    def loglik(theta):
-        m, lam, log_r, log_t = theta
-        # The log blocks stay where exp(log R), exp(log t) and u are safe
-        # doubles, with a = R t >= 1e-8: below that the density equals its
-        # a -> 0 limit to double precision, and ln sinh a loses its digits.
-        if not (abs(log_r) <= 200.0 and abs(log_t) <= 200.0 and log_r + log_t >= -18.0):
-            return -math.inf
-        return _loglik_cl_raw(rows, m, lam, math.exp(log_r), math.exp(log_t))
-
-    def one_pass(state):
-        theta, ll = state
-        start, gain = ll, 0.0
-        rounding = _rounding_error(count, _cl_const(n_dim, math.exp(theta[2]), theta[1]), ll)
-        for block in range(4):
-            grad, curv = _cl_block(rows, theta, block)
-            curv = max(abs(curv), 1e-12)
-            gain += 0.5 * float(np.sum(np.square(grad))) / curv
-            step = 1.0 / curv * grad
-            if block >= 2:  # one e-fold at most: the curvature can vanish there
-                step = min(max(step, -1.0), 1.0)
-            for _ in range(_MAX_BACKTRACKS):
-                cand = list(theta)
-                cand[block] = _project_pd(theta[1] + step) if block == 1 else theta[block] + step
-                ll_new = loglik(cand)
-                if ll_new >= ll:
-                    theta, ll = cand, ll_new
-                    break
-                step = step * _BACKTRACK_FACTOR
-        # A start where the log-likelihood is -inf (outside the log blocks'
-        # range) has no finite rounding error: it is never held.
-        return (theta, ll), ll, bool(gain <= rounding < math.inf), ll > start
-
-    theta = [init.m.copy(), np.linalg.inv(init.sigma), n_dim * math.log(init.r),
-             math.log(init.t)]
-    k = (n_dim + 1) * (n_dim + 2) // 2  # t is redundant with the scale of Sigma
-    ll = loglik(theta)
-    ((m, lam, log_r, log_t), _), report = _ascend(one_pass, (theta, ll), ll, settings, k, count)
-    sigma = np.linalg.inv(lam)
-    spec = make_mv("CL", m, r=math.exp(log_r / n_dim), t=math.exp(log_t), sigma=sigma)
-    report.final_params = {"m": m.tolist(), "Sigma": sigma.tolist(), "r": spec.r, "t": spec.t}
-    grads = _grad_cl_raw(rows, m, lam, math.exp(log_r), math.exp(log_t))
-    report.grad_norm = max(float(np.max(np.abs(g))) for g in grads) / count
-    report.free_params_unconstrained = k + 1
+    A Newton step is invariant under an affine change of coordinates (Boyd
+    & Vandenberghe, 9.5.1), so whitening changes no exact step, but it
+    keeps the Hessian's eigenvalues within the reach of its relative floor
+    whatever the data's location and scale.  The trace adds N ln det L0,
+    the log Jacobian of the map, so it is in data units; ``grad_norm`` is
+    in the whitened coordinates.  The reported spec holds t at the start's t, with
+    Lambda = Lambda' / t^(2/n) and R = a / t: (Lambda, R, t) are determined
+    only up to Lambda -> c Lambda, t -> t c^(-n/2), R -> R c^(n/2).
+    """
+    count, dim = rows.shape
+    lower0 = np.linalg.cholesky(init.t ** (2.0 / dim) * np.linalg.inv(init.sigma))
+    p = np.zeros(((dim + 1) * (dim + 2) // 2, 1))
+    p[-1] = math.log(init.r ** dim * init.t)
+    p, report = _climb("CL", ((rows - init.m) @ lower0)[None], np.ones((1, count)),
+                       np.array([float(count)]), p, None, settings,
+                       count * float(np.sum(np.log(np.diag(lower0)))))
+    (m,), (lower,), ((a,),) = _cl_unpack(p)
+    inv_lower = np.linalg.inv(lower0 @ lower)
+    spec = make_mv("CL", init.m + np.linalg.solve(lower0.T, m), r=(a / init.t) ** (1.0 / dim),
+                   t=init.t, sigma=init.t ** (2.0 / dim) * inv_lower.T @ inv_lower)
+    report.final_params = dict(m=spec.m.tolist(), Sigma=spec.sigma.tolist(), r=spec.r, t=spec.t)
+    report.free_params_unconstrained = len(p) + 1  # t, redundant with the scale of Sigma
     return spec, report
 
 
 def fit(data, init, settings: FitSettings | None = None):
     """Fit AL, BL (univariate specs) or CL (multivariate spec) by monotone
-    ascent starting from ``init``: block Newton steps for AL and BL,
-    coordinate passes for CL.
+    ascent starting from ``init``: projected Newton steps on all
+    coordinates of the family at once.
 
     Returns ``(spec, FitReport)``.  Bound constraints
     min(x) < a < b < max(x) and s >= range/(4N) hold at every iterate.
@@ -820,16 +854,19 @@ def fit(data, init, settings: FitSettings | None = None):
     if isinstance(init, uv.UnivariateSpec):
         x = _data_1d(data)
         w = data.weights if isinstance(data, Dataset) else None
-        if init.family in _KERNELS:
+        if init.family in ("AL", "BL"):
             return _fit_univariate(x, init, settings, w)
         raise ValueError(f"fit supports AL and BL univariate families, got {init.family}")
     if isinstance(init, MultivariateSpec):
         if init.family != "CL":
             raise ValueError(f"fit supports the CL multivariate family, got {init.family}")
         rows = _rows_of(data)
-        if rows.shape[0] < 2:
-            raise ValueError("CL fit needs at least two points")
-        if float(np.max(np.var(rows, axis=0))) == 0.0:
-            raise ValueError("degenerate data: all points equal")
+        centred = rows - rows.mean(axis=0)
+        # Points within sqrt(eps) of a hyperplane, relative to their spread,
+        # call for a Sigma whose condition number passes 1/eps: no CL spec
+        # holds it.
+        tol = math.sqrt(_EPS) * np.linalg.norm(centred, 2)
+        if np.linalg.matrix_rank(centred, tol=tol) < rows.shape[1]:
+            raise ValueError("degenerate data: the centred points lie on a hyperplane")
         return _fit_cl(rows, init, settings)
     raise TypeError(f"unsupported init type: {type(init).__name__}")

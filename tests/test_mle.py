@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flattop import mle, univariate as uv
-from flattop.data_io import Dataset, gen_mixed_1d
+from flattop.data_io import Dataset, default_segments_scenario, gen_mixed_1d, gen_segments_2d
 from flattop.multivariate import make_mv, mv_sample, normalize_sigma
 
 
@@ -335,6 +335,25 @@ def test_bl_equals_al_at_equal_scales():
 # CL gradient blocks
 # ---------------------------------------------------------------------------
 
+def _cl_kernel_fd_error(rows, p):
+    """The largest relative error of the CL kernel's gradient against central
+    differences of the log-likelihood, and of its Hessian against central
+    differences of that gradient, in the coordinates (m, L, log a)."""
+    y, w = rows[None], np.ones((1, len(rows)))
+    n = w.sum(axis=1)
+    grad, hess = (d[0] for d in mle._cl_derivs(y, w, n, p))
+    worst = 0.0
+    for k in range(len(p)):
+        e = np.zeros_like(p)
+        e[k] = 1e-6
+        fd = (mle._loglik("CL", y, w, n, p + e) - mle._loglik("CL", y, w, n, p - e))[0] / 2e-6
+        worst = max(worst, abs(grad[k] - fd) / max(abs(fd), 1e-6))
+        e[k] = 1e-5
+        fd = (mle._cl_derivs(y, w, n, p + e)[0] - mle._cl_derivs(y, w, n, p - e)[0])[0] / 2e-5
+        worst = max(worst, float(np.max(np.abs(hess[k] - fd) / np.maximum(np.abs(fd), 1e-6))))
+    return worst
+
+
 def test_cl_gradients_match_fd_on_random_instances():
     rng = np.random.default_rng(45)
     worst = 0.0
@@ -363,20 +382,10 @@ def test_cl_gradients_match_fd_on_random_instances():
         worst = max(worst, abs(g_r - fd) / max(abs(fd), 1e-6))
         fd = (f(m, lam, big_r, t + 1e-6) - f(m, lam, big_r, t - 1e-6)) / 2e-6
         worst = max(worst, abs(g_t - fd) / max(abs(fd), 1e-6))
-        # Each block's curvature along its unit gradient, against a central
-        # difference of that block's gradient in the fit's (log R, log t) scale.
-        theta = (m, lam, math.log(big_r), math.log(t))
-        for block in range(4):
-            grad, curv = mle._cl_block(rows, theta, block)
-            unit = grad / np.linalg.norm(grad)
-
-            def slope(h, block=block, unit=unit):
-                moved = list(theta)
-                moved[block] = theta[block] + h * unit
-                return float(np.sum(mle._cl_block(rows, moved, block)[0] * unit))
-
-            fd = (slope(1e-5) - slope(-1e-5)) / 2e-5
-            worst = max(worst, abs(curv - fd) / max(abs(fd), 1e-6))
+        worst = max(worst, _cl_kernel_fd_error(rows, mle._cl_coords(m, lam, big_r, t)))
+    rows = rng.normal(size=(40, 1)) * 1.5  # one 1-d instance
+    worst = max(worst, _cl_kernel_fd_error(rows, mle._cl_coords(np.array([0.2]), np.eye(1), 2.0,
+                                                                1.5)))
     assert worst < 1e-6
 
 
@@ -478,6 +487,41 @@ def test_cl_fit_of_gaussian_data_converges():
     rows = np.random.default_rng(5).standard_normal((300, 2))
     _, report = mle.fit(rows, mle.init_cl_from_data(rows))
     assert report.converged and report.iterations < 50
+    assert np.all(np.diff(report.loglik_trace) >= 0.0)
+
+
+def test_cl_fit_rejects_rank_deficient_data():
+    # Collinear points, or points with a constant column, have no CL optimum:
+    # a fit runs Lambda off to infinity along the missing direction (here to
+    # log-likelihoods of +3497.7 and +4538.6 when it was let through).
+    x = np.random.default_rng(8).uniform(0.0, 1.0, 200)
+    for rows in (np.column_stack([x, 2.0 * x + 1.0]), np.column_stack([x, np.full_like(x, 3.0)])):
+        with pytest.raises(ValueError, match="degenerate data"):
+            mle.fit(rows, mle.init_cl_from_data(rows))
+
+
+def test_cl_fit_is_scale_invariant():
+    # The same points at unit scale and at 1e10 + 1e8 z: the fit runs on the
+    # data whitened by its start, so both reach the same verdict, and their
+    # log-likelihoods differ by the Jacobian N n ln 1e8.  Unwhitened, the
+    # scaled fit ran 328 passes and ended unconverged.
+    z = np.random.default_rng(5).standard_normal((300, 2))
+    reports = [mle.fit(rows, mle.init_cl_from_data(rows))[1] for rows in (z, 1e10 + 1e8 * z)]
+    assert [r.converged for r in reports] == [True, True]
+    assert reports[0].iterations == reports[1].iterations
+    assert reports[0].grad_norm == pytest.approx(reports[1].grad_norm, rel=1e-6, abs=1e-12)
+    shift = reports[0].loglik_trace[-1] - reports[1].loglik_trace[-1]
+    assert shift == pytest.approx(300 * 2 * math.log(1e8), rel=1e-9)
+
+
+def test_cl_fit_of_the_segments_set_passes_the_coordinate_climb():
+    # A coordinate climb stopped here at -1967.1995 (and, run to max_iters,
+    # reached -1966.3492).  The supremum may lie at a -> infinity, the
+    # uniform-ellipse limit, so the fit need not converge, but then it says so.
+    ds = gen_segments_2d(default_segments_scenario(20260808))
+    _, report = mle.fit(ds, mle.init_cl_from_data(ds))
+    assert report.loglik_trace[-1] >= -1966.3492
+    assert report.converged or report.iterations == mle.FitSettings().max_iters
     assert np.all(np.diff(report.loglik_trace) >= 0.0)
 
 
