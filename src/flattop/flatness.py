@@ -12,6 +12,11 @@ A density is judged flat-topped through three lenses:
 Boundaries default to the canonical choice a = x_m - P(x_m)/p(x_m),
 b = x_m + (1 - P(x_m))/p(x_m), which makes p(x_m) (b - a) = 1; the
 full-width-at-half-maximum variant is available explicitly.
+
+The curvature measure takes p' and p'' from the log-density l = ln p by one
+rule, p' = p l' and p'' = p (l'^2 + l''), with a per-family (l', l'') hook
+for GN, AL, BL, AN, CE and CF at beta = 2.  ALS, BD, CC, CF at beta != 2,
+CH, DE and U have no hook and use central differences.
 """
 
 from __future__ import annotations
@@ -89,136 +94,102 @@ def fwhm_boundaries(spec: uv.UnivariateSpec) -> tuple[float, float]:
         step = max(uv._scale(spec), 1e-12)
         far = xm + direction * step
         for _ in range(200):
-            p_far = uv.pdf(spec, far)
-            if p_far < level:
+            if uv.pdf(spec, far) < level:
                 break
             step *= 2.0
             far = xm + direction * step
         else:
             raise FlatnessError("half maximum not reached")
         # Bisect between ``inner``, where the density is at least half its
-        # maximum, and ``far``, where it is below, to xtol.  A steep edge
-        # moves the density by more than 1e-10 relative over xtol, so a
-        # secant step across the last bracket gives the end.
-        inner, p_inner, xtol = xm, 2.0 * level, 1e-12 * max(1.0, abs(far))
-        while abs(far - inner) > xtol:
-            mid = 0.5 * (inner + far)
+        # maximum, and ``far``, where it is below, until they are adjacent
+        # doubles.
+        inner, mid = xm, 0.5 * (xm + far)
+        while mid != inner and mid != far:
             p = uv.pdf(spec, mid)
             if not math.isfinite(p):
                 raise FlatnessError(f"half maximum search: density is {p} at x={mid!r}")
-            if p >= level:
-                inner, p_inner = mid, p
-            else:
-                far, p_far = mid, p
-        out.append(inner + (far - inner) * (p_inner - level) / (p_inner - p_far))
+            inner, far = (mid, far) if p >= level else (inner, mid)
+            mid = 0.5 * (inner + far)
+        out.append(inner)
     return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
-# Density derivatives: analytic where a closed form is carried, otherwise
-# central differences with step h = cbrt(eps) * scale.
+# Density derivatives.  With l = ln p, p' = p l' and p'' = p (l'^2 + l''):
+# one rule for GN, AL, BL, AN, CE and CF at beta = 2, each of which has an
+# (l', l'') hook built from its log-density's own terms.  A hook returns None
+# where it declines (CF at beta != 2, AN where its density underflows);
+# there, and for ALS, BD, CC, CH, DE and U, central differences with step
+# h = cbrt(eps) * scale give p' and p''.
 # ---------------------------------------------------------------------------
 
-def _gn_scale_power(spec, k: int) -> float:
-    """s^k, which divides the GN derivatives; it underflows to 0 only where
-    they overflow."""
-    sk = spec.s ** k
-    if sk == 0.0:
-        raise FlatnessError(f"GN: density derivatives overflow at s={spec.s}")
-    return sk
+def _dlog_gn(spec, x):
+    """l = ln c - |z|^beta at z = (x - mu)/s.  At z = 0, l'' is its limit:
+    -inf below beta = 2, and -2/s^2 at beta = 2 as 0.0 ** 0.0 is 1."""
+    s, b, az = spec.s, spec.beta, abs(x - spec.mu) / spec.s
+    if az == 0.0 and b < 2.0:
+        return 0.0, -math.inf
+    return (-math.copysign(b * az ** (b - 1.0), x - spec.mu) / s,
+            -b * (b - 1.0) * az ** (b - 2.0) / s / s)
 
 
-def _d1_gn(spec, x):
-    z = (x - spec.mu) / spec.s
-    az = abs(z)
-    if az == 0.0:
-        return 0.0
-    b = spec.beta
-    return (-math.copysign(1.0, z) * b ** 2 / (2.0 * _gn_scale_power(spec, 2) * math.gamma(1.0 / b))
-            * az ** (b - 1.0) * math.exp(-(az ** b)))
+def _dlog_al(spec, x):
+    """l = const - ln cosh z1 - ln cosh z2 at z1, z2 = (x - a, x - b)/(2 s),
+    as cosh(w) + cosh(rho) = 2 cosh(z1) cosh(z2), the edges of the MLE kernel."""
+    k = 2.0 * spec.s
+    z1, z2 = (x - spec.a) / k, (x - spec.b) / k
+    return (-(math.tanh(z1) + math.tanh(z2)) / k,
+            -float(specfun.sech2(z1) + specfun.sech2(z2)) / k / k)
 
 
-def _d2_gn(spec, x):
-    z = (x - spec.mu) / spec.s
-    az = abs(z)
-    b = spec.beta
-    if az == 0.0:
-        if b == 2.0:
-            return -2.0 / (math.sqrt(math.pi) * _gn_scale_power(spec, 3))
-        if b > 2.0:
-            return 0.0
-        return -math.inf
-    return (-(b ** 2) * ((b - 1.0) / spec.s - (b / spec.s) * az ** b)
-            * az ** (b - 2.0) * math.exp(-(az ** b))
-            / (2.0 * _gn_scale_power(spec, 2) * math.gamma(1.0 / b)))
+def _dlog_bl(spec, x):
+    """l = ln c - softplus(ua) - softplus(ub) at ua, ub = (a - x)/s, (x - b)/t."""
+    s, t = spec.s, spec.t
+    ua, ub = (spec.a - x) / s, (x - spec.b) / t
+    la, lb, ka, kb = specfun.logistic([ua, ub, -ua, -ub]).tolist()
+    return la / s - lb / t, -(la * ka / s) / s - (lb * kb / t) / t
 
 
-def _d1_al(spec, x):
-    # -(1/(2 r s)) sinh(rho) sinh(w) / (cosh(w) + cosh(rho))^2, in log space.
-    s, r = spec.s, spec.r
-    w = (x - spec.m) / s
-    rho = r / s
-    if w == 0.0:
-        return 0.0
-    lcs = float(specfun.log_cosh_sum(w, rho))
-    lsh_rho = float(specfun.log_sinh(rho))
-    lsh_w = float(specfun.log_sinh(abs(w)))
-    return -math.copysign(math.exp(lsh_rho + lsh_w - 2.0 * lcs), w) / (2.0 * r * s)
+def _dlog_an(spec, x):
+    """l = ln c + ln D, D = erfc(u - rho) - erfc(u + rho) at u = |x - m|/k,
+    rho = r/k, k = sqrt(2) s; the erfc form keeps D's relative accuracy past
+    the edges.  Declines where D underflows."""
+    k = math.sqrt(2.0) * spec.s
+    u, rho = abs(x - spec.m) / k, spec.r / k
+    zn, zf = u - rho, u + rho
+    d = math.erfc(zn) - math.erfc(zf)
+    if d == 0.0:
+        return None
+    en, ef = math.exp(-zn * zn), math.exp(-zf * zf)
+    g1 = (ef - en) / d / (0.5 * math.sqrt(math.pi))  # d l/du
+    g2 = (zn * en - zf * ef) / d / (0.25 * math.sqrt(math.pi)) - g1 * g1
+    return math.copysign(1.0, x - spec.m) * g1 / k, g2 / k / k
 
 
-def _d2_al(spec, x):
-    s, r = spec.s, spec.r
-    w = (x - spec.m) / s
-    rho = r / s
-    lcs = float(specfun.log_cosh_sum(w, rho))
-    lsh_rho = float(specfun.log_sinh(rho))
-    lch_w = float(specfun.log_cosh(w))
-    term2 = math.exp(lsh_rho + lch_w - 2.0 * lcs)
-    if w == 0.0:
-        term1 = 0.0
-    else:
-        lsh_w = float(specfun.log_sinh(abs(w)))
-        term1 = 2.0 * math.exp(lsh_rho + 2.0 * lsh_w - 3.0 * lcs)
-    return (term1 - term2) / (2.0 * r * s ** 2)
+def _dlog_ce(spec, x):
+    """l = ln c - softplus(w), w = ((x - m)^2 - r^2)/s^2: CE, and CF at beta = 2."""
+    s, d = spec.s, x - spec.m
+    w = ((d - spec.r) / s) * ((d + spec.r) / s)
+    dw = 2.0 * (d / s) / s
+    g, h = specfun.logistic([w, -w]).tolist()
+    return -g * dw, -g * h * dw * dw - 2.0 * g / s / s
 
 
-def _logistic(z):
-    return float(specfun.logistic(z))
+_DLOG = {"GN": _dlog_gn, "AL": _dlog_al, "BL": _dlog_bl, "AN": _dlog_an, "CE": _dlog_ce,
+         "CF": lambda spec, x: _dlog_ce(spec, x) if spec.beta == 2.0 else None}
 
 
-def _d1_bl(spec, x):
-    a, b, s, t = spec.a, spec.b, spec.s, spec.t
-    p = float(uv.pdf(spec, x))
-    return p * (_logistic((a - x) / s) / s - _logistic((x - b) / t) / t)
-
-
-def _d2_bl(spec, x):
-    a, b, s, t = spec.a, spec.b, spec.s, spec.t
-    p = float(uv.pdf(spec, x))
-    bracket = _logistic((a - x) / s) / s - _logistic((x - b) / t) / t
-    fa = _logistic((x - a) / s) * _logistic((a - x) / s)
-    fb = _logistic((x - b) / t) * _logistic((b - x) / t)
-    return p * bracket * bracket - p * (fa / s ** 2 + fb / t ** 2)
-
-
-_ANALYTIC_D1 = {"GN": _d1_gn, "AL": _d1_al, "BL": _d1_bl}
-_ANALYTIC_D2 = {"GN": _d2_gn, "AL": _d2_al, "BL": _d2_bl}
-
-
-def _pdf_d1(spec: uv.UnivariateSpec, x: float) -> float:
-    fn = _ANALYTIC_D1.get(spec.family)
-    if fn is not None:
-        return fn(spec, x)
-    h = float(np.cbrt(np.finfo(float).eps)) * max(uv._scale(spec), 1e-12)
-    return float(uv.pdf(spec, x + h) - uv.pdf(spec, x - h)) / (2.0 * h)
-
-
-def _pdf_d2(spec: uv.UnivariateSpec, x: float) -> float:
-    fn = _ANALYTIC_D2.get(spec.family)
-    if fn is not None:
-        return fn(spec, x)
-    h = float(np.cbrt(np.finfo(float).eps)) * max(uv._scale(spec), 1e-12)
-    return float(uv.pdf(spec, x + h) - 2.0 * uv.pdf(spec, x) + uv.pdf(spec, x - h)) / h ** 2
+def _pdf_derivs(spec: uv.UnivariateSpec, x: float) -> tuple[float, float]:
+    """(p'(x), p''(x)): p (l', l'^2 + l'') from the family's hook, else
+    central differences."""
+    hook = _DLOG.get(spec.family)
+    dlog = None if hook is None else hook(spec, x)
+    if dlog is None:
+        h = float(np.cbrt(np.finfo(float).eps)) * max(uv._scale(spec), 1e-12)
+        lo, mid, hi = (uv.pdf(spec, v) for v in (x - h, x, x + h))
+        return (hi - lo) / (2.0 * h), (hi - 2.0 * mid + lo) / h ** 2
+    p, (l1, l2) = uv.pdf(spec, x), dlog
+    return p * l1, p * (l1 * l1 + l2)
 
 
 def eps_flat_measure(
@@ -237,10 +208,14 @@ def eps_flat_measure(
     xm = uv.mode(spec)
     if not a < xm < b:
         raise ValueError(f"boundaries must straddle the mode: a={a}, x_m={xm}, b={b}")
-    slope_gap = _pdf_d1(spec, a) - _pdf_d1(spec, b)
+    slope_gap = _pdf_derivs(spec, a)[0] - _pdf_derivs(spec, b)[0]
+    curvature = _pdf_derivs(spec, xm)[1]
+    # A finite density has finite slopes: an infinite one, or a nan, is
+    # overflow, as where s is so small that p' ~ 1/s^2 exceeds a double.
+    if not math.isfinite(slope_gap) or math.isnan(curvature):
+        raise FlatnessError(f"{spec.family}: density derivatives overflow at s={spec.s}")
     if slope_gap == 0.0:
         raise FlatnessError("degenerate boundaries: p'(a) = p'(b)")
-    curvature = _pdf_d2(spec, xm)
     if math.isinf(curvature):
         return math.inf
     return abs(curvature) * abs((a - b) / slope_gap)
@@ -281,7 +256,9 @@ def delta_eps_flat(
 
 def family_flat_bound(spec: uv.UnivariateSpec) -> float | None:
     """Closed-form upper bound on the curvature measure at the family's own
-    boundary parameters; None where no bound is carried."""
+    boundary parameters; None where no bound is carried.  For CE the bound
+    sech^2(k/2), k = ((b - a)/(2 s))^2, is the measure at (a, b) exactly:
+    there l''(m) = -2 logistic(-k)/s^2 and p'(a) = -p'(b) = c r/(2 s^2)."""
     f = spec.family
     if f == "AL":
         rho = spec.r / spec.s
@@ -293,7 +270,7 @@ def family_flat_bound(spec: uv.UnivariateSpec) -> float | None:
         return 2.0 * k ** 2 / math.expm1(0.5 * k ** 2) if 0.5 * k * k < 700.0 else 0.0
     if f == "CE":
         k = ((spec.b - spec.a) / (2.0 * spec.s)) ** 2
-        return float(specfun.sech2(k))
+        return float(specfun.sech2(0.5 * k))
     if f == "CF" and spec.beta == 1.0:
         return math.exp(-spec.r / (2.0 * spec.s))
     return None

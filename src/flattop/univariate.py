@@ -100,8 +100,12 @@ AL_OF_NORMAL_S = AL_OF_NORMAL_R / math.pi + 0.166
 AN_TO_AL_SCALE = 0.5877
 
 _NORM_SETTINGS = QuadratureSettings(abs_tol=1e-14, rel_tol=1e-12, max_subdivisions=4000)
-# Tail masses far below 1 keep their relative accuracy, so the cdf beyond a
-# table's cut stays monotone.
+# With abs_tol at 1e-300, rel_tol alone stops a quadrature: a tail that a
+# point beyond a table's cut integrates on its own keeps its relative
+# accuracy, so the cdf there stays monotone.  The table's panels stop on
+# errors summed against the whole mass, which bounds the error of its
+# left-tail cdf values only absolutely, by about rel_tol, not relative to
+# their own size.
 _CDF_SETTINGS = replace(_NORM_SETTINGS, abs_tol=1e-300)
 _NEWTON_STEPS = 50  # per numeric quantile
 
@@ -887,9 +891,11 @@ def _quantile_numeric(spec, v):
     within an ulp of the table's mass F(inf) or above it (F(inf) misses 1 by
     up to 1e-10) goes where F(inf) - F is half an ulp of 1.  The steps stop
     once |F - v| <= 1e-12 min(v, 1 - v), plus 8.9e-16, four ulps of 1, above
-    the median: F(inf) - F cancels there, but below it every F (the table's
-    sums of positive panel masses, the closed AN and DE tails) keeps its
-    relative accuracy.
+    the median, where F(inf) - F cancels.  Below the median the closed AN
+    and DE tails keep their relative accuracy; the error of the table's
+    sums of positive panel masses is bounded only absolutely, by about
+    1e-12 (see ``_CDF_SETTINGS``), so for v far below that the stop matches
+    the table's F, not the true cdf, to 1e-12 relative.
     """
     edges, cum, top = _table(spec)
     closed = _FAMILY[spec.family].cdf

@@ -156,6 +156,11 @@ def test_flatness_rejects_thresholds_outside_unit_interval(capsys, family, param
     # h = (r/s)^2 overflows although r/s is finite.
     (("--family", "CE", "--params", "a=0,b=1,s=1e-200"), 1,
      "error: CE: requires a finite (r/s)^beta, got r=0.5, s=1e-200, beta=2.0\n"),
+    # p' ~ 1/s^2 overflows: a typed error, not a null measure.
+    (("--family", "GN", "--params", "mu=0,s=1e-160,beta=1.5"), 1,
+     "error: GN: density derivatives overflow at s=1e-160\n"),
+    (("--family", "CE", "--params", "a=0,b=1e-160,s=1e-160", "--boundaries", "fwhm"), 1,
+     "error: CE: density derivatives overflow at s=1e-160\n"),
 ])
 def test_flatness_extreme_scales_without_traceback_or_warning(capsys, argv, code, err):
     with warnings.catch_warnings():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -50,7 +51,7 @@ def test_fwhm_numeric_matches_half_height():
     ("BL", {"a": 0.0, "b": 2.0, "s": 0.1, "t": 0.8}),
     ("BL", {"a": -3.0, "b": 4.0, "s": 1.5, "t": 0.05}),
     ("ALS", {"a": -1.0, "b": 1.0, "s": 0.3, "lam": 0.6}),
-    ("CH", {"m": 0.5, "r": 2.0, "s": 0.25, "beta": 3.0}),  # bisection alone misses by 3.5e-10
+    ("CH", {"m": 0.5, "r": 2.0, "s": 0.25, "beta": 3.0}),  # steep: 1e-10 needs the end to ulps
 ])
 def test_fwhm_ends_are_at_half_maximum(family, params):
     spec = uv.make(family, params)
@@ -100,6 +101,78 @@ def test_al_exact_measure_below_family_bound():
     assert fl.family_flat_bound(al) == pytest.approx(40.0 / math.sinh(10.0), rel=1e-12)
 
 
+def _mp_density(spec):
+    """The 50-digit density of ``spec``, from its definition and its own
+    normalizer c."""
+    c, f, s = mp.mpf(spec.c), spec.family, mp.mpf(spec.s)
+    if f == "GN":
+        return lambda x: c * mp.exp(-abs((x - spec.mu) / s) ** spec.beta)
+    if f == "AL":
+        return lambda x: c * (mp.sigmoid((x - spec.a) / s) - mp.sigmoid((x - spec.b) / s))
+    if f == "BL":
+        return lambda x: c * mp.sigmoid((x - spec.a) / s) * mp.sigmoid((spec.b - x) / spec.t)
+    if f == "AN":
+        return lambda x: c * (mp.erf((x - spec.a) / (mp.sqrt(2) * s))
+                              - mp.erf((x - spec.b) / (mp.sqrt(2) * s)))
+    return lambda x: c / (1 + mp.exp(((x - spec.m) ** 2 - mp.mpf(spec.r) ** 2) / s ** 2))
+
+
+_RULE_SPECS = [
+    ("GN", {"mu": 0.3, "s": 0.8, "beta": 1.5}),
+    ("GN", {"mu": 0.0, "s": 1.3, "beta": 2.0}),
+    ("GN", {"mu": -0.5, "s": 0.7, "beta": 4.0}),
+    ("AL", {"a": -1.0, "b": 2.0, "s": 0.3}),
+    ("BL", {"a": -1.0, "b": 3.0, "s": 0.2, "t": 0.5}),
+    ("AN", {"a": -2.0, "b": 2.0, "s": 0.4}),
+    ("CE", {"a": -2.0, "b": 2.0, "s": 0.7}),
+    ("CF", {"m": 0.0, "r": 2.0, "s": 0.5, "beta": 2.0}),
+]
+
+
+@pytest.mark.parametrize("family, params", _RULE_SPECS)
+def test_log_density_rule_matches_mpmath(family, params):
+    """p' = p l' and p'' = p (l'^2 + l'') against 50-digit derivatives of
+    the density, at the mode, the canonical boundaries and ten random
+    points: within 1e-12 relative, or within 1e-12 p/s^n, the size of the
+    terms the rule adds, where the exact value is near 0 (at the mode, at
+    an inflection point).  Below beta = 2, GN's p'' is -inf at the mode."""
+    spec = uv.make(family, params)
+    f, xm = _mp_density(spec), uv.mode(spec)
+    a, b = fl.canonical_boundaries(spec)
+    rng = np.random.default_rng(5)
+    with mp.workdps(50):
+        for x in [xm, a, b, *rng.uniform(a - 0.25 * (b - a), b + 0.25 * (b - a), 10)]:
+            p = uv.pdf(spec, x)
+            for n, got in enumerate(fl._pdf_derivs(spec, x), start=1):
+                if family == "GN" and params["beta"] < 2.0 and x == xm and n == 2:
+                    assert got == -math.inf
+                    continue
+                exact = float(mp.diff(f, x, n))
+                assert abs(got - exact) <= 1e-12 * max(abs(exact), p / spec.s ** n), (x, n)
+
+
+@pytest.mark.parametrize("family, params, at, exact", [
+    ("AN", {"a": -2.0, "b": 2.0, "s": 0.4}, "edges", 1.8633265860393e-4),
+    ("AN", {"a": 0.0, "b": 6.0, "s": 0.5}, "edges", 1.0965585416193e-6),
+    ("CE", {"a": -1.0, "b": 5.0, "s": 0.4}, "edges", 1.4893452487002e-24),
+    ("CF", {"m": 0.0, "r": 2.0, "s": 0.5, "beta": 2.0}, "edges", 4.5014059756373e-7),
+    ("CE", {"a": -2.0, "b": 2.0, "s": 0.7}, "canonical", 1.1421988741869e-3),
+])
+def test_flat_top_measure_matches_mpmath(family, params, at, exact):
+    # Central differences gave 0.0 for the second to fourth, 2.2768e-4
+    # for the first and 1.1339e-3 for the last.
+    spec = uv.make(family, params)
+    if at == "edges":
+        a, b = spec.m - spec.r, spec.m + spec.r
+    else:
+        a, b = fl.canonical_boundaries(spec)
+    f, xm = _mp_density(spec), uv.mode(spec)
+    with mp.workdps(50):
+        ref = abs(mp.diff(f, xm, 2)) * abs((a - b) / (mp.diff(f, a) - mp.diff(f, b)))
+    assert float(ref) == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert fl.eps_flat_measure(spec, a, b) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+
 def test_measure_smoothed_rectangle_vs_normal():
     smooth_u = uv.make("AL", {"a": 0, "b": 1, "s": 1e-5})
     assert fl.eps_flat_measure(smooth_u, 0.0, 1.0) < 1e-3
@@ -141,6 +214,26 @@ def test_bl_bound_dominates_random_draws():
         bl = uv.make("BL", {"a": a, "b": b, "s": s, "t": t})
         measure = fl.eps_flat_measure(bl, a, b)
         assert measure <= fl.family_flat_bound(bl), (a, b, s, t)
+
+
+@pytest.mark.parametrize("family", ["AN", "CE"])
+def test_bound_dominates_random_draws(family):
+    # On flat tops AN's bound exceeds its exact measure by less than
+    # rounding, and CE's is the exact measure: hence the slack.
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        a = rng.uniform(-3.0, 1.0)
+        b = a + rng.uniform(0.2, 10.0)
+        s = rng.uniform(0.05, 3.0)
+        spec = uv.make(family, {"a": a, "b": b, "s": s})
+        measure = fl.eps_flat_measure(spec, a, b)
+        assert measure <= fl.family_flat_bound(spec) * (1.0 + 1e-12), (a, b, s)
+
+
+def test_ce_bound_is_the_measure_at_the_edges():
+    ce = uv.make("CE", {"a": -1, "b": 1, "s": 0.5})
+    assert fl.family_flat_bound(ce) == pytest.approx(1.0 / math.cosh(2.0) ** 2, rel=1e-14)
+    assert fl.eps_flat_measure(ce, -1.0, 1.0) == pytest.approx(fl.family_flat_bound(ce), rel=1e-12)
 
 
 def test_bl_bound_closed_value():
