@@ -7,9 +7,18 @@ Three families over the Mahalanobis radius rho = ((x-m)^T Sigma^-1 (x-m))^(1/2):
 * MU: the uniform ball of radius r (the t -> infinity limit of CL with
   Sigma = I).
 
-At n = 1 with t = 1/s, CM and CL reproduce the univariate Fermi-function
-and cosh-ratio families pointwise.  Specs are immutable by convention;
-evaluation is vectorized over rows of points.
+Each is a univariate law in u = rho^n, symmetric about 0 (the spec's
+``radial``): CL is AL(a = -r^n, b = r^n, s = 1/t), CM is CF(m = 0,
+r = r^n, s = 1/t, beta = 1) and MU is U(-r^n, r^n).  The volume element is
+dx = |Sigma|^(1/2) pi^(n/2) / Gamma(n/2 + 1) du, so
+
+    p(x) = 2 Gamma(n/2 + 1) / (pi^(n/2) |Sigma|^(1/2)) p_radial(rho^n),
+
+the normalizer is that factor times the radial one, and a draw takes u =
+|U| for U of the radial law: its quantile at (1 + v)/2, v uniform on
+[0, 1).  At n = 1 with t = 1/s, CM and CL reproduce the univariate
+Fermi-function and cosh-ratio families pointwise.  Specs are immutable by
+convention; evaluation is vectorized over rows of points.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
+from . import univariate as uv
 from .data_io import Dataset
 
 __all__ = [
@@ -36,7 +45,14 @@ __all__ = [
     "ball_volume",
 ]
 
-_MV_FAMILIES = ("CM", "CL", "MU")
+# Each family's radial law from R = r^n and the slope t (see the module
+# docstring); the one per-family table.
+_RADIAL = {
+    "CM": lambda big_r, t: uv.make("CF", {"m": 0.0, "r": big_r, "s": 1.0 / t, "beta": 1.0}),
+    "CL": lambda big_r, t: uv.make("AL", {"a": -big_r, "b": big_r, "s": 1.0 / t}),
+    "MU": lambda big_r, t: uv.make("U", {"a": -big_r, "b": big_r}),
+}
+_MV_FAMILIES = tuple(_RADIAL)
 
 
 def ball_volume(n: int, r: float) -> float:
@@ -46,7 +62,8 @@ def ball_volume(n: int, r: float) -> float:
 
 @dataclass
 class MultivariateSpec:
-    """Validated elliptical spec with cached Cholesky factor and normalizer.
+    """Validated elliptical spec with cached Cholesky factor, normalizer and
+    radial law in u = rho^n.
 
     ``t`` is None exactly for MU.  Treat instances as immutable.
     """
@@ -60,6 +77,7 @@ class MultivariateSpec:
     chol: np.ndarray
     log_det: float
     c: float
+    radial: uv.UnivariateSpec
 
 
 def make_mv(
@@ -69,10 +87,12 @@ def make_mv(
     t: float | None = None,
     sigma=None,
 ) -> MultivariateSpec:
-    """Validate parameters and cache the triangular factor and normalizer.
+    """Validate parameters and cache the triangular factor, the radial law
+    and the normalizer.
 
     ``sigma`` defaults to the identity; MU ignores any ``t`` and requires
-    the identity metric.
+    the identity metric.  A spec whose r^n, r^n t, 1/t or normalizer is not
+    a finite, positive double raises ValueError.
     """
     if family not in _MV_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {_MV_FAMILIES}")
@@ -105,24 +125,17 @@ def make_mv(
     except np.linalg.LinAlgError as exc:
         raise ValueError("Sigma must be positive definite") from exc
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    spec = MultivariateSpec(family=family, n=n, m=m, sigma=sigma, r=float(r),
-                            t=t, chol=chol, log_det=log_det, c=math.nan)
-    spec.c = _normalizer(spec)
-    return spec
-
-
-def _normalizer(spec: MultivariateSpec) -> float:
-    n, r = spec.n, spec.r
-    half_log_det = 0.5 * spec.log_det
-    log_unit = math.lgamma(n / 2.0 + 1.0) - (n / 2.0) * math.log(math.pi)
-    if spec.family == "MU":
-        return math.exp(log_unit - n * math.log(r))
-    if spec.family == "CL":
-        return math.exp(log_unit - n * math.log(r) - half_log_det)
-    # CM
-    a = r ** n * spec.t
-    return math.exp(math.log(spec.t) + log_unit - half_log_det
-                    - math.log(float(specfun.softplus(a))))
+    try:  # r^n raises OverflowError; the radial make rejects the rest
+        radial = _RADIAL[family](float(r) ** n, t)
+        c = math.exp(math.log(2.0) + math.lgamma(n / 2.0 + 1.0) - (n / 2.0) * math.log(math.pi)
+                     - 0.5 * log_det) * radial.c
+    except (OverflowError, ValueError):
+        c = math.nan
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"{family}: requires a finite, positive r^n, r^n t, 1/t and "
+                         f"normalizer, got n={n}, r={r}, t={t}, ln|Sigma|={log_det}")
+    return MultivariateSpec(family=family, n=n, m=m, sigma=sigma, r=float(r), t=t,
+                            chol=chol, log_det=log_det, c=c, radial=radial)
 
 
 def mv_normalizer(spec: MultivariateSpec) -> float:
@@ -158,46 +171,17 @@ def mahalanobis(x, spec: MultivariateSpec):
 
 
 def mv_log_pdf(spec: MultivariateSpec, x):
-    """Log density, exp-shifted so large r^n t and rho^n t are safe."""
-    rows, single = _rows(x, spec.n)
-    rho = mahalanobis(rows, spec)
-    rho = np.atleast_1d(rho)
-    n, r = spec.n, spec.r
-    if spec.family == "MU":
-        out = np.where(rho <= r, math.log(spec.c), -math.inf)
-    elif spec.family == "CM":
-        out = math.log(spec.c) - specfun.softplus((rho ** n - r ** n) * spec.t)
-    else:  # CL
-        out = math.log(spec.c) + specfun.log_sinh_ratio(rho ** n * spec.t, r ** n * spec.t)
-    return float(out[0]) if single else out
+    """Log density: the log of the factor in front of the radial density
+    (see the module docstring) plus its log-density at u = rho^n."""
+    with np.errstate(over="ignore"):  # rho^n = inf far out: the density is 0
+        u = np.power(mahalanobis(x, spec), spec.n)
+    return math.log(spec.c / spec.radial.c) + uv.log_pdf(spec.radial, u)
 
 
 def mv_pdf(spec: MultivariateSpec, x):
     """Density; constant on Mahalanobis ellipsoids."""
-    out = mv_log_pdf(spec, x)
-    if np.isscalar(out) or np.ndim(out) == 0:
-        return math.exp(out) if out > -math.inf else 0.0
     with np.errstate(under="ignore"):
-        return np.exp(out)
-
-
-def _radial_u_quantile(spec: MultivariateSpec, v: np.ndarray) -> np.ndarray:
-    """Inverse CDF of u = rho^n under the spec's radial law."""
-    n, r = spec.n, spec.r
-    rn = r ** n
-    if spec.family == "MU":
-        return v * rn
-    if spec.family == "CM":
-        # u-density proportional to expit((r^n - u) t) on (0, inf).
-        a = rn * spec.t
-        ell = float(specfun.softplus(a))
-        w = ell * (1.0 - v)
-        return (a - specfun.log_expm1(w)) / spec.t
-    # CL: u = |X| with X symmetric about 0 following the logistic-difference
-    # law on (-r^n, r^n) scale 1/t, so the closed quantile applies directly.
-    from .univariate import _quantile_al_like
-
-    return _quantile_al_like(0.5 * (1.0 + v), 0.0, rn, 1.0 / spec.t)
+        return np.exp(mv_log_pdf(spec, x))
 
 
 def mv_sample(spec: MultivariateSpec, count: int, seed: int) -> Dataset:
@@ -207,7 +191,9 @@ def mv_sample(spec: MultivariateSpec, count: int, seed: int) -> Dataset:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     v = rng.random(count)
-    u = np.asarray(_radial_u_quantile(spec, v), dtype=float)
+    # u = |U|; (1 + v)/2 rounds to 1 at v = 1 - 2^-53, where the quantile is
+    # infinite, so it is held at the last double below 1.
+    u = uv.quantile(spec.radial, np.minimum(0.5 * (1.0 + v), 1.0 - 2.0 ** -53))
     rho = np.maximum(u, 0.0) ** (1.0 / spec.n)
     direction = rng.standard_normal((count, spec.n))
     norms = np.linalg.norm(direction, axis=1, keepdims=True)

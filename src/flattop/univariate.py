@@ -293,11 +293,20 @@ def _kurtosis_gn(spec) -> float:
 
 
 def _pdf_an(spec, x):
+    """c [erf(z1) - erf(z2)] at z1, z2 = (x - a, x - b)/(sqrt(2) s).  Past an
+    edge, where zn = max(z2, -z1) >= 0, the difference is erfc(zn) - erfc(zf)
+    with zf = max(z1, -z2), which does not cancel; each point takes one pair."""
     from scipy import special as sp
 
-    z1 = (x - spec.a) / (math.sqrt(2.0) * spec.s)
-    z2 = (x - spec.b) / (math.sqrt(2.0) * spec.s)
-    return spec.c * (sp.erf(z1) - sp.erf(z2))
+    with np.errstate(over="ignore"):  # |x| far beyond s: z = inf, the density 0
+        z1 = (x - spec.a) / (math.sqrt(2.0) * spec.s)
+        z2 = (x - spec.b) / (math.sqrt(2.0) * spec.s)
+    zn, zf = np.maximum(z2, -z1), np.maximum(z1, -z2)
+    past = zn >= 0.0
+    out = np.empty_like(zn)
+    out[past] = sp.erfc(zn[past]) - sp.erfc(zf[past])
+    out[~past] = sp.erf(z1[~past]) - sp.erf(z2[~past])
+    return spec.c * out
 
 
 def _log_pdf_an(spec, x):
@@ -625,7 +634,7 @@ def _fd_edges(spec) -> list[float]:
 
 def _log_pdf_cf(spec, x):
     with np.errstate(over="ignore"):
-        w = (np.abs(x - spec.m) ** spec.beta - spec.r ** spec.beta) / spec.s ** spec.beta
+        w = (np.abs(x - spec.m) / spec.s) ** spec.beta - (spec.r / spec.s) ** spec.beta
     return math.log(spec.c) - specfun.softplus(w)
 
 

@@ -161,6 +161,9 @@ def test_flatness_rejects_thresholds_outside_unit_interval(capsys, family, param
      "error: GN: density derivatives overflow at s=1e-160\n"),
     (("--family", "CE", "--params", "a=0,b=1e-160,s=1e-160", "--boundaries", "fwhm"), 1,
      "error: CE: density derivatives overflow at s=1e-160\n"),
+    # r^beta and s^beta underflow to 0, but (r/s)^beta = 1: no 0/0 in ln p.
+    (("--family", "CF", "--params", "m=0,r=1e-170,s=1e-170,beta=2"), 1,
+     "error: CF: density derivatives overflow at s=1e-170\n"),
 ])
 def test_flatness_extreme_scales_without_traceback_or_warning(capsys, argv, code, err):
     with warnings.catch_warnings():

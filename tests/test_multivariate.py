@@ -1,10 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from flattop import multivariate as mv, univariate as uv
+from flattop import multivariate as mv, specfun, univariate as uv
 
 
 def test_make_validates_inputs():
@@ -18,6 +19,17 @@ def test_make_validates_inputs():
         mv.make_mv("CL", [0, 0], r=1)
     with pytest.raises(ValueError, match="dispersion r"):
         mv.make_mv("MU", [0, 0], r=-1)
+
+
+# r^n overflows (the first three used to store c = 0.0 or raise a bare
+# OverflowError), r^n t overflows, 1/t overflows.
+@pytest.mark.parametrize("family, r, t", [
+    ("CL", 1e200, 1.0), ("CM", 1e200, 1.0), ("CL", 1e160, 1e160), ("MU", 1e200, None),
+    ("CL", 1e100, 1e300), ("CM", 1e100, 1e300), ("CL", 1.0, 1e-320), ("CM", 1.0, 1e-320)])
+def test_make_rejects_a_radial_law_out_of_range(family, r, t):
+    with pytest.raises(ValueError, match=rf"^{family}: requires a finite, positive r\^n") as info:
+        mv.make_mv(family, [0.0, 0.0], r=r, t=t)
+    assert f"r={r}, t={t}" in str(info.value) and "s=" not in str(info.value)
 
 
 def test_mahalanobis_identity_and_diagonal():
@@ -48,6 +60,45 @@ def test_non_finite_points_raise(bad):
 # ---------------------------------------------------------------------------
 # Normalizers and pointwise values
 # ---------------------------------------------------------------------------
+
+def _ref_normalizer(spec):
+    """The per-family closed forms the radial laws replaced."""
+    n, r = spec.n, spec.r
+    log_unit = math.lgamma(n / 2.0 + 1.0) - (n / 2.0) * math.log(math.pi)
+    if spec.family == "MU":
+        return math.exp(log_unit - n * math.log(r))
+    if spec.family == "CL":
+        return math.exp(log_unit - n * math.log(r) - 0.5 * spec.log_det)
+    return math.exp(math.log(spec.t) + log_unit - 0.5 * spec.log_det
+                    - math.log(float(specfun.softplus(r ** n * spec.t))))
+
+
+def _ref_log_pdf(spec, x):
+    rho, n, r, log_c = mv.mahalanobis(x, spec), spec.n, spec.r, math.log(_ref_normalizer(spec))
+    if spec.family == "MU":
+        return np.where(rho <= r, log_c, -math.inf)
+    if spec.family == "CM":
+        return log_c - specfun.softplus((rho ** n - r ** n) * spec.t)
+    return log_c + specfun.log_sinh_ratio(rho ** n * spec.t, r ** n * spec.t)
+
+
+@pytest.mark.parametrize("family", ["CM", "CL", "MU"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_radial_laws_match_the_closed_forms(family, n):
+    rng = np.random.default_rng(10 * n + len(family))
+    for t in (0.3, 1.0, 20.0, 1e4, 1e10, 1e17):
+        a = rng.normal(size=(n, n))
+        sigma = np.eye(n) if family == "MU" else a @ a.T + 0.3 * np.eye(n)
+        spec = mv.make_mv(family, rng.normal(size=n), float(rng.uniform(0.3, 2.0)), t, sigma)
+        assert spec.c == pytest.approx(_ref_normalizer(spec), rel=1e-13)
+        # rho = 1.5 r chi_n / sqrt(n): points inside and outside the top.
+        pts = spec.m + 1.5 * spec.r / math.sqrt(n) * rng.normal(size=(100, n)) @ spec.chol.T
+        got, ref = mv.mv_log_pdf(spec, pts), _ref_log_pdf(spec, pts)
+        live = np.isfinite(ref)
+        assert np.array_equal(np.isfinite(got), live)
+        assert np.all(got[~live] == -math.inf) and live.any()
+        assert family != "MU" or not live.all()
+        assert np.max(np.abs(got[live] - ref[live]) / np.abs(ref[live])) < 1e-13
 
 def test_cl_normalizer_closed_forms():
     assert mv.make_mv("CL", [0, 0], r=1, t=5).c == pytest.approx(1.0 / math.pi, rel=1e-14)
@@ -147,6 +198,33 @@ def test_cl_sampling_mean_and_shell_fraction():
     alx = uv.make("AL", {"a": -1.0, "b": 1.0, "s": 1.0 / 20.0})
     pred = float(uv.cdf(alx, 1.0) - uv.cdf(alx, -1.0))
     assert frac == pytest.approx(pred, abs=3.0 * math.sqrt(pred * (1 - pred) / len(ds)))
+
+
+def test_cl_draws_are_pinned():
+    """The digest of these draws (a benchmark's CL data) as the per-family
+    radial quantile gave them: AL(-R, R, 1/t) runs the same arithmetic."""
+    rows = mv.mv_sample(mv.make_mv("CL", [0, 0], 1.0, 20.0), 1000, 20260808).rows
+    assert (hashlib.sha256(np.ascontiguousarray(rows).tobytes()).hexdigest()
+            == "d6a10190ee332ec9392f46eafff8eb53210be49003879100359d3923bdd16feb")
+
+
+@pytest.mark.parametrize("family", ["CM", "CL", "MU"])
+def test_draws_at_the_ends_of_the_uniform(monkeypatch, family):
+    """v = 0 puts u at 0; at v = 1 - 2^-53, (1 + v)/2 rounds to 1, where the
+    radial quantile is infinite."""
+    real = np.random.default_rng(0)
+
+    class Ends:
+        def random(self, count):
+            return np.array([0.0, 1.0 - 2.0 ** -53])
+
+        def standard_normal(self, shape):
+            return real.standard_normal(shape)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Ends())
+    spec = mv.make_mv(family, [1.0, -1.0], r=1.0, t=20.0)
+    rho = mv.mahalanobis(mv.mv_sample(spec, 2, 0).rows, spec)
+    assert rho[0] < 1e-7 and 0.99 < rho[1] < math.inf
 
 
 def test_sampling_deterministic():

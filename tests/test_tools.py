@@ -22,3 +22,16 @@ def f(x):
 '''
     # def, both lines of the continued statement, the string and return.
     assert count_code_lines.count_code_lines(source) == 5
+
+
+def test_each_file_counts_once_however_many_paths_reach_it(tmp_path, capsys):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "pkg" / "b.py").write_text("z = 3\n")
+    pkg = tmp_path / "pkg"
+    assert count_code_lines.main([str(pkg)]) == 0
+    alone = capsys.readouterr().out
+    assert count_code_lines.main([str(pkg / "a.py"), str(pkg), str(pkg / ".." / "pkg")]) == 0
+    overlapping = capsys.readouterr().out
+    assert overlapping.count("a.py") == 1 and overlapping.count("b.py") == 1
+    assert overlapping.splitlines()[-1] == alone.splitlines()[-1] == "     3  total"

@@ -333,6 +333,21 @@ def test_als_pdf_matches_mpmath_into_the_tails(params):
     assert np.max(np.abs(from_log - ref[live]) / ref[live]) < 1e-12
 
 
+def test_an_pdf_matches_mpmath_past_the_edges():
+    """Past an edge erf(z1) - erf(z2) cancels: at x = 6 it used to give 0.0."""
+    mp = pytest.importorskip("mpmath")
+    spec = uv.make("AN", {"a": -2.0, "b": 2.0, "s": 0.4})
+    xs = np.array([0.0, 2.5, 4.0, 5.0, 6.0, -2.5, -4.0, -5.0, -6.0])
+    with mp.workdps(50):
+        k = mp.sqrt(2) * mp.mpf("0.4")
+        ref = np.array([float((mp.erf((x + 2) / k) - mp.erf((x - 2) / k)) / 8)
+                        for x in map(mp.mpf, xs.tolist())])
+    assert ref[4] == pytest.approx(1.905e-24, rel=1e-3)
+    got = uv.pdf(spec, xs)
+    assert np.max(np.abs(got - ref) / ref) < 1e-13
+    assert uv.pdf(spec, 6.0) == pytest.approx(ref[4], rel=1e-13)
+
+
 def test_als_tiny_width_keeps_its_height_at_the_mode():
     spec = uv.make("ALS", {"a": 0.0, "b": 1e-20, "s": 1.0, "lam": 0.0})
     assert uv.pdf(spec, uv.mode(spec)) == pytest.approx(0.25, rel=1e-12)

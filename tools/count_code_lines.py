@@ -9,8 +9,8 @@ of a statement continued over several lines that holds a token does.
 Usage: python tools/count_code_lines.py PATH [PATH ...]
 
 Each PATH is a ``.py`` file or a directory, searched recursively for
-``.py`` files.  Prints the count of each file and, for more than one
-file, their total.
+``.py`` files.  Prints the count of each file, once however many PATHs
+reach it, and, for more than one file, their total.
 """
 
 from __future__ import annotations
@@ -52,8 +52,10 @@ def main(argv: list[str]) -> int:
     if not argv:
         print("usage: python tools/count_code_lines.py PATH [PATH ...]", file=sys.stderr)
         return 2
-    files = sorted(f for arg in argv for f in
-                   ([Path(arg)] if Path(arg).is_file() else Path(arg).rglob("*.py")))
+    # Keyed by the resolved path, so a file that several PATHs reach counts once.
+    found = {f.resolve(): f for arg in argv for f in
+             ([Path(arg)] if Path(arg).is_file() else Path(arg).rglob("*.py"))}
+    files = sorted(found.values())
     total = 0
     for path in files:
         count = count_code_lines(path.read_text(encoding="utf-8"))
