@@ -5,6 +5,10 @@ gradcheck, gen.  Output is CSV or JSON on stdout (or --out FILE); given the
 same argv and seed the bytes are identical across runs.  Exit codes: 0 on
 success, 1 on runtime errors, 2 on usage errors.
 
+gradcheck audits the maximum-likelihood kernel every fit steps on: each
+family's gradient and Hessian, in (a, b, s) for AL, (a, b, s, t) for BL
+and (m, L, log a) for CL, against central differences.
+
 The FLATTOP_OUTPUT_DIR environment variable, when set, prefixes relative
 --out paths.
 """
@@ -251,15 +255,8 @@ def _cmd_flatness(args) -> int:
     spec = uv.make(args.family, args.params)
     eps = tuple(float(e) for e in args.eps.split(",")) if args.eps else (0.1, 0.05, 0.01)
     report = flatness.flatness_report(spec, eps, boundaries=args.boundaries)
-    payload = {
-        "a": report.a,
-        "b": report.b,
-        "epsilon_measure": report.epsilon_measure,
-        "family_bound": report.family_bound,
-        "delta": report.delta,
-        "interval_ratio": report.interval_ratio,
-        "verdict_at": {str(k): v for k, v in report.verdict_at.items()},
-    }
+    payload = dataclasses.asdict(report)
+    payload["verdict_at"] = {str(k): v for k, v in report.verdict_at.items()}
     _emit(args, _json_dumps(payload))
     return 0
 
@@ -286,83 +283,71 @@ def _cmd_divergence(args) -> int:
     return 0
 
 
-def _central_differences(theta, step, value) -> list:
-    """d value / d theta_i for every i, by central differences with theta_i
-    moved by +-step(theta_i)."""
+def _central_differences(theta: np.ndarray, value) -> list:
+    """d value / d theta_i at the (P, 1) coordinates ``theta`` for every i,
+    by central differences with theta_i moved by +-1e-6 max(|theta_i|, 1)."""
     fds = []
-    for i, v in enumerate(theta):
-        h = step(v)
-        tp, tm = list(theta), list(theta)
-        tp[i] += h
-        tm[i] -= h
-        fds.append((value(tp) - value(tm)) / (2.0 * h))
+    for i, v in enumerate(theta[:, 0]):
+        h = np.zeros_like(theta)
+        h[i] = 1e-6 * max(abs(v), 1.0)
+        fds.append((value(theta + h) - value(theta - h)) / (2.0 * h[i, 0]))
     return fds
 
 
-def _cmd_gradcheck(args) -> int:
+def _gradcheck_problem(family: str, count: int, rng):
+    """The data of ``gradcheck`` in the family's kernel layout (one
+    problem), a point in the kernel's (P, 1) coordinates and their names."""
     from . import mle
 
-    rng = np.random.default_rng(args.seed)
-    if args.family == "AL":
+    if family == "AL":
         a, b = sorted(rng.uniform(-5.0, 5.0, 2))
         b = max(b, a + 0.5)
         s = rng.uniform(0.1, 1.5)
-        x = rng.uniform(a - 1.0, b + 1.0, args.n)
-        theta = [a, b, s]
-        step = lambda v: 1e-6 * max(abs(v), 1.0)
-        names = ["da", "db", "ds"]
-        analytic = list(mle.grad_al(x, a, b, s))
-        fds = _central_differences(theta, step, lambda th: mle.loglik_al(x, *th))
-        # Column j holds the differences of the gradient along theta_j.
-        jac = _central_differences(theta, step, lambda th: np.array(mle.grad_al(x, *th)))
-        hess = mle.hess_al(x, a, b, s)
-        for name, i, j in (("daa", 0, 0), ("dbb", 1, 1), ("dss", 2, 2),
-                           ("dab", 0, 1), ("das", 0, 2), ("dbs", 1, 2)):
-            names.append(name)
-            analytic.append(getattr(hess, name))
-            fds.append(float(jac[j][i]))
-    elif args.family == "BL":
-        a, b, s, t = 0.0, 10.0, rng.uniform(0.05, 0.2), rng.uniform(0.05, 0.2)
-        x = rng.uniform(a, b, args.n)
-        names = ["da", "db", "ds", "dt"]
-        analytic = list(mle.grad_bl_flat(x, a, b, s, t)[:4])
-        fds = _central_differences([a, b, s, t], lambda v: 1e-5 * max(abs(v), 0.05),
-                                   lambda th: mle.loglik_bl(x, *th))
-    else:
-        dim = 2
-        pts = rng.normal(size=(args.n, dim))
-        m = rng.normal(size=dim) * 0.1
-        lam = np.eye(dim) + 0.2 * np.ones((dim, dim))
-        big_r, t = 1.5, 2.0
-        gm, glam, gr, gt = mle._grad_cl_raw(pts, m, lam, big_r, t)
-        f = lambda mm, ll, rr, tt: mle._loglik_cl_raw(pts, mm, ll, rr, tt)
-        upper = np.triu_indices(dim)  # Lambda moves symmetrically in its upper triangle
+        return rng.uniform(a - 1.0, b + 1.0, count)[None], mle._params(a, b, s), "a b s".split()
+    if family == "BL":
+        s, t = rng.uniform(0.05, 0.2), rng.uniform(0.05, 0.2)
+        return rng.uniform(0.0, 10.0, count)[None], mle._params(0.0, 10.0, s, t), "a b s t".split()
+    pts = rng.normal(size=(count, 2))
+    m = rng.normal(size=2) * 0.1
+    return (pts[None], mle._cl_coords(m, np.eye(2) + 0.2, 1.5, 2.0),
+            "m0 m1 L00 L10 L11 log_a".split())
 
-        def symmetric(th):
-            out = np.empty((dim, dim))
-            out[upper] = out.T[upper] = th
-            return out
 
-        names = ([f"dm{i}" for i in range(dim)] + [f"dLam{i}{j}" for i, j in zip(*upper)]
-                 + ["dR", "dt"])
-        analytic = (list(gm) + [glam[i, j] + glam[j, i] if i != j else glam[i, i]
-                                for i, j in zip(*upper)] + [gr, gt])
-        fds = (_central_differences(list(m), lambda v: 1e-6,
-                                    lambda th: f(np.array(th), lam, big_r, t))
-               + _central_differences(list(lam[upper]), lambda v: 1e-7,
-                                      lambda th: f(m, symmetric(th), big_r, t))
-               + _central_differences([big_r, t], lambda v: 1e-6,
-                                      lambda th: f(m, lam, *th)))
-    rows = [(name, an, fd, abs(an - fd) / max(abs(fd), 1e-12))
-            for name, an, fd in zip(names, analytic, fds)]
+def _cmd_gradcheck(args) -> int:
+    """The kernel's gradient against central differences of the
+    log-likelihood, then its upper-triangle Hessian (diagonal first, then
+    row by row) against central differences of the gradient.  rel_err is
+    taken against |fd|, floored at 1e-6 of the largest |fd| of its kind: a
+    cross-shoulder BL entry can lie far below what differences resolve."""
+    from . import mle
+
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
+    x, theta, names = _gradcheck_problem(args.family, args.n, np.random.default_rng(args.seed))
+    w = np.ones(x.shape[:2])
+    n = w.sum(axis=1)
+    derivs = mle._KERNELS[args.family].derivs
+    (grad,), (hess,) = derivs(x, w, n, theta)
+    fd_grad = _central_differences(theta, lambda th: mle._loglik(args.family, x, w, n, th)[0])
+    # Column j holds the differences of the gradient along theta_j.
+    jac = _central_differences(theta, lambda th: derivs(x, w, n, th)[0][0])
+    pairs = [(i, i) for i in range(len(names))] + list(zip(*np.triu_indices(len(names), 1)))
+    rows = []
+    for labels, analytic, fds in (
+            (["d" + name for name in names], grad, fd_grad),
+            ([f"d{names[i]}{names[j]}" for i, j in pairs], [hess[i, j] for i, j in pairs],
+             [jac[j][i] for i, j in pairs])):
+        floor = 1e-6 * max(abs(fd) for fd in fds)
+        rows += [(label, float(an), float(fd), float(abs(an - fd) / max(abs(fd), floor)))
+                 for label, an, fd in zip(labels, analytic, fds)]
 
     if args.format == "json":
-        payload = [{"param": n, "analytic": a_, "fd": f_, "rel_err": r_}
-                   for n, a_, f_, r_ in rows]
+        payload = [{"param": label, "analytic": a_, "fd": f_, "rel_err": r_}
+                   for label, a_, f_, r_ in rows]
         _emit(args, _json_dumps(payload))
     else:
         lines = ["param,analytic,fd,rel_err"]
-        lines += [f"{n},{_fmt(a_)},{_fmt(f_)},{_fmt(r_)}" for n, a_, f_, r_ in rows]
+        lines += [f"{label},{_fmt(a_)},{_fmt(f_)},{_fmt(r_)}" for label, a_, f_, r_ in rows]
         _emit(args, "\n".join(lines))
     return 0
 

@@ -81,12 +81,8 @@ def canonical_boundaries(spec: uv.UnivariateSpec) -> tuple[float, float]:
 
 
 def fwhm_boundaries(spec: uv.UnivariateSpec) -> tuple[float, float]:
-    """Full width at half maximum; closed form for GN, bisection otherwise."""
-    if spec.family == "GN":
-        half = spec.s * math.log(2.0) ** (1.0 / spec.beta)
-        return spec.mu - half, spec.mu + half
-    if spec.family == "U":
-        return spec.a, spec.b
+    """Full width at half maximum: the outermost doubles on either side of
+    the mode where the density is at least half its maximum, by bisection."""
     xm = uv.mode(spec)
     level = 0.5 * uv.pdf(spec, xm)
     out = []

@@ -19,12 +19,12 @@ data whitened by its start.
 
 One pass of every family is one projected modified-Newton step on all its
 coordinates (Nocedal & Wright, *Numerical Optimization*, 3.4): a
-coordinate at its bound with the gradient pointing out is pinned, the
-Hessian's eigenvalues are taken in absolute value, an AL or BL step
-shrinks b - a and each scale by at most half, and the step is halved
-until the log-likelihood does not decrease, so every accepted step is an
-ascent step.  Each family's box bounds its coordinates: a and b inside
-the data range and the scales for AL and BL, log a alone for CL.
+coordinate within 4 ulps of its bound with the gradient pointing out is
+pinned, the Hessian's eigenvalues are taken in absolute value, an AL or
+BL step shrinks b - a and each scale by at most half, and the step is
+halved until the log-likelihood does not decrease, so every accepted step
+is an ascent step.  Each family's box bounds its coordinates: a and b
+inside the data range and the scales for AL and BL, log a alone for CL.
 
 The pass runs on J independent weighted problems at once, backtracking
 each by mask: ``fit`` is its J = 1 case with unit (or dataset) weights,
@@ -726,17 +726,21 @@ def _newton_pass(family, x, w, n, p, ll, terms, derivs, bounds):
     the (J,) log-likelihood at ``p``, ``terms`` the kernel's (const, edges)
     at ``p``, ``derivs`` its (gradient, Hessian) at ``p`` and ``bounds``
     what the kernel's box reads: the (4, J) rows of ``_bounds_from_data``
-    for AL and BL, nothing for CL.  A coordinate at its bound (or beyond it,
-    where a start put it) with the gradient pointing out is pinned: its
-    gradient entry is zeroed and its Hessian row and column become those of
-    -I.  The step is V |L|^-1 V^T g for the eigenpairs (L, V) of the
-    Hessian, with |L| floored at 1e-12 of its largest entry.  ``_backtrack``
-    halves it.  An AL or BL candidate keeps at least half of each scale (s,
-    t; a bound of the box) and half of b - a above the least gap (a narrower
-    one is halved without a trial): without that rule a bell-shaped fit can
-    collapse a onto b, the logistic limit, which is stationary by symmetry.
-    Scaling the whole step instead stalls a fit whose b - a is already near
-    0, where a shift of the location alone would take it all.  A problem
+    for AL and BL, nothing for CL.  A coordinate at its bound, within 4
+    ulps of it or beyond it (where a start put it), with the gradient
+    pointing out is pinned: its gradient entry is zeroed and its Hessian row
+    and column become those of -I.  Without the 4 ulps a coordinate a few
+    ulps inside its bound is clipped onto it by every halved trial, which
+    keeps the rest of a step that does not climb (the epsilon-active set of
+    Bertsekas, *SIAM J. Control Optim.* 20, 1982).  The step is V |L|^-1
+    V^T g for the eigenpairs (L, V) of the Hessian, with |L| floored at
+    1e-12 of its largest entry.  ``_backtrack`` halves it.  An AL or BL
+    candidate keeps at least half of each scale (s, t; a bound of the box)
+    and half of b - a above the least gap (a narrower one is halved without
+    a trial): without that rule a bell-shaped fit can collapse a onto b,
+    the logistic limit, which is stationary by symmetry.  Scaling the whole
+    step instead stalls a fit whose b - a is already near 0, where a shift
+    of the location alone would take it all.  A problem
     whose predicted gain g.step / 2 is within ``_rounding_error`` is held:
     it gets no trial.  Returns the new parameters, log-likelihoods and terms
     (each equal to the kernel's at the new parameters), the mask of problems
@@ -746,7 +750,8 @@ def _newton_pass(family, x, w, n, p, ll, terms, derivs, bounds):
     low, high, least_width = _KERNELS[family].box(p, bounds)
     # A coordinate never leaves the box, nor moves further out of it.
     low, high = np.minimum(low, p), np.maximum(high, p)
-    pinned = (((p <= low) & (grad.T < 0.0)) | ((p >= high) & (grad.T > 0.0))).T
+    near = 4.0 * np.spacing(np.abs(p))
+    pinned = (((p <= low + near) & (grad.T < 0.0)) | ((p >= high - near) & (grad.T > 0.0))).T
     grad = np.where(pinned, 0.0, grad)
     hess = np.where(pinned[:, :, None] | pinned[:, None, :], -np.eye(len(p)) * pinned[:, :, None],
                     hess)

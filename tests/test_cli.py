@@ -490,6 +490,18 @@ def test_flatness_json_schema(capsys):
     assert payload["verdict_at"] == {"0.05": True, "0.01": True}
 
 
+def test_flatness_payload_bytes_pinned(capsys):
+    # The verdict keys are sorted as strings: "1e-05" after "0.5".
+    code, out, _ = _run(capsys, "flatness", "--family", "GN",
+                        "--params", "mu=0,s=1,beta=2", "--eps", "1e-05,0.1,0.5")
+    assert code == 0
+    assert out == (
+        '{"a": -0.886226925452758, "b": 0.886226925452758, "delta": 1.772453850905516, '
+        '"epsilon_measure": 2.1932800507380157, "family_bound": null, '
+        '"interval_ratio": 0.0037982920561822156, '
+        '"verdict_at": {"0.1": false, "0.5": false, "1e-05": false}}\n')
+
+
 def test_divergence_cases(capsys):
     code, out, _ = _run(capsys, "divergence", "--case", "uniform-normal")
     assert code == 0
@@ -511,14 +523,41 @@ def test_divergence_cases(capsys):
 
 
 def test_gradcheck_all_families_small(capsys):
-    for family, bound in (("AL", 1e-6), ("BL", 0.02), ("CL", 1e-6)):
+    # Every family audits its kernel's P gradient entries and P(P + 1)/2
+    # upper-triangle Hessian entries.
+    for family, size in (("AL", 3), ("BL", 4), ("CL", 6)):
         code, out, _ = _run(capsys, "gradcheck", "--family", family,
                             "--n", "50", "--seed", "7")
         assert code == 0
         lines = out.strip().split("\n")
         assert lines[0] == "param,analytic,fd,rel_err"
+        assert len(lines) - 1 == size * (size + 3) // 2
         rels = [float(line.split(",")[-1]) for line in lines[1:]]
-        assert max(rels) < bound, (family, max(rels))
+        assert max(rels) < 1e-6, (family, max(rels))
+
+
+def test_gradcheck_al_stdout_pinned(capsys):
+    code, out, _ = _run(capsys, "gradcheck", "--family", "AL", "--n", "50", "--seed", "7")
+    assert code == 0
+    assert out == (
+        "param,analytic,fd,rel_err\n"
+        "da,0.5106071430913186,0.51060715236881493,1.8169538526225923e-08\n"
+        "db,-2.2685080351689608,-2.2685080336849501,6.5417916536944658e-10\n"
+        "ds,-19.660081538750301,-19.660081530051933,4.4243805574303954e-10\n"
+        "daa,-3.7728827679010664,-3.7728827715083497,9.5610798939950395e-10\n"
+        "dbb,-3.3123702014880774,-3.3123702016701357,5.4963170568653789e-11\n"
+        "dss,-6.8696498584430623,-6.8696498561581123,3.3261520671723215e-10\n"
+        "dab,-2.3199220046346447,-2.3199220043455249,1.2462481007517692e-10\n"
+        "das,1.2729486651666448,1.272948664032858,8.9067758521937126e-10\n"
+        "dbs,0.89529390140984866,0.89529390225533001,9.4436178942684753e-10\n")
+
+
+def test_gradcheck_rejects_n_below_one(capsys):
+    for family in ("AL", "BL", "CL"):
+        for n in ("0", "-3"):
+            code, out, err = _run(capsys, "gradcheck", "--family", family, "--n", n)
+            assert code == 1 and out == ""
+            assert "--n" in err, (family, n, err)
 
 
 def test_gen_counts(capsys):

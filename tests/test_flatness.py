@@ -31,11 +31,18 @@ def test_canonical_boundaries_al_narrow_scale():
 
 
 def test_fwhm_closed_form_for_gn():
+    # The bisection meets the closed form mu -+ s (ln 2)^(1/beta).
     gn = uv.make("GN", {"mu": 0.5, "s": 1.2, "beta": 4})
     a, b = fl.fwhm_boundaries(gn)
     half = 1.2 * math.log(2.0) ** 0.25
     assert a == pytest.approx(0.5 - half, rel=1e-12)
     assert b == pytest.approx(0.5 + half, rel=1e-12)
+
+
+def test_fwhm_uniform_is_its_edges():
+    for a, b in ((0.0, 1.0), (-3.7, 12.25), (1e-3, 1e-3 + 1e-9)):
+        u = uv.make("U", {"a": a, "b": b})
+        assert fl.fwhm_boundaries(u) == (u.a, u.b)
 
 
 def test_fwhm_numeric_matches_half_height():

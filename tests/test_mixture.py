@@ -261,6 +261,31 @@ def test_gem_computes_each_bl_normalizer_once(monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
+def test_gem_pins_a_scale_within_ulps_of_its_floor(monkeypatch):
+    # Factor 0's left scale ends 3 ulps above its floor s_min with its
+    # gradient pointing out.  Pinned only at s <= s_min, every halved trial
+    # clipped it onto the floor and kept the rest of a step that did not
+    # climb: the same 30 trials, each a normalizer quadrature, in every
+    # cycle (136 calls).  Pinned within 4 ulps, it runs none.
+    rng = np.random.default_rng(11)
+    x = np.concatenate([rng.uniform(0, 4, 300), 4 + rng.exponential(0.5, 100),
+                        rng.uniform(8, 12, 300), 12 + rng.exponential(0.5, 100)])
+    base, _ = mx.gmm_fit(x, 2, seed=12)
+    kernel = mle._KERNELS["BL"]
+    calls, seen = [], []
+
+    def recording_const(p):
+        calls.append(p.shape[1])
+        seen.extend(map(tuple, p.T))
+        return kernel.const(p)
+
+    monkeypatch.setitem(mle._KERNELS, "BL", kernel._replace(const=recording_const))
+    _, report = mx.ftm_fit(x, mx.ftm_from_gmm(base), mx.MixtureSettings(bl_upgrade=True))
+    assert len(calls) <= 30
+    assert len(set(seen)) == len(seen)
+    assert report.loglik_trace[-1] >= -1909.5873597018
+
+
 def test_gem_held_factor_runs_no_trial(monkeypatch):
     # Within ten cycles the y factor of this one-component fit reaches a
     # maximum where every Newton step predicts a gain below the rounding
