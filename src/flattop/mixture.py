@@ -44,8 +44,12 @@ responsibilities and per-lane log-likelihoods for the loop and for the
 public ``e_step``, which alone also computes Q.  It runs one full-size
 exponential, shifted by each point's largest log joint density; the sum
 of a point's K terms both normalises its responsibilities and gives its
-log-likelihood.  A second pass would cost as much again: numpy's ``exp``
-is slow wherever its result underflows, as it does for far components.
+log-likelihood.  A term whose shifted log lies below -707 (``_EXP_FLOOR``)
+is set to 0, which changes no point's sum (each is >= 1) but keeps subnormal
+numbers out of both M-steps: with numpy 2.4 on an AVX-512 CPU, the
+vectorized exp, multiply, divide, log1p and tanh take a 10-60x slower
+path on a lane whose result or operand is subnormal, and exp a 10-25x
+slower one where its result underflows to 0.
 The Gaussian M-step computes the weighted means, covariances and
 eigenvalue floors of every lane as stacked arrays.
 """
@@ -85,6 +89,7 @@ class ComponentCollapseError(FlattopError):
 
 
 _COV_FLOOR = 1e-8  # GMM covariance floor, relative to the largest data variance
+_EXP_FLOOR = -707.0  # e^-707 ~ 1e-307 is normal, and exp slows down below e^-708.4
 
 
 @dataclass(frozen=True)
@@ -322,15 +327,23 @@ def _e_core(model, rows: np.ndarray):
 
     One exponential, shifted by each point's largest log joint density
     ``top``, gives both: its sum over K is ``tot`` >= 1, the responsibilities
-    are the terms over ``tot``, and the point adds top + ln(tot).  Points
-    where every component underflows (``top`` not finite) get uniform
-    responsibilities and add nothing."""
+    are the terms over ``tot``, and the point adds top + ln(tot).  The
+    exponential runs on the shifted log joint clamped at ``_EXP_FLOOR``,
+    where its result is still normal, and every term whose argument lay
+    below it is set to exactly 0 (see the module docstring).  A kept term
+    over ``tot`` is subnormal only where tot > e^1.4, which needs five
+    components near the point's top.  Points where every component
+    underflows (``top`` not finite) get uniform responsibilities and add
+    nothing."""
     log_joint = _log_matrix(model, rows)
     with np.errstate(divide="ignore"):
         log_joint += np.log(model.weights).reshape(-1, log_joint.shape[1], 1)
     top = log_joint.max(axis=1)
     finite = np.isfinite(top)
-    resp = np.exp(log_joint - np.where(finite, top, 0.0)[:, None])
+    shifted = log_joint - np.where(finite, top, 0.0)[:, None]
+    below = shifted < _EXP_FLOOR
+    resp = np.exp(np.maximum(shifted, _EXP_FLOOR, out=shifted), out=shifted)
+    resp[below] = 0.0
     tot = resp.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 and ln 0 of the unscored points
         resp /= tot[:, None]
@@ -344,7 +357,8 @@ def e_step(model: MixtureModel, data) -> EStepResult:
     observed log-likelihood.
 
     Points where every component underflows receive uniform responsibilities
-    and are reported in ``flagged``.
+    and are reported in ``flagged``.  A responsibility below about 1e-307
+    (a term below e^-707 of the point's largest) is reported as 0.
     """
     rows = _rows_of(data)
     log_joint, resp, finite, loglik = _e_core(

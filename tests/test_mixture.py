@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import types
@@ -961,14 +962,13 @@ def test_fitting_entry_points_reject_data_not_shaped_as_points(entry, bad):
 def _extreme_log_densities():
     """R x K x N log densities and R x K weights of three lanes: random
     points, ties at the maximum, a point no component scores, and gaps of
-    more than 745 between components, so their terms underflow to 0 or to
-    subnormals."""
+    more than 707 between components, whose terms the E-step sets to 0."""
     rng = np.random.default_rng(5)
     log_mat = rng.normal(-3.0, 4.0, (3, 4, 9))
     log_mat[:, :, 0] = [-2.0, -2.0, -7.0, -2.0]  # ties at the top in lanes 1 and 2
     log_mat[:, :, 1] = -math.inf
     log_mat[:, :, 2] = [-10.0, -800.0, -1e4, -760.0]  # exp underflows to 0
-    log_mat[:, :, 3] = [-5.0, -745.5, -748.0, -742.0]  # subnormal terms
+    log_mat[:, :, 3] = [-5.0, -745.5, -748.0, -742.0]  # exp would be subnormal
     log_mat[:, :, 4] = [-900.0, -900.0, -1900.0, -math.inf]  # far below 0
     log_mat[1, :, 5] = [-math.inf, -math.inf, -math.inf, 3.0]
     log_mat[2, :, 6] = [-math.inf, -5.0, -math.inf, -math.inf]
@@ -997,4 +997,65 @@ def test_e_core_on_extreme_log_densities_matches_scipy_logsumexp(monkeypatch):
     for ll, tot, f in zip(loglik, ref_tot, finite):
         assert ll == pytest.approx(float(np.sum(tot[f])), rel=1e-13)
     assert resp[0, :, 2].tolist() == [1.0, 0.0, 0.0, 0.0]
-    assert 0.0 < resp[0, 3, 3] < np.finfo(float).tiny  # a subnormal responsibility
+    assert resp[0, 3, 3] == 0.0  # exp(-735.6) would be subnormal
+    assert not np.any((resp > 0.0) & (resp < np.finfo(float).tiny))
+
+
+def _model_select_sweep(cycles: int):
+    """The model-select fits of segments scenario 31 at fit seed 11 with
+    ``cycles`` EM and GEM cycles each: the full-covariance GMM for K = 1..10,
+    then the diagonal GMM and GEM for K = 1..8; yields each fit's report."""
+    rows = gen_segments_2d(default_segments_scenario(31)).rows
+    settings = mx.MixtureSettings(max_cycles=cycles, rel_tol=-math.inf)
+    for k in range(1, 11):
+        yield mx.gmm_fit(rows, k, 11, settings, covariance_type="full")[1]
+    for k in range(1, 9):
+        base, _ = mx.gmm_fit(rows, k, 11, settings, covariance_type="diag")
+        yield mx.ftm_fit(rows, mx.ftm_from_gmm(base), settings)[1]
+
+
+def test_no_subnormal_reaches_an_m_step(monkeypatch):
+    """A subnormal operand puts numpy's vector kernels on a path 10-60x
+    slower, so the E-step hands the M-steps only zeros and normal numbers.
+    It takes the model-select sweep's 25 cycles: an unclamped exp gives
+    the first subnormal responsibility in cycle 6."""
+    counts = []
+
+    def audited(step, arrays):
+        def wrapped(*args):
+            for a in arrays(*args):
+                if isinstance(a, np.ndarray) and a.dtype.kind == "f":
+                    v = np.abs(a)
+                    counts.append(int(np.count_nonzero((v > 0.0) & (v < np.finfo(float).tiny))))
+            return step(*args)
+        return wrapped
+
+    def gem_arrays(state, resp, bounds):
+        cols = [v for c in state.groups.values() for v in (c.x, c.p, c.const, c.edges)]
+        return [state.weights, resp, bounds, *cols]
+
+    al = mle._KERNELS["AL"]
+    monkeypatch.setattr(mx, "_gmm_m_step", audited(mx._gmm_m_step, lambda *args: args))
+    monkeypatch.setattr(mx, "_gem_m_step", audited(mx._gem_m_step, gem_arrays))
+    monkeypatch.setitem(mle._KERNELS, "AL", al._replace(derivs=audited(al.derivs,
+                                                                      lambda *args: args)))
+    for _ in _model_select_sweep(25):
+        pass
+    assert len(counts) > 100 and sum(counts) == 0
+
+
+def test_model_select_bics_and_traces_are_pinned():
+    """The 18 model-select fits at 25 cycles: every BIC to its last digit,
+    and the loglik traces by sha256 of their little-endian doubles."""
+    digest = hashlib.sha256()
+    bics = []
+    for report in _model_select_sweep(25):
+        bics.append(repr(report.bic))
+        digest.update(np.asarray(report.loglik_trace, dtype="<f8").tobytes())
+    assert bics == [
+        "4417.40175657042", "4173.684757140573", "3619.456892122719", "3032.001975213124",
+        "3042.945352362073", "3060.3301446714263", "3064.6633452505275", "3090.5158814700726",
+        "3105.6307113103503", "3137.8694481593857",
+        "3742.863020874176", "3674.1192314876557", "3530.727568271514", "2927.4165939272034",
+        "2959.149493886636", "2993.124870147475", "3028.068220287771", "3078.9711811620873"]
+    assert digest.hexdigest() == "7dca0fe6a22b71a872627082b1c4f72093b183eaf419e4c86887c57faeb2341f"

@@ -159,6 +159,21 @@ def test_log_sinh_matches_mpmath_from_subnormal_to_large_z():
     assert sf.log_sinh(1e-12) == pytest.approx(math.log(1e-12), rel=1e-15)
 
 
+def test_log_cosh_clamp_is_bit_identical_to_the_unclamped_formula():
+    edge = np.linspace(340.0, 380.0, 400_001)
+    wide = np.geomspace(5e-324, 1e308, 400_001)
+    special = np.array([np.inf, np.nan, 0.0, 5e-324, 1e308, 20.0, 350.0])
+    z = np.concatenate([edge, wide, special])
+    z = np.concatenate([z, -z])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sf.log_cosh(z)
+    az = np.abs(z)
+    with np.errstate(over="ignore"):  # -2 |z| overflows at |z| = 1e308
+        want = az + np.log1p(np.exp(-2.0 * az)) - math.log(2.0)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_csch2_matches_mpmath_from_small_to_large_z():
     mpmath = pytest.importorskip("mpmath")
     z = np.concatenate([np.geomspace(1e-10, 20.0, 400), -np.geomspace(1e-10, 20.0, 50)])
