@@ -12,14 +12,19 @@ Supported component layouts: univariate Gaussian / AL / BL, and for 2-d
 data full- or diagonal-covariance Gaussians and axis-aligned AL products.
 
 Both fits run one cycle loop, ``_em``, on a state of parameter arrays,
-and build the returned ``MixtureModel`` only when the loop ends.  The
+and build the returned ``MixtureModel`` only when the loop ends.  Each
+state carries into the next cycle the full-size arrays that its M-step
+computed and its E-step needs, so that no cycle computes one twice.  The
 GMM's ``n_init`` restarts are the R lanes of one loop, run in lock-step:
 their parameters are stacked with a leading lane axis (``_Gaussians``),
 and each cycle is one R x K x N E-step and one stacked M-step over the
-lanes still running.  A lane stops when it stalls, after ``max_cycles``, or
-when a component it already reseeded collapses again.  All k-means++ starts
-are drawn before the loop, lane by lane, so the random stream, and every
-lane's fit, is that of restarts run one after another.
+lanes still running.  The state also holds the deviations x - mean of
+every point from every mean, which the M-step forms for the covariances
+and the next E-step scores.  A lane stops when it stalls, after
+``max_cycles``, or when a component it already reseeded collapses again.
+All k-means++ starts are drawn before the loop, lane by lane, so the
+random stream, and every lane's fit, is that of restarts run one after
+another.
 
 GEM is the one-lane case, on parameter columns (``_Flat``): the weights
 and, per AL or BL family, the P x J parameters of its (component, axis)
@@ -49,7 +54,9 @@ is set to 0, which changes no point's sum (each is >= 1) but keeps subnormal
 numbers out of both M-steps: with numpy 2.4 on an AVX-512 CPU, the
 vectorized exp, multiply, divide, log1p and tanh take a 10-60x slower
 path on a lane whose result or operand is subnormal, and exp a 10-25x
-slower one where its result underflows to 0.
+slower one where its result underflows to 0.  The clamp costs one full
+pass; an exp under a ``where=`` mask instead runs numpy's masked loop,
+which is slower still.
 The Gaussian M-step computes the weighted means, covariances and
 eigenvalue floors of every lane as stacked arrays.
 """
@@ -194,26 +201,34 @@ class SweepRow:
 @dataclass
 class _Gaussians:
     """R lanes of K Gaussians, one lane per GMM restart: weights R x K,
-    means R x K x d, and covariances R x K (1-d) or R x K x d x d."""
+    means R x K x d, covariances R x K (1-d) or R x K x d x d, and the
+    deviations x - mean of the N points from every mean, R x K x d x N.
+
+    The M-step forms the deviations from its new means for the covariances,
+    and the next E-step scores the points from the same array, so a cycle
+    subtracts the means from the data once."""
 
     weights: np.ndarray
     means: np.ndarray
     cov: np.ndarray
     cov_type: str | None
+    dev: np.ndarray
 
     @classmethod
-    def of(cls, model: MixtureModel) -> _Gaussians:
+    def of(cls, model: MixtureModel, rows: np.ndarray) -> _Gaussians:
         """A Gaussian model as one lane."""
         means = np.array([c[0] for c in model.components], dtype=float).reshape(1, model.k, -1)
         cov = np.array([c[1] for c in model.components], dtype=float)[None]
-        return cls(model.weights[None], means, cov, model.cov_type)
+        return cls(model.weights[None], means, cov, model.cov_type, _deviations(rows, means))
 
     def lanes(self, idx) -> _Gaussians:
-        return replace(self, weights=self.weights[idx], means=self.means[idx], cov=self.cov[idx])
+        return replace(self, weights=self.weights[idx], means=self.means[idx], cov=self.cov[idx],
+                       dev=self.dev[idx])
 
     def put(self, idx, new: _Gaussians) -> _Gaussians:
         """Overwrite lanes ``idx`` with ``new``."""
         self.weights[idx], self.means[idx], self.cov[idx] = new.weights, new.means, new.cov
+        self.dev[idx] = new.dev
         return self
 
     def model(self, lane: int) -> MixtureModel:
@@ -222,6 +237,20 @@ class _Gaussians:
                  else list(zip(self.means[lane], self.cov[lane])))
         return MixtureModel(kind="gaussian", dim=dim, weights=self.weights[lane],
                             components=comps, cov_type=self.cov_type)
+
+
+def _deviations(rows: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """The R x K x d x N deviations of the N x d ``rows`` from the R x K x d
+    ``means``."""
+    return np.ascontiguousarray(rows.T) - means[..., None]
+
+
+def _model_rows(model: MixtureModel, data) -> np.ndarray:
+    """The N x d rows of ``data``, whose d must be the model's dimension."""
+    rows = _rows_of(data)
+    if rows.shape[1] != model.dim:
+        raise ValueError(f"a {model.dim}-d model needs {model.dim}-column data, got {rows.shape[1]}")
+    return rows
 
 
 def _specs(model: MixtureModel) -> list[uv.UnivariateSpec]:
@@ -295,25 +324,26 @@ class _Flat:
 # ---------------------------------------------------------------------------
 
 def _log_matrix(model, rows: np.ndarray) -> np.ndarray:
-    """R x K x N component log densities of the lanes of ``_Gaussians``, or
-    1 x K x N of a ``_Flat`` state, whose AL and BL factors are scored
-    from their cached kernel terms (so GEM evaluates the same function of
-    (a, b, s[, t]) that it climbs)."""
+    """R x K x N component log densities of the lanes of ``_Gaussians``,
+    from their cached deviations, or 1 x K x N of a ``_Flat`` state, whose
+    AL and BL factors are scored from their cached kernel terms (so GEM
+    evaluates the same function of (a, b, s[, t]) that it climbs)."""
     if isinstance(model, _Flat):
         out = model.fixed.copy()
         for c in model.groups.values():
             out[c.idx] = c.const[:, None] - c.edges
         return out.reshape(model.weights.size, model.dim, -1).sum(axis=1)[None]
-    cols = np.ascontiguousarray(rows.T)  # dim x N
-    dim = model.means.shape[-1]
-    if dim == 1:
+    if model.means.shape[-1] == 1:
         var = model.cov[..., None]
-        return -0.5 * (np.log(2.0 * math.pi * var) + (cols - model.means) ** 2 / var)
-    chol = np.linalg.cholesky(model.cov)
-    z = np.linalg.inv(chol) @ (cols - model.means[..., None])  # R x K x dim x N
-    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=2, axis2=3)), axis=2)
-    return -0.5 * (dim * math.log(2.0 * math.pi) + log_det[..., None]
-                   + np.einsum("rkdn,rkdn->rkn", z, z))
+        out = model.dev[:, :, 0] ** 2 / var
+        out += np.log(2.0 * math.pi * var)
+    else:
+        chol = np.linalg.cholesky(model.cov)
+        z = np.linalg.inv(chol) @ model.dev  # R x K x dim x N
+        log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=2, axis2=3)), axis=2)
+        out = np.einsum("rkdn,rkdn->rkn", z, z)
+        out += (z.shape[2] * math.log(2.0 * math.pi) + log_det)[..., None]
+    return np.multiply(out, -0.5, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +378,10 @@ def _e_core(model, rows: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 and ln 0 of the unscored points
         resp /= tot[:, None]
         point_ll = top + np.log(tot)
-    np.swapaxes(resp, 1, 2)[~finite] = 1.0 / log_joint.shape[1]
-    return log_joint, resp, finite, [float(np.sum(ll[f])) for ll, f in zip(point_ll, finite)]
+    if not finite.all():
+        np.swapaxes(resp, 1, 2)[~finite] = 1.0 / log_joint.shape[1]
+        point_ll[~finite] = 0.0
+    return log_joint, resp, finite, point_ll.sum(axis=1).tolist()
 
 
 def e_step(model: MixtureModel, data) -> EStepResult:
@@ -360,9 +392,9 @@ def e_step(model: MixtureModel, data) -> EStepResult:
     and are reported in ``flagged``.  A responsibility below about 1e-307
     (a term below e^-707 of the point's largest) is reported as 0.
     """
-    rows = _rows_of(data)
+    rows = _model_rows(model, data)
     log_joint, resp, finite, loglik = _e_core(
-        _Gaussians.of(model) if model.kind == "gaussian" else _Flat.of(model, rows), rows)
+        _Gaussians.of(model, rows) if model.kind == "gaussian" else _Flat.of(model, rows), rows)
     q = float(np.sum(resp[0] * np.where(np.isfinite(log_joint[0]), log_joint[0], 0.0)))
     return EStepResult(resp=resp[0].T, q=q, loglik=loglik[0], flagged=np.flatnonzero(~finite[0]))
 
@@ -398,7 +430,7 @@ def _gmm_m_step(rows, resp, cov_type, floor) -> _Gaussians:
     if np.any(nk <= 0):
         raise _EmptyComponent(nk <= 0)
     means = resp @ rows / nk[..., None]
-    d = np.ascontiguousarray(rows.T) - means[..., None]  # R x K x dim x N
+    d = _deviations(rows, means)
     cov = (d * resp[:, :, None]) @ np.swapaxes(d, 2, 3) / nk[..., None, None]
     if dim == 1:
         cov = np.maximum(cov[..., 0, 0], floor)
@@ -406,7 +438,7 @@ def _gmm_m_step(rows, resp, cov_type, floor) -> _Gaussians:
         cov = np.maximum(np.diagonal(cov, axis1=2, axis2=3), floor)[..., None] * np.eye(dim)
     else:
         cov = _floor_cov(cov, floor)
-    return _Gaussians(nk / n, means, cov, cov_type)
+    return _Gaussians(nk / n, means, cov, cov_type, d)
 
 
 class _EmptyComponent(Exception):
@@ -437,8 +469,8 @@ def gmm_fit(
     settings = settings or MixtureSettings()
     rows = _rows_of(data)
     n = rows.shape[0]
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     if n <= k:
         raise ValueError(f"need more points than components: N={n}, K={k}")
     if covariance_type not in ("full", "diag"):
@@ -460,7 +492,7 @@ def _gmm_start(rows, k, lanes, rng, cov_type, floor) -> _Gaussians:
         if cov_type == "diag":
             base_cov = np.diag(np.diag(base_cov))
         cov = np.tile(base_cov, (lanes, k, 1, 1))
-    return _Gaussians(np.full((lanes, k), 1.0 / k), means, cov, cov_type)
+    return _Gaussians(np.full((lanes, k), 1.0 / k), means, cov, cov_type, _deviations(rows, means))
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +611,7 @@ def _surrogate(mean: float, var: float) -> uv.UnivariateSpec:
 def m_step(model: MixtureModel, data, resp: np.ndarray) -> MixtureModel:
     """Generalized M-step: closed-form weight update plus one weighted
     block Newton step per AL or BL component, so Q never decreases."""
-    rows = _rows_of(data)
+    rows = _model_rows(model, data)
     if resp.shape != (rows.shape[0], model.k):
         raise ValueError("responsibilities must be N x K")
     if not np.all(resp >= 0) or not np.all(np.isfinite(resp)):  # NaN fails the first
@@ -613,6 +645,7 @@ def _gem_m_step(state: _Flat, resp: np.ndarray, bounds: np.ndarray) -> _Flat:
         j = np.flatnonzero(live[c.idx // state.dim])
         if not j.size:
             continue
+        j = slice(None) if j.size == c.idx.size else j  # views when every factor is live
         x, p, terms = c.x[j], c.p[:, j], (c.const[j], c.edges[j])
         w = np.ascontiguousarray(resp.T[c.idx[j] // state.dim])
         n = w.sum(axis=1)
@@ -653,7 +686,7 @@ def ftm_fit(
     asymmetric family once the symmetric phase stalls, and GEM continues.
     """
     settings = settings or MixtureSettings()
-    rows = _rows_of(data)
+    rows = _model_rows(init, data)
     if init.kind != "flat":
         raise ValueError("ftm_fit expects a flat mixture (see ftm_from_gmm)")
     _check_kernel_families(init)

@@ -187,9 +187,9 @@ def _al_const(p) -> np.ndarray:
 
 
 def _al_edges(x, p) -> np.ndarray:
-    """ln cosh z_a + ln cosh z_b."""
-    a, b, s = (q[:, None] for q in p)
-    return log_cosh((x - a) / (2.0 * s)) + log_cosh((x - b) / (2.0 * s))
+    """ln cosh z_a + ln cosh z_b, from one log_cosh of the (J, 2, N) z."""
+    shoulders = log_cosh((x[:, None, :] - p[:2].T[:, :, None]) / (2.0 * p[2])[:, None, None])
+    return np.add(shoulders[:, 0], shoulders[:, 1], out=shoulders[:, 0])
 
 
 # Below this g = (b - a)/2s the differences 1/g - coth g, 1/g^2 - csch^2 g and

@@ -476,6 +476,19 @@ def test_gmm_reseeds_every_empty_component_at_once():
     assert np.flatnonzero(info.value.empty[0]).tolist() == [1, 2]
 
 
+@pytest.mark.parametrize("k", [2.0, np.float64(2.0), "2", 0],
+                         ids=["float", "numpy-float", "str", "zero"])
+def test_gmm_fit_rejects_k_not_an_integer_of_at_least_1(k):
+    # A float k used to raise TypeError from range in k-means++, which
+    # aborted the sweep instead of recording its row.
+    x = np.linspace(0.0, 1.0, 20)
+    with pytest.raises(ValueError, match="k must be an integer >= 1"):
+        mx.gmm_fit(x, k, 11)
+    rows = mx.sweep(x, "GMM", [1, k], 11)
+    assert rows[0].error is None
+    assert "k must be an integer >= 1" in rows[1].error and math.isnan(rows[1].bic)
+
+
 def test_sweep_rejects_unknown_family():
     with pytest.raises(ValueError):
         mx.sweep(np.arange(10.0), "XXX", [1], seed=0)
@@ -940,6 +953,28 @@ _ENTRY_POINTS = {
 }
 
 
+_GAUSS_2D = mx.MixtureModel(kind="gaussian", dim=2, weights=np.array([1.0]),
+                            components=[(np.zeros(2), np.eye(2))], cov_type="full")
+_FLAT_2D = mx.MixtureModel(kind="flat", dim=2, weights=np.array([1.0]), factorized=True,
+                           components=[(uv.make("AL", {"a": 0.5, "b": 2.5, "s": 0.1}),) * 2])
+
+
+@pytest.mark.parametrize("call", [
+    lambda x, rows: mx.e_step(_GAUSS_2D, x),
+    lambda x, rows: mx.score(_GAUSS_2D, x),
+    lambda x, rows: mx.e_step(_FLAT_PAIR, rows),
+    lambda x, rows: mx.m_step(_FLAT_PAIR, rows, np.full((len(rows), 2), 0.5)),
+    lambda x, rows: mx.ftm_fit(x, _FLAT_2D),
+], ids=["e_step", "score", "e_step-flat", "m_step", "ftm_fit"])
+def test_mixture_calls_reject_data_of_another_dimension(call):
+    # e_step and score of a 2-d model on 1-d data, and e_step and m_step of
+    # a 1-d model on 2-d data, used to score the wrong columns; ftm_fit of a
+    # 2-d model on 1-d data raised IndexError.
+    rows = np.random.default_rng(3).uniform(0.0, 3.0, (40, 2))
+    with pytest.raises(ValueError, match=r"-d model needs \d-column data, got \d$"):
+        call(rows[:, 0], rows)
+
+
 @pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_fitting_entry_points_reject_non_finite_data(entry, bad):
@@ -1001,11 +1036,11 @@ def test_e_core_on_extreme_log_densities_matches_scipy_logsumexp(monkeypatch):
     assert not np.any((resp > 0.0) & (resp < np.finfo(float).tiny))
 
 
-def _model_select_sweep(cycles: int):
-    """The model-select fits of segments scenario 31 at fit seed 11 with
+def _model_select_sweep(cycles: int, scenario: int = 31):
+    """The model-select fits of segments ``scenario`` at fit seed 11 with
     ``cycles`` EM and GEM cycles each: the full-covariance GMM for K = 1..10,
     then the diagonal GMM and GEM for K = 1..8; yields each fit's report."""
-    rows = gen_segments_2d(default_segments_scenario(31)).rows
+    rows = gen_segments_2d(default_segments_scenario(scenario)).rows
     settings = mx.MixtureSettings(max_cycles=cycles, rel_tol=-math.inf)
     for k in range(1, 11):
         yield mx.gmm_fit(rows, k, 11, settings, covariance_type="full")[1]
@@ -1044,18 +1079,27 @@ def test_no_subnormal_reaches_an_m_step(monkeypatch):
     assert len(counts) > 100 and sum(counts) == 0
 
 
-def test_model_select_bics_and_traces_are_pinned():
+@pytest.mark.parametrize("scenario, bics, trace_digest", [
+    (31, ["4417.40175657042", "4173.684757140573", "3619.456892122719", "3032.001975213124",
+          "3042.945352362073", "3060.3301446714263", "3064.6633452505275", "3090.5158814700726",
+          "3105.6307113103503", "3137.8694481593857",
+          "3742.863020874176", "3674.1192314876557", "3530.727568271514", "2927.4165939272034",
+          "2959.149493886636", "2993.124870147475", "3028.068220287771", "3078.9711811620873"],
+     "7dca0fe6a22b71a872627082b1c4f72093b183eaf419e4c86887c57faeb2341f"),
+    (7001, ["4399.114295445737", "3955.0506992912515", "3569.864869817822", "2961.9595323087083",
+            "2960.231864290032", "2991.9750566994976", "2983.8062011441452", "3016.0208386962313",
+            "3052.3620660882216", "3065.9753990505897",
+            "3733.8329509724267", "3547.3523112498283", "3439.817073388495", "2883.099781970845",
+            "2908.0213828205324", "2947.243731195218", "2970.151268217865", "3012.9303893371243"],
+     "1daf3b09ac1289a48fd3b3acc187e3aedaeace04869d65b2fbfb86fbd2991f19"),
+], ids=["31", "7001"])
+def test_model_select_bics_and_traces_are_pinned(scenario, bics, trace_digest):
     """The 18 model-select fits at 25 cycles: every BIC to its last digit,
     and the loglik traces by sha256 of their little-endian doubles."""
     digest = hashlib.sha256()
-    bics = []
-    for report in _model_select_sweep(25):
-        bics.append(repr(report.bic))
+    got = []
+    for report in _model_select_sweep(25, scenario):
+        got.append(repr(report.bic))
         digest.update(np.asarray(report.loglik_trace, dtype="<f8").tobytes())
-    assert bics == [
-        "4417.40175657042", "4173.684757140573", "3619.456892122719", "3032.001975213124",
-        "3042.945352362073", "3060.3301446714263", "3064.6633452505275", "3090.5158814700726",
-        "3105.6307113103503", "3137.8694481593857",
-        "3742.863020874176", "3674.1192314876557", "3530.727568271514", "2927.4165939272034",
-        "2959.149493886636", "2993.124870147475", "3028.068220287771", "3078.9711811620873"]
-    assert digest.hexdigest() == "7dca0fe6a22b71a872627082b1c4f72093b183eaf419e4c86887c57faeb2341f"
+    assert got == bics
+    assert digest.hexdigest() == trace_digest
