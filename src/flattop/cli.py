@@ -3,7 +3,9 @@
 Subcommands: eval, sample, fit, mixfit, sweep, flatness, divergence,
 gradcheck, gen.  Output is CSV or JSON on stdout (or --out FILE); given the
 same argv and seed the bytes are identical across runs.  Exit codes: 0 on
-success, 1 on runtime errors, 2 on usage errors.
+success, 1 on runtime errors, 2 on usage errors.  A runtime error (a
+ValueError, an ArithmeticError such as an overflow, an OSError or a
+FlattopError) prints ``error: <message>`` on stderr, without a traceback.
 
 gradcheck audits the maximum-likelihood kernel every fit steps on: each
 family's gradient and Hessian, in (a, b, s) for AL, (a, b, s, t) for BL
@@ -496,7 +498,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except (ValueError, OSError, FlattopError) as exc:
+    except (ValueError, ArithmeticError, OSError, FlattopError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

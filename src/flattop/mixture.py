@@ -37,9 +37,10 @@ cycle monotone.  Factors of other families, which only the public
 ``e_step`` scores, go through ``univariate.log_pdf`` once.  The M-step
 hands the live factors of each family to the one pass of ``mle``, with the
 N x J matrix of their responsibilities: a block Newton step on every AL
-and every BL factor.  The pass starts from the cached terms, recomputes
-them at each trial step, and returns the terms at its new parameters, so
-no cycle computes a BL normalizer twice at the same parameters.  Specs are
+and every BL factor.  The pass starts from the cached terms and the box
+rows built once per fit, recomputes the terms at each trial step, and
+writes those at its new parameters into the columns, so no cycle computes
+a BL normalizer twice at the same parameters.  Specs are
 built only when a model leaves the loop: at the end of the fit, in the
 public ``m_step``, and in the BL-upgrade hook, which the loop runs once, at
 the first stall.
@@ -264,14 +265,16 @@ def _specs(model: MixtureModel) -> list[uv.UnivariateSpec]:
 class _Columns:
     """The factors of one kernel family: their indices f (see ``_specs``),
     data rows x (J x N), parameters (P x J, in the kernel's coordinate
-    order) and the kernel's terms at those parameters: the constant (J,)
-    and the edge term (J x N)."""
+    order), the kernel's terms at those parameters: the constant (J,) and
+    the edge term (J x N), and the box rows of ``mle._newton_pass`` (None
+    where the state only scores points)."""
 
     idx: np.ndarray
     x: np.ndarray
     p: np.ndarray
     const: np.ndarray
     edges: np.ndarray
+    box: tuple | None
 
 
 @dataclass
@@ -290,7 +293,10 @@ class _Flat:
     fixed: np.ndarray  # (K dim) x N
 
     @classmethod
-    def of(cls, model: MixtureModel, rows: np.ndarray) -> _Flat:
+    def of(cls, model: MixtureModel, rows: np.ndarray, bounds=None) -> _Flat:
+        """The state of ``model`` on ``rows``; the M-step needs ``bounds``,
+        the ``_axis_bounds`` of the rows, from which each family's box rows
+        are built once."""
         specs = _specs(model)
         cols = np.ascontiguousarray(rows.T)
         fixed = np.empty((len(specs), rows.shape[0]))
@@ -303,7 +309,8 @@ class _Flat:
                 fixed[idx] = [uv.log_pdf(specs[f], row) for f, row in zip(idx, x)]
                 continue
             p = np.array([[getattr(specs[f], name) for f in idx] for name in kernel.names])
-            groups[family] = _Columns(idx, x, p, *kernel.terms(x, p))
+            box = None if bounds is None else kernel.box(p, bounds[:, idx % model.dim])
+            groups[family] = _Columns(idx, x, p, *kernel.terms(x, p), box)
         return cls(model.weights, model.dim, model.factorized, groups, fixed)
 
     def model(self, lane: int = 0) -> MixtureModel:
@@ -619,7 +626,7 @@ def m_step(model: MixtureModel, data, resp: np.ndarray) -> MixtureModel:
     if model.kind != "flat":
         raise ValueError("m_step drives flat mixtures; use gmm_fit for Gaussians")
     _check_kernel_families(model)
-    return _gem_m_step(_Flat.of(model, rows), resp, _axis_bounds(rows, model.dim)).model()
+    return _gem_m_step(_Flat.of(model, rows, _axis_bounds(rows, model.dim)), resp).model()
 
 
 def _check_kernel_families(model: MixtureModel) -> None:
@@ -633,27 +640,29 @@ def _axis_bounds(rows: np.ndarray, dim: int) -> np.ndarray:
     return np.stack([mle._bounds_from_data(rows[:, axis]) for axis in range(dim)], axis=1)
 
 
-def _gem_m_step(state: _Flat, resp: np.ndarray, bounds: np.ndarray) -> _Flat:
+def _gem_m_step(state: _Flat, resp: np.ndarray) -> _Flat:
     """The M-step of ``m_step`` on the columns of ``state``, in place, from
     the N x K responsibilities: the live factors of each kernel family go
     through one ``mle._newton_pass`` together, which starts from the cached
-    terms and returns those at its new parameters."""
-    weights = resp.mean(axis=0)
+    terms and writes those at its new parameters into the columns."""
+    mass = resp.sum(axis=0)
+    weights = mass / resp.shape[0]  # resp.mean(axis=0), bit for bit
     state.weights = weights / weights.sum()
-    live = resp.sum(axis=0) >= 1e-12  # zero responsibility: gradients vanish
+    live = mass >= 1e-12  # zero responsibility: gradients vanish
     for family, c in state.groups.items():
-        j = np.flatnonzero(live[c.idx // state.dim])
+        comp = c.idx // state.dim
+        j = np.flatnonzero(live[comp])
         if not j.size:
             continue
         j = slice(None) if j.size == c.idx.size else j  # views when every factor is live
         x, p, terms = c.x[j], c.p[:, j], (c.const[j], c.edges[j])
-        w = np.ascontiguousarray(resp.T[c.idx[j] // state.dim])
+        w = np.ascontiguousarray(resp.T[comp[j]])
         n = w.sum(axis=1)
-        p, _, terms, *_ = mle._newton_pass(
-            family, x, w, n, p, mle._loglik(family, x, w, n, p, terms), terms,
-            mle._KERNELS[family].derivs(x, w, n, p), bounds[:, c.idx[j] % state.dim])
-        c.p[:, j] = p
-        c.const[j], c.edges[j] = terms
+        mle._newton_pass(family, x, w, n, p, mle._loglik(family, x, w, n, p, terms), terms,
+                         mle._KERNELS[family].derivs(x, w, n, p),
+                         [row[..., j] for row in c.box])
+        if not isinstance(j, slice):  # fancy indexing copied the live columns out
+            c.p[:, j], c.const[j], c.edges[j] = p, *terms
     return state
 
 
@@ -694,10 +703,10 @@ def ftm_fit(
 
     def upgrade(state: _Flat) -> _Flat | None:
         model = _upgrade_flat_components(state.model())
-        return None if model is None else _Flat.of(model, rows)
+        return None if model is None else _Flat.of(model, rows, bounds)
 
-    return _em(_Flat.of(init, rows), rows, settings,
-               lambda state, resp: _gem_m_step(state, resp[0].T, bounds),
+    return _em(_Flat.of(init, rows, bounds), rows, settings,
+               lambda state, resp: _gem_m_step(state, resp[0].T),
                upgrade if settings.bl_upgrade else None)
 
 

@@ -33,9 +33,14 @@ responsibilities as weights.  Each family's log-density is one kernel, a
 per-problem constant minus a per-point edge term (for AL and BL the sum
 of the two shoulders' terms); the log-likelihood sums them, and the mixture E-step
 scores points with the same terms.  A pass takes the terms and the
-derivatives at its start and returns the terms at its end; a trial step
-recomputes both terms.  Each pass keeps b - a at least a few ulps of the
-data, so the density stays defined on near-constant samples.
+derivatives at its start, and the rows of its box that depend only on the
+data, which each fit builds once: ``fit`` in ``_climb``, GEM in
+``mixture._Flat``.  It writes the parameters, log-likelihood and terms of
+every accepted step into the caller's arrays, in place, so the GEM state
+holds them without a copy; a trial step recomputes both terms, and the
+backtrack stops once no problem is live.  Each pass keeps b - a at least a
+few ulps of the data, so the density stays defined on near-constant
+samples.
 
 Every fit stops by one rule: it is ``converged`` when the gain its next
 step predicts, g.step / 2 (for the Newton step, half the squared Newton
@@ -199,19 +204,27 @@ _G_SERIES = 0.05
 
 
 def _coth_terms(g):
-    """coth g, csch^2 g and the three differences above, for g > 0."""
-    em = -np.expm1(-2.0 * g)  # 1 - e^-2g, without cancellation
-    cg = (2.0 - em) / em
-    c2g = 4.0 * (1.0 - em) / (em * em)
+    """coth g, csch^2 g and the (3, J) rows of the three differences above,
+    for g > 0."""
+    e = np.expm1(-2.0 * g)  # e^-2g - 1, without cancellation
+    cg = (-2.0 - e) / e
+    c2g = 4.0 * (1.0 + e) / (e * e)
     small = g < _G_SERIES
     gd = np.where(small, 1.0, g)
-    gs = np.where(small, g, 0.0)
-    g2 = gs * gs
-    series = (-gs * (1.0 / 3.0 - g2 * (1.0 / 45.0 - g2 * (2.0 / 945.0 - g2 / 4725.0))),
-              1.0 / 3.0 - g2 * (1.0 / 15.0 - g2 * (2.0 / 189.0 - g2 / 675.0)),
-              gs * (2.0 / 3.0 - g2 * (4.0 / 45.0 - g2 * (4.0 / 315.0 - g2 * 8.0 / 4725.0))))
-    direct = (1.0 / gd - cg, 1.0 / (gd * gd) - c2g, cg - gd * c2g)
-    return (cg, c2g, *(np.where(small, sv, dv) for sv, dv in zip(series, direct)))
+    diffs = np.array([1.0 / gd - cg, 1.0 / (gd * gd) - c2g, cg - gd * c2g])
+    if small.any():
+        gs = g[small]
+        g2 = gs * gs
+        diffs[0, small] = -gs * (1.0 / 3.0 - g2 * (1.0 / 45.0 - g2 * (2.0 / 945.0 - g2 / 4725.0)))
+        diffs[1, small] = 1.0 / 3.0 - g2 * (1.0 / 15.0 - g2 * (2.0 / 189.0 - g2 / 675.0))
+        diffs[2, small] = gs * (2.0 / 3.0
+                                - g2 * (4.0 / 45.0 - g2 * (4.0 / 315.0 - g2 * 8.0 / 4725.0)))
+    return cg, c2g, diffs
+
+
+# The signs of the partials in a and b: the constant's d/db = -d/da and
+# d2/dbds = -d2/dads, while d2/db2 = d2/da2.
+_SIGNS = np.array([[1.0], [-1.0]])
 
 
 def _al_derivs(x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
@@ -221,44 +234,46 @@ def _al_derivs(x, w, n, p) -> tuple[np.ndarray, np.ndarray]:
     terms (``_coth_terms``, which keeps them exact as b - a -> 0).  The
     edges give ten weighted sums, one (J, 10, N) @ (J, N, 1) product: of
     tanh z, z tanh z, sech^2 z, z sech^2 z and z^2 sech^2 z at z = z_a and
-    z_b, with sech^2 = 1 - tanh^2.
+    z_b, with sech^2 = 1 - tanh^2.  Every entry is computed on arrays over
+    the J problems, the pairs in (a, b) together with ``_SIGNS``.
     """
     a, b, s = p
     j, count = x.shape
     g = (b - a) / (2.0 * s)
-    cg, c2g, inv_g_coth, inv_g2_csch2, coth_g_csch2 = _coth_terms(g)
-    rows = np.empty((j, 5, 2, count))
-    tanh, z_tanh, sech2, z_sech2, zz_sech2 = (rows[:, k] for k in range(5))
+    cg, c2g, diffs = _coth_terms(g)
+    scales = np.empty((3, j))
+    half_s, quarter, half = scales  # 1/2s, 1/4s^2 and 1/2s^2
+    np.divide(0.5, s, out=half_s)
     z = x[:, None, :] - p[:2].T[:, :, None]  # (J, 2, N)
-    z *= (0.5 / s)[:, None, None]
-    np.tanh(z, out=tanh)
-    np.multiply(z, tanh, out=z_tanh)
-    np.multiply(tanh, tanh, out=sech2)
-    np.subtract(1.0, sech2, out=sech2)
-    np.multiply(z, sech2, out=z_sech2)
-    np.multiply(z, z_sech2, out=zz_sech2)
+    z *= half_s[:, None, None]
+    # Each function is computed on contiguous (J, 2, N) arrays and copied into
+    # its strided row: a ufunc on the strided rows is up to twice as slow.
+    rows = np.empty((j, 5, 2, count))
+    q = np.tanh(z)
+    rows[:, 0], rows[:, 1] = q, z * q
+    np.subtract(1.0, q * q, out=q)
+    rows[:, 2] = q
+    rows[:, 3] = np.multiply(z, q, out=q)
+    rows[:, 4] = np.multiply(z, q, out=q)
     t_sum, zt_sum, q_sum, zq_sum, zzq_sum = (
         (rows.reshape(j, 10, count) @ w[:, :, None]).reshape(j, 5, 2).transpose(1, 2, 0))
-    half_s = 0.5 / s
-    quarter = half_s * half_s
-    half = 0.5 / (s * s)
-    # n times the constant's partials; d/db = -d/da, d2/db2 = -d2/dadb = d2/da2
-    # and d2/dbds = -d2/dads.
-    c_a = n * half_s * inv_g_coth
-    c_aa = n * quarter * inv_g2_csch2
-    c_as = n * half * coth_g_csch2
+    ss = s * s
+    np.multiply(half_s, half_s, out=quarter)
+    np.divide(0.5, ss, out=half)
+    # n times the constant's partials in a, (a, a) and (a, s), with _SIGNS
+    # for b; its (a, b) partial is -c_aa.
+    c_a, c_aa, c_as = n * scales * diffs
+    zt = zt_sum[0] + zt_sum[1]
     grad = np.empty((j, 3))
-    grad[:, 0] = c_a + half_s * t_sum[0]
-    grad[:, 1] = half_s * t_sum[1] - c_a
-    grad[:, 2] = (zt_sum[0] + zt_sum[1] - n * g * cg) / s
+    grad[:, :2] = (half_s * t_sum + _SIGNS * c_a).T
+    grad[:, 2] = (zt - n * g * cg) / s
     hess = np.empty((j, 3, 3))
-    hess[:, 0, 0] = c_aa - quarter * q_sum[0]
-    hess[:, 1, 1] = c_aa - quarter * q_sum[1]
-    hess[:, 2, 2] = (n * (2.0 * g * cg - g * g * c2g) - 2.0 * (zt_sum[0] + zt_sum[1])
-                     - zzq_sum[0] - zzq_sum[1]) / (s * s)
-    hess[:, 0, 1] = hess[:, 1, 0] = -c_aa
-    hess[:, 0, 2] = hess[:, 2, 0] = c_as - half * (t_sum[0] + zq_sum[0])
-    hess[:, 1, 2] = hess[:, 2, 1] = -c_as - half * (t_sum[1] + zq_sum[1])
+    flat = hess.reshape(j, 9)  # (a, a), (b, b) at 0 and 4; (a, b), (b, a) at 1 and 3
+    flat[:, 0:5:4] = (c_aa - quarter * q_sum).T
+    flat[:, 1:4:2] = -c_aa[:, None]
+    hess[:, :2, 2] = hess[:, 2, :2] = (_SIGNS * c_as - half * (t_sum + zq_sum)).T
+    hess[:, 2, 2] = (n * (2.0 * g * cg - g * g * c2g) - 2.0 * zt
+                     - zzq_sum[0] - zzq_sum[1]) / ss
     return grad, hess
 
 
@@ -332,14 +347,17 @@ class _Kernel(NamedTuple):
     edges_i: the per-problem constant ``const(p)`` (J,) and the per-point
     edge term ``edges(x, p)`` (J, N), for AL and BL the sum of its two
     shoulder terms; ``derivs(x, w, n, p)``, the (J, P) gradient and
-    (J, P, P) Hessian of the weighted log-likelihood; and ``box(p,
-    bounds)``, the (low, high, least_width) of ``_backtrack`` at ``p``."""
+    (J, P, P) Hessian of the weighted log-likelihood; ``box(p, bounds)``,
+    the rows of its box that depend only on the data (see
+    ``_newton_pass``), built once per fit; and ``scales``, the coordinates
+    that keep at least half their value in a step (none for CL)."""
 
     names: tuple[str, ...]
     const: Callable[[np.ndarray], np.ndarray]
     edges: Callable[[np.ndarray, np.ndarray], np.ndarray]
     derivs: Callable
     box: Callable
+    scales: slice = slice(0)
 
     def terms(self, x, p) -> tuple[np.ndarray, np.ndarray]:
         """(const, edges) at ``p``."""
@@ -347,21 +365,21 @@ class _Kernel(NamedTuple):
 
 
 def _al_bl_box(p, bounds):
-    """a and b keep eps inside the data range and each scale stays in
-    [max(s_min, half its value), s_max], for the (4, J) ``bounds`` rows of
-    ``_bounds_from_data``; a candidate keeps half of b - a above the least
-    gap (see ``_newton_pass``)."""
+    """(low, high, gap) of J AL or BL problems, from the (4, J) ``bounds``
+    rows of ``_bounds_from_data``: a and b keep eps inside the data range,
+    each scale stays in [s_min, s_max], and b - a keeps the least gap."""
     lo, hi, s_min, s_max = bounds
     eps, gap = _edge_gap(lo, hi)
-    scales = p[2:]
-    low = np.vstack([lo + eps, np.full_like(lo, -np.inf), np.maximum(s_min, 0.5 * scales)])
-    high = np.vstack([np.full_like(hi, np.inf), hi - eps, np.broadcast_to(s_max, scales.shape)])
-    return low, high, np.minimum(p[1] - p[0], 0.5 * (p[1] - p[0] + gap))
+    scales = len(p) - 2
+    low = np.vstack([lo + eps, np.full_like(lo, -np.inf), *[s_min] * scales])
+    high = np.vstack([np.full_like(hi, np.inf), hi - eps, *[s_max] * scales])
+    return low, high, gap
 
 
 _KERNELS = {
-    "AL": _Kernel(("a", "b", "s"), _al_const, _al_edges, _al_derivs, _al_bl_box),
-    "BL": _Kernel(("a", "b", "s", "t"), _bl_const, _bl_edges, _bl_derivs, _al_bl_box),
+    "AL": _Kernel(("a", "b", "s"), _al_const, _al_edges, _al_derivs, _al_bl_box, slice(2, None)),
+    "BL": _Kernel(("a", "b", "s", "t"), _bl_const, _bl_edges, _bl_derivs, _al_bl_box,
+                  slice(2, None)),
 }
 
 
@@ -369,7 +387,7 @@ def _loglik(family: str, x, w, n, p, terms=None) -> np.ndarray:
     """The (J,) weighted log-likelihoods n const - sum_i w_i edges_i, from
     ``terms`` = (const, edges) if the caller holds them at ``p``."""
     const, edges = _KERNELS[family].terms(x, p) if terms is None else terms
-    return n * const + _wsum(w, -edges)
+    return n * const - _wsum(w, edges)
 
 
 def _one(data, weights):
@@ -548,9 +566,9 @@ def _cl_derivs(y, w, n, p) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cl_box(p, _):
-    """(low, high, least_width) of a CL problem: log a in [ln 1e-8, 400],
-    every other coordinate free.  Below a = 1e-8 the density equals its
-    a -> 0 limit to double precision, and ln sinh a loses its digits."""
+    """(low, high, gap) of a CL problem: log a in [ln 1e-8, 400], every
+    other coordinate free, and no gap.  Below a = 1e-8 the density equals
+    its a -> 0 limit to double precision, and ln sinh a loses its digits."""
     low, high = np.full_like(p, -np.inf), np.full_like(p, np.inf)
     low[-1], high[-1] = math.log(1e-8), 400.0
     return low, high, -np.inf
@@ -681,53 +699,59 @@ def _edge_gap(lo, hi):
     return eps, np.maximum(eps, _ulps(lo, hi, 4.0))
 
 
-def _backtrack(family, x, w, n, p, ll, terms, step, low, high, least_width) -> None:
+def _backtrack(family, x, w, n, p, ll, terms, step, low, high, least_width) -> np.ndarray:
     """Take the (P, J) ``step`` from ``p``, clipped to [low, high], halving
     it per problem, by mask, until that problem's log-likelihood does not
     decrease; a candidate whose coordinates 1 and 0 differ by less than
     ``least_width`` (an AL or BL b - a below its floor; -inf for CL) is
     halved without a trial, and a problem whose step is 0 gets none.  A
-    trial recomputes the kernel's terms.  Updates ``p``, ``ll`` and the
-    ``terms`` list in place."""
+    trial recomputes the kernel's terms.  Writes each accepted candidate,
+    its log-likelihood and its terms into ``p``, ``ll`` and the ``terms``
+    arrays, in place, and stops once no problem is live.  Returns the mask
+    of problems that took a step."""
     kernel = _KERNELS[family]
-    live = np.ones(p.shape[1], dtype=bool)
-    tried = np.full_like(p, np.nan)
+    live = step.any(axis=0)
+    moved = np.zeros(p.shape[1], dtype=bool)
+    tried = None
     for _ in range(_MAX_BACKTRACKS):
-        cand = np.minimum(np.maximum(p + step, low), high)
-        live &= (cand != p).any(axis=0)  # clip or underflow: no movement possible
         if not live.any():
             break
-        # A clipped step can repeat the candidate just rejected: skip it.
-        fresh = live & (cand != tried).any(axis=0) & (cand[1] - cand[0] >= least_width)
-        idx = np.flatnonzero(fresh)
-        tried = cand
-        step = step * _BACKTRACK_FACTOR
-        if idx.size == 0:
-            continue
-        sub = slice(None) if idx.size == p.shape[1] else idx  # a view when all try
-        trial = cand[:, sub]
-        trial_terms = kernel.terms(x[sub], trial)
-        ll_new = _loglik(family, x[sub], w[sub], n[sub], trial, trial_terms)
-        up = ll_new >= ll[idx]
-        done = idx[up]
-        p[:, done] = trial[:, up]
-        ll[done] = ll_new[up]
-        for old, new in zip(terms, trial_terms):
-            old[done] = new[up]
-        live[done] = False
+        cand = np.minimum(np.maximum(p + step, low), high)
+        live &= (cand != p).any(axis=0)  # clip or underflow: no movement possible
+        fresh = live & (cand[1] - cand[0] >= least_width)
+        if tried is not None:  # a clipped step can repeat the candidate just rejected: skip it
+            fresh &= (cand != tried).any(axis=0)
+        (idx,) = fresh.nonzero()
+        if idx.size:
+            sub = slice(None) if idx.size == p.shape[1] else idx  # views when all try
+            trial = cand[:, sub]
+            trial_terms = kernel.terms(x[sub], trial)
+            ll_new = _loglik(family, x[sub], w[sub], n[sub], trial, trial_terms)
+            up = ll_new >= ll[sub]
+            if not up.all():
+                sub, trial, ll_new = idx[up], trial[:, up], ll_new[up]
+                trial_terms = [new[up] for new in trial_terms]
+            p[:, sub], ll[sub] = trial, ll_new
+            for old, new in zip(terms, trial_terms):
+                old[sub] = new
+            live[sub], moved[sub] = False, True
+        tried, step = cand, step * _BACKTRACK_FACTOR
+    return moved
 
 
-def _newton_pass(family, x, w, n, p, ll, terms, derivs, bounds):
+def _newton_pass(family, x, w, n, p, ll, terms, derivs, box):
     """One projected modified-Newton step on all coordinates of J
     independent problems of one family at once: AL (a, b, s), BL (a, b, s,
     t) or CL (m, L, log a).
 
     ``x``, ``w``, ``n`` and ``p`` are in the kernel layout above, ``ll`` is
     the (J,) log-likelihood at ``p``, ``terms`` the kernel's (const, edges)
-    at ``p``, ``derivs`` its (gradient, Hessian) at ``p`` and ``bounds``
-    what the kernel's box reads: the (4, J) rows of ``_bounds_from_data``
-    for AL and BL, nothing for CL.  A coordinate at its bound, within 4
-    ulps of it or beyond it (where a start put it), with the gradient
+    at ``p`` and ``derivs`` its (gradient, Hessian) at ``p``.  ``box`` is
+    the (low, high, gap) that the kernel's ``box`` builds once per fit from
+    the data: the rows of the coordinates' bounds and the least b - a.  A
+    coordinate never leaves the box, nor moves further out of it, and a
+    scale keeps at least half its value.  A coordinate at its bound, within
+    4 ulps of it or beyond it (where a start put it), with the gradient
     pointing out is pinned: its gradient entry is zeroed and its Hessian row
     and column become those of -I.  Without the 4 ulps a coordinate a few
     ulps inside its bound is clipped onto it by every halved trial, which
@@ -735,21 +759,21 @@ def _newton_pass(family, x, w, n, p, ll, terms, derivs, bounds):
     Bertsekas, *SIAM J. Control Optim.* 20, 1982).  The step is V |L|^-1
     V^T g for the eigenpairs (L, V) of the Hessian, with |L| floored at
     1e-12 of its largest entry.  ``_backtrack`` halves it.  An AL or BL
-    candidate keeps at least half of each scale (s, t; a bound of the box)
-    and half of b - a above the least gap (a narrower one is halved without
-    a trial): without that rule a bell-shaped fit can collapse a onto b,
-    the logistic limit, which is stationary by symmetry.  Scaling the whole
-    step instead stalls a fit whose b - a is already near 0, where a shift
-    of the location alone would take it all.  A problem
-    whose predicted gain g.step / 2 is within ``_rounding_error`` is held:
-    it gets no trial.  Returns the new parameters, log-likelihoods and terms
-    (each equal to the kernel's at the new parameters), the mask of problems
-    that took a step and the mask of those held.
+    candidate keeps half of b - a above the gap (a narrower one is halved
+    without a trial): without that rule a bell-shaped fit can collapse a
+    onto b, the logistic limit, which is stationary by symmetry.  Scaling
+    the whole step instead stalls a fit whose b - a is already near 0, where
+    a shift of the location alone would take it all.  A problem whose
+    predicted gain g.step / 2 is within ``_rounding_error`` is held: it gets
+    no trial.  Updates ``p``, ``ll`` and the ``terms`` arrays in place, so
+    each stays equal to the kernel's at the new parameters, and returns the
+    mask of problems that took a step and the mask of those held.
     """
     grad, hess = derivs
-    low, high, least_width = _KERNELS[family].box(p, bounds)
-    # A coordinate never leaves the box, nor moves further out of it.
+    low, high, gap = box
     low, high = np.minimum(low, p), np.maximum(high, p)
+    scales = _KERNELS[family].scales
+    np.maximum(low[scales], 0.5 * p[scales], out=low[scales])
     near = 4.0 * np.spacing(np.abs(p))
     pinned = (((p <= low + near) & (grad.T < 0.0)) | ((p >= high - near) & (grad.T > 0.0))).T
     grad = np.where(pinned, 0.0, grad)
@@ -758,29 +782,30 @@ def _newton_pass(family, x, w, n, p, ll, terms, derivs, bounds):
     vals, vecs = np.linalg.eigh(hess)
     mag = np.abs(vals)
     mag = np.maximum(mag, np.maximum(1e-12 * mag.max(axis=1, keepdims=True), 1e-300))
-    step = (vecs @ ((np.swapaxes(vecs, 1, 2) @ grad[:, :, None]) / mag[:, :, None]))[:, :, 0].T
+    step = (vecs @ ((vecs.transpose(0, 2, 1) @ grad[:, :, None]) / mag[:, :, None]))[:, :, 0].T
     held = 0.5 * np.einsum("ji,ij->j", grad, step) <= _rounding_error(n, terms[0], ll)
     step[:, held] = 0.0
-    new, ll, terms = p.copy(), ll.copy(), [t.copy() for t in terms]
-    _backtrack(family, x, w, n, new, ll, terms, step, low, high, least_width)
-    return new, ll, tuple(terms), (new != p).any(axis=0), held
+    width = p[1] - p[0]
+    return _backtrack(family, x, w, n, p, ll, terms, step, low, high,
+                      np.minimum(width, 0.5 * (width + gap))), held
 
 
 def _climb(family, x, w, n, p, bounds, settings: FitSettings, offset: float = 0.0):
     """The passes of every fit: ``_newton_pass`` on a single problem (J =
-    1) from ``p``, the derivatives at each new iterate serving the next
-    pass.  Stops after a held pass (converged), a pass that took no step,
-    or ``max_iters`` passes.  Returns the last parameters and their
-    FitReport, whose trace adds ``offset`` to every log-likelihood and
-    whose ``grad_norm`` is the largest gradient entry per point; the caller
-    fills in ``final_params``."""
+    1) from ``p``, in place, the derivatives at each new iterate serving the
+    next pass and the box built once.  Stops after a held pass (converged),
+    a pass that took no step, or ``max_iters`` passes.  Returns the last
+    parameters and their FitReport, whose trace adds ``offset`` to every
+    log-likelihood and whose ``grad_norm`` is the largest gradient entry per
+    point; the caller fills in ``final_params``."""
     kernel = _KERNELS[family]
     terms = kernel.terms(x, p)
     ll = _loglik(family, x, w, n, p, terms)
     derivs = kernel.derivs(x, w, n, p)
+    box = kernel.box(p, bounds)
     trace = [float(ll[0]) + offset]
     for iters in range(1, settings.max_iters + 1):  # max_iters >= 1
-        p, ll, terms, moved, held = _newton_pass(family, x, w, n, p, ll, terms, derivs, bounds)
+        moved, held = _newton_pass(family, x, w, n, p, ll, terms, derivs, box)
         trace.append(float(ll[0]) + offset)
         if held[0] or not moved[0]:
             break

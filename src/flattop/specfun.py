@@ -91,7 +91,7 @@ def log_sinh(z):
     machine epsilon absolutely around its zero at asinh(1).
     """
     z = np.asarray(z, dtype=float)
-    if np.any(z <= 0):
+    if (z <= 0).any():
         raise ValueError("log_sinh requires z > 0")
     lo = np.minimum(z, _LOG_SINH_SWITCH)
     hi = np.maximum(z, _LOG_SINH_SWITCH)

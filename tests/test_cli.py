@@ -174,6 +174,21 @@ def test_flatness_extreme_scales_without_traceback_or_warning(capsys, argv, code
         assert json.loads(got[1])["family_bound"] == 0.0
 
 
+@pytest.mark.parametrize("family, params, err", [
+    ("BD", "a=-4.8e163,b=3.3e164,s=2.7e160,t=2.8e160",
+     "error: (34, 'Numerical result out of range')\n"),  # OverflowError
+    ("BD", "a=5.57e-165,b=7.24e-164,s=1.23e-164,t=3.99e-165",
+     "error: float division by zero\n"),  # ZeroDivisionError
+    ("CE", "a=-2.857e210,b=8.48e210,s=1.007e210",
+     "error: (34, 'Numerical result out of range')\n"),  # OverflowError
+])
+def test_arithmetic_errors_exit_one_without_traceback(capsys, family, params, err):
+    # Far outside the property-test box a density's standard form still
+    # overflows or divides by zero in Python float arithmetic.
+    got = _run(capsys, "eval", "--family", family, "--params", params, "--grid", "0:1:0.5")
+    assert got == (1, "", err)
+
+
 def test_eval_fermi_dirac_height_overflow_is_a_typed_error(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

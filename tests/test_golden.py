@@ -47,6 +47,43 @@ MIXTURE = {
         ("4f28b0a439e4",)),
 }
 
+# The fit argvs: ``gradcheck`` prints ``mle._KERNELS[f].derivs`` at default
+# arguments, and ``fit`` runs the AL and BL passes on one problem (J = 1).
+MLE = {
+    "gradcheck AL": (
+        ("gradcheck", "--family", "AL"),
+        616, "ceab2de367be84c8d68d055a69622b35be1234ab55db7e7da4ceff088d91b9a7",
+        ("3180f13bd2fe", "d2d5967ae341", "1e07d38e6033", "3942cea8be13", "8435bf8ab867",
+         "02c43adb5d85", "809b38aa5c97", "720618609315", "ab4a438869ac", "aa4efe72f422")),
+    "gradcheck BL": (
+        ("gradcheck", "--family", "BL"),
+        910, "1e39fa6d2758690ddecffcea3ee1959c9ba67171222cad561f62cf163d71f9c1",
+        ("3180f13bd2fe", "718ca5b3b1bf", "0d6c9d48417f", "9b5c497f7a12", "6704d0d6e811",
+         "6eca5488075f", "15b29326b3de", "90233f828404", "9170b3cc3b94", "d01542c69b9f",
+         "778c70ae59b0", "961abf64dbd2", "533d107f914d", "c94a0cf849f3", "3cbc5f351c9f")),
+    "gradcheck CL": (
+        ("gradcheck", "--family", "CL"),
+        1903, "f755d7112a6a524199bc5eac1bcfefb67fdfe051b7dd5ffbf27ac0411f05699a",
+        ("3180f13bd2fe", "572bd4bb0069", "925a8de4dae8", "439eddbdf9f8", "d1291ab06c9f",
+         "4460c895dfd1", "12e10623dbcd", "c684eb245354", "8e671771b504", "9dd5c7f560f8",
+         "45adf58aae9d", "f351dae432a2", "84e5fae28392", "729b21d1108c", "98925fe86358",
+         "cd03638143a7", "3aebd721adcc", "9cb22a33ee8d", "9a0c9bd2853f", "38d4fab7d9c6",
+         "14c1a9842874", "d119094deaeb", "649e7bdfdedb", "eb74dfdb00c3", "7e6f6d771c2f",
+         "c3628a018991", "971471c61873", "47939f700151")),
+    "fit AL": (
+        ("fit", "--family", "AL", "--data", "mixed1d.csv"),
+        542, "b15c4b6995aabca985f86a47fb0d3653802b972262fa5f25e0b8cc45270c1896",
+        ("ac97d126a527",)),
+    "fit AL init-normal": (
+        ("fit", "--family", "AL", "--init-normal", "--data", "mixed1d.csv"),
+        544, "76de079ef2c163e65cf599d3ba9d3a384347c7ff13da427fd5590efc7ff54054",
+        ("4e68476dd6f8",)),
+    "fit BL init-normal": (
+        ("fit", "--family", "BL", "--init-normal", "--data", "mixed1d.csv"),
+        617, "6bd32a1dea9d50b1becf60da52997502104fabdc396bbfd2944145504f55444b",
+        ("3c24d4f477b1",)),
+}
+
 
 def _line_digests(out: str) -> tuple[str, ...]:
     return tuple(hashlib.sha256(line.encode()).hexdigest()[:12] for line in out.splitlines())
@@ -61,8 +98,8 @@ def data_dir(tmp_path_factory):
     return path
 
 
-def test_mixture_cli_stdout_matches_the_golden_digests(data_dir, capsys):
-    for label, (argv, size, digest, lines) in MIXTURE.items():
+def _check_rows(table, data_dir, capsys):
+    for label, (argv, size, digest, lines) in table.items():
         argv = [str(data_dir / a) if a in DATA else a for a in argv]
         assert cli.main(argv) == 0, label
         out = capsys.readouterr().out
@@ -74,3 +111,11 @@ def test_mixture_cli_stdout_matches_the_golden_digests(data_dir, capsys):
             f"{label}: line {moved + 1} moved (of {len(got)}, expected {len(lines)}):\n"
             f"{out.splitlines()[moved] if moved < len(got) else '<missing>'}\nnew row: {row}")
         assert row[:2] == (size, digest), f"{label}: new row: {row}"
+
+
+def test_mixture_cli_stdout_matches_the_golden_digests(data_dir, capsys):
+    _check_rows(MIXTURE, data_dir, capsys)
+
+
+def test_fit_and_gradcheck_stdout_matches_the_golden_digests(data_dir, capsys):
+    _check_rows(MLE, data_dir, capsys)

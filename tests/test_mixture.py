@@ -320,6 +320,24 @@ def test_gem_held_factor_runs_no_trial(monkeypatch):
     assert np.all(np.diff(report.loglik_trace) >= -1e-9)
 
 
+def test_gem_builds_the_box_rows_once_per_fit(monkeypatch):
+    # The box rows depend only on the data: ``_Flat.of`` builds them once
+    # for the fit's AL columns, and every M-step pass reads them.
+    rows = gen_segments_2d(default_segments_scenario(31)).rows
+    settings = mx.MixtureSettings(max_cycles=25, rel_tol=-math.inf)
+    base, _ = mx.gmm_fit(rows, 3, seed=11, settings=settings, covariance_type="diag")
+    kernel = mle._KERNELS["AL"]
+    calls = []
+
+    def counting_box(p, bounds):
+        calls.append(p.shape[1])
+        return kernel.box(p, bounds)
+
+    monkeypatch.setitem(mle._KERNELS, "AL", kernel._replace(box=counting_box))
+    _, report = mx.ftm_fit(rows, mx.ftm_from_gmm(base), settings)
+    assert report.iterations == 25 and calls == [6]
+
+
 def test_label_permutation_invariance():
     x = _two_block_data(seed=13)
     base, _ = mx.gmm_fit(x, 2, seed=14)
@@ -764,8 +782,8 @@ def _ref_gem_m_step(model, rows, resp):
         w = np.ascontiguousarray(resp.T[ks])
         n = w.sum(axis=1)
         p = np.array([[getattr(specs[f], name) for f in group] for name in kernel.names])
-        p = mle._newton_pass(family, x, w, n, p, mle._loglik(family, x, w, n, p),
-                             kernel.terms(x, p), kernel.derivs(x, w, n, p), bounds[:, axes])[0]
+        mle._newton_pass(family, x, w, n, p, mle._loglik(family, x, w, n, p), kernel.terms(x, p),
+                         kernel.derivs(x, w, n, p), kernel.box(p, bounds[:, axes]))
         for j, f in enumerate(group):
             specs[f] = uv.make(family, dict(zip(kernel.names, p[:, j])))
     comps = [tuple(specs[f:f + model.dim]) if model.dim > 1 else specs[f]
@@ -1065,9 +1083,9 @@ def test_no_subnormal_reaches_an_m_step(monkeypatch):
             return step(*args)
         return wrapped
 
-    def gem_arrays(state, resp, bounds):
-        cols = [v for c in state.groups.values() for v in (c.x, c.p, c.const, c.edges)]
-        return [state.weights, resp, bounds, *cols]
+    def gem_arrays(state, resp):
+        cols = [v for c in state.groups.values() for v in (c.x, c.p, c.const, c.edges, *c.box)]
+        return [state.weights, resp, *cols]
 
     al = mle._KERNELS["AL"]
     monkeypatch.setattr(mx, "_gmm_m_step", audited(mx._gmm_m_step, lambda *args: args))

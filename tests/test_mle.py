@@ -243,10 +243,11 @@ def test_newton_pass_returns_the_terms_at_its_parameters(family, p):
     kernel = mle._KERNELS[family]
     terms = kernel.terms(x, p)
     ll = mle._loglik(family, x, w, n, p, terms)
+    box = kernel.box(p, bounds)
     for _ in range(3):
-        start = p
-        p, ll, terms, moved, held = mle._newton_pass(family, x, w, n, p, ll, terms,
-                                                     kernel.derivs(x, w, n, p), bounds)
+        start = p.copy()
+        moved, held = mle._newton_pass(family, x, w, n, p, ll, terms, kernel.derivs(x, w, n, p),
+                                       box)
         fresh = kernel.terms(x, p)
         assert all(np.array_equal(t, f) for t, f in zip(terms, fresh))
         assert np.array_equal(ll, mle._loglik(family, x, w, n, p))
@@ -267,10 +268,10 @@ def test_newton_pass_holds_a_coordinate_at_its_bound():
     bounds = np.stack([mle._bounds_from_data(row) for row in x], axis=1)
     bounds[3] = [0.3, 0.2]
     kernel = mle._KERNELS["AL"]
-    terms = kernel.terms(x, p)
-    new, ll, _, moved, _ = mle._newton_pass("AL", x, w, n, p,
-                                            mle._loglik("AL", x, w, n, p, terms), terms,
-                                            kernel.derivs(x, w, n, p), bounds)
+    new, terms = p.copy(), kernel.terms(x, p)
+    ll = mle._loglik("AL", x, w, n, p, terms)
+    moved, _ = mle._newton_pass("AL", x, w, n, new, ll, terms, kernel.derivs(x, w, n, p),
+                                kernel.box(p, bounds))
     assert moved.all() and np.array_equal(new[2], p[2])
     for j in range(2):
         grad = mle.grad_al(x[j], *p[:, j])
@@ -292,12 +293,61 @@ def _logistic_problem(*p):
     return x, w, w.sum(axis=1), p, mle._loglik("AL", x, w, w.sum(axis=1), p, terms), terms
 
 
+@pytest.mark.parametrize("family", ["AL", "BL"])
+def test_fit_builds_the_box_rows_once(monkeypatch, family):
+    kernel = mle._KERNELS[family]
+    calls = []
+
+    def counting_box(p, bounds):
+        calls.append(p.shape[1])
+        return kernel.box(p, bounds)
+
+    monkeypatch.setitem(mle._KERNELS, family, kernel._replace(box=counting_box))
+    x = gen_mixed_1d(3).x
+    init = mle.init_al_from_normal_fit(x)
+    if family == "BL":
+        init = uv.make("BL", {"a": init.a, "b": init.b, "s": init.s, "t": init.s})
+    _, report = mle.fit(x, init)
+    assert report.iterations > 2 and calls == [1]
+
+
+def test_a_pass_whose_full_steps_all_climb_evaluates_the_terms_once(monkeypatch):
+    # Three AL problems on smooth-edged flat data, each started from its
+    # optimum with s 1 % off, where the full Newton step is an ascent step:
+    # one trial evaluates every problem.
+    rng = np.random.default_rng(17)
+    x = (rng.uniform([[0.0], [-2.0], [1.0]], [[4.0], [6.0], [2.0]], (3, 300))
+         + rng.normal(0.0, 0.2, (3, 300)))
+    w = np.ones_like(x)
+    n = w.sum(axis=1)
+    best = [mle.fit(row, mle.init_al_from_normal_fit(row))[0] for row in x]
+    p = np.array([[spec.a, spec.b, spec.s] for spec in best]).T
+    p[2] *= 1.01
+    kernel = mle._KERNELS["AL"]
+    terms = kernel.terms(x, p)
+    ll = mle._loglik("AL", x, w, n, p, terms)
+    derivs = kernel.derivs(x, w, n, p)
+    box = kernel.box(p, np.stack([mle._bounds_from_data(row) for row in x], axis=1))
+    tried = []
+
+    def recording_const(q):
+        tried.append(q.copy())
+        return kernel.const(q)
+
+    monkeypatch.setitem(mle._KERNELS, "AL", kernel._replace(const=recording_const))
+    start = p.copy()
+    moved, held = mle._newton_pass("AL", x, w, n, p, ll, terms, derivs, box)
+    assert moved.all() and not held.any()
+    assert len(tried) == 1 and np.array_equal(tried[0], p) and not np.array_equal(p, start)
+
+
 def test_al_step_keeps_half_of_s():
     # From s = 1.5 on draws of scale 0.5 the Newton step in s is about -2.2.
     x, w, n, p, ll, terms = _logistic_problem(-0.2, 0.2, 1.5)
     bounds = mle._bounds_from_data(x[0])[:, None]
-    new, ll_new, _, moved, _ = mle._newton_pass("AL", x, w, n, p, ll, terms,
-                                                mle._al_derivs(x, w, n, p), bounds)
+    new, ll_new = p.copy(), ll.copy()
+    moved, _ = mle._newton_pass("AL", x, w, n, new, ll_new, terms, mle._al_derivs(x, w, n, p),
+                                mle._al_bl_box(p, bounds))
     assert moved[0] and ll_new[0] > ll[0]
     assert new[2, 0] == 0.75
 
