@@ -20,8 +20,14 @@ their parameters are stacked with a leading lane axis (``_Gaussians``),
 and each cycle is one R x K x N E-step and one stacked M-step over the
 lanes still running.  The state also holds the deviations x - mean of
 every point from every mean, which the M-step forms for the covariances
-and the next E-step scores.  A lane stops when it stalls, after
-``max_cycles``, or when a component it already reseeded collapses again.
+and the next E-step scores.  Each covariance lives in its eigen-
+coordinates: the floored eigenvalues and, for a full covariance, the
+eigenvectors of the ``eigh`` that the M-step runs to floor it; for a
+diagonal covariance and in 1-d the eigenvalues are the per-axis
+variances.  The E-step scores a point by its coordinates on those axes,
+so no cycle builds a covariance matrix or factors one.  A lane stops
+when it stalls, after ``max_cycles``, or when a component it already
+reseeded collapses again.
 All k-means++ starts are drawn before the loop, lane by lane, so the
 random stream, and every lane's fit, is that of restarts run one after
 another.
@@ -45,10 +51,13 @@ built only when a model leaves the loop: at the end of the fit, in the
 public ``m_step``, and in the BL-upgrade hook, which the loop runs once, at
 the first stall.
 
-One E-step core (``_e_core``) turns the R x K x N log densities into
-responsibilities and per-lane log-likelihoods for the loop and for the
-public ``e_step``, which alone also computes Q.  It runs one full-size
-exponential, shifted by each point's largest log joint density; the sum
+One E-step core (``_e_core``) turns the R x K x N log joint densities
+ln w + ln p of ``_log_matrix`` into responsibilities and per-lane
+log-likelihoods for the loop and for the public ``e_step``, which alone
+also computes Q.  ``_log_matrix`` adds ln w with the constant of each
+(lane, component), so the log weights cost no pass of their own.  The
+core runs one full-size exponential, shifted by each point's largest log
+joint density; the sum
 of a point's K terms both normalises its responsibilities and gives its
 log-likelihood.  A term whose shifted log lies below -707 (``_EXP_FLOOR``)
 is set to 0, which changes no point's sum (each is >= 1) but keeps subnormal
@@ -58,8 +67,14 @@ path on a lane whose result or operand is subnormal, and exp a 10-25x
 slower one where its result underflows to 0.  The clamp costs one full
 pass; an exp under a ``where=`` mask instead runs numpy's masked loop,
 which is slower still.
-The Gaussian M-step computes the weighted means, covariances and
-eigenvalue floors of every lane as stacked arrays.
+
+The Gaussian M-step computes the weighted means and the floored
+eigen-coordinates of every lane's covariances as stacked arrays: one
+batched ``eigh`` for full covariances, the weighted per-axis variances
+sum r (x - mean)^2 / n_k otherwise.  Covariance matrices are built only
+when a model leaves the loop (``_Gaussians.model``); the public ``e_step``
+and ``score`` take a Gaussian model through one ``eigh``, which also
+rejects a covariance that is not symmetric positive definite.
 """
 
 from __future__ import annotations
@@ -166,19 +181,10 @@ class MixtureModel:
 
     @property
     def free_param_count(self) -> int:
-        per = 0
-        for comp in self.components:
-            if self.kind == "gaussian":
-                if self.dim == 1:
-                    per += 2
-                elif self.cov_type == "full":
-                    per += self.dim + self.dim * (self.dim + 1) // 2
-                else:
-                    per += 2 * self.dim
-            else:
-                specs = comp if isinstance(comp, tuple) else (comp,)
-                per += sum(len(s.params()) for s in specs)
-        return per + (self.k - 1)
+        if self.kind == "gaussian":  # a mean and d(d + 1)/2 or d (co)variances per component
+            cov = self.dim * (self.dim + 1) // 2 if self.cov_type == "full" else self.dim
+            return self.k * (self.dim + cov) + self.k - 1
+        return sum(len(spec.params()) for spec in _specs(self)) + self.k - 1
 
 
 @dataclass
@@ -201,41 +207,64 @@ class SweepRow:
 
 @dataclass
 class _Gaussians:
-    """R lanes of K Gaussians, one lane per GMM restart: weights R x K,
-    means R x K x d, covariances R x K (1-d) or R x K x d x d, and the
-    deviations x - mean of the N points from every mean, R x K x d x N.
+    """R lanes of K Gaussians, one lane per GMM restart, in the eigen-
+    coordinates of their covariances: weights R x K, means R x K x d, the
+    eigenvalues ``vals`` R x K x d and, for full covariances, the
+    eigenvectors ``vecs`` R x K x d x d, whose columns are the axes of
+    ``vals``; for diagonal covariances and in 1-d ``vecs`` is None, the
+    axes are the coordinate axes and ``vals`` are the variances.  The
+    state also holds the deviations x - mean of the N points from every
+    mean, R x K x d x N.
 
     The M-step forms the deviations from its new means for the covariances,
     and the next E-step scores the points from the same array, so a cycle
-    subtracts the means from the data once."""
+    subtracts the means from the data once.  Covariance matrices are built
+    only by ``model``."""
 
     weights: np.ndarray
     means: np.ndarray
-    cov: np.ndarray
+    vals: np.ndarray
+    vecs: np.ndarray | None
     cov_type: str | None
     dev: np.ndarray
 
     @classmethod
     def of(cls, model: MixtureModel, rows: np.ndarray) -> _Gaussians:
-        """A Gaussian model as one lane."""
-        means = np.array([c[0] for c in model.components], dtype=float).reshape(1, model.k, -1)
-        cov = np.array([c[1] for c in model.components], dtype=float)[None]
-        return cls(model.weights[None], means, cov, model.cov_type, _deviations(rows, means))
+        """A Gaussian model as one lane, from one ``eigh`` of its covariances
+        (variances in 1-d); raises ``ValueError`` naming the first component
+        whose covariance is not symmetric (to 1e-12 of its largest entry) or
+        has an eigenvalue that is not positive."""
+        dim = model.dim
+        means = np.array([c[0] for c in model.components], dtype=float).reshape(1, model.k, dim)
+        cov = np.array([c[1] for c in model.components], dtype=float).reshape(model.k, dim, dim)
+        sym = 0.5 * (cov + np.swapaxes(cov, 1, 2))
+        vals, vecs = np.linalg.eigh(sym)
+        asym = np.abs(cov - sym).max(axis=(1, 2)) > 1e-12 * np.abs(cov).max(axis=(1, 2))
+        for k in np.flatnonzero(asym | ~np.all(vals > 0.0, axis=1)):
+            raise ValueError(f"component {k}: covariance {cov[k].tolist()} is not "
+                             f"{'symmetric' if asym[k] else 'positive definite'}")
+        return cls(model.weights[None], means, vals[None], vecs[None], model.cov_type,
+                   _deviations(rows, means))
 
     def lanes(self, idx) -> _Gaussians:
-        return replace(self, weights=self.weights[idx], means=self.means[idx], cov=self.cov[idx],
+        return replace(self, weights=self.weights[idx], means=self.means[idx],
+                       vals=self.vals[idx], vecs=None if self.vecs is None else self.vecs[idx],
                        dev=self.dev[idx])
 
     def put(self, idx, new: _Gaussians) -> _Gaussians:
         """Overwrite lanes ``idx`` with ``new``."""
-        self.weights[idx], self.means[idx], self.cov[idx] = new.weights, new.means, new.cov
+        self.weights[idx], self.means[idx], self.vals[idx] = new.weights, new.means, new.vals
+        if self.vecs is not None:
+            self.vecs[idx] = new.vecs
         self.dev[idx] = new.dev
         return self
 
     def model(self, lane: int) -> MixtureModel:
         dim = self.means.shape[-1]
-        comps = (list(zip(self.means[lane, :, 0].tolist(), self.cov[lane].tolist())) if dim == 1
-                 else list(zip(self.means[lane], self.cov[lane])))
+        vecs = np.eye(dim) if self.vecs is None else self.vecs[lane]
+        cov = (vecs * self.vals[lane, :, None, :]) @ np.swapaxes(vecs, -1, -2)  # V diag(vals) V^T
+        comps = (list(zip(self.means[lane, :, 0].tolist(), cov[:, 0, 0].tolist())) if dim == 1
+                 else list(zip(self.means[lane], cov)))
         return MixtureModel(kind="gaussian", dim=dim, weights=self.weights[lane],
                             components=comps, cov_type=self.cov_type)
 
@@ -331,26 +360,29 @@ class _Flat:
 # ---------------------------------------------------------------------------
 
 def _log_matrix(model, rows: np.ndarray) -> np.ndarray:
-    """R x K x N component log densities of the lanes of ``_Gaussians``,
-    from their cached deviations, or 1 x K x N of a ``_Flat`` state, whose
-    AL and BL factors are scored from their cached kernel terms (so GEM
-    evaluates the same function of (a, b, s[, t]) that it climbs)."""
+    """R x K x N log joint densities ln w_k + ln p_k(x) of the lanes of
+    ``_Gaussians``, from their cached deviations, or 1 x K x N of a ``_Flat``
+    state, whose AL and BL factors are scored from their cached kernel terms
+    (so GEM evaluates the same function of (a, b, s[, t]) that it climbs).
+
+    A Gaussian scores z = vecs^T (x - mean), or x - mean itself where
+    ``vecs`` is None: ln p = -1/2 sum_d z^2 / vals - 1/2 (d ln 2 pi +
+    sum_d ln vals).  The -1/2 rides on 1 / vals, and the constant of each
+    (lane, component) joins ln w in one offset, added in one pass."""
+    with np.errstate(divide="ignore"):
+        offset = np.log(model.weights)
     if isinstance(model, _Flat):
         out = model.fixed.copy()
         for c in model.groups.values():
             out[c.idx] = c.const[:, None] - c.edges
-        return out.reshape(model.weights.size, model.dim, -1).sum(axis=1)[None]
-    if model.means.shape[-1] == 1:
-        var = model.cov[..., None]
-        out = model.dev[:, :, 0] ** 2 / var
-        out += np.log(2.0 * math.pi * var)
+        out = out.reshape(model.weights.size, model.dim, -1).sum(axis=1)[None]
     else:
-        chol = np.linalg.cholesky(model.cov)
-        z = np.linalg.inv(chol) @ model.dev  # R x K x dim x N
-        log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=2, axis2=3)), axis=2)
-        out = np.einsum("rkdn,rkdn->rkn", z, z)
-        out += (z.shape[2] * math.log(2.0 * math.pi) + log_det)[..., None]
-    return np.multiply(out, -0.5, out=out)
+        vals = model.vals
+        z = model.dev if model.vecs is None else np.swapaxes(model.vecs, 2, 3) @ model.dev
+        out = ((-0.5 / vals)[:, :, None] @ (z * z))[:, :, 0]
+        offset = offset - 0.5 * (vals.shape[2] * math.log(2.0 * math.pi) + np.log(vals).sum(axis=2))
+    out += offset[..., None]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +405,6 @@ def _e_core(model, rows: np.ndarray):
     underflows (``top`` not finite) get uniform responsibilities and add
     nothing."""
     log_joint = _log_matrix(model, rows)
-    with np.errstate(divide="ignore"):
-        log_joint += np.log(model.weights).reshape(-1, log_joint.shape[1], 1)
     top = log_joint.max(axis=1)
     finite = np.isfinite(top)
     shifted = log_joint - np.where(finite, top, 0.0)[:, None]
@@ -421,31 +451,28 @@ def _kmeanspp_centers(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return np.array(centers)
 
 
-def _floor_cov(cov: np.ndarray, floor: float) -> np.ndarray:
-    """Symmetrize and raise every eigenvalue to ``floor``; works on stacks."""
+def _floor_cov(cov: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues, each raised to ``floor``, and the eigenvectors of
+    the symmetrized ``cov``; works on stacks."""
     vals, vecs = np.linalg.eigh(0.5 * (cov + np.swapaxes(cov, -1, -2)))
-    vals = np.maximum(vals, floor)
-    return (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    return np.maximum(vals, floor), vecs
 
 
 def _gmm_m_step(rows, resp, cov_type, floor) -> _Gaussians:
     """The Gaussian M-step of every lane from its K x N responsibilities
     (``resp`` is R x K x N); raises ``_EmptyComponent`` if a component of
     some lane has none."""
-    n, dim = rows.shape
     nk = resp.sum(axis=2)
     if np.any(nk <= 0):
         raise _EmptyComponent(nk <= 0)
     means = resp @ rows / nk[..., None]
     d = _deviations(rows, means)
-    cov = (d * resp[:, :, None]) @ np.swapaxes(d, 2, 3) / nk[..., None, None]
-    if dim == 1:
-        cov = np.maximum(cov[..., 0, 0], floor)
-    elif cov_type == "diag":
-        cov = np.maximum(np.diagonal(cov, axis1=2, axis2=3), floor)[..., None] * np.eye(dim)
-    else:
-        cov = _floor_cov(cov, floor)
-    return _Gaussians(nk / n, means, cov, cov_type, d)
+    if cov_type == "full":
+        vals, vecs = _floor_cov((d * resp[:, :, None]) @ np.swapaxes(d, 2, 3)
+                                / nk[..., None, None], floor)
+    else:  # the per-axis variances
+        vals, vecs = np.maximum(((d * d) @ resp[..., None])[..., 0] / nk[..., None], floor), None
+    return _Gaussians(nk / rows.shape[0], means, vals, vecs, cov_type, d)
 
 
 class _EmptyComponent(Exception):
@@ -492,14 +519,13 @@ def _gmm_start(rows, k, lanes, rng, cov_type, floor) -> _Gaussians:
     """Equal weights, k-means++ centres drawn lane by lane, and the pooled
     (co)variance."""
     means = np.array([_kmeanspp_centers(rows, k, rng) for _ in range(lanes)])
-    if rows.shape[1] == 1:
-        cov = np.full((lanes, k), max(float(np.var(rows)), floor))
+    if cov_type == "full":
+        vals, vecs = _floor_cov(np.cov(rows.T, bias=True), floor)
+        vecs = np.tile(vecs, (lanes, k, 1, 1))
     else:
-        base_cov = _floor_cov(np.cov(rows.T, bias=True), floor)
-        if cov_type == "diag":
-            base_cov = np.diag(np.diag(base_cov))
-        cov = np.tile(base_cov, (lanes, k, 1, 1))
-    return _Gaussians(np.full((lanes, k), 1.0 / k), means, cov, cov_type, _deviations(rows, means))
+        vals, vecs = np.maximum(np.var(rows, axis=0), floor), None
+    return _Gaussians(np.full((lanes, k), 1.0 / k), means, np.tile(vals, (lanes, k, 1)), vecs,
+                      cov_type, _deviations(rows, means))
 
 
 # ---------------------------------------------------------------------------

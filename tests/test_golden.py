@@ -1,11 +1,13 @@
 """Golden stdout digests of the CLI: each argv runs in-process through
-``cli.main`` on data that ``gen`` writes into ``tmp_path``, and its stdout
+``cli.main`` on data written into ``tmp_path`` (see ``DATA``), and its stdout
 must match the committed table to the byte.
 
 A row holds the byte length and sha256 of the whole stdout and a 12-hex
 sha256 prefix of each of its lines, so that a mismatch names the first line
-that moved.  The digests belong to numpy 2.4.6: a numpy change re-takes
-them on its own.  A change that moves a digest updates its row and says
+that moved.  An output of more than ``_BLOCK`` lines has one prefix per
+block of ``_BLOCK`` lines instead, and a mismatch names the first line of
+the first block that moved.  The digests belong to numpy 2.4.6: a numpy
+change re-takes them on its own.  A change that moves a digest updates its row and says
 which argv moved and why.
 """
 
@@ -13,38 +15,56 @@ import hashlib
 
 import pytest
 
-from flattop import cli
+from flattop import cli, data_io, multivariate as mv
 
-# The data sets, by file name: the criterion-7 segments and the mixed 1-d set.
-DATA = {"segments.csv": ("segments", 20260808), "mixed1d.csv": ("mixed1d", 3)}
+# The laws of the cli-cold benchmark at its seeds 31 and 7001.
+AL_31 = "a=0.6126872436594417,s=0.8236404362154188,b=1.8999707326632"
+AL_7001 = "a=0.08570916572378895,s=0.7635287045347754,b=6.2053572623897315"
+BL_INIT = "a=2.140687522149779,b=95.40910535332928,s=6.9439224780677185,t=6.9439224780677185"
+
+# The data sets, by file name, each written by the argv of its row (with
+# ``--out``): the criterion-7 segments, the mixed 1-d sets of seed 3 and of
+# the criterion-7 seed (55 points), and 5000 draws of the cli-cold AL law at
+# each seed.  ``cl.csv``, 1000 draws of the README's 2-d CL spec at the
+# criterion-7 seed, has no CLI and is written by ``multivariate``.
+DATA = {
+    "segments.csv": ("gen", "--what", "segments", "--seed", "20260808"),
+    "mixed1d.csv": ("gen", "--what", "mixed1d", "--seed", "3"),
+    "mixed55.csv": ("gen", "--what", "mixed1d", "--seed", "20260808"),
+    "al31.csv": ("sample", "--family", "AL", "--params", AL_31, "-n", "5000", "--seed", "31"),
+    "al7001.csv": ("sample", "--family", "AL", "--params", AL_7001, "-n", "5000",
+                   "--seed", "7001"),
+}
+FILES = {*DATA, "cl.csv"}
+_BLOCK = 32
 
 # The mixture argvs run at default settings to convergence, so GMM restart
 # lanes retire at different cycles and ``--bl-upgrade`` swaps BL in.
 MIXTURE = {
     "sweep GMM 1:10": (
         ("sweep", "--family", "GMM", "--k", "1:10", "--data", "segments.csv", "--seed", "11"),
-        658, "ee1ba089f967760a048ceea67d5d1bcb4aca13c6d5ad7fd7c9f28dcccbc57eb6",
-        ("c313b60dd52b", "dac55a501d7f", "88f7d8f34e86", "67b455c664dc", "f1e44c01c3d4",
-         "647cd5ff9c7b", "ee8d31ae67c5", "5d353d057fda", "c361582b0b6e", "9406aa4fce91",
+        658, "f84fde652a7c12081d75c20f570abf6c90f2d5a22140eabcd076d2b8a8efa4fb",
+        ("c313b60dd52b", "dac55a501d7f", "88f7d8f34e86", "33eb6805258a", "f1e44c01c3d4",
+         "647cd5ff9c7b", "ee8d31ae67c5", "5d353d057fda", "c361582b0b6e", "8592dc789f0a",
          "a56f460c47f3")),
     "sweep FTM 1:8": (
         ("sweep", "--family", "FTM", "--k", "1:8", "--data", "segments.csv", "--seed", "11"),
-        531, "2ca36141262904f2ea21094febaca2f34476da497d946f84df6feb5a44b24655",
-        ("c313b60dd52b", "dd589904629d", "4ff86538b5ca", "a25ac714b961", "d824199f81b9",
-         "f719f352b1b7", "7a556f4c3b5c", "4507b9ab1bfc", "a86e7faea1d5")),
+        532, "ea4dd78f33252c35d9433e6b23a19c0fed1675c4d2c1d55498f396280d0fa542",
+        ("c313b60dd52b", "a457e53d3028", "7dea7a97b4ab", "2c3a4e06963f", "ee356c8708af",
+         "f719f352b1b7", "7cc356a0caba", "ccfcee03d446", "e2b7f2876884")),
     "mixfit GMM 4": (
         ("mixfit", "--family", "GMM", "--k", "4", "--data", "segments.csv", "--seed", "11"),
-        1361, "0b766d908ec0047d0909c53572be3d88bfb42fe5a07e7ea63b3aad24ffc3816f",
-        ("7d23efe9f6a3",)),
+        1375, "bc8e71f817e83a1b9b162c8882fcd515d49e254215253e4db5d91c01fc4eedb2",
+        ("785a6d2438bd",)),
     "mixfit FTM 4": (
         ("mixfit", "--family", "FTM", "--k", "4", "--data", "segments.csv", "--seed", "11"),
-        1948, "55dc745d61ee5ae346f317d4d047fbdcb7d2c7fb834864caa71634274618dd84",
-        ("3d7bc350d089",)),
+        1948, "34f8d55e2964162b9198ccb336fce5607af38b8434d17e110b3895944bf32584",
+        ("626939477a37",)),
     "mixfit FTM 2 bl-upgrade": (
         ("mixfit", "--family", "FTM", "--k", "2", "--bl-upgrade", "--data", "mixed1d.csv",
          "--seed", "3"),
-        1132, "82190d32c444d988a0cad7ba25c9442aece5fcafd0e3e051cdf30d3a5e3e39eb",
-        ("4f28b0a439e4",)),
+        1130, "48ea017c626ccb232de409b02da1aae6853c981c0bf73345b5f4be6a91b41886",
+        ("f838c6916dc9",)),
 }
 
 # The fit argvs: ``gradcheck`` prints ``mle._KERNELS[f].derivs`` at default
@@ -82,34 +102,297 @@ MLE = {
         ("fit", "--family", "BL", "--init-normal", "--data", "mixed1d.csv"),
         617, "6bd32a1dea9d50b1becf60da52997502104fabdc396bbfd2944145504f55444b",
         ("3c24d4f477b1",)),
+    "fit AL init-normal mixed55": (
+        ("fit", "--family", "AL", "--init-normal", "--data", "mixed55.csv"),
+        562, "75d322e37dd09736aa37bb3deb52d723a24da3aef815935c39b38a1fb6d48891",
+        ("4be0f513ba0a",)),
+}
+
+# The ten argvs of the cli-cold benchmark at its seeds 31 and 7001.  None of
+# them runs mixture code.
+CLI_COLD = {
+    "gen 31": (
+        ("gen", "--what", "segments", "--seed", "31"),
+        16622, "8a67f0357581f33a7213937cd28685826da142354f4f432cf2340cac9750ba9d",
+        ("0a38bd91701a", "33139b03bc29", "9f9777bbdee4", "9e689310ed9a", "afac38e0f724",
+         "231f509a6550", "8bdfc2e1ea2b", "556c5ee058c1", "b95e0c9d186d", "01389ff39e16",
+         "370eac53f3e5", "b75cf289a111", "8f62bd315d5a", "ca59598d37fa")),
+    "eval AL 31": (
+        ("eval", "--family", "AL", "--params", AL_31, "--grid",
+         "-4.329155373633072:6.841813349955713:0.027927421808971963"),
+        24336, "6cc358238e5addcc263797b0cf62ee595d2cd3f0e3c44eaf2645a2e0bd96bef0",
+        ("619800a08167", "446c51ceec46", "d2f4e46fea64", "e39de85f8597", "f5646bc5c19c",
+         "fa6108cfb8f9", "e9d613d8d0ee", "8d68f5ec58a5", "4dc361624642", "e8d96a718647",
+         "7eaebd72f81e", "455a80bf8c31", "002e9c9df24d")),
+    "eval CH 31": (
+        ("eval", "--family", "CH", "--params",
+         "m=0.9573393170207762,r=1.0345326973991824,s=0.7902780215959859,beta=3.4595762101348324",
+         "--grid", "-4.8188615099543215:6.7335401439958735:0.028881004134875488"),
+        24289, "b32682b04c127fb5b90b5b52d44e6a2d38b2554d39cd4f88020c60bfa12062e3",
+        ("ffc8c1a7d6e1", "3a17ec11e648", "8b1e9ced7066", "003bdefe8f67", "5cc91789e39b",
+         "d28e7034575d", "c6fcbfb04971", "bbb1c7d889d9", "54a24774ecd5", "61b542eaee45",
+         "1666589c4bf2", "46de972eb4b9", "db30c00b6569")),
+    "sample AL 31": (
+        ("sample", "--family", "AL", "--params", AL_31, "-n", "1000", "--seed", "31"),
+        19471, "c87350cfcf248c888260aed1cba3a759adff7ccedd1015248085d12608ffa9d1",
+        ("a4cca53f4e14", "c398ca1909d0", "5494f466bc58", "c78c47028f3a", "35e506c53bfd",
+         "3a0749b5da7a", "71fc9a7e33d8", "0d49bb8e9ffd", "eeea31f07333", "6ffcab50885f",
+         "518818a6dd1b", "00c5b6e61675", "af06df6e342a", "d2c39ee76d7c", "af1fb0d2b778",
+         "3bc029c2760a", "3382ab355c7d", "d7e52264a13b", "5e54fd15998d", "31d39c4ad954",
+         "c686ea92965a", "2e07b4e8e0a9", "50287583a3a9", "cd1d37906754", "c90c95e8c901",
+         "6ef4ddd59690", "be9da97a0d2e", "ce77f2a316bb", "3ce5a0eef0f2", "fb415ef2d145",
+         "5dcf4e9a2fa6", "7eca65c5b7b6")),
+    "sample BL 31": (
+        ("sample", "--family", "BL", "--params",
+         "a=-0.29028889224474597,s=0.10662967520208128,t=0.17179567240109828,b=0.7952491045084793",
+         "-n", "1000", "--seed", "31"),
+        20282, "36fd7a9ef96b8e03b4f91343ae3c18ec97f6de11e5161dcc0ef8246fe1045df9",
+        ("3a3d95b32638", "6ebaf2337b5b", "10ea3df3baa1", "16238ba3bc1c", "e449bbe0abd9",
+         "b084097f13bb", "5be723f9f9fa", "f3d5b8d75a28", "187d3025f1db", "cd9e91f37107",
+         "8461c605dc6b", "0bb4437e221d", "e836b747f0f4", "440238098bdd", "1e89a043bdf7",
+         "d6209160cfd5", "1c7f58a2f7c7", "c58d2c8ec056", "7b8a4f6665e1", "cbc35b9ac8af",
+         "80709039ab40", "8bfd27775f2b", "e1ad9291c2af", "51e24116a237", "df0b800a30f4",
+         "1e6c6a8146ce", "4d38d4d60703", "775f5a3bae45", "dc3eb5128b23", "fd3d4a9f5bcc",
+         "bc04230f6f11", "55d261194bf0")),
+    "fit AL 31": (
+        ("fit", "--family", "AL", "--data", "al31.csv"),
+        707, "1bca96a1847e7e1e6551a1cd6614ea4d8663867f2f2840c7d170225769f2fafe",
+        ("a507a5013d8e",)),
+    "fit BL 31": (
+        ("fit", "--family", "BL", "--data", "mixed55.csv", "--init", BL_INIT),
+        569, "e303a5a9537f605a875414ad02ef011870027e681d88afda46424c5174d66b0e",
+        ("7c27a2e395cb",)),
+    "fit CL 31": (
+        ("fit", "--family", "CL", "--data", "cl.csv"),
+        849, "0010de25e3fc06ef5cef5dfe10970678e4be45b2c595dfa287a1a2bb1072c406",
+        ("81f13e575f6a",)),
+    "flatness AL 31": (
+        ("flatness", "--family", "AL", "--params", AL_31),
+        239, "f010bf2c35cb19e65bd2e26ffebc6559100ac622d020d0c7e622119b5554f778",
+        ("06e08fb545f7",)),
+    "divergence pair 31": (
+        ("divergence", "--case", "pair", "--p", "U:a=-0.7151429011609224,b=0.2848570988390776",
+         "--q", "GN:mu=0.4101716815796792,s=0.6570574014435508,beta=2.949274197342108"),
+        95, "b50481f9f98572b3babe1840477854b8500c5a50c1ea36c3a3d246c4814341e9",
+        ("ebfe91b5774e",)),
+    "gen 7001": (
+        ("gen", "--what", "segments", "--seed", "7001"),
+        16545, "1ee88cdd8ab223c7f2d6db1f08e5e87ff9d77ced6d071ee6acbdd41944a03216",
+        ("b0e617a323f6", "39e10818e0d4", "54331296e66b", "8db910e48a23", "d66942ddfcab",
+         "46c129831d50", "d9c9e87070a5", "5c31b294a781", "0dd79101b033", "e3dc56876da8",
+         "7ec5294c763f", "604a0d4a5348", "adde6734d2e8", "30deae2b494a")),
+    "eval AL 7001": (
+        ("eval", "--family", "AL", "--params", AL_7001, "--grid",
+         "-4.495463061484863:10.786529489598383:0.038204981377708114"),
+        24352, "a07dd817b01f921660f08ce0b8ad993d9a53c3539dbe6bcc95fb8beec2a34af9",
+        ("08480adb9bc6", "46208593992b", "71ac519a9ce7", "07bf049a21de", "00f45af0c935",
+         "b78620146dd3", "955050ffb7f4", "bd4f7d19adf2", "25e3cef1c599", "c1b56d17b19b",
+         "b1758162e23b", "e62ad7e76462", "b883c1c2631b")),
+    "eval CH 7001": (
+        ("eval", "--family", "CH", "--params",
+         "m=0.7695824053725369,r=0.5844053144072515,s=0.5479181828393518,beta=2.49073385741203",
+         "--grid", "-3.1023320060708253:4.641496816815899:0.019359572057216813"),
+        25139, "be5f2269114ac1c2144c81fff1de9855b86e575ffd4f7ca044c22001dc0f83f0",
+        ("f9d6dc9dbeb9", "1cef79195397", "792d910a1949", "bb287494713d", "93b946633a58",
+         "6592fc750b94", "1a86afc05db4", "2840d7d96384", "747bf2294806", "9426799a682d",
+         "04f3895db76b", "f15f59888488", "5913c6547f4e")),
+    "sample AL 7001": (
+        ("sample", "--family", "AL", "--params", AL_7001, "-n", "1000", "--seed", "7001"),
+        19089, "ed30c130b250142295a7b1a579d1aecfefecceeada6d5b031e974323876cb539",
+        ("14c18a193f5a", "3c244a6a3861", "c79fcee0f3f8", "ed334e644eec", "38c4b439a653",
+         "c439bfd61e28", "8d274c0afffa", "8e46b35d1fa6", "6cb47dbdad12", "5695a3aa75e7",
+         "bd77516f208c", "b0c0350c7d79", "f5a25b942b86", "ee4f3c584f97", "300a042cbfd8",
+         "3037d9dac286", "3d7b45613000", "95df05276c54", "cf91ef4785f8", "48fbe67fb51b",
+         "75ecf85dadb9", "7ae5cf8a6a93", "a2caf65df492", "60bea265c057", "e3219d50129b",
+         "217ba41960b0", "2aead72a4e5b", "91776a17a73d", "51daf4c16bb8", "0debbc3a9718",
+         "c5cd13308602", "5745f6ea2be3")),
+    "sample BL 7001": (
+        ("sample", "--family", "BL", "--params",
+         "a=-2.2540581701543094,s=0.16902449171025247,t=0.15094676766579165,b=1.1506316771841036",
+         "-n", "1000", "--seed", "7001"),
+        20246, "92239bf83e49dd838ebc6a2d8d3465c5ddbac603861dd25e33bbb492177ffa97",
+        ("c893140b54fe", "1ebab8310783", "efbc01a7ff26", "11f94c227fb6", "c5bc71b11e18",
+         "f3903331712a", "e627d24df34a", "b45b63e7e863", "0fd84f88db08", "a5cdfbddf4e7",
+         "c6b9cffa725a", "7d17c17c2460", "fa8af21bc57f", "9b7754d2c62c", "5e6e6dd7db65",
+         "42f37a384bbd", "cafcf7981098", "4d348310a1e8", "f2579d7f94a3", "13aa76e62054",
+         "c5cdb2a3a08a", "e95f4586440d", "37fdb2ac3917", "4e312980b3a0", "6b996960f948",
+         "bfe6fa54c262", "a39e1ec3c753", "82f424f3843a", "53cfa6f8b17c", "0d6a0fd0e9ba",
+         "04c342608a29", "056ab1c06948")),
+    "fit AL 7001": (
+        ("fit", "--family", "AL", "--data", "al7001.csv"),
+        654, "f62c31d0d472240cf0c5c5db000c1724aa0d49a8e4811d29630c2d9ce0c7cac1",
+        ("f2e0f6252de9",)),
+    "fit BL 7001": (
+        ("fit", "--family", "BL", "--data", "mixed55.csv", "--init", BL_INIT),
+        569, "e303a5a9537f605a875414ad02ef011870027e681d88afda46424c5174d66b0e",
+        ("7c27a2e395cb",)),
+    "fit CL 7001": (
+        ("fit", "--family", "CL", "--data", "cl.csv"),
+        849, "0010de25e3fc06ef5cef5dfe10970678e4be45b2c595dfa287a1a2bb1072c406",
+        ("81f13e575f6a",)),
+    "flatness AL 7001": (
+        ("flatness", "--family", "AL", "--params", AL_7001),
+        240, "12990eefc521dcba5940406a2394138abd69824bc58e70e2d9945b9e9ad53c32",
+        ("726ccb8ec16e",)),
+    "divergence pair 7001": (
+        ("divergence", "--case", "pair", "--p", "U:a=-0.21493507912190968,b=0.7850649208780903",
+         "--q", "GN:mu=0.25956334103117906,s=1.589583679003183,beta=3.577369000004574"),
+        96, "ce187fd723e482f6e6e64e23c4c11b2692b02b4c156e66286fb5c48e8d74d023",
+        ("994da75de8b5",)),
+}
+
+# One ``eval`` and one ``flatness`` per family, at a point inside the family's
+# parameter box, and the closed-form ``divergence`` cases (the cli-cold rows
+# hold the quadrature case, ``pair``).
+DENSITY = {
+    "eval U": (
+        ("eval", "--family", "U", "--params", "a=-1,b=2", "--grid", "-4:5:0.25"),
+        707, "9b8fba344ee55d309e42d06ef7480fb867ec493794f02f2ef59f65d0e2f39d04",
+        ("30d4b4fad7c5", "409833c46baf")),
+    "eval GN": (
+        ("eval", "--family", "GN", "--params", "mu=0,s=1,beta=3", "--grid", "-4:5:0.25"),
+        1506, "498802d77ece06e0425f49c2cbecbe7cd83962114668540319b05f9ffd063b5f",
+        ("4e3f70dc2350", "b3fdafbf5127")),
+    "eval AN": (
+        ("eval", "--family", "AN", "--params", "a=-1,b=2,s=0.5", "--grid", "-4:5:0.25"),
+        1713, "fd4e8413bd464784c5575a9d1554f39ed4c0afd9baca72606e51f7654daf147d",
+        ("59bb488d6a7b", "a8118a5974c3")),
+    "eval AL": (
+        ("eval", "--family", "AL", "--params", "a=-1,b=2,s=0.5", "--grid", "-4:5:0.25"),
+        1684, "850242aed476272b1fe24b7275d6f0e5daac04d420f649ff52036984e56c6167",
+        ("17eed6a5d7de", "a2e0c703a1cd")),
+    "eval ALS": (
+        ("eval", "--family", "ALS", "--params", "a=-1,b=2,s=0.4,lam=0.3", "--grid", "-4:5:0.25"),
+        1707, "b6664e10eff02d11a514f08b7a062b162737cf1c3d33fd651b08b6c34117dde2",
+        ("9e8cedef3398", "cebb08864612")),
+    "eval BL": (
+        ("eval", "--family", "BL", "--params", "a=-1,b=2,s=0.3,t=0.5", "--grid", "-4:5:0.25"),
+        1714, "dd172fba50ca97642ba9110ae60839dc177af901c403b5ed6ebd75d405c5aa93",
+        ("c3ba4fce032c", "b0600a027a7f")),
+    "eval BD": (
+        ("eval", "--family", "BD", "--params", "a=-1,b=2,s=0.5,t=0.7", "--grid", "-4:5:0.25"),
+        1710, "f35189374b33367dca11d79f0261c23900bcdd93159d5a920e2c053539ce99dc",
+        ("8bc3d53de49b", "bb86b2fe0db2")),
+    "eval CC": (
+        ("eval", "--family", "CC", "--params", "m=0,s=1,beta=3", "--grid", "-4:5:0.25"),
+        1673, "b8f6e33e6a6f82ff634da54f5d1067b79cb618145c94710174835c096018770e",
+        ("ba6e59bbd518", "f77e95046ede")),
+    "eval CF": (
+        ("eval", "--family", "CF", "--params", "m=0,r=1,s=0.5,beta=2", "--grid", "-4:5:0.25"),
+        1594, "3719505d4c9d860a5d857f9e7103d4897c7b6073b4c87ba1c4a88cc36a242cce",
+        ("ea7f6409bf70", "f0597927eaf8")),
+    "eval CE": (
+        ("eval", "--family", "CE", "--params", "a=-1,b=2,s=1", "--grid", "-4:5:0.25"),
+        1731, "9aaf92a771ea5afe214d7cc76d80b55a5805f06fa34a001d5de937f8e01dca98",
+        ("1671f444e573", "4149b64de405")),
+    "eval CH": (
+        ("eval", "--family", "CH", "--params", "m=0,r=1,s=0.5,beta=2", "--grid", "-4:5:0.25"),
+        1761, "ff878acf5d3b73e4902bcc154d5d6968cabdb53a4d6cb61097b517d93fd73607",
+        ("e6920595bc73", "0dcbdb99f5ea")),
+    "eval DE": (
+        ("eval", "--family", "DE", "--params", "m=0,s=1", "--grid", "-4:5:0.25"),
+        1653, "5dae6dc349b040b92dc63f41c36347f356496852f3f698b3a1aada70df4f3408",
+        ("85619290ff36", "a8a37ec1f8e7")),
+    "flatness U": (
+        ("flatness", "--family", "U", "--params", "a=-1,b=2"),
+        163, "48cc9ce797d74eebe911a5f65f604f3a4dfeb037e0b4ff7fda3bc63c72ce951c",
+        ("1d674b7e5fda",)),
+    "flatness GN": (
+        ("flatness", "--family", "GN", "--params", "mu=0,s=1,beta=3"),
+        222, "fcd01d730bfe72007714a060380e74ff976d6ef2ac53c711db0ae7b599a3aef1",
+        ("0e3a9368cb2d",)),
+    "flatness AN": (
+        ("flatness", "--family", "AN", "--params", "a=-1,b=2,s=0.5"),
+        240, "2921ea2bf970a2bdff4b83caba4058e1fb4a63d5e6c9020423a43c9828db96b5",
+        ("1bb064d46c7a",)),
+    "flatness AL": (
+        ("flatness", "--family", "AL", "--params", "a=-1,b=2,s=0.5"),
+        240, "c04331175f45f7affeec4c3cfefa05d0467777ef16d7b614847be8cf78b1453a",
+        ("8a96f37a9ef5",)),
+    "flatness ALS": (
+        ("flatness", "--family", "ALS", "--params", "a=-1,b=2,s=0.4,lam=0.3"),
+        224, "31c9ba70cc90428a6b4488a81167b96759b1d252a16b1b9981ac1525a7bf69df",
+        ("686024425cca",)),
+    "flatness BL": (
+        ("flatness", "--family", "BL", "--params", "a=-1,b=2,s=0.3,t=0.5"),
+        238, "19dcf389b94c52a48e70bc44163ea20a175bc1023208d44bad6f3cdb4a7a23ed",
+        ("76ac975f8288",)),
+    "flatness BD": (
+        ("flatness", "--family", "BD", "--params", "a=-1,b=2,s=0.5,t=0.7"),
+        221, "cec07452dbb218a9bc4f1593784ed170d291d64bab50dedd086483a2159d4e15",
+        ("73a81f32d7cd",)),
+    "flatness CC": (
+        ("flatness", "--family", "CC", "--params", "m=0,s=1,beta=3"),
+        226, "fd1539ac93f8bb4c579a6844bfb564e0b4bddec53235e8a9ffc333c48fc45264",
+        ("6b7da2db5eb8",)),
+    "flatness CF": (
+        ("flatness", "--family", "CF", "--params", "m=0,r=1,s=0.5,beta=2"),
+        223, "fa1ee5c1b818dda9bec67f174a2a1a5978a4ba8624b67842ece472c21e306049",
+        ("30ecff9596da",)),
+    "flatness CE": (
+        ("flatness", "--family", "CE", "--params", "a=-1,b=2,s=1"),
+        239, "10eae26fc11317545fdf6c4805f7b715ea3b5761954ec0125ba53aa873055b11",
+        ("d0d7dea34a75",)),
+    "flatness CH": (
+        ("flatness", "--family", "CH", "--params", "m=0,r=1,s=0.5,beta=2"),
+        208, "fc1cbffeb960e1eeafc6a519f30c43c8c42bf49d2da66ab3425361ea228160ea",
+        ("bbafec511b02",)),
+    "flatness DE": (
+        ("flatness", "--family", "DE", "--params", "m=0,s=1"),
+        205, "595a8a21506f607d8a3e4197cd4740777fb9f2a8f60236e98dd737b5dac4ae7a",
+        ("cddb36027764",)),
+    "divergence uniform-normal": (
+        ("divergence", "--case", "uniform-normal"),
+        99, "014a4acab762e4e918c06477b8924bdbf617664654eada983eb4dc495b7a038e",
+        ("0917f8a90d29",)),
+    "divergence ball-normal": (
+        ("divergence", "--case", "ball-normal"),
+        97, "0336c59a90b011d0c05ed22245fdd7f04f3aa082602b353b5a039e6dc90ca75f",
+        ("503ed85d9556",)),
+    "divergence ball-normal 3": (
+        ("divergence", "--case", "ball-normal", "--dim", "3"),
+        98, "94b24310938fe467bde2331a3888471c6356f51c126d6af33da6b35e18988693",
+        ("240e94b15861",)),
 }
 
 
-def _line_digests(out: str) -> tuple[str, ...]:
-    return tuple(hashlib.sha256(line.encode()).hexdigest()[:12] for line in out.splitlines())
+def _blocks(out: str) -> list[list[str]]:
+    """The lines of ``out``, one per block, or in blocks of ``_BLOCK`` lines
+    if there are more than ``_BLOCK``."""
+    lines = out.splitlines()
+    step = 1 if len(lines) <= _BLOCK else _BLOCK
+    return [lines[i:i + step] for i in range(0, len(lines), step)]
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden")
-    for name, (what, seed) in DATA.items():
-        assert cli.main(["gen", "--what", what, "--seed", str(seed),
-                         "--out", str(path / name)]) == 0
+    for name, argv in DATA.items():
+        assert cli.main([*argv, "--out", str(path / name)]) == 0
+    cl = mv.make_mv("CL", [0.0, 0.0], 1.0, 20.0)
+    data_io.write_csv(mv.mv_sample(cl, 1000, 20260808), str(path / "cl.csv"))
     return path
 
 
 def _check_rows(table, data_dir, capsys):
     for label, (argv, size, digest, lines) in table.items():
-        argv = [str(data_dir / a) if a in DATA else a for a in argv]
+        argv = [str(data_dir / a) if a in FILES else a for a in argv]
         assert cli.main(argv) == 0, label
         out = capsys.readouterr().out
-        got = _line_digests(out)
+        blocks = _blocks(out)
+        got = tuple(_digest("\n".join(block))[:12] for block in blocks)
         moved = next((i for i, (g, e) in enumerate(zip(got, lines)) if g != e),
                      min(len(got), len(lines)))
-        row = (len(out.encode()), hashlib.sha256(out.encode()).hexdigest(), got)
+        first = sum(len(block) for block in blocks[:moved]) + 1
+        row = (len(out.encode()), _digest(out), got)
         assert got == lines, (
-            f"{label}: line {moved + 1} moved (of {len(got)}, expected {len(lines)}):\n"
-            f"{out.splitlines()[moved] if moved < len(got) else '<missing>'}\nnew row: {row}")
+            f"{label}: line {first} moved (digest {moved + 1} of {len(got)}, expected "
+            f"{len(lines)}):\n{blocks[moved][0] if moved < len(got) else '<missing>'}\n"
+            f"new row: {row}")
         assert row[:2] == (size, digest), f"{label}: new row: {row}"
 
 
@@ -119,3 +402,11 @@ def test_mixture_cli_stdout_matches_the_golden_digests(data_dir, capsys):
 
 def test_fit_and_gradcheck_stdout_matches_the_golden_digests(data_dir, capsys):
     _check_rows(MLE, data_dir, capsys)
+
+
+def test_cli_cold_stdout_matches_the_golden_digests(data_dir, capsys):
+    _check_rows(CLI_COLD, data_dir, capsys)
+
+
+def test_density_stdout_matches_the_golden_digests(data_dir, capsys):
+    _check_rows(DENSITY, data_dir, capsys)

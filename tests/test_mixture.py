@@ -1,12 +1,11 @@
 import hashlib
 import math
 import re
-import types
 import warnings
 
 import numpy as np
 import pytest
-from scipy import special as sp
+from scipy import special as sp, stats
 
 from flattop import mixture as mx, mle, univariate as uv
 from flattop.data_io import default_segments_scenario, gen_mixed_1d, gen_segments_2d
@@ -140,6 +139,84 @@ def test_e_step_q_below_loglik():
                     uv.make("AL", {"a": 0, "b": 3, "s": 0.4})])
     es = mx.e_step(model, rng.uniform(-1, 3, 200))
     assert es.q <= es.loglik + 1e-12
+
+
+def _gauss_log_densities(model, rows):
+    """The K x N Gaussian log densities that the E-step scores ``rows`` with:
+    its log joint densities less ln w."""
+    log_joint = mx._log_matrix(mx._Gaussians.of(model, rows), rows)[0]
+    return log_joint - np.log(model.weights)[:, None]
+
+
+def _rotated(angle, vals):
+    """The symmetric 2 x 2 covariance with eigenvalues ``vals`` on axes
+    rotated by ``angle``."""
+    vecs = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    cov = (vecs * vals) @ vecs.T
+    return 0.5 * (cov + cov.T)
+
+
+@pytest.mark.parametrize("cov_type, covs, rtol", [
+    ("full", [_rotated(0.4, [2.0, 0.5]), _rotated(-1.1, [0.3, 0.05])], 1e-12),
+    ("diag", [np.diag([2.0, 0.5]), np.diag([1.0, 1e-8])], 1e-12),
+    # Condition number 1e8 on rotated axes: the thin-axis coordinate
+    # v^T (x - mean) is 1e-4 of its terms, so the rounding of x - mean and
+    # of the dot product alone moves ln p by ~1e-12 relative, in scipy's
+    # evaluation as in the E-step's.
+    ("full", [_rotated(1.0, [1.0, 1e-8]), _rotated(2.5, [1e-8, 1.0])], 4e-12),
+], ids=["full", "diag-cond-1e8", "full-cond-1e8"])
+def test_gaussian_log_densities_match_scipy(cov_type, covs, rtol):
+    rng = np.random.default_rng(41)
+    means = [np.array([0.5, -1.0]), np.array([-2.0, 3.0])]
+    rows = np.concatenate([rng.multivariate_normal(m, c, 150) for m, c in zip(means, covs)])
+    model = mx.MixtureModel(kind="gaussian", dim=2, weights=np.array([0.3, 0.7]),
+                            components=list(zip(means, covs)), cov_type=cov_type)
+    ref = [stats.multivariate_normal(m, c).logpdf(rows) for m, c in zip(means, covs)]
+    assert np.allclose(_gauss_log_densities(model, rows), ref, rtol=rtol, atol=rtol)
+
+
+def test_gaussian_1d_log_densities_match_scipy():
+    comps = [(0.5, 2.0), (-3.0, 1e-8), (10.0, 1e6)]
+    x = np.random.default_rng(42).normal(0.0, 5.0, 300)
+    model = mx.MixtureModel(kind="gaussian", dim=1, weights=np.array([0.2, 0.3, 0.5]),
+                            components=comps)
+    ref = [stats.norm(m, math.sqrt(v)).logpdf(x) for m, v in comps]
+    assert np.allclose(_gauss_log_densities(model, x.reshape(-1, 1)), ref, rtol=1e-12,
+                       atol=1e-12)
+
+
+def test_gaussian_log_densities_at_a_floored_eigenvalue_match_scipy():
+    """Points on a line: the M-step raises the covariance's small eigenvalue
+    to the floor, and the fitted model scores as scipy scores it."""
+    x = np.random.default_rng(43).normal(size=200)
+    rows = np.column_stack([x, 2.0 * x + 1.0])
+    floor = mx._COV_FLOOR * float(np.max(np.var(rows, axis=0)))
+    state = mx._gmm_m_step(rows, np.ones((1, 1, rows.shape[0])), "full", floor)
+    assert state.vals[0, 0, 0] == floor
+    model, _ = mx.gmm_fit(rows, 1, seed=0)
+    mean, cov = model.components[0]
+    assert np.linalg.eigvalsh(cov)[0] == pytest.approx(floor, rel=1e-6)
+    ref = stats.multivariate_normal(mean, cov).logpdf(rows)
+    assert np.allclose(_gauss_log_densities(model, rows)[0], ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim, comps, message", [
+    (1, [(0.0, 1.0), (0.0, -1.0)],
+     r"^component 1: covariance \[\[-1\.0\]\] is not positive definite$"),
+    (2, [(np.zeros(2), np.eye(2)), (np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))],
+     r"^component 1: covariance \[\[1\.0, 0\.5\], \[0\.4, 1\.0\]\] is not symmetric$"),
+    (2, [(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))],
+     r"^component 0: covariance .* is not positive definite$"),
+], ids=["1d-negative-variance", "asymmetric", "not-positive-definite"])
+def test_gaussian_e_step_and_score_reject_an_invalid_component(dim, comps, message):
+    model = mx.MixtureModel(kind="gaussian", dim=dim, weights=np.full(len(comps), 1 / len(comps)),
+                            components=comps, cov_type="full" if dim > 1 else None)
+    rows = np.repeat(np.linspace(-1.0, 1.0, 10)[:, None], dim, axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (mx.e_step, mx.score):
+            with pytest.raises(ValueError, match=message):
+                call(model, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +526,7 @@ def _inject_empty(monkeypatch, plan):
 
 
 def _lane_arrays(fit, lanes):
-    return [a[lanes] for a in (fit.weights, fit.means, fit.cov)]
+    return [a[lanes] for a in (fit.weights, fit.means, fit.vals, fit.vecs)]
 
 
 def test_reseed_in_one_lane_leaves_the_other_lanes_bit_identical(monkeypatch, segments_rows):
@@ -639,12 +716,10 @@ def _assert_m_step_matches(model, rows, resp):
     return new
 
 
-def _ref_e_core(log_mat, weights):
-    """N x K responsibilities and the log-likelihood from the K x N
-    component log densities of one model, normalised by one exponential
-    shifted by each point's largest log joint density."""
-    with np.errstate(divide="ignore"):
-        log_joint = log_mat + np.log(weights)[:, None]
+def _ref_e_core(log_joint):
+    """N x K responsibilities and the log-likelihood from the K x N log
+    joint densities of one model, normalised by one exponential shifted by
+    each point's largest log joint density."""
     top = log_joint.max(axis=0)
     finite = np.isfinite(top)
     resp = np.exp(log_joint - np.where(finite, top, 0.0))
@@ -652,43 +727,39 @@ def _ref_e_core(log_mat, weights):
     with np.errstate(divide="ignore", invalid="ignore"):
         resp = (resp / tot).T
         point_ll = top + np.log(tot)
-    resp[~finite] = 1.0 / weights.size
+    resp[~finite] = 1.0 / log_joint.shape[0]
     return resp, float(np.sum(point_ll[finite]))
 
 
-def _ref_gauss_e_step(weights, means, cov, rows):
-    """One Gaussian restart's N x K responsibilities and log-likelihood."""
-    cols = np.ascontiguousarray(rows.T)
-    means = means.reshape(weights.size, -1)
-    if rows.shape[1] == 1:
-        var = cov[:, None]
-        log_mat = -0.5 * (np.log(2.0 * math.pi * var) + (cols - means) ** 2 / var)
-    else:
-        chol = np.linalg.cholesky(cov)
-        z = np.linalg.inv(chol) @ (cols - means[:, :, None])
-        log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-        log_mat = -0.5 * (rows.shape[1] * math.log(2.0 * math.pi) + log_det[:, None]
-                          + np.einsum("kdn,kdn->kn", z, z))
-    return _ref_e_core(log_mat, weights)
+def _ref_gauss_e_step(weights, means, vals, vecs, rows):
+    """One Gaussian restart's N x K responsibilities and log-likelihood,
+    from the eigenvalues of its covariances and, for full covariances, their
+    eigenvectors (for diagonal ones and in 1-d the axes are the coordinate
+    axes and the eigenvalues the variances)."""
+    d = np.ascontiguousarray(rows.T) - means.reshape(weights.size, -1, 1)
+    z = d if vecs is None else vecs.transpose(0, 2, 1) @ d
+    log_joint = ((-0.5 / vals)[:, None, :] @ (z * z))[:, 0]
+    with np.errstate(divide="ignore"):
+        log_joint += (np.log(weights) - 0.5 * (rows.shape[1] * math.log(2.0 * math.pi)
+                                               + np.log(vals).sum(axis=1)))[:, None]
+    return _ref_e_core(log_joint)
 
 
 def _ref_gauss_m_step(rows, resp, cov_type, floor):
-    """One Gaussian restart's weights, means and covariances; None if a
-    component has no responsibility."""
-    n, dim = rows.shape
+    """One Gaussian restart's weights, means, and the eigenvalues, floored,
+    and eigenvectors (None unless ``cov_type`` is full) of its covariances;
+    None if a component has no responsibility."""
     nk = resp.sum(axis=0)
     if np.any(nk <= 0):
         return None
     means = resp.T @ rows / nk[:, None]
     d = np.ascontiguousarray(rows.T) - means[:, :, None]
+    if cov_type != "full":
+        var = ((d * d) @ np.ascontiguousarray(resp.T)[:, :, None])[:, :, 0] / nk[:, None]
+        return nk / rows.shape[0], means, np.maximum(var, floor), None
     cov = (d * resp.T[:, None, :]) @ d.transpose(0, 2, 1) / nk[:, None, None]
-    if dim == 1:
-        cov = np.maximum(cov[:, 0, 0], floor)
-    elif cov_type == "diag":
-        cov = np.maximum(np.diagonal(cov, axis1=1, axis2=2), floor)[:, :, None] * np.eye(dim)
-    else:
-        cov = mx._floor_cov(cov, floor)
-    return nk / n, means, cov
+    vals, vecs = np.linalg.eigh(0.5 * (cov + cov.transpose(0, 2, 1)))
+    return nk / rows.shape[0], means, np.maximum(vals, floor), vecs
 
 
 def _ref_gmm_restarts(rows, k, seed, settings, cov_type):
@@ -699,7 +770,8 @@ def _ref_gmm_restarts(rows, k, seed, settings, cov_type):
     start = mx._gmm_start(rows, k, settings.n_init, np.random.default_rng(seed), cov_type, floor)
     fits = []
     for lane in range(settings.n_init):
-        params = (start.weights[lane], start.means[lane], start.cov[lane])
+        params = (start.weights[lane], start.means[lane], start.vals[lane],
+                  None if start.vecs is None else start.vecs[lane])
         trace, stall, cycles, converged, reseeded = [], 0, 0, False, False
         for cycles in range(1, settings.max_cycles + 1):
             resp, loglik = _ref_gauss_e_step(*params, rows)
@@ -735,11 +807,17 @@ def test_gmm_restart_lanes_match_restarts_run_one_after_another(segments_rows, d
     fits = _ref_gmm_restarts(rows, k, 11, settings, cov_type)
     if rel_tol > 0 and k > 1:  # the lanes stop at different cycles
         assert len({fit[1] for fit in fits}) > 1
-    trace, iterations, converged, (weights, means, cov) = max(fits, key=lambda fit: fit[0][-1])
+    trace, iterations, converged, (weights, means, vals, vecs) = max(fits,
+                                                                     key=lambda fit: fit[0][-1])
     assert report.loglik_trace == trace
     assert (report.iterations, report.converged) == (iterations, converged)
     assert np.array_equal(model.weights, weights)
     assert np.array_equal(np.array([c[0] for c in model.components]).reshape(means.shape), means)
+    if rows.shape[1] == 1:
+        cov = vals[:, 0]
+    else:  # V diag(vals) V^T, with V = I for diagonal covariances
+        vecs = np.eye(rows.shape[1]) if vecs is None else vecs
+        cov = (vecs * vals[:, None, :]) @ np.swapaxes(vecs, -1, -2)
     assert np.array_equal(np.array([c[1] for c in model.components]), cov)
     assert report.bic == mle._aic_bic(model.free_param_count, trace[-1], rows.shape[0])[1]
 
@@ -758,7 +836,9 @@ def _ref_flat_e_step(model, rows):
         p = np.array([[getattr(spec, name)] for name in kernel.names])
         const, edges = kernel.terms(rows[:, f % model.dim][None], p)
         out[f] = const[:, None] - edges
-    return _ref_e_core(out.reshape(model.k, model.dim, -1).sum(axis=1), model.weights)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(model.weights)
+    return _ref_e_core(out.reshape(model.k, model.dim, -1).sum(axis=1) + log_w[:, None])
 
 
 def _ref_gem_m_step(model, rows, resp):
@@ -1031,13 +1111,14 @@ def _extreme_log_densities():
 
 def test_e_core_on_extreme_log_densities_matches_scipy_logsumexp(monkeypatch):
     log_mat, weights = _extreme_log_densities()
-    monkeypatch.setattr(mx, "_log_matrix", lambda model, rows: log_mat.copy())
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        log_joint, resp, finite, loglik = mx._e_core(types.SimpleNamespace(weights=weights), None)
     with np.errstate(divide="ignore", invalid="ignore"):
         ref_joint = log_mat + np.log(weights)[..., None]
         ref_tot = sp.logsumexp(ref_joint, axis=1)
+    monkeypatch.setattr(mx, "_log_matrix", lambda model, rows: ref_joint.copy())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_joint, resp, finite, loglik = mx._e_core(None, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
         ref_resp = np.exp(ref_joint - ref_tot[:, None])
     assert np.array_equal(log_joint, ref_joint)
     assert finite.tolist() == np.isfinite(ref_tot).tolist()
@@ -1098,18 +1179,18 @@ def test_no_subnormal_reaches_an_m_step(monkeypatch):
 
 
 @pytest.mark.parametrize("scenario, bics, trace_digest", [
-    (31, ["4417.40175657042", "4173.684757140573", "3619.456892122719", "3032.001975213124",
-          "3042.945352362073", "3060.3301446714263", "3064.6633452505275", "3090.5158814700726",
-          "3105.6307113103503", "3137.8694481593857",
-          "3742.863020874176", "3674.1192314876557", "3530.727568271514", "2927.4165939272034",
-          "2959.149493886636", "2993.124870147475", "3028.068220287771", "3078.9711811620873"],
-     "7dca0fe6a22b71a872627082b1c4f72093b183eaf419e4c86887c57faeb2341f"),
-    (7001, ["4399.114295445737", "3955.0506992912515", "3569.864869817822", "2961.9595323087083",
-            "2960.231864290032", "2991.9750566994976", "2983.8062011441452", "3016.0208386962313",
+    (31, ["4417.401756570421", "4173.684757140573", "3619.456892122719", "3032.001975213124",
+          "3042.9453523620737", "3060.3301446714263", "3064.6633452505266", "3090.5158814700726",
+          "3105.63071131035", "3137.8694481593857",
+          "3742.863020874176", "3674.1192314876084", "3530.727568271501", "2927.4165939272525",
+          "2959.149493886635", "2993.1248701475106", "3028.068220287761", "3078.9711811621055"],
+     "0f8e63ddc9b3924be7f0992b1172ab5d5379dc5a8ad3a01d88578a51c16d9f1f"),
+    (7001, ["4399.114295445737", "3955.0506992912515", "3569.8648698178217", "2961.9595323087087",
+            "2960.2318642900314", "2991.975056699498", "2983.8062011441452", "3016.0208386962313",
             "3052.3620660882216", "3065.9753990505897",
-            "3733.8329509724267", "3547.3523112498283", "3439.817073388495", "2883.099781970845",
-            "2908.0213828205324", "2947.243731195218", "2970.151268217865", "3012.9303893371243"],
-     "1daf3b09ac1289a48fd3b3acc187e3aedaeace04869d65b2fbfb86fbd2991f19"),
+            "3733.832950972428", "3547.352311249828", "3439.8170733886172", "2883.0997819769173",
+            "2908.0213828204783", "2947.2437311944577", "2970.1512682176894", "3012.9303893371243"],
+     "7b8afb3c6ac03cf78acefdf8cfec4e79c02b1724a2d5adf038ceead9d38fce5c"),
 ], ids=["31", "7001"])
 def test_model_select_bics_and_traces_are_pinned(scenario, bics, trace_digest):
     """The 18 model-select fits at 25 cycles: every BIC to its last digit,
