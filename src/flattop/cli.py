@@ -4,8 +4,9 @@ Subcommands: eval, sample, fit, mixfit, sweep, flatness, divergence,
 gradcheck, gen.  Output is CSV or JSON on stdout (or --out FILE); given the
 same argv and seed the bytes are identical across runs.  Exit codes: 0 on
 success, 1 on runtime errors, 2 on usage errors.  A runtime error (a
-ValueError, an ArithmeticError such as an overflow, an OSError or a
-FlattopError) prints ``error: <message>`` on stderr, without a traceback.
+ValueError, an ArithmeticError such as an overflow, a MemoryError, an
+OSError or a FlattopError) prints ``error: <message>`` on stderr, without a
+traceback.
 
 gradcheck audits the maximum-likelihood kernel every fit steps on: each
 family's gradient and Hessian, in (a, b, s) for AL, (a, b, s, t) for BL
@@ -485,20 +486,19 @@ def main(argv=None) -> int:
             continue
         merged.append(tok)
         i += 1
-    try:
+    try:  # a type function of the parser, such as --grid's, may run out of memory too
         args = parser.parse_args(merged)
+        if args.command == "divergence" and args.case == "pair":
+            if args.p is None or args.q is None:
+                print("divergence --case pair needs --p and --q", file=sys.stderr)
+                return 2
+        if args.command == "fit" and args.family == "CL" and (args.init or args.init_normal):
+            print("fit --family CL takes neither --init nor --init-normal", file=sys.stderr)
+            return 2
+        return args.fn(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "divergence" and args.case == "pair":
-        if args.p is None or args.q is None:
-            print("divergence --case pair needs --p and --q", file=sys.stderr)
-            return 2
-    if args.command == "fit" and args.family == "CL" and (args.init or args.init_normal):
-        print("fit --family CL takes neither --init nor --init-normal", file=sys.stderr)
-        return 2
-    try:
-        return args.fn(args)
-    except (ValueError, ArithmeticError, OSError, FlattopError) as exc:
+    except (ValueError, ArithmeticError, MemoryError, OSError, FlattopError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -213,18 +213,40 @@ def scenario_to_json(scenario: SegmentsScenario) -> str:
     }, sort_keys=True)
 
 
+def _entry(obj: dict, key: str, kind, noun: str):
+    """``obj[key]`` if it is a JSON value of type ``kind``, else a ValueError
+    that names the key.  JSON's true and false are no numbers."""
+    if key not in obj:
+        raise ValueError(f"missing scenario key {key!r}")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"scenario {key} must be {noun}, got {value!r}")
+    return value
+
+
+def _segment(i: int, seg) -> tuple[tuple[float, float], tuple[float, float]]:
+    try:
+        ends = np.array(seg, dtype=float)
+    except (TypeError, ValueError):
+        ends = np.empty(0)
+    if ends.shape != (2, 2):
+        raise ValueError(f"scenario segment {i} must be [[x1, y1], [x2, y2]], got {seg!r}")
+    return tuple(map(tuple, ends.tolist()))
+
+
 def scenario_from_json(text: str) -> SegmentsScenario:
+    """The scenario of ``scenario_to_json``; a ValueError names a missing or
+    unknown key or a malformed entry."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"a scenario is a JSON object, got {obj!r}")
     extra = set(obj) - {"segments", "total", "noise_sigma", "seed"}
     if extra:
         raise ValueError(f"unknown scenario keys: {sorted(extra)}")
-    segments = tuple(
-        ((float(seg[0][0]), float(seg[0][1])), (float(seg[1][0]), float(seg[1][1])))
-        for seg in obj["segments"]
-    )
+    segments = _entry(obj, "segments", list, "a list")
     return SegmentsScenario(
-        segments=segments,
-        total=int(obj["total"]),
-        noise_sigma=float(obj["noise_sigma"]),
-        seed=int(obj.get("seed", 0)),
+        segments=tuple(_segment(i, seg) for i, seg in enumerate(segments)),
+        total=_entry(obj, "total", int, "an integer"),
+        noise_sigma=float(_entry(obj, "noise_sigma", (int, float), "a number")),
+        seed=_entry({"seed": 0, **obj}, "seed", int, "an integer"),
     )

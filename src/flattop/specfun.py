@@ -25,9 +25,7 @@ __all__ = [
     "logistic",
     "log_cosh",
     "log_sinh",
-    "log_cosh_sum",
     "log_sinh_ratio",
-    "logsumexp",
     "sech2",
     "csch2",
     "coth",
@@ -99,36 +97,23 @@ def log_sinh(z):
                         np.log1p(-np.exp(-2.0 * hi))) - _LN2
 
 
-def logsumexp(a, axis: int = -1):
-    """ln(sum(exp(a))) along ``axis``.
-
-    The maximum of each slice is split off, as in scipy's logsumexp: with
-    ``top`` the maximum, ``count`` its multiplicity and ``rest`` the sum of
-    the other exp(a - top), the result is top + ln(count) + log1p(rest /
-    count).  Slices whose entries are all -inf give -inf, without a warning.
-    """
-    a = np.asarray(a, dtype=float)
-    top = np.max(a, axis=axis, keepdims=True)
-    at_top = a == top
-    count = np.sum(at_top, axis=axis, keepdims=True)
-    shift = np.where(top == -np.inf, 0.0, top)
-    rest = np.sum(np.exp(np.where(at_top, -np.inf, a) - shift), axis=axis, keepdims=True)
-    return np.squeeze(np.log1p(rest / count) + np.log(count) + top, axis=axis)
-
-
-def log_cosh_sum(u, v):
-    """ln(cosh(u) + cosh(v)) via a 4-term logsumexp; overflow-safe."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    stacked = np.stack(np.broadcast_arrays(u, -u, v, -v))
-    return logsumexp(stacked, axis=0) - _LN2
-
-
 def log_sinh_ratio(w, h):
     """ln[sinh(h) / (cosh(w) + cosh(h))] for h > 0, the shape factor of the
-    AL, CH and CL densities.  The two logs are subtracted before a caller
-    adds its log-normalizer, which would be lost beside h ~ 1e15 or more."""
-    return log_sinh(h) - log_cosh_sum(w, h)
+    AL, CH and CL densities, in closed form.
+
+    With M = max(|w|, h) and m = min(|w|, h) it is min(h - |w|, 0) +
+    ln(-expm1(-2h)) - log1p(e^(-2M) + e^(-m-M) + e^(m-M)): the linear part
+    is exact, and each of the three terms is <= 0, so the result is never
+    positive and nothing cancels at the shoulder |w| = h of a very flat top.
+    A caller adds its log-normalizer to the result, not to ln sinh(h), which
+    would be lost beside h ~ 1e15 or more.
+    """
+    w = np.abs(w)
+    if np.any(h <= 0):
+        raise ValueError("log_sinh_ratio requires h > 0")
+    big, small = np.maximum(w, h), np.minimum(w, h)
+    return (np.minimum(h - w, 0.0) + np.log(-np.expm1(-2.0 * h))
+            - np.log1p(np.exp(-2.0 * big) + np.exp(-small - big) + np.exp(small - big)))
 
 
 def sech2(z):

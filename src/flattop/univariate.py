@@ -22,11 +22,12 @@ DE     m, s                           flattened peak, x^-2 tails
 Each tag has one ``_Family`` record in ``_FAMILY``: its parameters and any
 validation beyond the shared rules of ``make``, its normalizer and
 log-density, whether it is symmetric about its center, and optional
-closed-form hooks for the pdf, cdf, quantile, central moments and kurtosis.
-Each public function looks the record up once.  Where a hook is missing, or
-declines the spec's parameters (CF and CH have a closed cdf and quantile
-only at beta = 1), the one numeric default runs: the pdf is exp(log_pdf);
-the mode of an asymmetric family is the root of its log-density slope, by
+closed-form hooks for the cdf, quantile, central moments and kurtosis.  A
+density has one implementation, its log-density: ``pdf`` is exp(log_pdf)
+for every family.  Each public function looks the record up once.  Where a
+hook is missing, or declines the spec's parameters (CF and CH have a closed
+cdf and quantile only at beta = 1), the one numeric default runs: the mode
+of an asymmetric family is the root of its log-density slope, by
 bisection; central moments are integrated and the kurtosis is their ratio.
 The numeric cdf and quantile share one table per spec (``_table``,
 cached): the panels that adaptive quadrature settles on for the density
@@ -43,10 +44,11 @@ polynomial).  The table's edges are also the break points of every other
 integral over a density: the integrated central moments here, and the KL
 and L1 quadratures of ``divergence``, which start from the edges of both
 specs' tables.  CF, CH and CE share one Fermi-Dirac mass (``_fd_mass``).
+The AL and CH log-densities share one shape factor, ``specfun.log_sinh_ratio``.
 
-Construction validates parameters and caches the normalizing constant; all
-evaluation functions are pure, vectorized over ``x``, and exp-shifted where
-tails would overflow.
+Construction validates parameters and caches the normalizing constant,
+which must come out positive and finite; all evaluation functions are pure,
+vectorized over ``x``, and exp-shifted where tails would overflow.
 """
 
 from __future__ import annotations
@@ -150,13 +152,15 @@ class MomentReport:
 class _Family:
     """What one family tag knows in closed form (see the module docstring).
 
-    A symmetric family has its mode at the spec attribute named by
-    ``center``; a bounded one is supported on [a, b].  A hook returns None
-    where its closed form does not cover the spec's parameters; a moment
-    hook returns inf for a divergent moment.  ``check`` sees the parameters
-    after ``make`` has derived m and r.  ``breaks`` gives the numeric cdf
-    table break points beyond the mode, a and b.  ``slope`` has the sign of
-    d ln p/dx, which an asymmetric family's numeric mode is the root of.
+    ``log_pdf`` is the family's only density: there is no pdf hook, and
+    ``pdf`` exponentiates it.  A symmetric family has its mode at the spec
+    attribute named by ``center``; a bounded one is supported on [a, b].  A
+    hook returns None where its closed form does not cover the spec's
+    parameters; a moment hook returns inf for a divergent moment.  ``check``
+    sees the parameters after ``make`` has derived m and r.  ``breaks`` gives
+    the numeric cdf table break points beyond the mode, a and b.  ``slope``
+    has the sign of d ln p/dx, which an asymmetric family's numeric mode is
+    the root of.
     """
 
     fields: tuple[str, ...]
@@ -165,7 +169,6 @@ class _Family:
     symmetric: bool = True
     center: str = "m"
     check: Callable[[dict[str, float]], None] | None = None
-    pdf: Callable | None = None
     cdf: Callable | None = None
     quantile: Callable | None = None
     central_moment: Callable | None = None
@@ -211,13 +214,16 @@ def make(family: str, params: Mapping[str, float]) -> UnivariateSpec:
 
     if "a" in vals:
         vals.update(m=0.5 * (vals["a"] + vals["b"]), r=0.5 * (vals["b"] - vals["a"]))
+        _require(vals["r"] > 0, f"{family}: requires a positive half-width (b - a)/2, "
+                                f"got a={vals['a']}, b={vals['b']}")
     if "s" in vals and "r" in vals and not math.isfinite(vals["r"] / vals["s"]):
         raise ValueError(f"{family}: requires a finite ratio r/s, got r={vals['r']}, s={vals['s']}")
     if rec.check is not None:
         rec.check(vals)
     spec = UnivariateSpec(family=family, **vals)
     spec = replace(spec, c=rec.normalizer(spec))
-    _require(spec.c > 0, f"{family}: computed normalizing constant is not positive")
+    _require(0.0 < spec.c < math.inf,
+             f"{family}: computed normalizing constant {spec.c!r} is not positive and finite")
     return spec
 
 
@@ -292,23 +298,6 @@ def _kurtosis_gn(spec) -> float:
             / (5.0 * math.gamma(3.0 / b + 1.0) ** 2))
 
 
-def _pdf_an(spec, x):
-    """c [erf(z1) - erf(z2)] at z1, z2 = (x - a, x - b)/(sqrt(2) s).  Past an
-    edge, where zn = max(z2, -z1) >= 0, the difference is erfc(zn) - erfc(zf)
-    with zf = max(z1, -z2), which does not cancel; each point takes one pair."""
-    from scipy import special as sp
-
-    with np.errstate(over="ignore"):  # |x| far beyond s: z = inf, the density 0
-        z1 = (x - spec.a) / (math.sqrt(2.0) * spec.s)
-        z2 = (x - spec.b) / (math.sqrt(2.0) * spec.s)
-    zn, zf = np.maximum(z2, -z1), np.maximum(z1, -z2)
-    past = zn >= 0.0
-    out = np.empty_like(zn)
-    out[past] = sp.erfc(zn[past]) - sp.erfc(zf[past])
-    out[~past] = sp.erf(z1[~past]) - sp.erf(z2[~past])
-    return spec.c * out
-
-
 def _log_pdf_an(spec, x):
     """ln c + ln[erf(zf) - erf(zn)] at zf, zn = (|x - m| +- r)/(sqrt(2) s).
 
@@ -324,11 +313,14 @@ def _log_pdf_an(spec, x):
         u = np.minimum(np.abs(x - spec.m) / k, 1e300)
     rho = spec.r / k
     zn, zf = u - rho, u + rho
-    with np.errstate(all="ignore"):  # each branch is only kept where it is finite
-        inside = np.log(sp.erf(zf) - sp.erf(zn))
-        ratio = sp.erfcx(zf) / sp.erfcx(zn) * np.exp(-4.0 * rho * u)
-        past = np.log(sp.erfcx(zn)) - zn * zn + np.log1p(-ratio)
-    return math.log(spec.c) + np.where(zn < 0.0, inside, past)
+    inside = zn < 0.0
+    out = np.empty_like(u)  # each point takes its own branch only
+    out[inside] = np.log(sp.erf(zf[inside]) - sp.erf(zn[inside]))
+    zn, zf, u = zn[~inside], zf[~inside], u[~inside]
+    with np.errstate(all="ignore"):  # far out zn * zn = inf, or the ratio is 1: the log is -inf
+        ex = sp.erfcx(zn)
+        out[~inside] = np.log(ex) - zn * zn + np.log1p(-sp.erfcx(zf) / ex * np.exp(-4.0 * rho * u))
+    return math.log(spec.c) + out
 
 
 def _an_tail(u):
@@ -427,11 +419,6 @@ def _log_pdf_als(spec, x):
         return math.log(spec.c) + log_ends + np.log(-np.expm1(neg_d))
 
 
-def _pdf_als(spec, x):
-    log_ends, neg_d = _als_terms(spec, x)
-    return np.exp(log_ends) * (-spec.c * np.expm1(neg_d))
-
-
 def _log_shoulder_als(w, lam):
     """ln f(w), f = dF/dw the density of the skewed logistic CDF F(w/2)
     (see ``_als_terms``): ln[logistic(u) logistic(-u) du/dw]."""
@@ -510,10 +497,7 @@ def _bd_exp_term(a: float, b: float, s: float, t: float) -> float:
 
 
 def _normalizer_bd(spec) -> float:
-    denom = (spec.b - spec.a) + _bd_exp_term(spec.a, spec.b, spec.s, spec.t)
-    if not denom > 0 or not math.isfinite(denom):
-        raise ValueError("BD: normalizer evaluation failed near s = t")
-    return 1.0 / denom
+    return 1.0 / ((spec.b - spec.a) + _bd_exp_term(spec.a, spec.b, spec.s, spec.t))
 
 
 def _log_fd_cdf(z: np.ndarray) -> np.ndarray:
@@ -593,22 +577,38 @@ def _moment_cc(spec, k: int) -> float:
     return spec.s ** k * math.sin(math.pi / spec.beta) / math.sin(math.pi * (k + 1) / spec.beta)
 
 
-def _check_fd_height(family: str, r: float, s: float, beta: float) -> None:
-    """Reject a spec whose h = (r/s)^beta, the argument of ``_fd_mass``,
+def _fd_height(family: str, v: dict[str, float], beta: float) -> float:
+    """h = (r/s)^beta, the argument of ``_fd_mass``; a ValueError if it
     overflows a double."""
     try:
-        (r / s) ** beta
+        return (v["r"] / v["s"]) ** beta
     except OverflowError:
-        raise ValueError(f"{family}: requires a finite (r/s)^beta, got r={r}, s={s}, "
+        raise ValueError(f"{family}: requires a finite (r/s)^beta, got r={v['r']}, s={v['s']}, "
                          f"beta={beta}") from None
 
 
 def _fd_mass(spec, beta: float, two_sided: bool, k: int = 0) -> float:
     """F_j(h), j = (k+1)/beta - 1, h = (r/s)^beta, or F_j(h) - F_j(-h) when
     ``two_sided``.  Times 2 Gamma((k+1)/beta) s^(k+1) / beta it is the k-th
-    absolute moment of the CF density without c (CE: beta = 2; CH: two-sided)."""
+    absolute moment of the CF density without c (CE: beta = 2; CH: two-sided).
+
+    Below h = 1 the difference cancels (at h = 1e-20 it lost every digit),
+    so there it is the integral of the difference of the Fermi functions,
+    (1/Gamma(j+1)) Int_0^inf t^j sinh(h) / (cosh t + cosh h) dt, which does
+    not.  Its integrand is taken over sinh(h), so that it is of order 1, and
+    in t = u^n with n (j + 1) >= 1, so that it is bounded at u = 0.
+    """
     j = (k + 1.0) / beta - 1.0
     h = (spec.r / spec.s) ** beta
+    if two_sided and h < 1.0:
+        n, log_sinh_h = float(max(1, math.ceil(1.0 / (j + 1.0)))), math.log(math.sinh(h))
+
+        def integrand(u):
+            return n * u ** (n * (j + 1.0) - 1.0) * np.exp(
+                specfun.log_sinh_ratio(u ** n, h) - log_sinh_h)
+
+        mass = integrate(integrand, 0.0, math.inf, _NORM_SETTINGS).value
+        return math.sinh(h) * mass / math.gamma(j + 1.0)
     mass = specfun.fermi_dirac_complete(j, h)
     if two_sided:
         mass -= specfun.fermi_dirac_complete(j, -h)
@@ -697,7 +697,6 @@ def _cdf_de(spec, x):
 _FAMILY: dict[str, _Family] = {
     "U": _Family(
         ("a", "b"), lambda spec: 1.0 / (spec.b - spec.a), _log_pdf_u,
-        pdf=lambda spec, x: np.where((x >= spec.a) & (x <= spec.b), spec.c, 0.0),
         cdf=lambda spec, x: (x - spec.a) / (spec.b - spec.a),  # cdf() clips it
         quantile=lambda spec, v: spec.a + v * (spec.b - spec.a),
         central_moment=lambda spec, k: spec.r ** k / (k + 1.0),
@@ -712,7 +711,7 @@ _FAMILY: dict[str, _Family] = {
         kurtosis=_kurtosis_gn),
     "AN": _Family(
         ("a", "b", "s"), lambda spec: 1.0 / (2.0 * (spec.b - spec.a)), _log_pdf_an,
-        pdf=_pdf_an, cdf=_cdf_an, central_moment=_moment_an),
+        cdf=_cdf_an, central_moment=_moment_an),
     "AL": _Family(
         ("a", "b", "s"), lambda spec: 1.0 / (2.0 * spec.r), _log_pdf_al,
         cdf=_cdf_al, quantile=lambda spec, v: _quantile_al_like(v, spec.m, spec.r, spec.s),
@@ -720,7 +719,7 @@ _FAMILY: dict[str, _Family] = {
         kurtosis=lambda spec: 1.8 + 12.0 / (5.0 * (1.0 + (spec.r / (math.pi * spec.s)) ** 2))),
     "ALS": _Family(
         ("a", "b", "s", "lam"), lambda spec: 1.0 / (spec.b - spec.a), _log_pdf_als,
-        symmetric=False, pdf=_pdf_als,
+        symmetric=False,
         check=lambda v: _require(-1.0 < v["lam"] < 1.0,
                                  f"ALS: requires lam in (-1, 1), got {v['lam']}"),
         mode=lambda spec: spec.m if spec.lam == 0.0 else None,
@@ -741,17 +740,19 @@ _FAMILY: dict[str, _Family] = {
         cdf=_cdf_cc, quantile=_quantile_cc, central_moment=_moment_cc),
     "CF": _Family(
         ("m", "r", "s", "beta"), lambda spec: _fd_normalizer(spec, spec.beta, False), _log_pdf_cf,
-        check=lambda v: _check_fd_height("CF", v["r"], v["s"], v["beta"]),
+        check=lambda v: _fd_height("CF", v, v["beta"]),
         cdf=lambda spec, x: _cdf_cf1(spec, x) if spec.beta == 1.0 else None,
         quantile=lambda spec, v: _quantile_cf1(spec, v) if spec.beta == 1.0 else None,
         central_moment=lambda spec, k: _fd_moment(spec, k, spec.beta, False), breaks=_fd_edges),
     "CE": _Family(
         ("a", "b", "s"), lambda spec: _fd_normalizer(spec, 2.0, False), _log_pdf_ce,
-        check=lambda v: _check_fd_height("CE", v["r"], v["s"], 2.0),
+        check=lambda v: _fd_height("CE", v, 2.0),
         central_moment=lambda spec, k: _fd_moment(spec, k, 2.0, False)),
     "CH": _Family(
         ("m", "r", "s", "beta"), lambda spec: _fd_normalizer(spec, spec.beta, True), _log_pdf_ch,
-        check=lambda v: _check_fd_height("CH", v["r"], v["s"], v["beta"]),
+        # A sinh(h) factor that underflows to 0 leaves no density.
+        check=lambda v: _require(_fd_height("CH", v, v["beta"]) > 0.0,
+                                 f"CH: requires (r/s)^beta > 0, got r={v['r']}, s={v['s']}"),
         # AL is CH at beta = 1.
         cdf=lambda spec, x: _cdf_al(spec, x) if spec.beta == 1.0 else None,
         quantile=lambda spec, v: (_quantile_al_like(v, spec.m, spec.r, spec.s)
@@ -777,9 +778,7 @@ def log_pdf(spec: UnivariateSpec, x):
 def pdf(spec: UnivariateSpec, x):
     """Density at ``x`` (scalar or array); never negative, tails underflow to 0."""
     arr, scalar = _as_float_array(x)
-    rec = _FAMILY[spec.family]
-    out = np.exp(rec.log_pdf(spec, arr)) if rec.pdf is None else rec.pdf(spec, arr)
-    return _restore(out, scalar)
+    return _restore(np.exp(_FAMILY[spec.family].log_pdf(spec, arr)), scalar)
 
 
 @lru_cache(maxsize=512)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import flattop
-from flattop import cli, mixture, mle, multivariate as mv, univariate as uv
+from flattop import cli, data_io, mixture, mle, multivariate as mv, univariate as uv
 from flattop.data_io import Dataset, gen_mixed_1d, write_csv
 
 
@@ -82,6 +82,32 @@ def test_grid_without_a_finite_point_count_is_a_usage_error(capsys, grid):
     assert "Traceback" not in err
 
 
+_EVAL_AL = ("eval", "--family", "AL", "--params", "a=-1,b=1,s=0.1", "--grid", "0:1:0.5")
+_SWEEP = ("sweep", "--family", "GMM", "--data", "unread.csv", "--k")
+
+
+@pytest.mark.parametrize("argv, flag, message", [
+    (("eval", "--family", "AL", "--params", "a=1,b", "--grid", "0:1:0.5"), "--params",
+     "expected key=value, got 'b'"),
+    (("eval", "--family", "AL", "--params", "a=x", "--grid", "0:1:0.5"), "--params",
+     "cannot parse value in 'a=x'"),
+    (("eval", "--family", "AL", "--params", ",", "--grid", "0:1:0.5"), "--params",
+     "empty parameter list"),
+    (_EVAL_AL[:-1] + ("0:1",), "--grid", "grid must be start:stop:step, got '0:1'"),
+    (_EVAL_AL[:-1] + ("0:one:1",), "--grid", "grid must be numeric, got '0:one:1'"),
+    (_EVAL_AL[:-1] + ("0:1:-1",), "--grid", "grid needs step > 0 and stop >= start"),
+    (_SWEEP + ("3",), "--k", "expected lo:hi, got '3'"),
+    (_SWEEP + ("1:x",), "--k", "K range must be integers, got '1:x'"),
+    (_SWEEP + ("3:1",), "--k", "K range needs 1 <= lo <= hi"),
+    (("divergence", "--case", "pair", "--p", "U", "--q", "U:a=0,b=1"), "--p",
+     "expected FAMILY:k=v,..., got 'U'"),
+])
+def test_argument_type_errors_exit_two_and_name_the_argument(capsys, argv, flag, message):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: {message}" in err
+
+
 def test_runtime_errors_exit_one(capsys):
     code, _, err = _run(capsys, "eval", "--family", "AL",
                         "--params", "a=1,b=0,s=0.1", "--grid", "0:1:0.5")
@@ -89,6 +115,24 @@ def test_runtime_errors_exit_one(capsys):
     assert "a < b" in err
     code, _, err = _run(capsys, "fit", "--family", "AL", "--data", "/no/such/file.csv")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    # c = inf used to be stored and printed: 0,inf,0.5 and 0.5,nan,1.
+    (("eval", "--family", "GN", "--params", "mu=0,s=5e-324,beta=2", "--grid", "0:1:0.5"),
+     "GN: computed normalizing constant inf is not positive and finite"),
+    # 8e15-byte requests, beyond the 2^47-byte user address space of x86-64
+    # Linux: the first in the --grid type function, the second in the handler.
+    (("eval", "--family", "U", "--params", "a=0,b=1", "--grid", "0:1e15:1"), "Unable to allocate"),
+    (("sample", "--family", "U", "--params", "a=0,b=1", "-n", "1000000000000000"),
+     "Unable to allocate"),
+])
+def test_runtime_errors_print_one_error_line(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_typed_library_errors_exit_one_without_traceback(capsys, tmp_path, monkeypatch):
@@ -567,6 +611,18 @@ def test_gradcheck_al_stdout_pinned(capsys):
         "dbs,0.89529390140984866,0.89529390225533001,9.4436178942684753e-10\n")
 
 
+@pytest.mark.parametrize("family", ["AL", "BL", "CL"])
+def test_gradcheck_json_rows_equal_the_csv_rows(capsys, family):
+    _, csv_out, _ = _run(capsys, "gradcheck", "--family", family, "--n", "20")
+    code, json_out, _ = _run(capsys, "gradcheck", "--family", family, "--n", "20",
+                             "--format", "json")
+    assert code == 0
+    rows = [(label, *map(float, rest)) for label, *rest in
+            (line.split(",") for line in csv_out.strip().split("\n")[1:])]
+    payload = json.loads(json_out)
+    assert [(r["param"], r["analytic"], r["fd"], r["rel_err"]) for r in payload] == rows
+
+
 def test_gradcheck_rejects_n_below_one(capsys):
     for family in ("AL", "BL", "CL"):
         for n in ("0", "-3"):
@@ -582,6 +638,33 @@ def test_gen_counts(capsys):
     code, out, _ = _run(capsys, "gen", "--what", "segments", "--seed", "3")
     assert len(out.strip().split("\n")) == 427
     assert all(len(line.split(",")) == 2 for line in out.strip().split("\n"))
+
+
+def test_gen_config_of_the_default_scenario_prints_the_default_bytes(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(data_io.scenario_to_json(data_io.default_segments_scenario()))
+    _, default, _ = _run(capsys, "gen", "--what", "segments", "--seed", "5")
+    code, configured, _ = _run(capsys, "gen", "--what", "segments", "--seed", "5",
+                               "--config", str(path))
+    assert code == 0
+    assert configured == default
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: obj.pop("total"), "missing scenario key 'total'"),
+    (lambda obj: obj.pop("noise_sigma"), "missing scenario key 'noise_sigma'"),
+    (lambda obj: obj.update(segments=[[1, 2]]), "scenario segment 0 must be [[x1, y1], [x2, y2]]"),
+    (lambda obj: obj.update(segments=5), "scenario segments must be a list, got 5"),
+    (lambda obj: obj.update(total=3.7), "scenario total must be an integer, got 3.7"),
+])
+def test_gen_config_errors_exit_one_and_name_the_entry(capsys, tmp_path, edit, message):
+    obj = json.loads(data_io.scenario_to_json(data_io.default_segments_scenario()))
+    edit(obj)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = _run(capsys, "gen", "--what", "segments", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_out_file_and_env_dir(capsys, tmp_path, monkeypatch):

@@ -146,3 +146,24 @@ def test_scenario_json_round_trip():
     with pytest.raises(ValueError, match="unknown scenario"):
         data_io.scenario_from_json(json.dumps({"segments": [], "total": 1,
                                                "noise_sigma": 1, "zzz": 1}))
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"segments": [[[0, 0], [1, 0]]], "noise_sigma": 0.1}', "missing scenario key 'total'"),
+    ('{"segments": [[[0, 0], [1, 0]]], "total": 5}', "missing scenario key 'noise_sigma'"),
+    ('{"total": 5, "noise_sigma": 0.1}', "missing scenario key 'segments'"),
+    ('{"segments": [[1, 2]], "total": 5, "noise_sigma": 0.1}', r"segment 0 must be \[\[x1"),
+    ('{"segments": [[[0, 0], [1, 0]], [[0, 0], ["a", 0]]], "total": 5, "noise_sigma": 0.1}',
+     "segment 1 must be"),
+    ('{"segments": 5, "total": 5, "noise_sigma": 0.1}', "segments must be a list, got 5"),
+    ('{"segments": [[[0, 0], [1, 0]]], "total": 3.7, "noise_sigma": 0.1}',
+     "total must be an integer, got 3.7"),
+    ('{"segments": [[[0, 0], [1, 0]]], "total": 5, "noise_sigma": "0.1"}',
+     "noise_sigma must be a number"),
+    ('{"segments": [[[0, 0], [1, 0]]], "total": 5, "noise_sigma": 0.1, "seed": true}',
+     "seed must be an integer, got True"),
+    ("[1, 2]", "a scenario is a JSON object"),
+])
+def test_scenario_from_json_names_what_is_malformed(text, message):
+    with pytest.raises(ValueError, match=message):
+        data_io.scenario_from_json(text)

@@ -188,6 +188,21 @@ def test_measure_smoothed_rectangle_vs_normal():
     assert fl.eps_flat_measure(n01, a, b) > 0.5
 
 
+@pytest.mark.parametrize("family, params", [
+    ("AL", {"a": -1, "b": 2, "s": 0.5}),
+    ("GN", {"mu": 0, "s": 1, "beta": 3}),
+    ("BL", {"a": -1, "b": 2, "s": 0.3, "t": 0.5}),
+    ("CH", {"m": 0, "r": 1, "s": 0.5, "beta": 2}),
+])
+def test_measure_defaults_to_the_canonical_boundaries(family, params):
+    spec = uv.make(family, params)
+    a, b = fl.canonical_boundaries(spec)
+    want = fl.eps_flat_measure(spec, a, b)
+    assert fl.eps_flat_measure(spec) == want
+    assert fl.eps_flat_measure(spec, a=a) == want
+    assert fl.eps_flat_measure(spec, b=b) == want
+
+
 def test_measure_requires_straddling_boundaries():
     al = uv.make("AL", {"a": -1, "b": 1, "s": 0.1})
     with pytest.raises(ValueError):

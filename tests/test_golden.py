@@ -120,18 +120,18 @@ CLI_COLD = {
     "eval AL 31": (
         ("eval", "--family", "AL", "--params", AL_31, "--grid",
          "-4.329155373633072:6.841813349955713:0.027927421808971963"),
-        24336, "6cc358238e5addcc263797b0cf62ee595d2cd3f0e3c44eaf2645a2e0bd96bef0",
-        ("619800a08167", "446c51ceec46", "d2f4e46fea64", "e39de85f8597", "f5646bc5c19c",
-         "fa6108cfb8f9", "e9d613d8d0ee", "8d68f5ec58a5", "4dc361624642", "e8d96a718647",
-         "7eaebd72f81e", "455a80bf8c31", "002e9c9df24d")),
+        24332, "7f6a8bb34f1639874b12fd7558a8904134a20d7af3f0ce93c8528b8d846fbda9",
+        ("fc4e3f28e305", "4074508d0531", "144010540478", "41749a58a8ac", "5e590d47c3fc",
+         "8a123430d104", "13f845ee7dd2", "3ff499d3da3c", "f680a10f425f", "3d0fa589c5de",
+         "afb45553544c", "06c2b528568a", "5504bae8ba63")),
     "eval CH 31": (
         ("eval", "--family", "CH", "--params",
          "m=0.9573393170207762,r=1.0345326973991824,s=0.7902780215959859,beta=3.4595762101348324",
          "--grid", "-4.8188615099543215:6.7335401439958735:0.028881004134875488"),
-        24289, "b32682b04c127fb5b90b5b52d44e6a2d38b2554d39cd4f88020c60bfa12062e3",
-        ("ffc8c1a7d6e1", "3a17ec11e648", "8b1e9ced7066", "003bdefe8f67", "5cc91789e39b",
-         "d28e7034575d", "c6fcbfb04971", "bbb1c7d889d9", "54a24774ecd5", "61b542eaee45",
-         "1666589c4bf2", "46de972eb4b9", "db30c00b6569")),
+        24279, "a7303fbec382fb85a5645f41dead826b963f980ec37a24a3324e8c12a1948b41",
+        ("39bed17dbaf5", "785a103d6a53", "9c243ae91106", "9c320f73c557", "98491f480818",
+         "2681565feaba", "542dd28c9612", "c0381599a55b", "8f159c55e825", "78e66f05a169",
+         "1666589c4bf2", "07ffd4924f55", "4330f2af9b19")),
     "sample AL 31": (
         ("sample", "--family", "AL", "--params", AL_31, "-n", "1000", "--seed", "31"),
         19471, "c87350cfcf248c888260aed1cba3a759adff7ccedd1015248085d12608ffa9d1",
@@ -164,8 +164,8 @@ CLI_COLD = {
         ("7c27a2e395cb",)),
     "fit CL 31": (
         ("fit", "--family", "CL", "--data", "cl.csv"),
-        849, "0010de25e3fc06ef5cef5dfe10970678e4be45b2c595dfa287a1a2bb1072c406",
-        ("81f13e575f6a",)),
+        853, "5d02689dd3e4935652577c99e828a620bc689d4070ee396de4a3d27afe8eb81c",
+        ("35e301c0dc35",)),
     "flatness AL 31": (
         ("flatness", "--family", "AL", "--params", AL_31),
         239, "f010bf2c35cb19e65bd2e26ffebc6559100ac622d020d0c7e622119b5554f778",
@@ -184,18 +184,18 @@ CLI_COLD = {
     "eval AL 7001": (
         ("eval", "--family", "AL", "--params", AL_7001, "--grid",
          "-4.495463061484863:10.786529489598383:0.038204981377708114"),
-        24352, "a07dd817b01f921660f08ce0b8ad993d9a53c3539dbe6bcc95fb8beec2a34af9",
-        ("08480adb9bc6", "46208593992b", "71ac519a9ce7", "07bf049a21de", "00f45af0c935",
-         "b78620146dd3", "955050ffb7f4", "bd4f7d19adf2", "25e3cef1c599", "c1b56d17b19b",
-         "b1758162e23b", "e62ad7e76462", "b883c1c2631b")),
+        24339, "7217a98d0544e23c0379ae97f2557bdc13c7a9df21b2e14e05237120c0b9fef9",
+        ("90c471cf3df5", "2a821f1ee6e0", "3a1d6ead5933", "965aedede653", "48b0afa889b8",
+         "5b0373d64755", "e2743756ab28", "16af87fb4b13", "d93f074669ff", "6f61d0e19952",
+         "f3756784cd7f", "e4cec3d6fd5b", "71722bae148c")),
     "eval CH 7001": (
         ("eval", "--family", "CH", "--params",
          "m=0.7695824053725369,r=0.5844053144072515,s=0.5479181828393518,beta=2.49073385741203",
          "--grid", "-3.1023320060708253:4.641496816815899:0.019359572057216813"),
-        25139, "be5f2269114ac1c2144c81fff1de9855b86e575ffd4f7ca044c22001dc0f83f0",
-        ("f9d6dc9dbeb9", "1cef79195397", "792d910a1949", "bb287494713d", "93b946633a58",
-         "6592fc750b94", "1a86afc05db4", "2840d7d96384", "747bf2294806", "9426799a682d",
-         "04f3895db76b", "f15f59888488", "5913c6547f4e")),
+        25140, "0155eff252fa057479cae6d44ad1372eb5f078712b66e00315b5710a73eddaab",
+        ("b3ed76e2ec31", "1cef79195397", "7efb20d592f0", "e237cfdd9057", "70c3933dc627",
+         "9fb17a40bed7", "30879b152596", "f86b430b3a37", "7aa37696c816", "efb4dc938e83",
+         "90532560ea94", "2581a3e09e9e", "1f0f9a625330")),
     "sample AL 7001": (
         ("sample", "--family", "AL", "--params", AL_7001, "-n", "1000", "--seed", "7001"),
         19089, "ed30c130b250142295a7b1a579d1aecfefecceeada6d5b031e974323876cb539",
@@ -228,12 +228,12 @@ CLI_COLD = {
         ("7c27a2e395cb",)),
     "fit CL 7001": (
         ("fit", "--family", "CL", "--data", "cl.csv"),
-        849, "0010de25e3fc06ef5cef5dfe10970678e4be45b2c595dfa287a1a2bb1072c406",
-        ("81f13e575f6a",)),
+        853, "5d02689dd3e4935652577c99e828a620bc689d4070ee396de4a3d27afe8eb81c",
+        ("35e301c0dc35",)),
     "flatness AL 7001": (
         ("flatness", "--family", "AL", "--params", AL_7001),
-        240, "12990eefc521dcba5940406a2394138abd69824bc58e70e2d9945b9e9ad53c32",
-        ("726ccb8ec16e",)),
+        242, "7529dd891ddd7990b1f3f7627677c573ad5542970ce4c5dafc71665c35717707",
+        ("5293550ca9d6",)),
     "divergence pair 7001": (
         ("divergence", "--case", "pair", "--p", "U:a=-0.21493507912190968,b=0.7850649208780903",
          "--q", "GN:mu=0.25956334103117906,s=1.589583679003183,beta=3.577369000004574"),
@@ -255,16 +255,16 @@ DENSITY = {
         ("4e3f70dc2350", "b3fdafbf5127")),
     "eval AN": (
         ("eval", "--family", "AN", "--params", "a=-1,b=2,s=0.5", "--grid", "-4:5:0.25"),
-        1713, "fd4e8413bd464784c5575a9d1554f39ed4c0afd9baca72606e51f7654daf147d",
-        ("59bb488d6a7b", "a8118a5974c3")),
+        1713, "d277d03e4d362d890893a2206867b53f34fb34aa6e3ac737d916c3729d7c65b8",
+        ("7254f8464e15", "70e8d9493fbb")),
     "eval AL": (
         ("eval", "--family", "AL", "--params", "a=-1,b=2,s=0.5", "--grid", "-4:5:0.25"),
-        1684, "850242aed476272b1fe24b7275d6f0e5daac04d420f649ff52036984e56c6167",
-        ("17eed6a5d7de", "a2e0c703a1cd")),
+        1687, "7c3f245099f82b9e740f4f7ab55af79cf1b63073a082637cc658f8cb99352e05",
+        ("d5e07f53f6e4", "d32ebc2aecc4")),
     "eval ALS": (
         ("eval", "--family", "ALS", "--params", "a=-1,b=2,s=0.4,lam=0.3", "--grid", "-4:5:0.25"),
-        1707, "b6664e10eff02d11a514f08b7a062b162737cf1c3d33fd651b08b6c34117dde2",
-        ("9e8cedef3398", "cebb08864612")),
+        1707, "437775085f11647eccdd79056aa68c9bfd63a484f34db959ae1f2a3e68d3a896",
+        ("98103a23467a", "51bda834e42d")),
     "eval BL": (
         ("eval", "--family", "BL", "--params", "a=-1,b=2,s=0.3,t=0.5", "--grid", "-4:5:0.25"),
         1714, "dd172fba50ca97642ba9110ae60839dc177af901c403b5ed6ebd75d405c5aa93",
@@ -287,8 +287,8 @@ DENSITY = {
         ("1671f444e573", "4149b64de405")),
     "eval CH": (
         ("eval", "--family", "CH", "--params", "m=0,r=1,s=0.5,beta=2", "--grid", "-4:5:0.25"),
-        1761, "ff878acf5d3b73e4902bcc154d5d6968cabdb53a4d6cb61097b517d93fd73607",
-        ("e6920595bc73", "0dcbdb99f5ea")),
+        1760, "b2f242ba6ce455d0357ef88387f0c8e6dcbbd7dfd0cfc1c5e5eaa485549ef6d4",
+        ("e1e91a3d5388", "0dcbdb99f5ea")),
     "eval DE": (
         ("eval", "--family", "DE", "--params", "m=0,s=1", "--grid", "-4:5:0.25"),
         1653, "5dae6dc349b040b92dc63f41c36347f356496852f3f698b3a1aada70df4f3408",
@@ -303,16 +303,16 @@ DENSITY = {
         ("0e3a9368cb2d",)),
     "flatness AN": (
         ("flatness", "--family", "AN", "--params", "a=-1,b=2,s=0.5"),
-        240, "2921ea2bf970a2bdff4b83caba4058e1fb4a63d5e6c9020423a43c9828db96b5",
-        ("1bb064d46c7a",)),
+        240, "32de5a5f62eafa86d9297fa02d3e26654fe1e9db6a188a34bd2e8d06af4adb31",
+        ("aa1ba63c5229",)),
     "flatness AL": (
         ("flatness", "--family", "AL", "--params", "a=-1,b=2,s=0.5"),
-        240, "c04331175f45f7affeec4c3cfefa05d0467777ef16d7b614847be8cf78b1453a",
-        ("8a96f37a9ef5",)),
+        237, "27fe0bbf6a5b170d7bebca91fce83f5c039c40cb193d8407368dd781a72eb204",
+        ("3df255d6b4e3",)),
     "flatness ALS": (
         ("flatness", "--family", "ALS", "--params", "a=-1,b=2,s=0.4,lam=0.3"),
-        224, "31c9ba70cc90428a6b4488a81167b96759b1d252a16b1b9981ac1525a7bf69df",
-        ("686024425cca",)),
+        223, "567dd8fbc710a002afabcb5a19f19cb18fb3e11c7c99264b9dcab8965a015c49",
+        ("afd02571e77d",)),
     "flatness BL": (
         ("flatness", "--family", "BL", "--params", "a=-1,b=2,s=0.3,t=0.5"),
         238, "19dcf389b94c52a48e70bc44163ea20a175bc1023208d44bad6f3cdb4a7a23ed",
@@ -335,8 +335,8 @@ DENSITY = {
         ("d0d7dea34a75",)),
     "flatness CH": (
         ("flatness", "--family", "CH", "--params", "m=0,r=1,s=0.5,beta=2"),
-        208, "fc1cbffeb960e1eeafc6a519f30c43c8c42bf49d2da66ab3425361ea228160ea",
-        ("bbafec511b02",)),
+        208, "2a501951084a9131d67d29e0513d21867f435db5b38f3b3e73a3e3d85e8592fb",
+        ("8525ca530bd3",)),
     "flatness DE": (
         ("flatness", "--family", "DE", "--params", "m=0,s=1"),
         205, "595a8a21506f607d8a3e4197cd4740777fb9f2a8f60236e98dd737b5dac4ae7a",

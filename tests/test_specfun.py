@@ -3,7 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import special as sp
 from scipy.integrate import quad
 from scipy.special import expit
 
@@ -183,21 +182,37 @@ def test_csch2_matches_mpmath_from_small_to_large_z():
     assert (np.abs(got - want) / np.spacing(want)).max() <= 4
 
 
-def test_logsumexp_matches_scipy_and_handles_empty_slices():
-    rng = np.random.default_rng(5)
-    a = rng.normal(scale=300.0, size=(50, 7))
-    a[3] = -np.inf
-    a[4, 2:] = -np.inf
+_FLAT_TOP_H = (1e-12, 1e-3, 0.5, 3.0, 40.0, 1e4, 1e10, 1e15, 1e17)
+
+
+def test_log_sinh_ratio_matches_mpmath_across_flat_tops_and_shoulders():
+    """At |w| = h, the shoulder of a flat top of half-width h, the ratio is
+    1/2 for large h; a log-sum-exp of the four exponentials lost 0.69 of
+    ln 2 there at h = 1e17."""
+    mpmath = pytest.importorskip("mpmath")
+    h = np.repeat(_FLAT_TOP_H, 11)
+    w = h * np.tile([0.0, 0.3, -0.3, 1.0 + 1e-9, 1.0 - 1e-9, 1.0, 1.0, 2.0, 1e3, 1.0, 1.0], 9)
+    w[6::11] += 5.0
+    w[9::11], w[10::11] = np.inf, -np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = sf.logsumexp(a, axis=1)
-        cols = sf.logsumexp(a.T, axis=0)
-    want = sp.logsumexp(a, axis=1)
-    assert got[3] == -np.inf
+        got = sf.log_sinh_ratio(w, h)
+    with mpmath.workdps(50):
+        want = np.array([-np.inf if math.isinf(wi) else float(
+            mpmath.log(mpmath.sinh(mpmath.mpf(hi)))
+            - mpmath.log(mpmath.cosh(mpmath.mpf(wi)) + mpmath.cosh(mpmath.mpf(hi))))
+            for wi, hi in zip(w, h)])
     finite = np.isfinite(want)
-    assert np.allclose(got[finite], want[finite], rtol=1e-14, atol=1e-13)
-    assert np.array_equal(got, cols)
-    assert sf.logsumexp(np.array([np.inf, 0.0])) == np.inf
+    assert np.array_equal(got[~finite], want[~finite])
+    err = np.abs(got[finite] - want[finite]) / np.maximum(1.0, np.abs(want[finite]))
+    assert err.max() <= 4e-16
+    assert np.all(got <= 0.0)
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, np.array([1.0, 0.0])])
+def test_log_sinh_ratio_requires_positive_h(h):
+    with pytest.raises(ValueError, match="h > 0"):
+        sf.log_sinh_ratio(1.0, h)
 
 
 # ---------------------------------------------------------------------------

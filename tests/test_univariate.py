@@ -78,6 +78,53 @@ def test_make_names_violated_invariant():
         uv.make("ALS", {"a": 0, "b": 1, "s": 0.1, "lam": 1.5})
 
 
+@pytest.mark.parametrize("family, params", [
+    ("GN", {"mu": 0.0, "s": 5e-324, "beta": 2.0}),  # c = inf
+    ("U", {"a": 0.0, "b": 5e-324}),                 # r = (b - a)/2 rounds to 0
+    ("DE", {"m": 0.0, "s": 5e-324}),
+    ("CC", {"m": 0.0, "s": 5e-324, "beta": 3.0}),
+    ("AL", {"a": 0.0, "b": 5e-324, "s": 5e-324}),   # was a ZeroDivisionError
+    ("CH", {"m": 0.0, "r": 1e-200, "s": 1.0, "beta": 2.0}),  # (r/s)^beta = 0
+])
+def test_make_never_stores_a_non_finite_normalizer(family, params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{family}: "):
+            uv.make(family, params)
+
+
+def _ch_reference(r: float, beta: float) -> tuple[float, float]:
+    """c and the second central moment of CH(0, r, 1, beta) by mpmath at 50
+    digits, from the density's shape sinh h / (cosh |x|^beta + cosh h)."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        h = mpmath.mpf(r) ** beta
+        shape = lambda x: mpmath.sinh(h) / (mpmath.cosh(x ** beta) + mpmath.cosh(h))
+        mass = 2 * mpmath.quad(shape, [0, 1, 4, mpmath.inf])
+        second = 2 * mpmath.quad(lambda x: x * x * shape(x), [0, 1, 4, mpmath.inf])
+        return float(1 / mass), float(second / mass)
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("r", [1e-4, 1e-6, 1e-10])
+def test_ch_normalizer_and_variance_for_a_half_width_far_below_the_scale(r, beta):
+    """F_j(h) - F_j(-h) cancelled as h = (r/s)^beta -> 0: at r/s = 1e-10 and
+    beta = 2, c came out 5.08e15 against 7.42e19."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = uv.make("CH", {"m": 0.0, "r": r, "s": 1.0, "beta": beta})
+        m2 = uv.central_moment(spec, 2).value
+    c_ref, m2_ref = _ch_reference(r, beta)
+    assert spec.c == pytest.approx(c_ref, rel=1e-10)
+    assert m2 == pytest.approx(m2_ref, rel=1e-10)
+
+
+def test_ch_at_beta_one_has_the_al_normalizer_for_a_narrow_top():
+    ch = uv.make("CH", {"m": 0.0, "r": 1e-12, "s": 1.0, "beta": 1.0})
+    assert ch.c == pytest.approx(1.0 / 2e-12, rel=1e-14)
+
+
 def test_uniform_caches_height():
     u = uv.make("U", {"a": 0, "b": 2})
     assert u.c == 0.5
@@ -125,6 +172,25 @@ def test_huge_flat_tops_keep_their_height():
     ch = uv.make("CH", {"m": 0.0, "r": 1.0, "s": 1e-9, "beta": 2.0})
     assert uv.pdf(ch, 0.0) == pytest.approx(ch.c, rel=1e-14)
     assert uv.cdf(ch, 0.0) == pytest.approx(0.5, abs=1e-12)
+
+
+# One point per family inside its parameter box: the golden ``eval`` rows'.
+DENSITY_POINTS = {
+    "U": {"a": -1, "b": 2}, "GN": {"mu": 0, "s": 1, "beta": 3},
+    "AN": {"a": -1, "b": 2, "s": 0.5}, "AL": {"a": -1, "b": 2, "s": 0.5},
+    "ALS": {"a": -1, "b": 2, "s": 0.4, "lam": 0.3}, "BL": {"a": -1, "b": 2, "s": 0.3, "t": 0.5},
+    "BD": {"a": -1, "b": 2, "s": 0.5, "t": 0.7}, "CC": {"m": 0, "s": 1, "beta": 3},
+    "CF": {"m": 0, "r": 1, "s": 0.5, "beta": 2}, "CE": {"a": -1, "b": 2, "s": 1},
+    "CH": {"m": 0, "r": 1, "s": 0.5, "beta": 2}, "DE": {"m": 0, "s": 1},
+}
+
+
+@pytest.mark.parametrize("family", uv.FAMILIES)
+def test_pdf_is_exp_of_log_pdf_bit_for_bit(family):
+    spec = uv.make(family, DENSITY_POINTS[family])
+    x = np.concatenate([np.arange(-4.0, 5.0 + 1e-9, 0.25), [-1e300, -60.0, 60.0, 1e300]])
+    assert np.array_equal(uv.pdf(spec, x), np.exp(uv.log_pdf(spec, x)))
+    assert uv.pdf(spec, 0.3) == math.exp(uv.log_pdf(spec, 0.3))
 
 
 def test_uniform_pdf_inside_outside():
