@@ -15,8 +15,8 @@ full-width-at-half-maximum variant is available explicitly.
 
 The curvature measure takes p' and p'' from the log-density l = ln p by one
 rule, p' = p l' and p'' = p (l'^2 + l''), with a per-family (l', l'') hook
-for GN, AL, BL, AN, CE and CF at beta = 2.  ALS, BD, CC, CF at beta != 2,
-CH, DE and U have no hook and use central differences.
+for GN, AL, BL, AN, CE, CH and CF at beta = 2.  ALS, BD, CC, CF at beta != 2,
+DE and U have no hook and use central differences.
 """
 
 from __future__ import annotations
@@ -112,10 +112,11 @@ def fwhm_boundaries(spec: uv.UnivariateSpec) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # Density derivatives.  With l = ln p, p' = p l' and p'' = p (l'^2 + l''):
-# one rule for GN, AL, BL, AN, CE and CF at beta = 2, each of which has an
-# (l', l'') hook built from its log-density's own terms.  A hook returns None
-# where it declines (CF at beta != 2, AN where its density underflows);
-# there, and for ALS, BD, CC, CH, DE and U, central differences with step
+# one rule for GN, AL, BL, AN, CE, CH and CF at beta = 2, each of which has
+# an (l', l'') hook built from its log-density's own terms.  A hook returns
+# None where it declines (CF at beta != 2, AN where its density underflows,
+# CH at its mode below beta = 1); there, and for ALS, BD, CC, DE and U,
+# central differences with step
 # h = cbrt(eps) * scale give p' and p''.
 # ---------------------------------------------------------------------------
 
@@ -171,8 +172,34 @@ def _dlog_ce(spec, x):
     return -g * dw, -g * h * dw * dw - 2.0 * g / s / s
 
 
+def _dlog_ch(spec, x):
+    """l = ln c + L(w), L = ``specfun.log_sinh_ratio(w, h)`` at w = u^beta,
+    u = |x - m|/s and h = (r/s)^beta, so that L' = -sinh w / (cosh w +
+    cosh h) and L'' = -(1 + cosh w cosh h) / (cosh w + cosh h)^2, both in
+    exp-shifted form (every exponent <= 0).  With g = |w'| = beta u^(beta-1)/s,
+    l' = L' w' and l'' = L'' w'^2 + L' w'' = g^2 (L'' + (beta - 1)/beta L'/w),
+    where L'/w -> -2 e^-M / D stays finite as w -> 0.  At x = m the limits
+    are l' = 0 and l'' = L''(0)/s^2 at beta = 1, 0 above; below beta = 1
+    l'' is not finite there, and the hook declines."""
+    b, u = spec.beta, abs(x - spec.m) / spec.s
+    if u == 0.0 and b < 1.0:
+        return None
+    try:
+        w, g = u ** b, b * u ** (b - 1.0) / spec.s
+    except OverflowError:  # far in the tail, or within a few subnormals of m
+        return None
+    h = (spec.r / spec.s) ** b
+    top = max(w, h)
+    ew, emw, eh, emh = (math.exp(v - top) for v in (w, -w, h, -h))
+    d = ew + emw + eh + emh  # 2 (cosh w + cosh h) e^-top, >= 1
+    lw = -(-math.expm1(-2.0 * w) / w if w > 0.0 else 2.0) * ew / d  # L'/w
+    l2 = -(4.0 * math.exp(-2.0 * top) + (ew + emw) * (eh + emh)) / d / d
+    return lw * w * math.copysign(g, x - spec.m), g * g * (l2 + (b - 1.0) / b * lw)
+
+
 _DLOG = {"GN": _dlog_gn, "AL": _dlog_al, "BL": _dlog_bl, "AN": _dlog_an, "CE": _dlog_ce,
-         "CF": lambda spec, x: _dlog_ce(spec, x) if spec.beta == 2.0 else None}
+         "CF": lambda spec, x: _dlog_ce(spec, x) if spec.beta == 2.0 else None,
+         "CH": _dlog_ch}
 
 
 def _pdf_derivs(spec: uv.UnivariateSpec, x: float) -> tuple[float, float]:

@@ -18,11 +18,15 @@ computed and its E-step needs, so that no cycle computes one twice.  The
 GMM's ``n_init`` restarts are the R lanes of one loop, run in lock-step:
 their parameters are stacked with a leading lane axis (``_Gaussians``),
 and each cycle is one R x K x N E-step and one stacked M-step over the
-lanes still running.  The state also holds the deviations x - mean of
-every point from every mean, which the M-step forms for the covariances
-and the next E-step scores.  Each covariance lives in its eigen-
-coordinates: the floored eigenvalues and, for a full covariance, the
-eigenvectors of the ``eigh`` that the M-step runs to floor it; for a
+lanes still running.  A one-component GMM runs one lane: every
+responsibility is then exactly 1, so every lane's first M-step gets the
+same input and all lanes are equal after it, and the first lane wins.
+The state also holds the deviations x - mean of every point from every
+mean, which the M-step forms for the covariances and the next E-step
+scores; for diagonal covariances and in 1-d it holds their squares,
+which the M-step forms for the variances.  Each covariance lives in its
+eigen-coordinates: the floored eigenvalues and, for a full covariance,
+the eigenvectors of the ``eigh`` that the M-step runs to floor it; for a
 diagonal covariance and in 1-d the eigenvalues are the per-axis
 variances.  The E-step scores a point by its coordinates on those axes,
 so no cycle builds a covariance matrix or factors one.  A lane stops
@@ -30,7 +34,8 @@ when it stalls, after ``max_cycles``, or when a component it already
 reseeded collapses again.
 All k-means++ starts are drawn before the loop, lane by lane, so the
 random stream, and every lane's fit, is that of restarts run one after
-another.
+another (their draws are those of ``Generator.choice``, see
+``_kmeanspp_centers``).
 
 GEM is the one-lane case, on parameter columns (``_Flat``): the weights
 and, per AL or BL family, the P x J parameters of its (component, axis)
@@ -122,10 +127,12 @@ class MixtureSettings:
     Convergence is declared after ``stall_cycles`` consecutive cycles with
     relative log-likelihood change below ``rel_tol``, or else the fit stops
     after ``max_cycles``.  A ``rel_tol`` of -inf never stalls, so the fit
-    runs all ``max_cycles``.  ``n_init`` applies to the GMM, whose
-    covariances are floored at ``_COV_FLOOR`` times the largest data
-    variance.  ``max_cycles``, ``stall_cycles`` and ``n_init`` must be
-    positive integers and ``rel_tol`` not NaN (``ValueError``).
+    runs all ``max_cycles``.  ``n_init`` applies to the GMM with K >= 2
+    (a one-component GMM runs one restart, which all ``n_init`` would
+    equal, see ``gmm_fit``), whose covariances are floored at
+    ``_COV_FLOOR`` times the largest data variance.  ``max_cycles``,
+    ``stall_cycles`` and ``n_init`` must be positive integers and
+    ``rel_tol`` not NaN (``ValueError``).
 
     Each GEM M-step is one pass of ``mle`` per family, with its fixed step
     control and its stop rule: a factor whose Newton step predicts a gain
@@ -214,12 +221,13 @@ class _Gaussians:
     ``vals``; for diagonal covariances and in 1-d ``vecs`` is None, the
     axes are the coordinate axes and ``vals`` are the variances.  The
     state also holds the deviations x - mean of the N points from every
-    mean, R x K x d x N.
+    mean, R x K x d x N, or, where ``vecs`` is None, their squares.
 
-    The M-step forms the deviations from its new means for the covariances,
-    and the next E-step scores the points from the same array, so a cycle
-    subtracts the means from the data once.  Covariance matrices are built
-    only by ``model``."""
+    The M-step forms the deviations from its new means for the covariances
+    (their squares for the variances), and the next E-step scores the
+    points from the same array, so a cycle subtracts the means from the data
+    once and squares a per-axis deviation once.  Covariance matrices are
+    built only by ``model``."""
 
     weights: np.ndarray
     means: np.ndarray
@@ -296,9 +304,11 @@ class _Columns:
     data rows x (J x N), parameters (P x J, in the kernel's coordinate
     order), the kernel's terms at those parameters: the constant (J,) and
     the edge term (J x N), and the box rows of ``mle._newton_pass`` (None
-    where the state only scores points)."""
+    where the state only scores points).  ``comp`` is the component of each
+    factor."""
 
     idx: np.ndarray
+    comp: np.ndarray
     x: np.ndarray
     p: np.ndarray
     const: np.ndarray
@@ -339,7 +349,7 @@ class _Flat:
                 continue
             p = np.array([[getattr(specs[f], name) for f in idx] for name in kernel.names])
             box = None if bounds is None else kernel.box(p, bounds[:, idx % model.dim])
-            groups[family] = _Columns(idx, x, p, *kernel.terms(x, p), box)
+            groups[family] = _Columns(idx, idx // model.dim, x, p, *kernel.terms(x, p), box)
         return cls(model.weights, model.dim, model.factorized, groups, fixed)
 
     def model(self, lane: int = 0) -> MixtureModel:
@@ -372,14 +382,22 @@ def _log_matrix(model, rows: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         offset = np.log(model.weights)
     if isinstance(model, _Flat):
-        out = model.fixed.copy()
-        for c in model.groups.values():
-            out[c.idx] = c.const[:, None] - c.edges
+        groups = list(model.groups.values())
+        if len(groups) == 1 and groups[0].idx.size == len(model.fixed):  # the factors in order
+            out = groups[0].const[:, None] - groups[0].edges
+        else:
+            out = model.fixed.copy()
+            for c in groups:
+                out[c.idx] = c.const[:, None] - c.edges
         out = out.reshape(model.weights.size, model.dim, -1).sum(axis=1)[None]
     else:
         vals = model.vals
-        z = model.dev if model.vecs is None else np.swapaxes(model.vecs, 2, 3) @ model.dev
-        out = ((-0.5 / vals)[:, :, None] @ (z * z))[:, :, 0]
+        if model.vecs is None:  # the squares the M-step formed
+            zz = model.dev
+        else:
+            zz = np.swapaxes(model.vecs, 2, 3) @ model.dev
+            zz *= zz
+        out = ((-0.5 / vals)[:, :, None] @ zz)[:, :, 0]
         offset = offset - 0.5 * (vals.shape[2] * math.log(2.0 * math.pi) + np.log(vals).sum(axis=2))
     out += offset[..., None]
     return out
@@ -407,7 +425,8 @@ def _e_core(model, rows: np.ndarray):
     log_joint = _log_matrix(model, rows)
     top = log_joint.max(axis=1)
     finite = np.isfinite(top)
-    shifted = log_joint - np.where(finite, top, 0.0)[:, None]
+    scored = finite.all()
+    shifted = log_joint - (top if scored else np.where(finite, top, 0.0))[:, None]
     below = shifted < _EXP_FLOOR
     resp = np.exp(np.maximum(shifted, _EXP_FLOOR, out=shifted), out=shifted)
     resp[below] = 0.0
@@ -415,7 +434,7 @@ def _e_core(model, rows: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 and ln 0 of the unscored points
         resp /= tot[:, None]
         point_ll = top + np.log(tot)
-    if not finite.all():
+    if not scored:
         np.swapaxes(resp, 1, 2)[~finite] = 1.0 / log_joint.shape[1]
         point_ll[~finite] = 0.0
     return log_joint, resp, finite, point_ll.sum(axis=1).tolist()
@@ -441,14 +460,42 @@ def e_step(model: MixtureModel, data) -> EStepResult:
 # ---------------------------------------------------------------------------
 
 def _kmeanspp_centers(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ centres: the first a uniform draw, each next one drawn with
+    probability proportional to the squared distance d2 to its nearest
+    centre so far.  The draw is the inverse-cdf search of
+    ``rng.choice(n, p=d2 / total)`` in numpy 2.4.6 (the cumsum of p over its
+    last entry, one ``random()``, ``searchsorted(side="right")``), done here
+    without ``choice``'s per-call checks of p, which took as long as the
+    draw: same index, same random stream.  A p that is not finite (distances
+    that overflow) still goes to ``choice``, which raises its ValueError.
+    The squared distances are summed axis by axis, for the d <= 2 of a
+    mixture the bits of ``np.sum(..., axis=1)``."""
     n = rows.shape[0]
-    centers = [rows[rng.integers(n)]]
-    d2 = np.sum((rows - centers[0]) ** 2, axis=1)  # to the nearest centre so far
+    cols = np.ascontiguousarray(rows.T)
+    picks = [rng.integers(n)]
+    d2 = _sq_dist(cols, rows[picks[0]])  # to the nearest centre so far
     for _ in range(1, k):
         total = d2.sum()
-        centers.append(rows[rng.integers(n) if total == 0.0 else rng.choice(n, p=d2 / total)])
-        d2 = np.minimum(d2, np.sum((rows - centers[-1]) ** 2, axis=1))
-    return np.array(centers)
+        if total == 0.0:
+            picks.append(rng.integers(n))
+        elif total < math.inf:
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            picks.append(cdf.searchsorted(rng.random(), side="right"))
+        else:
+            picks.append(rng.choice(n, p=d2 / total))
+        np.minimum(d2, _sq_dist(cols, rows[picks[-1]]), out=d2)
+    return rows[picks]
+
+
+def _sq_dist(cols: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """The squared distances of the d x N ``cols`` to ``center``."""
+    d2 = cols[0] - center[0]
+    d2 *= d2
+    for axis in range(1, cols.shape[0]):
+        dev = cols[axis] - center[axis]
+        d2 += np.multiply(dev, dev, out=dev)
+    return d2
 
 
 def _floor_cov(cov: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
@@ -463,15 +510,17 @@ def _gmm_m_step(rows, resp, cov_type, floor) -> _Gaussians:
     (``resp`` is R x K x N); raises ``_EmptyComponent`` if a component of
     some lane has none."""
     nk = resp.sum(axis=2)
-    if np.any(nk <= 0):
-        raise _EmptyComponent(nk <= 0)
+    empty = nk <= 0
+    if empty.any():
+        raise _EmptyComponent(empty)
     means = resp @ rows / nk[..., None]
     d = _deviations(rows, means)
     if cov_type == "full":
         vals, vecs = _floor_cov((d * resp[:, :, None]) @ np.swapaxes(d, 2, 3)
                                 / nk[..., None, None], floor)
-    else:  # the per-axis variances
-        vals, vecs = np.maximum(((d * d) @ resp[..., None])[..., 0] / nk[..., None], floor), None
+    else:  # the per-axis variances, from the squares that the E-step scores
+        d *= d
+        vals, vecs = np.maximum((d @ resp[..., None])[..., 0] / nk[..., None], floor), None
     return _Gaussians(nk / rows.shape[0], means, vals, vecs, cov_type, d)
 
 
@@ -496,9 +545,13 @@ def gmm_fit(
     a lane stops on its own stall rule, as a restart run alone would.  The
     k-means++ centres of every lane are drawn first, lane by lane, so the
     random stream is that of restarts run one after another.  The first lane
-    with the best final log-likelihood is returned.  An empty component is
-    reseeded once; a lane whose component collapses again fails the fit with
-    ComponentCollapseError (the lowest such lane's).
+    with the best final log-likelihood is returned.  At K = 1 one lane runs:
+    every responsibility is e^0 / 1 = 1, so each lane's first M-step gets
+    the same input, the lanes are bitwise equal after it and end on the same
+    log-likelihood, and lane 0, whose trace depends only on its own start,
+    wins.  An empty component is reseeded once; a lane whose component
+    collapses again fails the fit with ComponentCollapseError (the lowest
+    such lane's).
     """
     settings = settings or MixtureSettings()
     rows = _rows_of(data)
@@ -511,7 +564,8 @@ def gmm_fit(
         raise ValueError("covariance_type must be 'full' or 'diag'")
     floor = max(_COV_FLOOR * float(np.max(np.var(rows, axis=0))), 1e-300)
     cov_type = covariance_type if rows.shape[1] > 1 else None
-    start = _gmm_start(rows, k, settings.n_init, np.random.default_rng(seed), cov_type, floor)
+    lanes = 1 if k == 1 else settings.n_init  # one component: every lane ends as lane 0
+    start = _gmm_start(rows, k, lanes, np.random.default_rng(seed), cov_type, floor)
     return _em(start, rows, settings, lambda lanes, resp: _gmm_m_step(rows, resp, cov_type, floor))
 
 
@@ -524,8 +578,11 @@ def _gmm_start(rows, k, lanes, rng, cov_type, floor) -> _Gaussians:
         vecs = np.tile(vecs, (lanes, k, 1, 1))
     else:
         vals, vecs = np.maximum(np.var(rows, axis=0), floor), None
+    dev = _deviations(rows, means)
+    if vecs is None:
+        dev *= dev
     return _Gaussians(np.full((lanes, k), 1.0 / k), means, np.tile(vals, (lanes, k, 1)), vecs,
-                      cov_type, _deviations(rows, means))
+                      cov_type, dev)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +612,7 @@ def _em(model, rows: np.ndarray, settings: MixtureSettings, m_step,
     traces: list[list[float]] = [[] for _ in range(lanes)]
     stall, reseeded, converged = [0] * lanes, [False] * lanes, [False] * lanes
     errors: list[ComponentCollapseError | None] = [None] * lanes
-    live, failed = np.arange(lanes), lanes
+    live, failed, stopped = np.arange(lanes), lanes, False
     for _ in range(settings.max_cycles):
         sub = model if live.size == lanes else model.lanes(live)
         _, resp, _, loglik = _e_core(sub, rows)
@@ -565,8 +622,8 @@ def _em(model, rows: np.ndarray, settings: MixtureSettings, m_step,
             for i in np.flatnonzero(exc.empty.any(axis=1)):
                 lane, empty = live[i], np.flatnonzero(exc.empty[i])
                 if reseeded[lane]:
-                    errors[lane] = ComponentCollapseError(
-                        f"component {int(empty[0])} collapsed twice; aborting")
+                    errors[lane], stopped = ComponentCollapseError(
+                        f"component {int(empty[0])} collapsed twice; aborting"), True
                 reseeded[lane] = True
                 r = resp[i].T
                 r[:, empty] = 1.0 / rows.shape[0]
@@ -581,13 +638,14 @@ def _em(model, rows: np.ndarray, settings: MixtureSettings, m_step,
             if stall[lane] >= settings.stall_cycles:
                 restart = on_stall(model) if on_stall is not None else None
                 if restart is None:
-                    converged[lane] = True
+                    converged[lane] = stopped = True
                 else:
                     model, on_stall, stall[lane] = restart, None, 0
-        failed = next((lane for lane, err in enumerate(errors) if err), lanes)
-        live = live[[not converged[lane] and lane < failed for lane in live]]
-        if not live.size:
-            break
+        if stopped:  # some lane stopped in this cycle
+            failed = next((lane for lane, err in enumerate(errors) if err), lanes)
+            live, stopped = live[[not converged[lane] and lane < failed for lane in live]], False
+            if not live.size:
+                break
     if failed < lanes:
         raise errors[failed]
     for trace, ll in zip(traces, _e_core(model, rows)[3]):
@@ -676,17 +734,18 @@ def _gem_m_step(state: _Flat, resp: np.ndarray) -> _Flat:
     state.weights = weights / weights.sum()
     live = mass >= 1e-12  # zero responsibility: gradients vanish
     for family, c in state.groups.items():
-        comp = c.idx // state.dim
-        j = np.flatnonzero(live[comp])
+        j = np.flatnonzero(live[c.comp])
         if not j.size:
             continue
-        j = slice(None) if j.size == c.idx.size else j  # views when every factor is live
-        x, p, terms = c.x[j], c.p[:, j], (c.const[j], c.edges[j])
-        w = np.ascontiguousarray(resp.T[comp[j]])
+        if j.size == c.idx.size:  # every factor is live: the columns themselves
+            j, x, p, terms, box = slice(None), c.x, c.p, (c.const, c.edges), c.box
+        else:
+            x, p, terms = c.x[j], c.p[:, j], (c.const[j], c.edges[j])
+            box = [row[..., j] for row in c.box]
+        w = np.ascontiguousarray(resp.T[c.comp[j]])
         n = w.sum(axis=1)
         mle._newton_pass(family, x, w, n, p, mle._loglik(family, x, w, n, p, terms), terms,
-                         mle._KERNELS[family].derivs(x, w, n, p),
-                         [row[..., j] for row in c.box])
+                         mle._KERNELS[family].derivs(x, w, n, p), box)
         if not isinstance(j, slice):  # fancy indexing copied the live columns out
             c.p[:, j], c.const[j], c.edges[j] = p, *terms
     return state

@@ -211,7 +211,10 @@ def _coth_terms(g):
     c2g = 4.0 * (1.0 + e) / (e * e)
     small = g < _G_SERIES
     gd = np.where(small, 1.0, g)
-    diffs = np.array([1.0 / gd - cg, 1.0 / (gd * gd) - c2g, cg - gd * c2g])
+    diffs = np.empty((3, *g.shape))
+    np.subtract(1.0 / gd, cg, out=diffs[0])
+    np.subtract(1.0 / (gd * gd), c2g, out=diffs[1])
+    np.subtract(cg, gd * c2g, out=diffs[2])
     if small.any():
         gs = g[small]
         g2 = gs * gs
@@ -776,9 +779,10 @@ def _newton_pass(family, x, w, n, p, ll, terms, derivs, box):
     np.maximum(low[scales], 0.5 * p[scales], out=low[scales])
     near = 4.0 * np.spacing(np.abs(p))
     pinned = (((p <= low + near) & (grad.T < 0.0)) | ((p >= high - near) & (grad.T > 0.0))).T
-    grad = np.where(pinned, 0.0, grad)
-    hess = np.where(pinned[:, :, None] | pinned[:, None, :], -np.eye(len(p)) * pinned[:, :, None],
-                    hess)
+    if pinned.any():
+        grad = np.where(pinned, 0.0, grad)
+        hess = np.where(pinned[:, :, None] | pinned[:, None, :],
+                        -np.eye(len(p)) * pinned[:, :, None], hess)
     vals, vecs = np.linalg.eigh(hess)
     mag = np.abs(vals)
     mag = np.maximum(mag, np.maximum(1e-12 * mag.max(axis=1, keepdims=True), 1e-300))

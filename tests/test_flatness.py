@@ -180,6 +180,46 @@ def test_flat_top_measure_matches_mpmath(family, params, at, exact):
     assert fl.eps_flat_measure(spec, a, b) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 
 
+
+@pytest.mark.parametrize("params", [
+    {"m": 0.2, "r": 1.0, "s": 0.5, "beta": 1.0},
+    {"m": 0.2, "r": 1.0, "s": 0.5, "beta": 0.7},
+    {"m": 0.2, "r": 1.0, "s": 0.5, "beta": 1.5},
+    {"m": -1.0, "r": 2.0, "s": 0.5, "beta": 2.0},  # h = 16: a flat top
+    {"m": 0.0, "r": 1.0, "s": 1.0, "beta": 3.0},
+])
+def test_ch_log_density_hook_matches_mpmath(params):
+    """CH's (l', l'') against 50-digit derivatives of ln sinh h - ln(cosh w +
+    cosh h), w = (|x - m|/s)^beta, on the top, the shoulders x = m -+ r and
+    the tails, within 1e-12 relative; at x = m, the limits l' = 0 and
+    l'' = -1/((1 + cosh h) s^2) at beta = 1, 0 above it, and below beta = 1,
+    where l'' is not finite, the hook declines."""
+    spec = uv.make("CH", params)
+    m, r, s, beta = (mp.mpf(params[k]) for k in ("m", "r", "s", "beta"))
+    h = (r / s) ** beta
+    log_density = lambda x: mp.log(mp.sinh(h)) - mp.log(mp.cosh((abs(x - m) / s) ** beta)
+                                                        + mp.cosh(h))
+    hook = fl._DLOG["CH"]
+    with mp.workdps(50):
+        for x in [spec.m + f * spec.r for f in (0.3, -0.6, 1.0, -1.0, 1.3, 2.0, -3.0)]:
+            for n, got in enumerate(hook(spec, x), start=1):
+                exact = float(mp.diff(log_density, mp.mpf(x), n))
+                assert abs(got - exact) <= 1e-12 * abs(exact), (x, n, got, exact)
+        at_mode = hook(spec, spec.m)
+        if beta < 1:
+            assert at_mode is None
+        else:
+            limit = -1 / ((1 + mp.cosh(h)) * s * s) if beta == 1 else 0
+            assert at_mode == (0.0, pytest.approx(float(limit), rel=1e-14, abs=0.0))
+
+
+def test_ch_measure_at_beta_one_is_the_al_measure():
+    """AL is CH at beta = 1: both hooks give its measure to rounding (central
+    differences were 2.8e-6 off here)."""
+    ch = uv.make("CH", {"m": 0.0, "r": 1.0, "s": 0.5, "beta": 1.0})
+    al = uv.make("AL", {"a": -1.0, "b": 1.0, "s": 0.5})
+    assert fl.eps_flat_measure(ch) == pytest.approx(fl.eps_flat_measure(al), rel=1e-14, abs=0.0)
+
 def test_measure_smoothed_rectangle_vs_normal():
     smooth_u = uv.make("AL", {"a": 0, "b": 1, "s": 1e-5})
     assert fl.eps_flat_measure(smooth_u, 0.0, 1.0) < 1e-3

@@ -39,7 +39,8 @@ FILES = {*DATA, "cl.csv"}
 _BLOCK = 32
 
 # The mixture argvs run at default settings to convergence, so GMM restart
-# lanes retire at different cycles and ``--bl-upgrade`` swaps BL in.
+# lanes retire at different cycles and ``--bl-upgrade`` swaps BL in.  The 1-d
+# GMM sweep pins the per-axis Gaussian lanes and the one lane of K = 1.
 MIXTURE = {
     "sweep GMM 1:10": (
         ("sweep", "--family", "GMM", "--k", "1:10", "--data", "segments.csv", "--seed", "11"),
@@ -60,6 +61,11 @@ MIXTURE = {
         ("mixfit", "--family", "FTM", "--k", "4", "--data", "segments.csv", "--seed", "11"),
         1948, "34f8d55e2964162b9198ccb336fce5607af38b8434d17e110b3895944bf32584",
         ("626939477a37",)),
+    "sweep GMM 1:6 mixed1d": (
+        ("sweep", "--family", "GMM", "--k", "1:6", "--data", "mixed1d.csv", "--seed", "3"),
+        406, "37ab188e198aed0f2c4b70869992d04677438d07902627a7c1eeb9c4d881043a",
+        ("c313b60dd52b", "46ba0fc02c2a", "5450fd01fa71", "883ee0627933", "deec2d92548d",
+         "aa0c888af851", "db2b0cd0715e")),
     "mixfit FTM 2 bl-upgrade": (
         ("mixfit", "--family", "FTM", "--k", "2", "--bl-upgrade", "--data", "mixed1d.csv",
          "--seed", "3"),

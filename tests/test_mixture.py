@@ -794,9 +794,49 @@ def _ref_gmm_restarts(rows, k, seed, settings, cov_type):
     return fits
 
 
+def _ref_kmeanspp_centers(rows, k, rng):
+    """The k-means++ centres drawn with numpy's own tools: ``Generator.choice``
+    with p = d2 / total, and ``np.sum`` of the squares over the axes."""
+    n = rows.shape[0]
+    centers = [rows[rng.integers(n)]]
+    d2 = np.sum((rows - centers[0]) ** 2, axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        centers.append(rows[rng.integers(n) if total == 0.0 else rng.choice(n, p=d2 / total)])
+        d2 = np.minimum(d2, np.sum((rows - centers[-1]) ** 2, axis=1))
+    return np.array(centers)
+
+
+@pytest.mark.parametrize("seed", [11, 31, 7001])
+@pytest.mark.parametrize("k", [1, 2, 5, 10])
+@pytest.mark.parametrize("data", ["mixed55", "segments", "coincident"])
+def test_kmeanspp_centers_match_generator_choice(segments_rows, data, k, seed):
+    """Bit-equal centres, and the same random stream after them, as the
+    draw by ``Generator.choice``; five coincident points take the
+    total == 0 branch.  Fails too if numpy changes how ``choice`` draws."""
+    rows = {"mixed55": gen_mixed_1d(20260808).rows, "segments": segments_rows,
+            "coincident": np.full((5, 2), 0.375)}[data]
+    got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = mx._kmeanspp_centers(rows, k, got_rng)
+    ref = _ref_kmeanspp_centers(rows, k, ref_rng)
+    assert got.shape == ref.shape == (k, rows.shape[1])
+    assert got.tobytes() == ref.tobytes()
+    assert got_rng.random() == ref_rng.random()
+
+
+def test_kmeanspp_centers_reject_squared_distances_that_overflow():
+    """A total squared distance that overflows makes p = d2 / total NaN or
+    all 0, which ``Generator.choice`` rejects; the search must not pick from
+    it instead."""
+    rows = np.array([[0.0], [1e200], [3e200]])
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="[Pp]robabilities"):
+        mx._kmeanspp_centers(rows, 2, np.random.default_rng(1))
+
+
 @pytest.mark.parametrize("rel_tol", [-math.inf, 1e-8])
 @pytest.mark.parametrize("data, cov_type, k", [
-    ("1d", "full", 1),  # every lane ends on the same log-likelihood: the first wins
+    # K = 1 runs one lane: every lane ends on the same log-likelihood, and the first wins
+    ("1d", "full", 1), ("2d", "full", 1), ("2d", "diag", 1),
     ("1d", "full", 3), ("2d", "full", 4), ("2d", "diag", 4)])
 def test_gmm_restart_lanes_match_restarts_run_one_after_another(segments_rows, data, cov_type,
                                                                 k, rel_tol):
